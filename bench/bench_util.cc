@@ -145,8 +145,6 @@ void BenchReport::AddCurve(ThroughputCurve curve) { curves_.push_back(std::move(
 
 void BenchReport::AddMicro(MicroResult result) { micro_.push_back(std::move(result)); }
 
-void BenchReport::AddParallel(ParallelResult result) { parallel_.push_back(std::move(result)); }
-
 std::string BenchReport::ToJson() const {
   obs::JsonWriter w;
   w.BeginObject();
@@ -291,31 +289,6 @@ std::string BenchReport::ToJson() const {
     w.Double(m.ns_per_op, 2);
     w.Key("ops_per_sec");
     w.Double(m.ops_per_sec, 1);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("parallel");
-  w.BeginArray();
-  for (const ParallelResult& p : parallel_) {
-    w.BeginObject();
-    w.Key("name");
-    w.String(p.name);
-    w.Key("threads");
-    w.Int(p.threads);
-    w.Key("partitions");
-    w.Int(p.partitions);
-    w.Key("clients");
-    w.Uint(p.clients);
-    w.Key("events");
-    w.Uint(p.events);
-    w.Key("wall_seconds");
-    w.Double(p.wall_seconds, 6);
-    w.Key("events_per_sec");
-    w.Double(p.events_per_sec, 1);
-    w.Key("speedup_vs_1thread");
-    w.Double(p.speedup_vs_1thread);
-    w.Key("deterministic");
-    w.Bool(p.deterministic);
     w.EndObject();
   }
   w.EndArray();

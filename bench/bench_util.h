@@ -137,23 +137,6 @@ struct MicroResult {
   double ops_per_sec = 0.0;
 };
 
-// One parallel-core scaling measurement (bench/million_clients.cc): the same
-// partitioned simulation run at `threads` workers. Exported under "parallel"
-// in the report. events_per_sec is host-side simulator throughput;
-// speedup_vs_1thread is this row's events_per_sec over the 1-thread row's
-// (1.0 for the 1-thread row itself).
-struct ParallelResult {
-  std::string name;
-  int threads = 1;
-  int partitions = 1;
-  uint64_t clients = 0;       // Modeled clients in the run.
-  uint64_t events = 0;        // Events fired across all partitions.
-  double wall_seconds = 0.0;
-  double events_per_sec = 0.0;
-  double speedup_vs_1thread = 0.0;
-  bool deterministic = false;  // Output byte-identical to the 1-thread run.
-};
-
 // Machine-readable benchmark record. Each bench constructs one report, Add()s
 // an entry per (app, deployment) experiment it ran, and calls Write() at the
 // end. The file destination is the RADICAL_BENCH_JSON environment variable
@@ -166,7 +149,6 @@ class BenchReport {
   void Add(const std::string& experiment_name, const ExperimentResult& result);
   void AddCurve(ThroughputCurve curve);
   void AddMicro(MicroResult result);
-  void AddParallel(ParallelResult result);
 
   // Serializes the report (schema documented in docs/observability.md).
   std::string ToJson() const;
@@ -180,7 +162,6 @@ class BenchReport {
   std::vector<std::pair<std::string, ExperimentResult>> entries_;
   std::vector<ThroughputCurve> curves_;
   std::vector<MicroResult> micro_;
-  std::vector<ParallelResult> parallel_;
 };
 
 // --- Table printing ----------------------------------------------------------

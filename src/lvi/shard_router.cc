@@ -33,10 +33,6 @@ int ShardRouter::ShardOf(const Key& key) const {
   return shards_ == 1 ? 0 : ShardOfPoint(Point(key));
 }
 
-int ShardRouter::HomePartition(const Key& key, int num_partitions) {
-  return ShardRouter(num_partitions).ShardOf(key);
-}
-
 uint64_t ShardRouter::RangeStart(int shard) const {
   assert(shard >= 0 && shard < shards_);
   // Smallest point p with floor(p * N / 2^64) == shard: ceil(shard * 2^64 / N).

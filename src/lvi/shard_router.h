@@ -49,14 +49,6 @@ class ShardRouter {
   uint64_t RangeStart(int shard) const;
   uint64_t RangeLimit(int shard) const;
 
-  // The simulation partition hosting `key`'s primary-side state in a
-  // partitioned run (src/sim/parallel.h): the same contiguous
-  // hashed-keyspace range partition, over `num_partitions` blocks. Because
-  // partition ranges refine shard ranges exactly like an N -> k*N reshard,
-  // a P-shard server lands each shard's whole range on one partition
-  // whenever P is a multiple of num_partitions.
-  static int HomePartition(const Key& key, int num_partitions);
-
  private:
   int shards_;
 };

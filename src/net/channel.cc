@@ -18,21 +18,6 @@ SimDuration Channel::JitteredPropagation() {
   return static_cast<SimDuration>(static_cast<double>(model_.propagation_delay) * factor);
 }
 
-SimDuration MinOneWayDelay(const LinkModel& model) {
-  if (model.jitter_stddev_frac <= 0.0 || model.propagation_delay == 0) {
-    return model.propagation_delay;
-  }
-  // Mirrors JitteredPropagation: factor = max(min_delay_frac, gaussian), so
-  // the smallest possible result is propagation * min_delay_frac, truncated.
-  return static_cast<SimDuration>(static_cast<double>(model.propagation_delay) *
-                                  model.min_delay_frac);
-}
-
-EventId Channel::Deliver(Envelope env, SimDuration spike_extra) {
-  const SimTime deliver_at = ComputeDeliveryTime(env, spike_extra);
-  return sim_->ScheduleAt(deliver_at, std::move(env.deliver));
-}
-
 SimTime Channel::ComputeDeliveryTime(const Envelope& env, SimDuration spike_extra) {
   const SimTime now = sim_->Now();
   SimDuration queue_wait = 0;

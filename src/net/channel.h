@@ -44,13 +44,6 @@ struct LinkModel {
   uint64_t bandwidth_bytes_per_sec = 0;
 };
 
-// Smallest one-way delay the model can ever produce: the jitter floor of the
-// propagation delay (exactly the clamp Channel::JitteredPropagation applies;
-// queueing, serialization and delay spikes only ever add). This is a link's
-// contribution to the parallel core's lookahead (net::LookaheadBound takes
-// the minimum over every cross-partition link).
-SimDuration MinOneWayDelay(const LinkModel& model);
-
 // Per-channel counters. Dropped messages still count toward sent/bytes —
 // they represent offered traffic, which is what the §5.7 cost model charges.
 struct LinkStats {
@@ -76,16 +69,13 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  // Schedules delivery of `env` after queueing + serialization + jittered
-  // propagation (+ `spike_extra`, the fabric's delay-spike injection).
-  // Fault decisions (drops, partitions, filters) happen in the fabric before
-  // this is called. Returns the scheduled event id.
-  EventId Deliver(Envelope env, SimDuration spike_extra);
-
-  // The delivery instant Deliver would schedule at, with identical side
-  // effects (queue occupancy, jitter draw, FIFO guard, stats) minus the
-  // scheduling itself. The fabric's remote-endpoint path uses this to hand
-  // (time, task) to another partition's mailbox instead of the local queue.
+  // The instant `env` arrives: now + queueing + serialization + jittered
+  // propagation (+ `spike_extra`, the fabric's delay-spike injection),
+  // never before the previous delivery on this channel. Advances the link's
+  // queue occupancy, jitter stream, FIFO guard and queue-delay stats; the
+  // fabric schedules the delivery itself (or discards the message if this
+  // instant falls past its deadline). Fault decisions (drops, partitions,
+  // filters) happen in the fabric before this is called.
   SimTime ComputeDeliveryTime(const Envelope& env, SimDuration spike_extra);
 
   // Accounts one offered message (called for every send, dropped or not).

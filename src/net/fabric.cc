@@ -158,23 +158,7 @@ EventId Fabric::Send(EndpointId from, EndpointId to, Envelope env) {
     messages_expired_->Increment();
     return kInvalidEventId;
   }
-  const auto remote = remote_.find(to);
-  if (remote != remote_.end()) {
-    // Same pipeline as a local delivery — the channel advances its queue,
-    // draws jitter and enforces FIFO — but the event lands on the remote
-    // partition's queue via the deployment's forward hook.
-    remote->second(deliver_at, std::move(env.deliver));
-    return kInvalidEventId;
-  }
   return sim_->ScheduleAt(deliver_at, std::move(env.deliver));
-}
-
-void Fabric::MarkRemote(EndpointId id, RemoteForward forward) {
-  if (forward) {
-    remote_[id] = std::move(forward);
-  } else {
-    remote_.erase(id);
-  }
 }
 
 void Fabric::SetRegionPartitioned(Region a, Region b, bool partitioned) {

@@ -132,12 +132,6 @@ class Fabric {
   // code; the filter exists for arbitrary predicates.
   using Filter = std::function<bool(const SendContext&)>;
 
-  // Hand-off for a message addressed to an endpoint that lives on another
-  // partition of a ParallelSimulator: called with the computed delivery
-  // instant and the delivery task; the deployment's wiring forwards both to
-  // ParallelSimulator::Post. Runs on this fabric's (sending) partition.
-  using RemoteForward = std::function<void(SimTime deliver_at, InlineTask deliver)>;
-
   // `instance` names this fabric's slice of the simulator's metrics
   // registry: counters live under "fabric.<instance>." (made unique with a
   // #N suffix if two fabrics pick the same instance name).
@@ -158,17 +152,9 @@ class Fabric {
 
   // Routes one envelope from -> to. Offered traffic is counted before fault
   // checks; a dropped message still shows up in sent/byte counters (and in
-  // the drop counters). Returns kInvalidEventId on drop, and also for a
-  // remote endpoint (the delivery event lives on another partition's queue
-  // and cannot be cancelled from here).
+  // the drop counters). Returns kInvalidEventId on drop and on deadline
+  // expiry (the message would arrive after its deadline).
   EventId Send(EndpointId from, EndpointId to, Envelope env);
-
-  // Declares `id` a proxy for an endpoint hosted on another partition:
-  // subsequent sends to it run the full local pipeline (stats, faults, link
-  // model, FIFO) and then hand (delivery time, task) to `forward` instead of
-  // the local event queue. Pass nullptr to make the endpoint local again.
-  void MarkRemote(EndpointId id, RemoteForward forward);
-  bool IsRemote(EndpointId id) const { return remote_.count(id) > 0; }
 
   // --- Fault injection --------------------------------------------------
 
@@ -282,7 +268,6 @@ class Fabric {
 
   std::vector<EndpointInfo> endpoints_;
   std::map<uint64_t, std::unique_ptr<Channel>> channels_;
-  std::map<EndpointId, RemoteForward> remote_;
 
   std::array<std::array<bool, kNumRegions>, kNumRegions> region_partitioned_{};
   std::set<uint64_t> endpoint_partitioned_;

@@ -60,35 +60,6 @@ SimDuration LatencyMatrix::Rtt(Region a, Region b) const {
   return rtt_[static_cast<int>(a)][static_cast<int>(b)];
 }
 
-namespace net {
-
-SimDuration LookaheadBound(const LatencyMatrix& latency, const NetworkOptions& options,
-                           const std::function<int(Region)>& partition_of) {
-  SimDuration bound = 0;
-  bool found = false;
-  for (int a = 0; a < kNumRegions; ++a) {
-    for (int b = 0; b < kNumRegions; ++b) {
-      const Region ra = static_cast<Region>(a);
-      const Region rb = static_cast<Region>(b);
-      if (partition_of(ra) == partition_of(rb)) {
-        continue;
-      }
-      LinkModel model;
-      model.propagation_delay = latency.OneWay(ra, rb);
-      model.jitter_stddev_frac = options.jitter_stddev_frac;
-      model.min_delay_frac = options.min_delay_frac;
-      const SimDuration d = MinOneWayDelay(model);
-      if (!found || d < bound) {
-        bound = d;
-        found = true;
-      }
-    }
-  }
-  return found ? bound : 0;
-}
-
-}  // namespace net
-
 Network::Network(Simulator* sim, LatencyMatrix latency, NetworkOptions options)
     : latency_(latency),
       options_(options),

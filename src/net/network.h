@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "src/common/types.h"
@@ -75,21 +74,6 @@ struct NetworkOptions {
   // default, which keeps the paper-figure latency benches bandwidth-free.
   uint64_t wan_bandwidth_bytes_per_sec = 0;
 };
-
-namespace net {
-
-// Conservative lookahead for a partitioned run (src/sim/parallel.h): the
-// minimum, over every region pair assigned to different partitions by
-// `partition_of`, of the smallest one-way delay the network could ever
-// produce for that pair (MinOneWayDelay of the link model Network would
-// build; endpoint extra-hop delays are nonnegative and only add, so
-// ignoring them keeps the bound conservative). Returns 0 when no pair
-// crosses partitions — which ParallelSimulator rejects for 2+ partitions,
-// correctly: such a configuration has no safe window.
-SimDuration LookaheadBound(const LatencyMatrix& latency, const NetworkOptions& options,
-                           const std::function<int(Region)>& partition_of);
-
-}  // namespace net
 
 // One Network instance is shared by the whole deployment.
 class Network {

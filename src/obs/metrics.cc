@@ -242,117 +242,6 @@ std::string MetricsRegistry::SnapshotText() const {
   return os.str();
 }
 
-namespace {
-
-// Percentile over a pre-sorted sample vector with the same linear
-// interpolation as LatencyHistogram::PercentileMs, so a single-shard merge is
-// numerically identical to that shard's own SnapshotJson.
-double SortedPercentileMs(const std::vector<SimDuration>& s, double pct) {
-  if (s.empty()) {
-    return 0.0;
-  }
-  if (s.size() == 1) {
-    return ToMillis(s[0]);
-  }
-  pct = std::min(100.0, std::max(0.0, pct));
-  const double pos = pct / 100.0 * static_cast<double>(s.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(pos));
-  const size_t hi = static_cast<size_t>(std::ceil(pos));
-  const double frac = pos - static_cast<double>(lo);
-  return ToMillis(s[lo]) * (1.0 - frac) + ToMillis(s[hi]) * frac;
-}
-
-}  // namespace
-
-std::string MergedSnapshotJson(const std::vector<const MetricsRegistry*>& shards) {
-  // Union every shard's instruments by name; std::map keeps the export
-  // name-ordered like SnapshotJson. All inputs are deterministic per shard,
-  // and the merge folds in shard order, so the output is a pure function of
-  // the shard contents.
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, int64_t> gauges;
-  struct MergedHistogram {
-    uint64_t count = 0;
-    SimDuration sum = 0;
-    SimDuration min = 0;
-    SimDuration max = 0;
-    std::vector<SimDuration> samples;  // shards' reservoirs, concatenated
-  };
-  std::map<std::string, MergedHistogram> histograms;
-
-  for (const MetricsRegistry* shard : shards) {
-    for (const auto& [name, counter] : shard->counters_) {
-      counters[name] += counter->value();
-    }
-    for (const auto& [name, gauge] : shard->gauges_) {
-      gauges[name] += gauge->value();
-    }
-    for (const auto& [name, read] : shard->callback_gauges_) {
-      gauges[name] += read();
-    }
-    for (const auto& [name, hist] : shard->histograms_) {
-      MergedHistogram& m = histograms[name];
-      if (hist->count() > 0) {
-        if (m.count == 0) {
-          m.min = hist->min();
-          m.max = hist->max();
-        } else {
-          m.min = std::min(m.min, hist->min());
-          m.max = std::max(m.max, hist->max());
-        }
-      }
-      m.count += hist->count();
-      m.sum += hist->sum();
-      const std::vector<SimDuration>& r = hist->reservoir();
-      m.samples.insert(m.samples.end(), r.begin(), r.end());
-    }
-  }
-
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("counters");
-  w.BeginObject();
-  for (const auto& [name, value] : counters) {
-    w.Key(name);
-    w.Uint(value);
-  }
-  w.EndObject();
-  w.Key("gauges");
-  w.BeginObject();
-  for (const auto& [name, value] : gauges) {
-    w.Key(name);
-    w.Int(value);
-  }
-  w.EndObject();
-  w.Key("histograms");
-  w.BeginObject();
-  for (auto& [name, m] : histograms) {
-    std::sort(m.samples.begin(), m.samples.end());
-    w.Key(name);
-    w.BeginObject();
-    w.Key("count");
-    w.Uint(m.count);
-    w.Key("sum_ms");
-    w.Double(ToMillis(m.sum), 3);
-    w.Key("mean_ms");
-    w.Double(m.count == 0 ? 0.0 : ToMillis(m.sum) / static_cast<double>(m.count), 3);
-    w.Key("min_ms");
-    w.Double(ToMillis(m.min), 3);
-    w.Key("p50_ms");
-    w.Double(SortedPercentileMs(m.samples, 50.0), 3);
-    w.Key("p90_ms");
-    w.Double(SortedPercentileMs(m.samples, 90.0), 3);
-    w.Key("p99_ms");
-    w.Double(SortedPercentileMs(m.samples, 99.0), 3);
-    w.Key("max_ms");
-    w.Double(ToMillis(m.max), 3);
-    w.EndObject();
-  }
-  w.EndObject();
-  w.EndObject();
-  return w.str();
-}
-
 MetricsScope::MetricsScope(MetricsRegistry* registry, std::string prefix)
     : registry_(registry), prefix_(std::move(prefix)) {}
 

@@ -78,9 +78,6 @@ class LatencyHistogram {
   // Exact extremes over every recorded sample (0 when empty).
   SimDuration min() const { return count_ == 0 ? 0 : min_; }
   SimDuration max() const { return count_ == 0 ? 0 : max_; }
-  // The retained reservoir samples, in retention order (deterministic for a
-  // given record sequence); the partition-merge export concatenates these.
-  const std::vector<SimDuration>& reservoir() const { return reservoir_; }
   double MeanMs() const;
   // Percentile estimated over the reservoir; 0.0 when empty (mirrors
   // LatencySampler::PercentileMs).
@@ -141,23 +138,12 @@ class MetricsRegistry {
   std::string SnapshotText() const;
 
  private:
-  friend std::string MergedSnapshotJson(const std::vector<const MetricsRegistry*>& shards);
-
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::function<int64_t()>> callback_gauges_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;
   std::map<std::string, int> scope_counts_;
 };
-
-// Deterministic merged export of several registry shards — the parallel
-// core's partition-local registries, in partition order. Same JSON shape as
-// SnapshotJson(): instruments are unioned by name; counters and gauges sum;
-// histograms report exact merged count/sum/min/max and estimate percentiles
-// over the concatenation of the shards' reservoirs (shard order, so the
-// result is a pure function of the shard contents — byte-identical across
-// thread counts). See docs/observability.md, "Partition-local shards".
-std::string MergedSnapshotJson(const std::vector<const MetricsRegistry*>& shards);
 
 // A component's slice of a registry: every instrument name is prefixed with
 // "<prefix>.". Copyable view; the registry must outlive it. Also serves as

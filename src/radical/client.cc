@@ -28,18 +28,4 @@ void Client::Submit(Request request, RequestOptions options, OutcomeFn done) {
   runtime_->Submit(std::move(request), std::move(options), std::move(done));
 }
 
-void Client::Submit(Request request, DoneFn done) {
-  Submit(std::move(request), RequestOptions(), std::move(done));
-}
-
-void Client::Submit(Request request, RequestOptions options, DoneFn done) {
-  // Wrapper over the canonical OutcomeFn path. Previews are filtered: the
-  // legacy overloads predate them, and a second Value-only callback would be
-  // indistinguishable from the final.
-  Submit(std::move(request), std::move(options), [done = std::move(done)](Outcome outcome) {
-    if (outcome.preview()) return;
-    done(std::move(outcome.result));
-  });
-}
-
 }  // namespace radical

@@ -10,8 +10,7 @@
 // where RequestOptions carries every per-request knob — retry-policy
 // override, consistency mode (full LVI protocol vs. near-storage direct
 // execution), trace opt-in/out, and a shard channel hint for sharded
-// servers. Runtime::Invoke survives for one PR as a deprecated thin wrapper
-// (docs/api.md has the migration table).
+// servers.
 
 #ifndef RADICAL_SRC_RADICAL_CLIENT_H_
 #define RADICAL_SRC_RADICAL_CLIENT_H_
@@ -98,9 +97,7 @@ enum class RequestStatus {
 
 const char* RequestStatusName(RequestStatus status);
 
-// Full completion record delivered to OutcomeFn — the canonical callback
-// payload. (The Value-only DoneFn overloads survive as deprecated wrappers
-// that discard everything but `result`.)
+// Full completion record delivered to OutcomeFn — the one callback payload.
 struct Outcome {
   RequestStatus status = RequestStatus::kOk;
   // Meaningful when executed(): the tentative result for kPreview, the
@@ -165,7 +162,7 @@ struct RequestOptions {
   // would land after it, the server sheds work it cannot finish in time
   // (answering kShed instead of queueing), and the client stops
   // waiting/retrying past it. A deadlined request can therefore complete
-  // with RequestStatus::kDeadlineExceeded — use the OutcomeFn Submit overloads.
+  // with RequestStatus::kDeadlineExceeded.
   SimDuration deadline = 0;
   // --- Set by radical::Session, not by applications. -----------------------
   // Session this request rides on (floor checks, wire tagging, preview
@@ -183,7 +180,6 @@ struct RequestOptions {
 // every Client referring to it.
 class Client {
  public:
-  using DoneFn = std::function<void(Value result)>;
   using OutcomeFn = std::function<void(Outcome outcome)>;
 
   explicit Client(Runtime* runtime) : runtime_(runtime) {}
@@ -193,14 +189,6 @@ class Client {
   // kPreviewThenFinal/kSession, once earlier with Outcome{kPreview}.
   void Submit(Request request, OutcomeFn done);
   void Submit(Request request, RequestOptions options, OutcomeFn done);
-
-  // Deprecated: thin wrappers over the OutcomeFn overloads that fire with
-  // outcome.result — an empty Value for non-executed endings (kRejected,
-  // kDeadlineExceeded), and never for previews. New code should take the
-  // Outcome. (Deliberately not [[deprecated]]: the wrappers stay warning-free
-  // under CHECK_WERROR for the one release callers have to migrate.)
-  void Submit(Request request, DoneFn done);
-  void Submit(Request request, RequestOptions options, DoneFn done);
 
   Runtime* runtime() const { return runtime_; }
 

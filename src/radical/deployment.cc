@@ -21,20 +21,6 @@ LviServerOptions ServerOptionsFor(const RadicalConfig& config) {
 
 }  // namespace
 
-PartitionMap PartitionMap::PerRegion(const std::vector<Region>& regions, Region primary) {
-  PartitionMap map;
-  map.partition_.fill(0);
-  int next = 1;
-  for (const Region r : regions) {
-    if (r == primary) {
-      continue;
-    }
-    map.partition_[static_cast<size_t>(r)] = next++;
-  }
-  map.num_partitions_ = next;
-  return map;
-}
-
 RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalConfig config,
                                      std::vector<Region> regions, int replicated_locks)
     : sim_(sim),

@@ -15,7 +15,6 @@
 #ifndef RADICAL_SRC_RADICAL_DEPLOYMENT_H_
 #define RADICAL_SRC_RADICAL_DEPLOYMENT_H_
 
-#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,34 +26,6 @@
 #include "src/sim/region.h"
 
 namespace radical {
-
-// Region -> simulation-partition assignment for a partitioned run
-// (src/sim/parallel.h). The natural cut follows the deployment geometry:
-// each deployment location (its runtime, cache, and clients) is a partition
-// of its own, and the near-storage region — primary store, LVI server, and
-// the colocated runtime — is pinned to partition 0, so every LVI
-// validation/admission crosses exactly one mailbox hop whose latency the
-// WAN model already bounds (net::LookaheadBound). Regions that are not
-// deployment locations ride with the primary on partition 0.
-class PartitionMap {
- public:
-  // Single-partition map: every region on partition 0 (the plain
-  // single-threaded configuration).
-  PartitionMap() { partition_.fill(0); }
-
-  // One partition per deployment location, primary region first: `primary`
-  // -> 0, then each region of `regions` (paper order) that is not the
-  // primary -> 1, 2, ... Unlisted regions -> 0.
-  static PartitionMap PerRegion(const std::vector<Region>& regions,
-                                Region primary = kPrimaryRegion);
-
-  int PartitionOf(Region r) const { return partition_[static_cast<size_t>(r)]; }
-  int num_partitions() const { return num_partitions_; }
-
- private:
-  std::array<int, kNumRegions> partition_{};
-  int num_partitions_ = 1;
-};
 
 class AppService {
  public:

@@ -39,7 +39,6 @@ namespace radical {
 
 class Runtime {
  public:
-  using DoneFn = std::function<void(Value result)>;
   using OutcomeFn = std::function<void(Outcome outcome)>;
 
   // `server` lives in `server_region` (the near-storage location); all
@@ -60,8 +59,7 @@ class Runtime {
   // session — see RequestOptions in client.h). `done` fires (as a simulator
   // event) when the result is released to the client, and — under
   // kPreviewThenFinal/kSession — once earlier with Outcome{kPreview}. Prefer
-  // the radical::Client facade over calling this directly. (The legacy
-  // DoneFn shape lives on only as Client's deprecated wrapper overloads.)
+  // the radical::Client facade over calling this directly.
   void Submit(Request request, RequestOptions options, OutcomeFn done);
 
   Region region() const { return region_; }

@@ -5,11 +5,6 @@
 // single-threaded and fully deterministic for a given seed: concurrency
 // (overlapping executions, lock contention, message races) is expressed as
 // interleaved events, never as OS threads.
-//
-// In a partitioned run (src/sim/parallel.h), each partition owns one whole
-// Simulator — queue, RNG, metrics — and exactly one worker thread ever
-// touches it; cross-partition traffic goes through mailboxes at window
-// boundaries, so nothing here needs (or has) any internal synchronization.
 
 #ifndef RADICAL_SRC_SIM_SIMULATOR_H_
 #define RADICAL_SRC_SIM_SIMULATOR_H_
@@ -84,16 +79,6 @@ class Simulator {
   size_t pending_events() const { return queue_.size(); }
   uint64_t events_fired() const { return events_fired_; }
 
-  // Timestamp of the earliest pending event. Requires !idle(); the parallel
-  // core's window planner reads it to derive the global horizon.
-  SimTime NextEventTime() const { return queue_.NextTime(); }
-
-  // Partition id within a ParallelSimulator (0 on a standalone simulator).
-  // Components may fold it into metric scope names so partition shards never
-  // alias when merged at export.
-  uint32_t partition() const { return partition_; }
-  void set_partition(uint32_t partition) { partition_ = partition; }
-
   // The simulation's root RNG; components should Fork() their own streams so
   // adding a component does not perturb others' draws.
   Rng& rng() { return rng_; }
@@ -111,7 +96,6 @@ class Simulator {
   EventQueue queue_;
   SimTime now_ = 0;
   uint64_t events_fired_ = 0;
-  uint32_t partition_ = 0;
   uint64_t next_id_ = 1;
   Rng rng_;
   obs::MetricsRegistry metrics_;

@@ -354,7 +354,9 @@ TEST(StringUtilTest, StartsWith) {
 // --- IntrusiveList -----------------------------------------------------------
 
 struct LinkedItem {
-  int id = 0;
+  explicit LinkedItem(int item_id) : id(item_id) {}
+
+  int id;
   IntrusiveLink link;
 };
 

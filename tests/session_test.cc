@@ -2,9 +2,8 @@
 // the three things a session buys over radical::Client (Correctables-style
 // preview/final callbacks, read-your-writes / monotonic reads against the
 // near-user cache, SwiftCloud-style failover to another PoP), plus the
-// determinism guarantee that the redesign leaves kLinearizable defaults
-// byte-identical: a run through the deprecated DoneFn wrappers fingerprints
-// the same as one through the canonical OutcomeFn overloads.
+// determinism guarantee that sessionless kLinearizable defaults reproduce
+// the same schedule run after run and never touch the session machinery.
 
 #include <gtest/gtest.h>
 
@@ -237,11 +236,10 @@ TEST_F(SessionTest, DeadRuntimeRejectsAndRecoveredRuntimeServes) {
 
 // --- Determinism pin -------------------------------------------------------
 
-// Runs the mixed social workload through either the deprecated DoneFn
-// wrappers or the canonical OutcomeFn overloads and fingerprints everything
-// observable. The redesign must leave kLinearizable defaults byte-identical:
-// both paths produce the same schedule, counters, and final store state.
-std::string RunFingerprint(uint64_t seed, bool use_done_fn) {
+// Runs the mixed social workload through Client::Submit at kLinearizable
+// defaults and fingerprints everything observable: the schedule, counters,
+// and final store state.
+std::string RunFingerprint(uint64_t seed) {
   Simulator sim(seed);
   Network net(&sim, LatencyMatrix::PaperDefault());
   RadicalDeployment radical(&sim, &net, RadicalConfig{}, DeploymentRegions());
@@ -261,17 +259,10 @@ std::string RunFingerprint(uint64_t seed, bool use_done_fn) {
       const SimTime start = sim.Now();
       Client client = radical.client(region);
       Request request{spec.function, std::move(spec.inputs)};
-      if (use_done_fn) {
-        client.Submit(std::move(request), [&, start](Value result) {
-          fingerprint << (sim.Now() - start) << ":" << result.StableHash() << ";";
-          ++completed;
-        });
-      } else {
-        client.Submit(std::move(request), [&, start](Outcome outcome) {
-          fingerprint << (sim.Now() - start) << ":" << outcome.result.StableHash() << ";";
-          ++completed;
-        });
-      }
+      client.Submit(std::move(request), [&, start](Outcome outcome) {
+        fingerprint << (sim.Now() - start) << ":" << outcome.result.StableHash() << ";";
+        ++completed;
+      });
     });
   }
   sim.Run();
@@ -286,14 +277,12 @@ std::string RunFingerprint(uint64_t seed, bool use_done_fn) {
   return fingerprint.str();
 }
 
-TEST(SessionDeterminismTest, LinearizableDefaultsIdenticalAcrossCallbackForms) {
-  const std::string outcome_run = RunFingerprint(4242, /*use_done_fn=*/false);
-  const std::string done_run = RunFingerprint(4242, /*use_done_fn=*/true);
-  EXPECT_EQ(outcome_run, done_run);
-  // And the pinned schedule itself is reproducible.
-  EXPECT_EQ(outcome_run, RunFingerprint(4242, /*use_done_fn=*/false));
+TEST(SessionDeterminismTest, LinearizableDefaultsReproducibleAndSessionFree) {
+  const std::string run = RunFingerprint(4242);
+  // The pinned schedule is reproducible.
+  EXPECT_EQ(run, RunFingerprint(4242));
   // Sessionless defaults never touch the session machinery.
-  EXPECT_EQ(outcome_run.find("session_"), std::string::npos);
+  EXPECT_EQ(run.find("session_"), std::string::npos);
 }
 
 }  // namespace

@@ -449,38 +449,6 @@ void CheckMicro(const JsonValue& micro, const std::string& path) {
   }
 }
 
-// Parallel-core scaling rows (bench/million_clients.cc): one entry per
-// thread count of the same seeded run.
-void CheckParallel(const JsonValue& parallel, const std::string& path) {
-  for (size_t i = 0; i < parallel.array.size(); ++i) {
-    const JsonValue& entry = parallel.array[i];
-    const std::string where = path + " parallel[" + std::to_string(i) + "]";
-    if (!entry.is(JsonValue::Type::kObject)) {
-      Report(where, "entry is not an object");
-      continue;
-    }
-    Require(entry, where, "name", JsonValue::Type::kString);
-    for (const char* field : {"threads", "partitions", "clients", "events", "wall_seconds",
-                              "events_per_sec", "speedup_vs_1thread"}) {
-      Require(entry, where, field, JsonValue::Type::kNumber);
-    }
-    Require(entry, where, "deterministic", JsonValue::Type::kBool);
-    const JsonValue* threads = entry.Find("threads");
-    if (threads != nullptr && threads->is(JsonValue::Type::kNumber) && threads->number < 1) {
-      Report(where, "threads must be >= 1");
-    }
-    const JsonValue* events = entry.Find("events");
-    if (events != nullptr && events->is(JsonValue::Type::kNumber) && events->number <= 0) {
-      Report(where, "events must be positive");
-    }
-    const JsonValue* deterministic = entry.Find("deterministic");
-    if (deterministic != nullptr && deterministic->is(JsonValue::Type::kBool) &&
-        !deterministic->boolean) {
-      Report(where, "deterministic is false — thread counts diverged");
-    }
-  }
-}
-
 void CheckBenchReport(const JsonValue& root, const std::string& path) {
   if (!root.is(JsonValue::Type::kObject)) {
     Report(path, "top level is not an object");
@@ -511,25 +479,13 @@ void CheckBenchReport(const JsonValue& root, const std::string& path) {
       CheckMicro(*micro, path);
     }
   }
-  // "parallel" joined the schema with the partitioned simulator core;
-  // reports written before then simply lack the key, so it is optional.
-  const JsonValue* parallel = root.Find("parallel");
-  if (parallel != nullptr) {
-    if (!parallel->is(JsonValue::Type::kArray)) {
-      Report(path, "field 'parallel' has the wrong type");
-      parallel = nullptr;
-    } else {
-      CheckParallel(*parallel, path);
-    }
-  }
   const JsonValue* experiments = Require(root, path, "experiments", JsonValue::Type::kArray);
   if (experiments == nullptr) {
     return;
   }
   if (experiments->array.empty() && (curves == nullptr || curves->array.empty()) &&
-      (micro == nullptr || micro->array.empty()) &&
-      (parallel == nullptr || parallel->array.empty())) {
-    Report(path, "experiments, curves, micro, and parallel are all empty");
+      (micro == nullptr || micro->array.empty())) {
+    Report(path, "experiments, curves, and micro are all empty");
   }
   for (size_t i = 0; i < experiments->array.size(); ++i) {
     const JsonValue& exp = experiments->array[i];

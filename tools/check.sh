@@ -10,19 +10,6 @@
 # CHECK_WERROR=1 tools/check.sh  builds with -Werror (own build directory,
 # default build-werror) so any warning fails the build.
 #
-# CHECK_TSAN=1 tools/check.sh  builds with ThreadSanitizer (own build
-# directory, default build-tsan, -DRADICAL_TSAN=ON) and runs the suite under
-# it — the parallel simulator core's mailbox and barrier protocols are the
-# target; any data race aborts the offending test.
-#
-# CHECK_PARALLEL=1 tools/check.sh  reruns the whole test suite at
-# RADICAL_SIM_THREADS=1 and =4 (every tier-1 invariant must hold at both
-# worker counts), then runs bench/million_clients in smoke mode with the
-# determinism assertion and an events/sec speedup floor
-# (CHECK_PARALLEL_SPEEDUP_FLOOR, default 1.0; only enforced at thread counts
-# the host's core count can physically parallelize) and schema-checks the
-# exported "parallel" section of BENCH_radical.json.
-#
 # CHECK_BENCH_SMOKE=1 tools/check.sh  additionally runs the benches briefly
 # (RADICAL_BENCH_SMOKE=1 shrinks the load inside bench_util) and validates
 # the machine-readable BENCH_radical.json and Chrome trace-event exports
@@ -77,10 +64,6 @@ if [ "${CHECK_SANITIZE:-0}" = "1" ]; then
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake -B "$BUILD_DIR" -S "$SOURCE_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="$SAN_FLAGS" -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
-elif [ "${CHECK_TSAN:-0}" = "1" ]; then
-  BUILD_DIR="${1:-build-tsan}"
-  cmake -B "$BUILD_DIR" -S "$SOURCE_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DRADICAL_TSAN=ON
 elif [ "${CHECK_WERROR:-0}" = "1" ]; then
   BUILD_DIR="${1:-build-werror}"
   cmake -B "$BUILD_DIR" -S "$SOURCE_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -92,21 +75,6 @@ fi
 
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-
-if [ "${CHECK_PARALLEL:-0}" = "1" ]; then
-  echo "== parallel matrix: RADICAL_SIM_THREADS=1 =="
-  RADICAL_SIM_THREADS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-  echo "== parallel matrix: RADICAL_SIM_THREADS=4 =="
-  RADICAL_SIM_THREADS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-  PAR_DIR="$BUILD_DIR/parallel"
-  mkdir -p "$PAR_DIR"
-  echo "== parallel: million_clients determinism + speedup floor =="
-  RADICAL_BENCH_SMOKE=1 RADICAL_BENCH_JSON="$PAR_DIR/BENCH_radical.json" \
-    RADICAL_PARALLEL_SPEEDUP_FLOOR="${CHECK_PARALLEL_SPEEDUP_FLOOR:-1.0}" \
-    "$BUILD_DIR/bench/million_clients" > "$PAR_DIR/million_clients.out"
-  cat "$PAR_DIR/million_clients.out"
-  "$BUILD_DIR/tools/bench_json_check" "$PAR_DIR/BENCH_radical.json"
-fi
 
 if [ "${CHECK_SHARD_MATRIX:-0}" = "1" ]; then
   echo "== shard matrix: RADICAL_SHARDS=1 (explicit) =="

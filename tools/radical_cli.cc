@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -145,14 +146,17 @@ bool Parse(int argc, char** argv, CliOptions* options) {
   return true;
 }
 
-AppSpec PickApp(const std::string& name) {
+std::optional<AppSpec> PickApp(const std::string& name) {
+  if (name == "social") {
+    return MakeSocialApp();
+  }
   if (name == "hotel") {
     return MakeHotelApp();
   }
   if (name == "forum") {
     return MakeForumApp();
   }
-  return MakeSocialApp();
+  return std::nullopt;
 }
 
 int Run(const CliOptions& options) {
@@ -165,7 +169,12 @@ int Run(const CliOptions& options) {
     std::fprintf(stderr, "unknown deployment: %s\n", options.deploy.c_str());
     return 1;
   }
-  const AppSpec app = PickApp(options.app);
+  const std::optional<AppSpec> picked = PickApp(options.app);
+  if (!picked) {
+    std::fprintf(stderr, "unknown app: %s\n", options.app.c_str());
+    return 1;
+  }
+  const AppSpec& app = *picked;
 
   // The replicated-lock configuration needs a bespoke deployment; everything
   // else goes through the shared harness.
