@@ -93,9 +93,7 @@ ExperimentResult RunApp(const AppSpec& app, DeployKind kind, const RunOptions& r
     result.validation_success_rate = radical->server().ValidationSuccessRate();
     result.reexecutions = radical->server().reexecutions();
     if (radical->local_locks() != nullptr) {
-      result.lock_waits = radical->local_locks()->table().waits();
-    } else if (radical->sharded_locks() != nullptr) {
-      result.lock_waits = radical->sharded_locks()->total_waits();
+      result.lock_waits = radical->local_locks()->total_waits();
     }
     result.lvi_requests = radical->server().counters().Get("lvi_requests");
     uint64_t speculations = 0;

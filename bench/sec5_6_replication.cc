@@ -227,7 +227,7 @@ ThroughputPoint MeasureFailover(int groups) {
   Simulator sim(4200 + static_cast<uint64_t>(groups));
   Network net(&sim, LatencyMatrix::PaperDefault());
   RadicalConfig config;
-  config.server.replicated_shards = groups;
+  config.server.shards = groups;
   RadicalDeployment radical(&sim, &net, config, DeploymentRegions(), /*replicated_locks=*/3);
   radical.RegisterFunction(Fn("reg_read", {"k"}, {
       Read("v", In("k")),

@@ -69,31 +69,6 @@ bool VersionedStore::ConditionalPut(const Key& key, const Value& value, Version 
   return true;
 }
 
-std::vector<bool> VersionedStore::ConditionalMultiPut(
-    const std::vector<ConditionalWrite>& entries, SimDuration* latency) {
-  // One round to storage for the whole batch.
-  ++writes_;
-  Account(latency, options_.write_latency);
-  std::vector<bool> applied;
-  applied.reserve(entries.size());
-  for (const ConditionalWrite& entry : entries) {
-    if (VersionOf(entry.key) != entry.expected) {
-      applied.push_back(false);
-      continue;
-    }
-    Item& item = items_[entry.key];
-    item.value = entry.value;
-    ++item.version;
-    applied.push_back(true);
-  }
-  return applied;
-}
-
-bool VersionedStore::Erase(const Key& key, SimDuration* latency) {
-  Account(latency, options_.write_latency);
-  return items_.erase(key) > 0;
-}
-
 void VersionedStore::ApplyValidatedWrite(const Key& key, const Value& value,
                                          Version validated_version, SimDuration* latency) {
   ++writes_;

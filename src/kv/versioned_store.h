@@ -60,29 +60,6 @@ class VersionedStore : public Storage {
   // compare-and-set (e.g. intent status transitions in a replicated server).
   bool ConditionalPut(const Key& key, const Value& value, Version expected, SimDuration* latency);
 
-  // One entry of a conditional multi-write round.
-  struct ConditionalWrite {
-    Key key;
-    Value value;
-    Version expected = kMissingVersion;  // kMissingVersion = require absence.
-  };
-
-  // Conditional multi-write: one storage round (DynamoDB TransactWriteItems
-  // style) that applies every entry whose item still sits at its expected
-  // version and reports per-entry success. The round costs one write_latency
-  // and counts as one write regardless of entry count — the group-commit
-  // primitive the LVI server's admission-window batcher amortizes its
-  // intent-record writes through. Entries are independent: a failed
-  // condition skips only its own entry.
-  std::vector<bool> ConditionalMultiPut(const std::vector<ConditionalWrite>& entries,
-                                        SimDuration* latency);
-
-  // Deletes an item; no-op when absent. Returns true if something was
-  // removed. Latency accounting follows the caller's pointer as usual; pass
-  // nullptr when the delete piggybacks on another round (intent-record
-  // cleanup rides with the followup apply).
-  bool Erase(const Key& key, SimDuration* latency);
-
   // Applies a write produced by an execution whose validation pinned the
   // item at `validated_version`: the new version is validated_version + 1.
   // Asserts that the version did not move past that (the write lock

@@ -7,14 +7,7 @@
 
 namespace radical {
 
-void LocalLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
-                                  std::vector<LockMode> modes, std::function<void()> granted) {
-  table_.AcquireAll(exec, std::move(keys), std::move(modes), std::move(granted));
-}
-
-void LocalLockService::ReleaseAll(ExecutionId exec) { table_.ReleaseAll(exec); }
-
-ShardedLockService::ShardedLockService(Simulator* sim, int shards) : router_(shards) {
+LocalLockService::LocalLockService(Simulator* sim, int shards) : router_(shards) {
   assert(shards >= 1);
   tables_.reserve(static_cast<size_t>(shards));
   for (int i = 0; i < shards; ++i) {
@@ -22,8 +15,8 @@ ShardedLockService::ShardedLockService(Simulator* sim, int shards) : router_(sha
   }
 }
 
-void ShardedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
-                                    std::vector<LockMode> modes, std::function<void()> granted) {
+void LocalLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
+                                  std::vector<LockMode> modes, std::function<void()> granted) {
   assert(std::is_sorted(keys.begin(), keys.end()) && "keys must be sorted");
   // Partition the sorted key set into per-shard groups, preserving key order
   // within each group: the acquisition order is (shard, key) — one total
@@ -41,14 +34,19 @@ void ShardedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
       groups->push_back(std::move(by_shard[static_cast<size_t>(s)]));
     }
   }
+  if (groups->empty()) {
+    // An item-less acquisition still goes through shard 0's table, which
+    // defers the grant by a zero-delay event: `granted` never runs inside
+    // this call.
+    groups->push_back(ShardGroup{});
+  }
   AcquireGroup(exec, std::move(groups), 0,
                std::make_shared<std::function<void()>>(std::move(granted)));
 }
 
-void ShardedLockService::AcquireGroup(ExecutionId exec,
-                                      std::shared_ptr<std::vector<ShardGroup>> groups,
-                                      size_t index,
-                                      std::shared_ptr<std::function<void()>> granted) {
+void LocalLockService::AcquireGroup(ExecutionId exec,
+                                    std::shared_ptr<std::vector<ShardGroup>> groups, size_t index,
+                                    std::shared_ptr<std::function<void()>> granted) {
   if (index >= groups->size()) {
     (*granted)();
     return;
@@ -65,13 +63,13 @@ void ShardedLockService::AcquireGroup(ExecutionId exec,
                                 });
 }
 
-void ShardedLockService::ReleaseAll(ExecutionId exec) {
+void LocalLockService::ReleaseAll(ExecutionId exec) {
   for (auto& table : tables_) {
     table->ReleaseAll(exec);
   }
 }
 
-uint64_t ShardedLockService::total_acquisitions() const {
+uint64_t LocalLockService::total_acquisitions() const {
   uint64_t n = 0;
   for (const auto& table : tables_) {
     n += table->acquisitions();
@@ -79,7 +77,7 @@ uint64_t ShardedLockService::total_acquisitions() const {
   return n;
 }
 
-uint64_t ShardedLockService::total_waits() const {
+uint64_t LocalLockService::total_waits() const {
   uint64_t n = 0;
   for (const auto& table : tables_) {
     n += table->waits();
@@ -187,7 +185,7 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     acq.shard_of.assign(acq.keys.size(), 0);
   } else {
     // Re-order the (lexicographically sorted) key set into (shard, key)
-    // order — the same total order ShardedLockService acquires in, so the
+    // order — the same total order LocalLockService acquires in, so the
     // resource-ordering deadlock-freedom argument carries over.
     std::vector<size_t> order(keys.size());
     std::vector<int> shard(keys.size());

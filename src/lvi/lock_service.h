@@ -1,26 +1,27 @@
 // LockService: where the LVI server keeps its locks.
 //
-// Three implementations:
+// Two implementations:
 //
-//  - LocalLockService (§4): the singleton server's in-memory table persisted
-//    to an EBS volume. Acquisition costs no extra round trips.
-//  - ShardedLockService: N independent LockTables, one per key-range shard
-//    (ShardRouter). Acquisition partitions the request's sorted key set into
-//    per-shard groups and takes the groups strictly in ascending shard
-//    index; within a shard, keys are taken in lexicographic order. Every
-//    acquirer therefore follows the same total order (shard, key), so the
-//    resource-ordering deadlock-freedom argument of the single table carries
-//    over unchanged. Group hand-off rides on the tables' zero-delay grant
-//    events, so sharding adds no virtual time to an uncontended acquire.
+//  - LocalLockService (§4): the server's in-memory lock tables, persisted to
+//    an EBS volume; acquisition costs no extra round trips. The paper's
+//    singleton server is one table. With `shards` > 1 there is one LockTable
+//    per key-range shard (ShardRouter): acquisition partitions the request's
+//    sorted key set into per-shard groups and takes the groups strictly in
+//    ascending shard index; within a shard, keys are taken in lexicographic
+//    order. Every acquirer therefore follows the same total order
+//    (shard, key), so the resource-ordering deadlock-freedom argument of the
+//    single table carries over unchanged. Group hand-off rides on the
+//    tables' zero-delay grant events, so sharding adds no virtual time to an
+//    uncontended acquire.
 //  - ReplicatedLockService (§5.6): the highly available variant stores locks
 //    in a 3-node etcd (Raft) cluster across availability zones. Each lock
 //    acquisition is one Raft commit (~2.3 ms) and the implementation
 //    acquires locks in series, so an LVI request with L locks pays ~2.3·L ms
 //    extra — the constant the paper reports. With `shards` > 1 it runs one
 //    independent Raft group per key-range shard (multi-Raft): requests are
-//    re-ordered into the same (shard, key) total order the sharded in-memory
-//    service uses, so deadlock freedom carries over, while unrelated shards
-//    commit in parallel.
+//    re-ordered into the same (shard, key) total order the in-memory service
+//    uses, so deadlock freedom carries over, while unrelated shards commit
+//    in parallel.
 
 #ifndef RADICAL_SRC_LVI_LOCK_SERVICE_H_
 #define RADICAL_SRC_LVI_LOCK_SERVICE_H_
@@ -52,25 +53,11 @@ class LockService {
   virtual void ReleaseAll(ExecutionId exec) = 0;
 };
 
-// In-memory singleton-server lock table.
+// In-memory lock tables, one per key-range shard (one for the paper's
+// singleton server).
 class LocalLockService : public LockService {
  public:
-  explicit LocalLockService(Simulator* sim) : table_(sim) {}
-
-  void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  std::function<void()> granted) override;
-  void ReleaseAll(ExecutionId exec) override;
-
-  LockTable& table() { return table_; }
-
- private:
-  LockTable table_;
-};
-
-// N independent per-shard lock tables behind one LockService interface.
-class ShardedLockService : public LockService {
- public:
-  ShardedLockService(Simulator* sim, int shards);
+  explicit LocalLockService(Simulator* sim, int shards = 1);
 
   void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
                   std::function<void()> granted) override;
@@ -78,7 +65,7 @@ class ShardedLockService : public LockService {
 
   int shards() const { return router_.shards(); }
   const ShardRouter& router() const { return router_; }
-  LockTable& table(int shard) { return *tables_[static_cast<size_t>(shard)]; }
+  LockTable& table(int shard = 0) { return *tables_[static_cast<size_t>(shard)]; }
 
   // Aggregate statistics across shards.
   uint64_t total_acquisitions() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "src/analysis/analyzer.h"
 #include "src/common/logging.h"
@@ -76,7 +75,6 @@ LviServer::LviServer(Simulator* sim, VersionedStore* store, const FunctionRegist
       replicated_(replicated),
       externals_(externals),
       router_(options.shards),
-      intent_tables_(static_cast<size_t>(options.shards)),
       batches_(static_cast<size_t>(options.shards)),
       metrics_(&sim->metrics(), sim->metrics().UniqueScopeName("lvi_server")),
       busy_until_(static_cast<size_t>(options.shards), 0) {
@@ -101,40 +99,12 @@ LviServer::LviServer(Simulator* sim, VersionedStore* store, const FunctionRegist
 }
 
 int LviServer::HomeShard(const LviRequest& request) const {
-  if (options_.shards == 1 || request.items.empty()) {
-    return 0;
-  }
-  return router_.ShardOf(request.items.front().key);
-}
-
-int LviServer::ShardForExec(ExecutionId exec_id) const {
-  if (options_.shards == 1) {
-    return 0;
-  }
-  const auto it = exec_shard_.find(exec_id);
-  // Unknown executions resolve to shard 0, where the intent lookups miss and
-  // the callers' late/duplicate handling takes over.
-  return it == exec_shard_.end() ? 0 : it->second;
+  return request.items.empty() ? 0 : router_.ShardOf(request.items.front().key);
 }
 
 void LviServer::BumpShard(int shard, const std::string& name) {
   if (!shard_metrics_.empty()) {
     shard_metrics_[static_cast<size_t>(shard)].Increment(name);
-  }
-}
-
-Key LviServer::IntentMarkerKey(ExecutionId exec_id) {
-  return "~intent/" + std::to_string(exec_id);
-}
-
-void LviServer::RetireIntent(ExecutionId exec_id) {
-  IntentsFor(exec_id).Remove(exec_id);
-  if (options_.batch_window > 0) {
-    // Marker cleanup piggybacks on whichever round retired the intent.
-    store_->Erase(IntentMarkerKey(exec_id), nullptr);
-  }
-  if (options_.shards > 1) {
-    exec_shard_.erase(exec_id);
   }
 }
 
@@ -185,17 +155,15 @@ void LviServer::Recover() {
   // locks: release them and retire the intents (the writes themselves were
   // applied before the intent turned kDone, so nothing is lost).
   std::vector<ExecutionId> done;
-  for (const IntentTable& table : intent_tables_) {
-    table.ForEach([&done](ExecutionId id, IntentStatus status) {
-      if (status == IntentStatus::kDone) {
-        done.push_back(id);
-      }
-    });
-  }
+  intents_.ForEach([&done](ExecutionId id, IntentStatus status) {
+    if (status == IntentStatus::kDone) {
+      done.push_back(id);
+    }
+  });
   std::sort(done.begin(), done.end());  // Deterministic order.
   for (const ExecutionId id : done) {
     locks_->ReleaseAll(id);
-    RetireIntent(id);
+    intents_.Remove(id);
     executions_.erase(id);
     metrics_.Increment("recover_cleanup");
   }
@@ -203,7 +171,7 @@ void LviServer::Recover() {
   // been lost while the server was down, and deterministic re-execution is
   // how such writes reach the primary (§3.4).
   for (auto& [exec_id, state] : executions_) {
-    if (IntentsFor(exec_id).IsPending(exec_id)) {
+    if (intents_.IsPending(exec_id)) {
       const ExecutionId id = exec_id;
       state.phase.Move(IntentPhase::kArmed);  // orphaned -> armed.
       state.intent_timer =
@@ -410,7 +378,7 @@ void LviServer::HandleLviRequest(LviRequest request, RespondFn respond) {
   const auto hit = lvi_replies_.find(exec_id);
   if (hit != lvi_replies_.end()) {
     metrics_.Increment("duplicate_replayed");
-    if (!IntentsFor(exec_id).Exists(exec_id)) {
+    if (!intents_.Exists(exec_id)) {
       locks_->ReleaseAll(exec_id);
     }
     // Cache hits are a lookup, not an execution: answer after the parse/
@@ -477,107 +445,142 @@ void LviServer::HandleLviRequest(LviRequest request, RespondFn respond) {
                          EmitSpan("server.lock_wait", request.exec_id, lock_start);
                          if (options_.batch_window > 0) {
                            EnqueueForValidation(std::move(request));
-                         } else {
-                           Validate(std::move(request));
+                           return;
                          }
+                         std::vector<LviRequest> group;
+                         group.push_back(std::move(request));
+                         Validate(std::move(group));
                        });
   });
 }
 
-void LviServer::Validate(LviRequest request) {
+void LviServer::Validate(std::vector<LviRequest> members) {
   // Deadline re-check at the validation stage: admission's projection can be
   // overtaken by lock waits, so work whose deadline has already passed is
   // dropped here rather than carried through the version read, the intent
-  // write, and a backup execution nobody will read.
-  if (request.deadline != 0 && sim_->Now() >= request.deadline) {
-    ShedMidPipeline(request, "validation");
+  // write, and a backup execution nobody will read. Shedding one member
+  // never poisons its batchmates.
+  std::vector<LviRequest> live;
+  live.reserve(members.size());
+  for (LviRequest& member : members) {
+    if (member.deadline != 0 && sim_->Now() >= member.deadline) {
+      ShedMidPipeline(member, "validation");
+    } else {
+      live.push_back(std::move(member));
+    }
+  }
+  if (live.empty()) {
     return;
   }
-  // (5) One batched read of the primary's versions for every item.
+  // (5) One batched read of the primary's versions covers every member's
+  // items.
   std::vector<Key> keys;
-  keys.reserve(request.items.size());
-  for (const LviItem& item : request.items) {
-    keys.push_back(item.key);
+  for (const LviRequest& member : live) {
+    for (const LviItem& item : member.items) {
+      keys.push_back(item.key);
+    }
   }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   SimDuration read_latency = 0;
-  std::vector<Version> primary_versions = store_->BatchVersions(keys, &read_latency);
-  if (request.session_id != 0) {
-    metrics_.Increment("session_requests");
-  }
-  std::vector<size_t> stale;
-  for (size_t i = 0; i < request.items.size(); ++i) {
-    if (request.items[i].cached_version != primary_versions[i]) {
-      stale.push_back(i);
-    } else if (request.items[i].session_floor > 0 &&
-               primary_versions[i] < request.items[i].session_floor) {
-      // Validating here would hand the session an older state than it has
-      // already observed (monotonic-read violation). Floor 0 means the
-      // session never saw the key, so absent items (version -1) pass.
-      // Defensive: the runtime upgrades too-stale cache reads before
-      // speculating, so this only fires if the primary itself regressed
-      // below the session's floor.
-      metrics_.Increment("session_floor_stale");
-      stale.push_back(i);
+  std::vector<Version> versions = store_->BatchVersions(keys, &read_latency);
+  auto version_of = [&keys, &versions](const Key& key) {
+    return versions[static_cast<size_t>(std::lower_bound(keys.begin(), keys.end(), key) -
+                                        keys.begin())];
+  };
+  // Per-member verdicts against the shared version snapshot: the stale items
+  // of each member, and each writer's validated versions.
+  struct Verdict {
+    std::vector<size_t> stale;
+    std::vector<Key> write_keys;
+    std::vector<Version> validated_versions;
+  };
+  std::vector<Verdict> verdicts(live.size());
+  for (size_t m = 0; m < live.size(); ++m) {
+    const LviRequest& member = live[m];
+    Verdict& verdict = verdicts[m];
+    if (member.session_id != 0) {
+      metrics_.Increment("session_requests");
+    }
+    for (size_t i = 0; i < member.items.size(); ++i) {
+      const LviItem& item = member.items[i];
+      const Version primary = version_of(item.key);
+      if (item.cached_version != primary) {
+        verdict.stale.push_back(i);
+      } else if (item.session_floor > 0 && primary < item.session_floor) {
+        // Validating here would hand the session an older state than it has
+        // already observed (monotonic-read violation). Floor 0 means the
+        // session never saw the key, so absent items (version -1) pass.
+        // Defensive: the runtime upgrades too-stale cache reads before
+        // speculating, so this only fires if the primary itself regressed
+        // below the session's floor.
+        metrics_.Increment("session_floor_stale");
+        verdict.stale.push_back(i);
+      }
+      if (item.mode == LockMode::kWrite) {
+        verdict.write_keys.push_back(item.key);
+        verdict.validated_versions.push_back(primary);
+      }
     }
   }
   const uint64_t epoch = epoch_;
   const SimTime validate_start = sim_->Now();
-  sim_->Schedule(read_latency, [this, epoch, validate_start, request = std::move(request),
-                                primary_versions = std::move(primary_versions),
-                                stale = std::move(stale)]() mutable {
+  sim_->Schedule(read_latency, [this, epoch, validate_start, members = std::move(live),
+                                verdicts = std::move(verdicts)]() mutable {
     if (!StillAlive(epoch)) {
       metrics_.Increment("stale_epoch_dropped");
       return;
     }
-    EmitSpan("server.validate", request.exec_id, validate_start);
-    if (stale.empty()) {
-      OnValidationSuccess(std::move(request), std::move(primary_versions));
-    } else {
-      OnValidationFailure(std::move(request), stale);
+    std::vector<std::pair<LviRequest, Verdict>> writers;
+    for (size_t m = 0; m < members.size(); ++m) {
+      LviRequest& member = members[m];
+      Verdict& verdict = verdicts[m];
+      EmitSpan("server.validate", member.exec_id, validate_start);
+      if (!verdict.stale.empty()) {
+        // A stale member peels off through the normal backup-execution path;
+        // the rest of the group never notices.
+        OnValidationFailure(std::move(member), verdict.stale);
+        continue;
+      }
+      metrics_.Increment("validate_success");
+      BumpShard(HomeShard(member), "validate_success");
+      if (verdict.write_keys.empty()) {
+        // Read-only: validation is the linearization point; nothing further
+        // will arrive for this execution, so the read locks release now.
+        const ExecutionId exec_id = member.exec_id;
+        locks_->ReleaseAll(exec_id);
+        LviResponse response;
+        response.exec_id = exec_id;
+        response.validated = true;
+        RespondLvi(exec_id, std::move(response));
+        continue;
+      }
+      writers.emplace_back(std::move(member), std::move(verdict));
     }
-  });
-}
-
-void LviServer::OnValidationSuccess(LviRequest request, std::vector<Version> primary_versions) {
-  metrics_.Increment("validate_success");
-  BumpShard(HomeShard(request), "validate_success");
-  const ExecutionId exec_id = request.exec_id;
-  std::vector<Key> write_keys;
-  std::vector<Version> validated_versions;
-  for (size_t i = 0; i < request.items.size(); ++i) {
-    if (request.items[i].mode == LockMode::kWrite) {
-      write_keys.push_back(request.items[i].key);
-      validated_versions.push_back(primary_versions[i]);
-    }
-  }
-  if (write_keys.empty()) {
-    // Read-only: validation is the linearization point; nothing further will
-    // arrive for this execution, so the read locks release now.
-    locks_->ReleaseAll(exec_id);
-    LviResponse response;
-    response.exec_id = exec_id;
-    response.validated = true;
-    RespondLvi(exec_id, std::move(response));
-    return;
-  }
-  // (6a) Commit a write intent (one primary-store write; plus the
-  // idempotency key in the replicated configuration) and start its timer,
-  // then reply. Locks stay held until the followup or re-execution.
-  SimDuration intent_latency = store_->options().write_latency;
-  if (replicated_) {
-    intent_latency += options_.idempotency_write;
-  }
-  const uint64_t epoch = epoch_;
-  const SimTime intent_start = sim_->Now();
-  sim_->Schedule(intent_latency, [this, epoch, intent_start, request = std::move(request),
-                                  write_keys = std::move(write_keys),
-                                  validated_versions = std::move(validated_versions)]() mutable {
-    if (!StillAlive(epoch)) {
-      metrics_.Increment("stale_epoch_dropped");
+    if (writers.empty()) {
       return;
     }
-    CommitIntent(std::move(request), std::move(write_keys), std::move(validated_versions),
-                 intent_start);
+    // (6a) One intent-write round (one primary-store write; plus the
+    // idempotency key in the replicated configuration) creates every valid
+    // writer's intent; each then starts its timer and replies. Locks stay
+    // held until the followup or re-execution. The round takes effect when
+    // its latency elapses, so a crash mid-round leaves no durable trace.
+    SimDuration intent_latency = store_->options().write_latency;
+    if (replicated_) {
+      intent_latency += options_.idempotency_write;
+    }
+    const SimTime intent_start = sim_->Now();
+    sim_->Schedule(intent_latency, [this, epoch, intent_start,
+                                    writers = std::move(writers)]() mutable {
+      if (!StillAlive(epoch)) {
+        metrics_.Increment("stale_epoch_dropped");
+        return;
+      }
+      for (auto& [request, verdict] : writers) {
+        CommitIntent(std::move(request), std::move(verdict.write_keys),
+                     std::move(verdict.validated_versions), intent_start);
+      }
+    });
   });
 }
 
@@ -585,13 +588,7 @@ void LviServer::CommitIntent(LviRequest request, std::vector<Key> write_keys,
                              std::vector<Version> validated_versions, SimTime intent_start) {
   const ExecutionId exec_id = request.exec_id;
   EmitSpan("server.intent_write", exec_id, intent_start);
-  const int home = HomeShard(request);
-  if (options_.shards > 1) {
-    // Durable with the intent record: the marker/record key carries the
-    // shard, so this map is reconstructible and survives Crash().
-    exec_shard_[exec_id] = home;
-  }
-  if (!intent_tables_[static_cast<size_t>(home)].Create(exec_id)) {
+  if (!intents_.Create(exec_id)) {
     // A retried request of an execution whose intent already exists (its
     // cached reply was evicted): the existing intent — with its timer and
     // execution record — is authoritative; just re-answer.
@@ -602,7 +599,7 @@ void LviServer::CommitIntent(LviRequest request, std::vector<Key> write_keys,
     RespondLvi(exec_id, std::move(response));
     return;
   }
-  BumpShard(home, "intents_created");
+  BumpShard(HomeShard(request), "intents_created");
   ExecState state;
   state.request = std::move(request);
   state.write_keys = std::move(write_keys);
@@ -645,132 +642,7 @@ void LviServer::FlushBatch(int shard) {
   metrics_.Increment("batches");
   metrics_.Increment("batch_members", members.size());
   BumpShard(shard, "batches");
-  // (5) One batched read covers the union of every member's items.
-  std::vector<Key> keys;
-  for (const LviRequest& member : members) {
-    for (const LviItem& item : member.items) {
-      keys.push_back(item.key);
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  SimDuration read_latency = 0;
-  const std::vector<Version> versions = store_->BatchVersions(keys, &read_latency);
-  std::map<Key, Version> version_of;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    version_of.emplace(keys[i], versions[i]);
-  }
-  const uint64_t epoch = epoch_;
-  const SimTime validate_start = sim_->Now();
-  sim_->Schedule(read_latency, [this, epoch, shard, validate_start, members = std::move(members),
-                                version_of = std::move(version_of)]() mutable {
-    if (!StillAlive(epoch)) {
-      metrics_.Increment("stale_epoch_dropped");
-      return;
-    }
-    // Per-member verdicts against the shared version snapshot. Aborts are
-    // isolated by construction: a stale member peels off through the normal
-    // backup-execution path and the rest of the batch never notices.
-    struct Writer {
-      LviRequest request;
-      std::vector<Key> write_keys;
-      std::vector<Version> validated_versions;
-    };
-    std::vector<Writer> writers;
-    for (LviRequest& member : members) {
-      if (member.deadline != 0 && sim_->Now() >= member.deadline) {
-        // Same validation-stage deadline check as the unbatched pipeline;
-        // shedding one member never poisons its batchmates.
-        ShedMidPipeline(member, "validation");
-        continue;
-      }
-      EmitSpan("server.validate", member.exec_id, validate_start);
-      if (member.session_id != 0) {
-        metrics_.Increment("session_requests");
-      }
-      std::vector<size_t> stale;
-      for (size_t i = 0; i < member.items.size(); ++i) {
-        const Version primary = version_of.at(member.items[i].key);
-        if (member.items[i].cached_version != primary) {
-          stale.push_back(i);
-        } else if (member.items[i].session_floor > 0 && primary < member.items[i].session_floor) {
-          metrics_.Increment("session_floor_stale");
-          stale.push_back(i);
-        }
-      }
-      if (!stale.empty()) {
-        metrics_.Increment("batch_aborts");
-        OnValidationFailure(std::move(member), stale);
-        continue;
-      }
-      metrics_.Increment("validate_success");
-      BumpShard(shard, "validate_success");
-      std::vector<Key> write_keys;
-      std::vector<Version> validated_versions;
-      for (const LviItem& item : member.items) {
-        if (item.mode == LockMode::kWrite) {
-          write_keys.push_back(item.key);
-          validated_versions.push_back(version_of.at(item.key));
-        }
-      }
-      if (write_keys.empty()) {
-        // Read-only member: validation is its linearization point.
-        const ExecutionId exec_id = member.exec_id;
-        locks_->ReleaseAll(exec_id);
-        LviResponse response;
-        response.exec_id = exec_id;
-        response.validated = true;
-        RespondLvi(exec_id, std::move(response));
-        continue;
-      }
-      writers.push_back(
-          Writer{std::move(member), std::move(write_keys), std::move(validated_versions)});
-    }
-    if (writers.empty()) {
-      return;
-    }
-    // (6a) One conditional multi-write round commits every writer's intent
-    // marker (condition: absent — a marker that already exists fails only
-    // its own entry, the idempotent-retry case). The round runs when its
-    // latency elapses, so a crash mid-round leaves no durable trace — same
-    // window as the request-at-a-time intent write.
-    SimDuration intent_latency = store_->options().write_latency;
-    if (replicated_) {
-      intent_latency += options_.idempotency_write;
-    }
-    const SimTime intent_start = sim_->Now();
-    sim_->Schedule(intent_latency, [this, epoch, intent_start,
-                                    writers = std::move(writers)]() mutable {
-      if (!StillAlive(epoch)) {
-        metrics_.Increment("stale_epoch_dropped");
-        return;
-      }
-      std::vector<VersionedStore::ConditionalWrite> entries;
-      entries.reserve(writers.size());
-      for (const Writer& writer : writers) {
-        entries.push_back(VersionedStore::ConditionalWrite{
-            IntentMarkerKey(writer.request.exec_id),
-            Value(static_cast<int64_t>(writer.request.exec_id)), kMissingVersion});
-      }
-      const std::vector<bool> committed = store_->ConditionalMultiPut(entries, nullptr);
-      metrics_.Increment("intent_multiwrites");
-      for (size_t i = 0; i < writers.size(); ++i) {
-        Writer& writer = writers[i];
-        if (!committed[i]) {
-          // The marker (hence the intent) already exists: the original, with
-          // its timer and execution record, is authoritative; just re-answer.
-          metrics_.Increment("retry_intent_hit");
-          LviResponse response;
-          response.exec_id = writer.request.exec_id;
-          response.validated = true;
-          RespondLvi(writer.request.exec_id, std::move(response));
-          continue;
-        }
-        CommitIntent(std::move(writer.request), std::move(writer.write_keys),
-                     std::move(writer.validated_versions), intent_start);
-      }
-    });
-  });
+  Validate(std::move(members));
 }
 
 void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices) {
@@ -846,8 +718,13 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
     return;
   }
   metrics_.Increment("followups_received");
+  // The followup is admitted on its execution's home shard; an unknown
+  // execution (late or duplicate followup) lands on shard 0 and is
+  // discarded there.
+  const auto known = executions_.find(followup.exec_id);
+  const int shard = known == executions_.end() ? 0 : HomeShard(known->second.request);
   const uint64_t epoch = epoch_;
-  sim_->Schedule(AdmissionDelay(ShardForExec(followup.exec_id)),
+  sim_->Schedule(AdmissionDelay(shard),
                  [this, epoch, followup = std::move(followup), ack = std::move(ack)]() mutable {
     if (!StillAlive(epoch)) {
       metrics_.Increment("stale_epoch_dropped");
@@ -857,7 +734,7 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
       return;
     }
     const ExecutionId exec_id = followup.exec_id;
-    if (!IntentsFor(exec_id).TryComplete(exec_id)) {
+    if (!intents_.TryComplete(exec_id)) {
       // The intent was already handled (re-execution beat us, or this is a
       // duplicate): discard (§3.6, "validation succeeds but the followup is
       // late"). The writes are durable either way: ack success.
@@ -876,7 +753,7 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
     }
     state.phase.Move(IntentPhase::kApplying);  // The followup won the race.
     metrics_.Increment("followup_applied");
-    BumpShard(ShardForExec(exec_id), "followup_applied");
+    BumpShard(HomeShard(state.request), "followup_applied");
     ApplyAndFinish(std::move(state), followup.writes, std::move(ack));
   });
 }
@@ -913,7 +790,7 @@ void LviServer::ApplyAndFinish(ExecState state, const std::vector<BufferedWrite>
     }
     // (10) Release the locks and retire the intent.
     locks_->ReleaseAll(exec_id);
-    RetireIntent(exec_id);
+    intents_.Remove(exec_id);
     if (ack) {
       ack(true);
     }
@@ -928,7 +805,7 @@ void LviServer::FireIntentTimer(ExecutionId exec_id) {
 }
 
 void LviServer::ResolveIntentByReExecution(ExecutionId exec_id, DirectRespondFn respond) {
-  if (!IntentsFor(exec_id).TryComplete(exec_id)) {
+  if (!intents_.TryComplete(exec_id)) {
     return;  // The followup won the race.
   }
   const auto it = executions_.find(exec_id);
@@ -945,7 +822,7 @@ void LviServer::ResolveIntentByReExecution(ExecutionId exec_id, DirectRespondFn 
     // happened for this request; just clean up (its reply, if any, lives in
     // the reply caches).
     locks_->ReleaseAll(exec_id);
-    RetireIntent(exec_id);
+    intents_.Remove(exec_id);
     state.phase.Move(IntentPhase::kFinished);
     return;
   }
@@ -993,7 +870,7 @@ void LviServer::ResolveIntentByReExecution(ExecutionId exec_id, DirectRespondFn 
                      return;  // Recovery's cleanup pass retires the intent.
                    }
                    locks_->ReleaseAll(exec_id);
-                   RetireIntent(exec_id);
+                   intents_.Remove(exec_id);
                    if (answer_direct) {
                      RespondDirect(exec_id, std::move(dresp));
                    }
@@ -1029,7 +906,7 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
   // Degraded-mode fallback of an execution whose LVI attempt got as far as a
   // write intent: the intent is authoritative. Resolve it by deterministic
   // re-execution now — never run the function a second time next to it.
-  if (IntentsFor(exec_id).IsPending(exec_id)) {
+  if (intents_.IsPending(exec_id)) {
     metrics_.Increment("direct_resolved_intent");
     const uint64_t epoch = epoch_;
     inflight_direct_[exec_id] = std::move(respond);
@@ -1038,7 +915,7 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
         metrics_.Increment("stale_epoch_dropped");
         return;
       }
-      if (IntentsFor(exec_id).IsPending(exec_id)) {
+      if (intents_.IsPending(exec_id)) {
         DirectRespondFn parked;
         const auto slot = inflight_direct_.find(exec_id);
         if (slot != inflight_direct_.end()) {

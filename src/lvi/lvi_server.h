@@ -11,19 +11,20 @@
 // lose the intent race and are discarded (§3.6, case 3).
 //
 // Scaling (beyond the paper's singleton t3.2xlarge): the hot path shards.
-// With `shards = N`, the lock table, intent table, serving capacity and
-// metrics split into N independent key-range shards (ShardRouter hash-range
-// partitions; the deployment pairs the server with a ShardedLockService built
-// on the same router). Each request has a home shard — the shard of its first
-// item — which owns its admission slot, its intent record, and its per-shard
-// counters. With `batch_window > 0`, an admission-window batcher additionally
-// coalesces concurrent LVI requests on the same shard: members that cleared
-// their locks within one window validate through a single BatchVersions round
-// over the union of their keys, and the valid writers commit their intent
-// records through one conditional multi-write instead of one write each.
-// Verdicts stay per-member — a stale member aborts through the normal backup
-// execution path without poisoning its batchmates. The defaults (shards = 1,
-// batch_window = 0) take exactly the historical code paths.
+// With `shards = N`, the lock table, serving capacity and metrics split into
+// N independent key-range shards (ShardRouter hash-range partitions; the
+// deployment pairs the server with a LocalLockService built on the same
+// router). Each request has a home shard — the shard of its first item —
+// which owns its admission slot and its per-shard counters. With
+// `batch_window > 0`, an admission-window batcher additionally coalesces
+// concurrent LVI requests on the same shard: members that cleared their
+// locks within one window validate through a single BatchVersions round over
+// the union of their keys, and the valid writers create their intents in one
+// intent-write round instead of one write each. Verdicts stay per-member — a
+// stale member aborts through the normal backup execution path without
+// poisoning its batchmates. The paper's singleton server runs the same code:
+// one shard, and every request validates as a group of one the moment its
+// locks are granted.
 //
 // The server is transport-agnostic: callers hand it a request plus a respond
 // callback, and the Radical runtime wraps both sides with network sends.
@@ -82,21 +83,17 @@ struct LviServerOptions {
   // idempotent; oldest entries are evicted FIFO. Modeled as durable (they
   // live with the idempotency keys in the primary store, §3.4/§5.6).
   size_t reply_cache_capacity = 1 << 16;
-  // Hot-path shard count: lock/intent tables, admission slots and metrics
-  // split into this many key-range shards (1 = the paper's singleton). Each
-  // shard gets the full serving_capacity_rps — the model for "one server
-  // process per shard".
+  // Hot-path shard count: lock tables, admission slots and metrics split
+  // into this many key-range shards (1 = the paper's singleton). Each shard
+  // gets the full serving_capacity_rps — the model for "one server process
+  // per shard". Replicated (§5.6) deployments run one Raft lock group per
+  // shard (multi-Raft), so the hot path and its lock groups share one
+  // ShardRouter.
   int shards = 1;
-  // Replicated (§5.6) deployments only: number of Raft lock groups —
-  // multi-Raft, one group per key-range shard (the deployment also sets
-  // `shards` to match, so the server's hot path and its lock groups share
-  // one ShardRouter). <= 0 means unset: a single group, the paper's
-  // configuration.
-  int replicated_shards = 0;
   // Admission-window batching: LVI requests on the same home shard that
   // clear their locks within this window validate and write their intents as
-  // one group (one BatchVersions + one conditional multi-write round). 0
-  // disables batching (the historical request-at-a-time pipeline).
+  // one group (one BatchVersions + one intent-write round). 0 validates each
+  // request as soon as its locks are granted (a group of one).
   SimDuration batch_window = 0;
   ExecLimits exec_limits;
 };
@@ -141,9 +138,10 @@ class LviServer {
   using AckFn = std::function<void(bool applied)>;
 
   // All pointers must outlive the server. `locks` is either a
-  // LocalLockService (singleton server, §4) or a ReplicatedLockService
-  // (§5.6); pass `replicated=true` with the latter to enable idempotency-key
-  // accounting and at-most-once enforcement.
+  // LocalLockService (§4; built with the same shard count as
+  // `options.shards`) or a ReplicatedLockService (§5.6); pass
+  // `replicated=true` with the latter to enable idempotency-key accounting
+  // and at-most-once enforcement.
   // `externals` (optional) provides the external services functions may
   // call (§3.5); backup executions and deterministic re-executions reuse
   // the original execution id so services deduplicate.
@@ -232,13 +230,16 @@ class LviServer {
   // life, after a recover) bail out through this check.
   bool StillAlive(uint64_t epoch) const { return alive_ && epoch == epoch_; }
 
-  void Validate(LviRequest request);
-  void OnValidationSuccess(LviRequest request, std::vector<Version> primary_versions);
+  // (5) + (6a) for a group of lock-granted requests: members whose deadline
+  // has passed are shed, the rest share one BatchVersions read over the
+  // union of their items and get one verdict each; the valid writers then
+  // share one intent-write round. Unbatched, every request is a group of
+  // one, validated straight from its lock grant.
+  void Validate(std::vector<LviRequest> members);
   void OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices);
-  // Tail of the success path, shared by the request-at-a-time pipeline and
-  // the batcher: create the intent record (idempotently), stash the
-  // execution state, arm the timer, reply. Runs after the intent write's
-  // latency has elapsed; `intent_start` is when that write began (span).
+  // Tail of the success path, once the intent write's latency has elapsed:
+  // create the intent record (idempotently), stash the execution state, arm
+  // the timer, reply. `intent_start` is when that write began (span).
   void CommitIntent(LviRequest request, std::vector<Key> write_keys,
                     std::vector<Version> validated_versions, SimTime intent_start);
   // Batching (batch_window > 0): lock-granted requests park on their home
@@ -282,17 +283,11 @@ class LviServer {
   bool alive_ = true;
   uint64_t epoch_ = 0;
   // --- Sharding ---------------------------------------------------------------
-  // Key-range router shared with the deployment's ShardedLockService. At
-  // shards = 1 everything below collapses to the historical singleton state
-  // (one intent table, one busy slot, no per-shard scopes, no exec map).
+  // Key-range router shared with the deployment's lock service.
   ShardRouter router_;
-  // One intent table per shard (index = shard).
-  std::vector<IntentTable> intent_tables_;
-  // Home shard of every execution with a live intent. Modeled durable: the
-  // record is derivable from the intent record itself (its key carries the
-  // shard), so it survives Crash(). Only populated when shards > 1; absent
-  // ids resolve to shard 0, where TryComplete/IsPending correctly miss.
-  std::unordered_map<ExecutionId, int> exec_shard_;
+  // Write intents. Execution ids are globally unique, so one table serves
+  // every shard.
+  IntentTable intents_;
   // Per-shard metric scopes "<scope>.shard<i>"; empty when shards == 1 so
   // the default configuration creates no extra instruments.
   std::vector<obs::MetricsScope> shard_metrics_;
@@ -357,20 +352,9 @@ class LviServer {
   // --- Shard helpers ----------------------------------------------------------
   // Home shard of a request: the shard of its first item (0 when item-less).
   int HomeShard(const LviRequest& request) const;
-  // Home shard of an execution with (or recently with) a live intent.
-  int ShardForExec(ExecutionId exec_id) const;
-  IntentTable& IntentsFor(ExecutionId exec_id) {
-    return intent_tables_[static_cast<size_t>(ShardForExec(exec_id))];
-  }
   // Bumps `name` on `shard`'s scope; no-op at shards == 1 (the global scope
   // is always bumped separately at the call sites).
   void BumpShard(int shard, const std::string& name);
-  // Retires an intent: removes the record (from its home shard's table), the
-  // exec->shard entry, and — in batched mode — the durable intent marker
-  // item the conditional multi-write placed in the primary store.
-  void RetireIntent(ExecutionId exec_id);
-  // Primary-store key of the batched mode's intent marker item.
-  static Key IntentMarkerKey(ExecutionId exec_id);
 };
 
 }  // namespace radical

@@ -30,9 +30,9 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
       registry_(&analyzer_),
       primary_(config_.primary_store) {
   // CHECK_SHARD_MATRIX / CHECK_REPLICATED support: the environment can force
-  // the server's shard count, batch window and replicated lock-group count
-  // when the config leaves them at the defaults, so the whole tier-1 suite
-  // exercises those hot paths unchanged (tools/check.sh).
+  // the server's shard count (hence the replicated lock-group count) and
+  // batch window when the config leaves them at the defaults, so the whole
+  // tier-1 suite exercises those hot paths unchanged (tools/check.sh).
   if (config_.server.shards <= 1) {
     if (const char* env = std::getenv("RADICAL_SHARDS")) {
       config_.server.shards = std::max(1, std::atoi(env));
@@ -46,20 +46,10 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
   if (const char* env = std::getenv("RADICAL_FORCE_SESSIONS")) {
     force_sessions_ = std::atoi(env) != 0;
   }
-  if (replicated_locks > 0) {
-    // Multi-Raft: one Raft lock group per key-range shard. The server's
-    // table shard count follows the group count so the hot path and the
-    // lock groups share one ShardRouter partition (replicated_shards unset
-    // keeps the paper's single-group, single-shard configuration).
-    if (config_.server.replicated_shards <= 0) {
-      if (const char* env = std::getenv("RADICAL_REPLICATED_SHARDS")) {
-        config_.server.replicated_shards = std::max(1, std::atoi(env));
-      }
-    }
-    config_.server.shards = std::max(1, config_.server.replicated_shards);
-  }
   LockService* locks = nullptr;
   if (replicated_locks > 0) {
+    // Multi-Raft: one Raft lock group per key-range shard, so the server's
+    // hot path and the lock groups share one ShardRouter partition.
     const int groups = config_.server.shards;
     RaftOptions raft_options;
     // Multi-group deployments harden elections with pre-vote (a restarting
@@ -72,11 +62,8 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
     assert(elected && "replicated lock service failed to elect a leader");
     (void)elected;
     locks = replicated_locks_.get();
-  } else if (config_.server.shards > 1) {
-    sharded_locks_ = std::make_unique<ShardedLockService>(sim, config_.server.shards);
-    locks = sharded_locks_.get();
   } else {
-    local_locks_ = std::make_unique<LocalLockService>(sim);
+    local_locks_ = std::make_unique<LocalLockService>(sim, config_.server.shards);
     locks = local_locks_.get();
   }
   server_ = std::make_unique<LviServer>(sim, &primary_, &registry_, &interpreter_, locks,

@@ -48,17 +48,16 @@ class AppService {
 class RadicalDeployment : public AppService {
  public:
   // `replicated_locks > 0` switches the LVI server to the §5.6 configuration
-  // with that many Raft nodes holding the locks. By default the locks live
-  // in one Raft group; `config.server.replicated_shards > 1` runs that many
-  // independent groups (multi-Raft), one per key-range shard, and shards the
-  // server's hot path to match.
+  // with that many Raft nodes holding the locks. The locks live in one Raft
+  // group per server shard: `config.server.shards > 1` runs that many
+  // independent groups (multi-Raft), one per key-range shard.
   //
-  // Environment overrides RADICAL_SHARDS / RADICAL_BATCH_WINDOW_US /
-  // RADICAL_REPLICATED_SHARDS set the server's shard count, admission batch
-  // window and replicated lock-group count when the config leaves them at
-  // their defaults — tools/check.sh (CHECK_SHARD_MATRIX=1, CHECK_REPLICATED=1)
-  // uses this to run the whole test suite against those paths without
-  // touching any call site.
+  // Environment overrides RADICAL_SHARDS / RADICAL_BATCH_WINDOW_US set the
+  // server's shard count (hence the replicated lock-group count) and
+  // admission batch window when the config leaves them at their defaults —
+  // tools/check.sh (CHECK_SHARD_MATRIX=1, CHECK_REPLICATED=1) uses this to
+  // run the whole test suite against those paths without touching any call
+  // site.
   RadicalDeployment(Simulator* sim, Network* network, RadicalConfig config,
                     std::vector<Region> regions, int replicated_locks = 0);
   ~RadicalDeployment() override;
@@ -104,7 +103,6 @@ class RadicalDeployment : public AppService {
   ExternalServiceRegistry& externals() override { return externals_; }
   const RadicalConfig& config() const { return config_; }
   LocalLockService* local_locks() { return local_locks_.get(); }
-  ShardedLockService* sharded_locks() { return sharded_locks_.get(); }
   ReplicatedLockService* replicated_locks() { return replicated_locks_.get(); }
 
  private:
@@ -116,7 +114,6 @@ class RadicalDeployment : public AppService {
   ExternalServiceRegistry externals_;
   VersionedStore primary_;
   std::unique_ptr<LocalLockService> local_locks_;
-  std::unique_ptr<ShardedLockService> sharded_locks_;
   std::unique_ptr<ReplicatedLockService> replicated_locks_;
   std::unique_ptr<LviServer> server_;
   net::Endpoint server_endpoint_;

@@ -377,5 +377,55 @@ TEST_F(LviServerTest, DirectRequestResolvesOwnPendingIntent) {
   EXPECT_TRUE(server_->idle());
 }
 
+// A writer retried after its cached reply was evicted, while its intent is
+// still pending, re-attaches to that intent (retry_intent_hit) instead of
+// creating a second one — on the group-of-one and the batched pipeline.
+class RetryIntentHitTest : public LviServerTest,
+                           public ::testing::WithParamInterface<SimDuration> {
+ protected:
+  RetryIntentHitTest() {
+    options_.reply_cache_capacity = 1;
+    options_.batch_window = GetParam();
+    server_ = std::make_unique<LviServer>(&sim_, &store_, &registry_, &interp_, &locks_,
+                                          options_);
+  }
+};
+
+TEST_P(RetryIntentHitTest, RetryAfterReplyEvictionReusesThePendingIntent) {
+  store_.Seed("k", Value("v0"));
+  store_.Seed("other", Value("o"));
+  LviRequest request = MakeRequest("reg_set", {Value("k"), Value("v1")},
+                                   {{"k", 1, LockMode::kWrite}});
+  const LviRequest retry = request;
+  server_->HandleLviRequest(std::move(request), [](LviResponse) {});
+  sim_.RunFor(Millis(50));  // Validated; the intent is pending, no followup.
+  // Another execution's reply evicts the writer's from the one-entry cache.
+  server_->HandleLviRequest(MakeRequest("reg_get", {Value("other")},
+                                        {{"other", 1, LockMode::kRead}}),
+                            [](LviResponse) {});
+  sim_.RunFor(Millis(50));
+  ASSERT_EQ(server_->counters().Get("reply_cache_evicted"), 1u);
+
+  int replies = 0;
+  bool validated = false;
+  server_->HandleLviRequest(retry, [&](LviResponse r) {
+    ++replies;
+    validated = r.validated;
+  });
+  sim_.RunFor(Millis(50));
+  EXPECT_EQ(replies, 1);
+  EXPECT_TRUE(validated);
+  EXPECT_EQ(server_->counters().Get("retry_intent_hit"), 1u);
+
+  sim_.Run();  // No followup: the one intent's timer re-executes the write.
+  EXPECT_EQ(server_->reexecutions(), 1u);
+  EXPECT_EQ(store_.Peek("k")->value, Value("v1"));
+  EXPECT_EQ(store_.VersionOf("k"), 2);  // Applied exactly once.
+  EXPECT_TRUE(server_->idle());
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchWindow, RetryIntentHitTest,
+                         ::testing::Values(SimDuration{0}, Millis(1)));
+
 }  // namespace
 }  // namespace radical

@@ -347,7 +347,7 @@ TEST(ShardedReplicatedDeploymentTest, FaultSweepStaysLinearizable) {
   Simulator sim(515);
   Network net(&sim, LatencyMatrix::PaperDefault());
   RadicalConfig config;
-  config.server.replicated_shards = 4;
+  config.server.shards = 4;
   config.retry.request_timeout = Millis(400);
   config.retry.followup_ack_timeout = Millis(400);
   RadicalDeployment radical(&sim, &net, config, DeploymentRegions(),
@@ -441,15 +441,30 @@ TEST(ShardedReplicatedDeploymentTest, FaultSweepStaysLinearizable) {
   EXPECT_TRUE(radical.server().idle());
 }
 
-// --- Defaults pin: replicated_shards unset is byte-identical to one group ---
+// --- Server shards set the lock-group count ---------------------------------
+
+TEST(ShardedReplicatedDeploymentTest, ServerShardsSetTheLockGroupCount) {
+  // One knob: `shards` sizes both the server's hot path and the multi-Raft
+  // lock plane, so the two always share one ShardRouter partition.
+  Simulator sim(616);
+  Network net(&sim, LatencyMatrix::PaperDefault());
+  RadicalConfig config;
+  config.server.shards = 4;
+  RadicalDeployment radical(&sim, &net, config, DeploymentRegions(),
+                            /*replicated_locks=*/3);
+  EXPECT_EQ(radical.replicated_locks()->shards(), 4);
+  EXPECT_EQ(radical.config().server.shards, 4);
+}
+
+// --- Defaults pin: one shard is one lock group --------------------------------
 
 // Runs a small replicated-deployment workload and fingerprints every latency,
 // the primary-store state, and the simulator's event count.
-std::string ReplicatedFingerprint(int replicated_shards) {
+std::string ReplicatedFingerprint(int shards) {
   Simulator sim(606);
   Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
   RadicalConfig config;
-  config.server.replicated_shards = replicated_shards;
+  config.server.shards = shards;
   RadicalDeployment radical(&sim, &net, config, {Region::kCA, Region::kJP},
                             /*replicated_locks=*/3);
   radical.RegisterFunction(Fn("reg_write", {"k", "v"}, {
@@ -488,26 +503,23 @@ std::string ReplicatedFingerprint(int replicated_shards) {
 }
 
 TEST(ShardedReplicatedDeploymentTest, DefaultsAreByteIdenticalToSingleGroup) {
-  // The multi-Raft refactor must be invisible until opted into: with
-  // replicated_shards unset (and no env override) the deployment behaves
-  // byte-for-byte like the explicit single-group configuration.
-  const char* saved = std::getenv("RADICAL_REPLICATED_SHARDS");
+  // The default (one shard, no env override) runs a single lock group; the
+  // knob is not a no-op, but it never changes application-visible state.
+  const char* saved = std::getenv("RADICAL_SHARDS");
   const std::string saved_value = saved == nullptr ? "" : saved;
-  unsetenv("RADICAL_REPLICATED_SHARDS");
-  const std::string unset = ReplicatedFingerprint(0);
+  unsetenv("RADICAL_SHARDS");
   const std::string one = ReplicatedFingerprint(1);
   const std::string four = ReplicatedFingerprint(4);
-  if (saved != nullptr) setenv("RADICAL_REPLICATED_SHARDS", saved_value.c_str(), 1);
-  EXPECT_EQ(unset, one);
+  if (saved != nullptr) setenv("RADICAL_SHARDS", saved_value.c_str(), 1);
   // Sanity: the knob is not a no-op — four groups simulate differently.
-  EXPECT_NE(unset, four);
+  EXPECT_NE(one, four);
   // But the application-visible store state matches either way.
   auto store_part = [](const std::string& fp) {
     const size_t from = fp.find("|completed=");
     const size_t to = fp.find("|events=");
     return fp.substr(from, to - from);
   };
-  EXPECT_EQ(store_part(unset), store_part(four));
+  EXPECT_EQ(store_part(one), store_part(four));
 }
 
 }  // namespace

@@ -21,9 +21,9 @@
 # points of the matrix.
 #
 # CHECK_REPLICATED=1 tools/check.sh  reruns the whole test suite against the
-# multi-Raft replicated lock path (RADICAL_REPLICATED_SHARDS=1 and =4, picked
-# up by RadicalDeployment whenever a test constructs a replicated
-# deployment), then runs bench/sec5_6_replication in smoke mode — which
+# multi-Raft replicated lock path (RADICAL_SHARDS=1 and =4, picked up by
+# RadicalDeployment, which runs one Raft lock group per server shard
+# whenever a test constructs a replicated deployment), then runs bench/sec5_6_replication in smoke mode — which
 # includes the lock-group throughput curve and the leader kill/rejoin
 # linearizability sweep (the bench exits nonzero on lost replies or a
 # non-linearizable history) — and schema-checks the exported
@@ -113,10 +113,10 @@ if [ "${CHECK_OVERLOAD:-0}" = "1" ]; then
 fi
 
 if [ "${CHECK_REPLICATED:-0}" = "1" ]; then
-  echo "== replicated matrix: RADICAL_REPLICATED_SHARDS=1 (explicit) =="
-  RADICAL_REPLICATED_SHARDS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-  echo "== replicated matrix: RADICAL_REPLICATED_SHARDS=4 =="
-  RADICAL_REPLICATED_SHARDS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+  echo "== replicated matrix: RADICAL_SHARDS=1 (explicit) =="
+  RADICAL_SHARDS=1 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+  echo "== replicated matrix: RADICAL_SHARDS=4 =="
+  RADICAL_SHARDS=4 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
   REPL_DIR="$BUILD_DIR/replicated"
   mkdir -p "$REPL_DIR"
   echo "== replicated: multi-Raft throughput + leader kill/rejoin sweep =="
