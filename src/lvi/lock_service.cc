@@ -178,32 +178,27 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     pit->second.granted = std::move(granted);
     return;
   }
+  // Re-order the (lexicographically sorted) key set into (shard, key) order
+  // — the same total order LocalLockService acquires in, so the
+  // resource-ordering deadlock-freedom argument carries over. At one shard
+  // the stable sort is the identity.
+  std::vector<size_t> order(keys.size());
+  std::vector<int> shard(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    order[i] = i;
+    shard[i] = router_.ShardOf(keys[i]);
+  }
+  std::stable_sort(order.begin(), order.end(), [&shard](size_t a, size_t b) {
+    return shard[a] < shard[b];
+  });
   PendingAcquire acq;
-  if (router_.shards() == 1) {
-    acq.keys = std::move(keys);
-    acq.modes = std::move(modes);
-    acq.shard_of.assign(acq.keys.size(), 0);
-  } else {
-    // Re-order the (lexicographically sorted) key set into (shard, key)
-    // order — the same total order LocalLockService acquires in, so the
-    // resource-ordering deadlock-freedom argument carries over.
-    std::vector<size_t> order(keys.size());
-    std::vector<int> shard(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      order[i] = i;
-      shard[i] = router_.ShardOf(keys[i]);
-    }
-    std::stable_sort(order.begin(), order.end(), [&shard](size_t a, size_t b) {
-      return shard[a] < shard[b];
-    });
-    acq.keys.reserve(keys.size());
-    acq.modes.reserve(keys.size());
-    acq.shard_of.reserve(keys.size());
-    for (size_t i : order) {
-      acq.keys.push_back(std::move(keys[i]));
-      acq.modes.push_back(modes[i]);
-      acq.shard_of.push_back(shard[i]);
-    }
+  acq.keys.reserve(keys.size());
+  acq.modes.reserve(keys.size());
+  acq.shard_of.reserve(keys.size());
+  for (size_t i : order) {
+    acq.keys.push_back(std::move(keys[i]));
+    acq.modes.push_back(modes[i]);
+    acq.shard_of.push_back(shard[i]);
   }
   acq.granted = std::move(granted);
   // Grants this exec already received (a retry after a crash re-acquires

@@ -151,12 +151,6 @@ struct RequestOptions {
   // collector is attached). On by default; high-volume callers opt out
   // per request instead of detaching the collector globally.
   bool trace = true;
-  // Sharded servers: pin the request's server channel to this shard instead
-  // of routing by the first item's key. Only selects the network channel —
-  // the server always recomputes the authoritative shard from the key set,
-  // so a wrong hint costs locality, never correctness. -1 = route
-  // automatically.
-  int shard_hint = -1;
   // Relative deadline from Submit; 0 = none (the historical behaviour). The
   // deadline travels with the request: the fabric discards messages that
   // would land after it, the server sheds work it cannot finish in time

@@ -1,8 +1,6 @@
 #include "src/radical/deployment.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #include "src/lvi/codec.h"
 
@@ -29,23 +27,6 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
       interpreter_(&HostRegistry::Standard()),
       registry_(&analyzer_),
       primary_(config_.primary_store) {
-  // CHECK_SHARD_MATRIX / CHECK_REPLICATED support: the environment can force
-  // the server's shard count (hence the replicated lock-group count) and
-  // batch window when the config leaves them at the defaults, so the whole
-  // tier-1 suite exercises those hot paths unchanged (tools/check.sh).
-  if (config_.server.shards <= 1) {
-    if (const char* env = std::getenv("RADICAL_SHARDS")) {
-      config_.server.shards = std::max(1, std::atoi(env));
-    }
-  }
-  if (config_.server.batch_window <= 0) {
-    if (const char* env = std::getenv("RADICAL_BATCH_WINDOW_US")) {
-      config_.server.batch_window = Micros(std::max(0, std::atoi(env)));
-    }
-  }
-  if (const char* env = std::getenv("RADICAL_FORCE_SESSIONS")) {
-    force_sessions_ = std::atoi(env) != 0;
-  }
   LockService* locks = nullptr;
   if (replicated_locks > 0) {
     // Multi-Raft: one Raft lock group per key-range shard, so the server's
@@ -75,9 +56,12 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
   // its home shard's channel (the admission queues really are independent).
   server_endpoint_ =
       network->AddEndpoint("lvi-server", kPrimaryRegion, kServerHopRtt / 2);
-  if (config_.server.shards > 1) {
+  std::vector<net::Endpoint> shard_endpoints;
+  if (config_.server.shards == 1) {
+    shard_endpoints.push_back(server_endpoint_);
+  } else {
     for (int shard = 0; shard < config_.server.shards; ++shard) {
-      shard_endpoints_.push_back(
+      shard_endpoints.push_back(
           network->AddEndpoint("lvi-server.shard" + std::to_string(shard), kPrimaryRegion,
                                kServerHopRtt / 2));
     }
@@ -87,9 +71,7 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
     auto runtime = std::make_unique<Runtime>(sim, network, region, kPrimaryRegion,
                                              server_.get(), &registry_, &interpreter_,
                                              config_, &externals_, server_endpoint_);
-    if (!shard_endpoints_.empty()) {
-      runtime->set_shard_endpoints(shard_endpoints_);
-    }
+    runtime->set_shard_endpoints(shard_endpoints);
     runtimes_.emplace(region, std::move(runtime));
   }
   // Store statistics surface as callback gauges: read at snapshot time, so
@@ -114,22 +96,6 @@ RadicalDeployment::~RadicalDeployment() = default;
 
 void RadicalDeployment::Invoke(Region origin, const std::string& function,
                                std::vector<Value> inputs, std::function<void(Value)> done) {
-  if (force_sessions_) {
-    // Ambient per-region session (RADICAL_FORCE_SESSIONS=1): same guarantees
-    // as an app-opened session, but Invoke's one-callback contract holds —
-    // previews are swallowed and only the final's result is delivered.
-    auto it = ambient_sessions_.find(origin);
-    if (it == ambient_sessions_.end()) {
-      it = ambient_sessions_.emplace(origin, OpenSession(origin)).first;
-    }
-    it->second.Submit(Request{function, std::move(inputs)},
-                      [done = std::move(done)](Outcome outcome) {
-                        if (!outcome.preview()) {
-                          done(std::move(outcome.result));
-                        }
-                      });
-    return;
-  }
   client(origin).Submit(Request{function, std::move(inputs)},
                         [done = std::move(done)](Outcome outcome) {
                           done(std::move(outcome.result));

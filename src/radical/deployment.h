@@ -51,13 +51,6 @@ class RadicalDeployment : public AppService {
   // with that many Raft nodes holding the locks. The locks live in one Raft
   // group per server shard: `config.server.shards > 1` runs that many
   // independent groups (multi-Raft), one per key-range shard.
-  //
-  // Environment overrides RADICAL_SHARDS / RADICAL_BATCH_WINDOW_US set the
-  // server's shard count (hence the replicated lock-group count) and
-  // admission batch window when the config leaves them at their defaults —
-  // tools/check.sh (CHECK_SHARD_MATRIX=1, CHECK_REPLICATED=1) uses this to
-  // run the whole test suite against those paths without touching any call
-  // site.
   RadicalDeployment(Simulator* sim, Network* network, RadicalConfig config,
                     std::vector<Region> regions, int replicated_locks = 0);
   ~RadicalDeployment() override;
@@ -117,17 +110,9 @@ class RadicalDeployment : public AppService {
   std::unique_ptr<ReplicatedLockService> replicated_locks_;
   std::unique_ptr<LviServer> server_;
   net::Endpoint server_endpoint_;
-  // Sharded server: one fabric channel per shard (empty otherwise).
-  std::vector<net::Endpoint> shard_endpoints_;
   std::map<Region, std::unique_ptr<Runtime>> runtimes_;
   std::vector<Region> regions_;
   uint64_t next_session_id_ = 0;
-  // RADICAL_FORCE_SESSIONS=1 (tools/check.sh CHECK_SESSION=1): route every
-  // Invoke through a per-region ambient session, so the whole tier-1 suite
-  // exercises the session path without touching any call site. Previews are
-  // filtered — Invoke's contract is one callback with the final result.
-  bool force_sessions_ = false;
-  std::map<Region, Session> ambient_sessions_;
 };
 
 class PrimaryBaselineDeployment : public AppService {

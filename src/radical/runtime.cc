@@ -35,25 +35,17 @@ Runtime::Runtime(Simulator* sim, Network* network, Region region, Region server_
         std::string("lvi-server@") + RegionName(server_region), server_region,
         kServerHopRtt / 2);
   }
+  shard_endpoints_ = {server_endpoint_};
 }
 
 void Runtime::set_shard_endpoints(std::vector<net::Endpoint> endpoints) {
+  assert(!endpoints.empty() && "a server has at least one shard");
   shard_endpoints_ = std::move(endpoints);
-  shard_router_ = ShardRouter(
-      shard_endpoints_.empty() ? 1 : static_cast<int>(shard_endpoints_.size()));
+  shard_router_ = ShardRouter(static_cast<int>(shard_endpoints_.size()));
 }
 
 void Runtime::RouteToServer(RequestState* state, const Key* first_key) const {
-  if (shard_endpoints_.empty()) {
-    state->server_ep = server_endpoint_;
-    return;
-  }
-  int shard = 0;
-  if (state->shard_hint >= 0 && state->shard_hint < static_cast<int>(shard_endpoints_.size())) {
-    shard = state->shard_hint;
-  } else if (first_key != nullptr) {
-    shard = shard_router_.ShardOf(*first_key);
-  }
+  const int shard = first_key == nullptr ? 0 : shard_router_.ShardOf(*first_key);
   state->server_ep = shard_endpoints_[static_cast<size_t>(shard)];
 }
 
@@ -116,7 +108,6 @@ void Runtime::SubmitImpl(Request request, RequestOptions options, OutcomeFn done
   state->born_epoch = epoch_;
   state->retry = options.retry.has_value() ? *options.retry : config_.retry;
   state->trace_enabled = options.trace;
-  state->shard_hint = options.shard_hint;
   // A relative deadline anchors at Submit: instantiation and blob load count
   // against it, same as they count against the user's patience.
   state->deadline = options.deadline == 0 ? 0 : invoked_at + options.deadline;

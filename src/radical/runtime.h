@@ -74,12 +74,11 @@ class Runtime {
   const net::Endpoint& endpoint() const { return self_; }
   const net::Endpoint& server_endpoint() const { return server_endpoint_; }
 
-  // Sharded server: one fabric channel per shard ("lvi-server.shard<i>").
-  // When set, each request is sent on its home shard's channel — chosen by
-  // ShardRouter over the first item's key, or by RequestOptions::shard_hint.
-  // Channel choice is a locality optimization only: the server recomputes
-  // the authoritative shard on arrival, so a stale or wrong route still
-  // executes correctly. Empty (the default) = the single server_endpoint.
+  // The server's channels, one per shard ("lvi-server.shard<i>"); each
+  // request is sent on its home shard's channel, chosen by ShardRouter over
+  // the first item's key. Channel choice is a locality optimization only:
+  // the server recomputes the authoritative shard on arrival, so a stale or
+  // wrong route still executes correctly. Default: {server_endpoint()}.
   void set_shard_endpoints(std::vector<net::Endpoint> endpoints);
 
   // Attaches a trace collector; every completed request records a
@@ -122,7 +121,6 @@ class Runtime {
     // Per-request knobs, resolved from RequestOptions at Submit time.
     RetryPolicy retry;           // options.retry or the deployment default.
     bool trace_enabled = true;   // Record trace/spans on completion.
-    int shard_hint = -1;         // Channel pin; -1 = route by key.
     SimTime deadline = 0;        // Absolute; 0 = none. Travels with every
                                  // request message (fabric + server shed
                                  // against it) and bounds client retries.
@@ -236,8 +234,8 @@ class Runtime {
   // the intra-DC hop to the server's EC2 instance, which rides as the server
   // endpoint's extra_hop_delay (kServerHopRtt / 2 each way; Table 2's
   // lat_nu<->ns is the sum of both).
-  // `server` is the request's channel (RequestState::server_ep) — the shared
-  // server endpoint, or a per-shard channel under set_shard_endpoints.
+  // `server` is the request's channel (RequestState::server_ep), picked by
+  // RouteToServer.
   // `deadline` (0 = none) rides on the envelope: the fabric discards the
   // message outright when it would land past the deadline — the receiver
   // would only throw it away. Followups never carry one (writes must reach
@@ -246,8 +244,8 @@ class Runtime {
                     std::function<void()> deliver, SimTime deadline = 0);
   void SendFromServer(const net::Endpoint& server, net::MessageKind kind, size_t bytes,
                       std::function<void()> deliver, SimTime deadline = 0);
-  // Picks the server channel for `state`: shard_hint if set, else the shard
-  // owning `first_key` (nullptr = shard 0), else the single endpoint.
+  // Picks the server channel for `state`: the shard owning `first_key`
+  // (nullptr = shard 0).
   void RouteToServer(RequestState* state, const Key* first_key) const;
 
   Simulator* sim_;
@@ -256,8 +254,8 @@ class Runtime {
   const Region server_region_;
   net::Endpoint self_;
   net::Endpoint server_endpoint_;
-  // Per-shard server channels (empty for unsharded deployments) and the
-  // router mapping keys onto them; see set_shard_endpoints.
+  // Per-shard server channels (never empty) and the router mapping keys
+  // onto them; see set_shard_endpoints.
   std::vector<net::Endpoint> shard_endpoints_;
   ShardRouter shard_router_{1};
   LviServer* server_;

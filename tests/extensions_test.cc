@@ -7,6 +7,7 @@
 #include "src/func/builder.h"
 #include "src/lvi/lock_service.h"
 #include "src/radical/deployment.h"
+#include "tests/deployment_profile.h"
 
 namespace radical {
 namespace {
@@ -348,10 +349,20 @@ TEST_F(BatchedLocksTest, NoDeadlockAcrossOverlappingBatches) {
 
 // --- Full deployment on replicated locks (§5.6 configuration) -------------------
 
-TEST(ReplicatedDeploymentTest, EndToEndWriteThroughRaftLocks) {
+// Parameter: the server's shard count, hence the number of Raft lock groups.
+class ReplicatedDeploymentTest : public ::testing::TestWithParam<int> {
+ protected:
+  static RadicalConfig Config() {
+    RadicalConfig config;
+    config.server.shards = GetParam();
+    return config;
+  }
+};
+
+TEST_P(ReplicatedDeploymentTest, EndToEndWriteThroughRaftLocks) {
   Simulator sim(2222);
   Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
-  RadicalDeployment radical(&sim, &net, RadicalConfig{}, {Region::kCA, Region::kJP},
+  RadicalDeployment radical(&sim, &net, Config(), {Region::kCA, Region::kJP},
                             /*replicated_locks=*/3);
   radical.RegisterFunction(Fn("reg_write", {"k", "v"}, {
       Write(In("k"), In("v")),
@@ -374,7 +385,8 @@ TEST(ReplicatedDeploymentTest, EndToEndWriteThroughRaftLocks) {
   EXPECT_EQ(radical.primary().Peek("k")->value, Value("v1"));
   EXPECT_EQ(radical.primary().VersionOf("k"), 2);
   // Locks lived in the Raft state machine and are released again.
-  const LockStateMachine* locks = radical.replicated_locks()->LeaderState();
+  const LockStateMachine* locks =
+      radical.replicated_locks()->LeaderState(radical.replicated_locks()->router().ShardOf("k"));
   ASSERT_NE(locks, nullptr);
   EXPECT_EQ(locks->HeldKeyCount(0), 0u);
   // A cross-region read sees the write.
@@ -386,14 +398,14 @@ TEST(ReplicatedDeploymentTest, EndToEndWriteThroughRaftLocks) {
   EXPECT_TRUE(radical.server().idle());
 }
 
-TEST(ReplicatedDeploymentTest, LatencyIncludesRaftLockCommit) {
+TEST_P(ReplicatedDeploymentTest, LatencyIncludesRaftLockCommit) {
   // §5.6: when validation fails, end-to-end latency grows by the 3 + 2.3*L
   // replicated-lock cost. Compare a validation-failure read against the same
   // request on the singleton server.
   auto measure = [](int replicated_nodes) {
     Simulator sim(3333);
     Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
-    RadicalDeployment radical(&sim, &net, RadicalConfig{}, {Region::kCA}, replicated_nodes);
+    RadicalDeployment radical(&sim, &net, Config(), {Region::kCA}, replicated_nodes);
     radical.RegisterFunction(Fn("reg_read", {"k"}, {
         Read("v", In("k")),
         Compute(Millis(30)),
@@ -418,6 +430,8 @@ TEST(ReplicatedDeploymentTest, LatencyIncludesRaftLockCommit) {
   EXPECT_GT(added, 1.0);
   EXPECT_LT(added, 6.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ReplicatedDeploymentTest, ::testing::Values(1, 4), ShardsName);
 
 }  // namespace
 }  // namespace radical

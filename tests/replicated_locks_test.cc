@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 
 #include "src/check/linearizability.h"
@@ -15,6 +14,7 @@
 #include "src/lvi/lock_service.h"
 #include "src/radical/deployment.h"
 #include "src/raft/transport.h"
+#include "tests/deployment_profile.h"
 
 namespace radical {
 namespace {
@@ -341,13 +341,17 @@ TEST(LeaseReadTest, FallsBackToCommitWithoutLease) {
   EXPECT_EQ(service.lease_reads(), 0u);
 }
 
-// --- Deployment-level sharded fault sweep -----------------------------------
+// --- Deployment-level fault sweep at one and four lock groups -------------
 
-TEST(ShardedReplicatedDeploymentTest, FaultSweepStaysLinearizable) {
+// Parameter: the server's shard count, hence the number of Raft lock groups.
+class ReplicatedFaultSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReplicatedFaultSweepTest, FaultSweepStaysLinearizable) {
+  const int groups = GetParam();
   Simulator sim(515);
   Network net(&sim, LatencyMatrix::PaperDefault());
   RadicalConfig config;
-  config.server.shards = 4;
+  config.server.shards = groups;
   config.retry.request_timeout = Millis(400);
   config.retry.followup_ack_timeout = Millis(400);
   RadicalDeployment radical(&sim, &net, config, DeploymentRegions(),
@@ -362,18 +366,18 @@ TEST(ShardedReplicatedDeploymentTest, FaultSweepStaysLinearizable) {
       Compute(Millis(5)),
       Return(In("v")),
   }));
-  // Keys chosen to land in distinct lock groups (FNV-1a high bits), so the
-  // sweep drives commits through several groups, not just one.
+  // Keys chosen to land in distinct lock groups (FNV-1a high bits), so at
+  // four groups the sweep drives commits through several groups, not just one.
   const std::vector<Key> kKeys = {"a", "aa", "aaa"};
   for (const Key& key : kKeys) radical.Seed(key, Value("v0"));
   radical.WarmCaches();
-  ASSERT_EQ(radical.replicated_locks()->shards(), 4);
+  ASSERT_EQ(radical.replicated_locks()->shards(), groups);
   {
     std::set<int> key_groups;
     for (const Key& key : kKeys) {
       key_groups.insert(radical.replicated_locks()->router().ShardOf(key));
     }
-    ASSERT_GE(key_groups.size(), 3u);
+    ASSERT_EQ(key_groups.size(), groups == 1 ? 1u : 3u);
   }
 
   // 10% loss on every LVI protocol leg.
@@ -412,7 +416,7 @@ TEST(ShardedReplicatedDeploymentTest, FaultSweepStaysLinearizable) {
   // Crash every group's leader mid-run, staggered, and bring each back 800 ms
   // later: each group must re-elect and the service must re-route in-flight
   // acquires/releases without losing or double-granting a lock.
-  for (int g = 0; g < 4; ++g) {
+  for (int g = 0; g < groups; ++g) {
     sim.Schedule(Seconds(1) + g * Millis(900), [&radical, g] {
       RaftCluster& cluster = radical.replicated_locks()->cluster(g);
       const NodeId leader = cluster.LeaderId();
@@ -433,13 +437,15 @@ TEST(ShardedReplicatedDeploymentTest, FaultSweepStaysLinearizable) {
   const LinearizabilityResult result = CheckHistory(history, initials);
   EXPECT_TRUE(result.linearizable) << result.violation;
   // No leaked locks once the dust settles.
-  for (int g = 0; g < 4; ++g) {
+  for (int g = 0; g < groups; ++g) {
     const LockStateMachine* state = radical.replicated_locks()->LeaderState(g);
     ASSERT_NE(state, nullptr) << "group " << g;
     EXPECT_EQ(state->TotalHeldKeys(), 0u) << "group " << g;
   }
   EXPECT_TRUE(radical.server().idle());
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ReplicatedFaultSweepTest, ::testing::Values(1, 4), ShardsName);
 
 // --- Server shards set the lock-group count ---------------------------------
 
@@ -503,14 +509,10 @@ std::string ReplicatedFingerprint(int shards) {
 }
 
 TEST(ShardedReplicatedDeploymentTest, DefaultsAreByteIdenticalToSingleGroup) {
-  // The default (one shard, no env override) runs a single lock group; the
-  // knob is not a no-op, but it never changes application-visible state.
-  const char* saved = std::getenv("RADICAL_SHARDS");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-  unsetenv("RADICAL_SHARDS");
+  // The default (one shard) runs a single lock group; the knob is not a
+  // no-op, but it never changes application-visible state.
   const std::string one = ReplicatedFingerprint(1);
   const std::string four = ReplicatedFingerprint(4);
-  if (saved != nullptr) setenv("RADICAL_SHARDS", saved_value.c_str(), 1);
   // Sanity: the knob is not a no-op — four groups simulate differently.
   EXPECT_NE(one, four);
   // But the application-visible store state matches either way.

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -288,12 +287,6 @@ TEST_F(BatchServerTest, RequestsOutsideTheWindowFormSeparateBatches) {
 // --- Defaults create no shard instruments ------------------------------------
 
 TEST(ShardDefaultsTest, SingletonServerRegistersNoShardScopedMetrics) {
-  // RADICAL_SHARDS deliberately overrides a default-config deployment (the
-  // CHECK_SHARD_MATRIX=1 run relies on that), which is exactly the knob this
-  // test needs left alone.
-  if (const char* env = std::getenv("RADICAL_SHARDS"); env != nullptr && env != std::string("1")) {
-    GTEST_SKIP() << "RADICAL_SHARDS=" << env << " overrides the defaults under test";
-  }
   Simulator sim;
   Network net(&sim, LatencyMatrix::PaperDefault());
   RadicalConfig config;  // shards = 1, batch_window = 0.
