@@ -7,6 +7,10 @@
 //      runtime must ship its writes and await an ack before answering the
 //      client, paying a second round trip on every write.
 //
+// A third row drops every cache push: the paper's pull-only cache, which
+// only failed validations repair. Its validation success rate is the
+// paper's; the full row shows what pushing committed writes buys.
+//
 // Measured on the social media workload across all five regions.
 
 #include <cstdio>
@@ -31,28 +35,35 @@ void Run() {
   RunOptions two_rtt = base;
   two_rtt.config.single_request_commit = false;
 
+  RunOptions pull_only = base;
+  pull_only.pull_only_cache = true;
+
   const ExperimentResult full = RunApp(app, DeployKind::kRadical, base);
   const ExperimentResult spec_off = RunApp(app, DeployKind::kRadical, no_spec);
   const ExperimentResult two_rtt_result = RunApp(app, DeployKind::kRadical, two_rtt);
+  const ExperimentResult pull_only_result = RunApp(app, DeployKind::kRadical, pull_only);
   const ExperimentResult baseline = RunApp(app, DeployKind::kBaseline, base);
 
-  const std::vector<int> widths = {30, 10, 10};
-  PrintTableHeader({"configuration", "p50 ms", "p99 ms"}, widths);
-  PrintTableRow({"Radical (full)", Ms(full.overall.p50_ms), Ms(full.overall.p99_ms)}, widths);
-  PrintTableRow({"no speculation", Ms(spec_off.overall.p50_ms), Ms(spec_off.overall.p99_ms)},
-                widths);
-  PrintTableRow({"two-RTT commit (no intents)", Ms(two_rtt_result.overall.p50_ms),
-                 Ms(two_rtt_result.overall.p99_ms)},
-                widths);
-  PrintTableRow({"primary-DC baseline", Ms(baseline.overall.p50_ms),
-                 Ms(baseline.overall.p99_ms)},
-                widths);
+  const std::vector<int> widths = {30, 10, 10, 9};
+  PrintTableHeader({"configuration", "p50 ms", "p99 ms", "val-ok%"}, widths);
+  auto row = [&widths](const char* name, const ExperimentResult& r, bool radical) {
+    PrintTableRow({name, Ms(r.overall.p50_ms), Ms(r.overall.p99_ms),
+                   radical ? FormatDouble(100.0 * r.validation_success_rate, 1) : "-"},
+                  widths);
+  };
+  row("Radical (full)", full, true);
+  row("no speculation", spec_off, true);
+  row("two-RTT commit (no intents)", two_rtt_result, true);
+  row("pull-only cache (paper)", pull_only_result, true);
+  row("primary-DC baseline", baseline, false);
   PrintRule(widths);
   std::printf(
       "\nShapes: without speculation the median collapses toward (and past) the\n"
       "baseline — overlap is where the win comes from. The two-RTT commit mostly\n"
       "hurts the write functions' tail (writes are ~1%% of this mix), which is\n"
-      "exactly why the write-intent mechanism targets them.\n");
+      "exactly why the write-intent mechanism targets them. The pull-only cache\n"
+      "repairs a stale copy only after a failed validation and its backup\n"
+      "execution, so it validates less often and pays a longer tail.\n");
 
   // Per-write-function view of the two-RTT ablation.
   std::printf("\nWrite functions under the two-RTT commit:\n");

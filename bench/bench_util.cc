@@ -47,6 +47,11 @@ ExperimentResult RunApp(const AppSpec& app, DeployKind kind, const RunOptions& r
     case DeployKind::kRadical:
       radical = std::make_unique<RadicalDeployment>(&sim, &net, options.config, options.regions);
       service = radical.get();
+      if (options.pull_only_cache) {
+        net::DropRule rule;
+        rule.kind = net::MessageKind::kCachePush;
+        net.fabric().AddDropRule(rule);
+      }
       break;
     case DeployKind::kBaseline:
       baseline = std::make_unique<PrimaryBaselineDeployment>(&sim, &net, options.config);
@@ -91,6 +96,7 @@ ExperimentResult RunApp(const AppSpec& app, DeployKind kind, const RunOptions& r
   }
   if (radical != nullptr) {
     result.validation_success_rate = radical->server().ValidationSuccessRate();
+    result.backup_execs = radical->server().validations_failed();
     result.reexecutions = radical->server().reexecutions();
     if (radical->local_locks() != nullptr) {
       result.lock_waits = radical->local_locks()->total_waits();
@@ -175,6 +181,15 @@ std::string BenchReport::ToJson() const {
     w.BeginObject();
     w.Key("validation_success_rate");
     w.Double(result.validation_success_rate, 6);
+    // Per-app abort rate: validations that succeeded, and backup executions
+    // (one per failed validation) per request; zeros for non-Radical runs.
+    w.Key("validation_ok_pct");
+    w.Double(100.0 * result.validation_success_rate, 3);
+    w.Key("backup_execs_per_req");
+    w.Double(result.total_requests == 0 ? 0.0
+                                        : static_cast<double>(result.backup_execs) /
+                                              static_cast<double>(result.total_requests),
+             6);
     w.Key("reexecutions");
     w.Uint(result.reexecutions);
     w.Key("lock_waits");

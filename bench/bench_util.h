@@ -35,6 +35,8 @@ struct ExperimentResult {
   uint64_t total_requests = 0;
   // Radical-only protocol statistics (zeros otherwise).
   double validation_success_rate = 0.0;
+  // Failed validations, each answered by a backup execution at the primary.
+  uint64_t backup_execs = 0;
   uint64_t reexecutions = 0;
   uint64_t lock_waits = 0;  // Acquisitions that queued at the lock table.
   uint64_t speculations = 0;
@@ -59,6 +61,9 @@ struct RunOptions {
   SimDuration think_time = Seconds(4);
   std::vector<Region> regions = DeploymentRegions();
   RadicalConfig config;
+  // Drops every cache push on the fabric (a DropRule on kCachePush): the
+  // paper's pull-only cache, repaired only by failed validations.
+  bool pull_only_cache = false;
 };
 
 // Runs one application's workload against one deployment kind. When

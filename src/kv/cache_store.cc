@@ -35,6 +35,16 @@ void CacheStore::Install(const Key& key, const Value& value, Version version) {
   item.version = version;
 }
 
+bool CacheStore::Refresh(const Key& key, const Value& value, Version version) {
+  const auto it = items_.find(key);
+  if (it == items_.end() || it->second.version >= version) {
+    return false;
+  }
+  it->second.value = value;
+  it->second.version = version;
+  return true;
+}
+
 std::optional<Item> CacheStore::Peek(const Key& key) const {
   const auto it = items_.find(key);
   if (it == items_.end()) {

@@ -55,6 +55,12 @@ class CacheStore : public Storage {
   // which is exactly what the primary will assign when the followup lands).
   void Install(const Key& key, const Value& value, Version version);
 
+  // Applies a pushed copy of a primary item (a CachePush): updates the item
+  // only if the cache already holds the key at an older version. Never
+  // inserts (a push must not copy every written key into every cache) and
+  // never lowers a version. Returns true when the item changed.
+  bool Refresh(const Key& key, const Value& value, Version version);
+
   // Zero-latency peek for tests.
   std::optional<Item> Peek(const Key& key) const;
 

@@ -165,6 +165,7 @@ constexpr uint8_t kMsgFollowup = 3;
 constexpr uint8_t kMsgFunction = 4;
 constexpr uint8_t kMsgDirectRequest = 5;
 constexpr uint8_t kMsgDirectResponse = 6;
+constexpr uint8_t kMsgCachePush = 7;
 
 // Envelope prologue: the version byte precedes every message tag.
 void WriteEnvelope(WireWriter& w, uint8_t msg_tag) {
@@ -515,6 +516,38 @@ Result<DirectResponse> DecodeDirectResponse(const WireBuffer& buffer) {
     return Status::Error(r.ok() ? "trailing bytes in direct response" : r.error());
   }
   return response;
+}
+
+void EncodeCachePushTo(const CachePush& push, WireBuffer* out) {
+  out->clear();
+  WireWriter w(out);
+  WriteEnvelope(w, kMsgCachePush);
+  w.WriteVarint(push.items.size());
+  for (const FreshItem& item : push.items) {
+    WriteFreshItem(w, item);
+  }
+}
+
+WireBuffer EncodeCachePush(const CachePush& push) {
+  WireBuffer out;
+  EncodeCachePushTo(push, &out);
+  return out;
+}
+
+Result<CachePush> DecodeCachePush(const WireBuffer& buffer) {
+  WireReader r(buffer);
+  if (Status envelope = ReadEnvelope(r, kMsgCachePush, "not a cache push"); !envelope.ok()) {
+    return envelope;
+  }
+  CachePush push;
+  const uint64_t count = r.ReadVarint();
+  for (uint64_t i = 0; i < count && r.ok(); ++i) {
+    push.items.push_back(ReadFreshItem(r));
+  }
+  if (!r.AtEnd()) {
+    return Status::Error(r.ok() ? "trailing bytes in cache push" : r.error());
+  }
+  return push;
 }
 
 // --- Function images ----------------------------------------------------------------

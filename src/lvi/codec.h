@@ -117,6 +117,10 @@ void EncodeDirectResponseTo(const DirectResponse& response, WireBuffer* out);
 WireBuffer EncodeDirectResponse(const DirectResponse& response);
 Result<DirectResponse> DecodeDirectResponse(const WireBuffer& buffer);
 
+void EncodeCachePushTo(const CachePush& push, WireBuffer* out);
+WireBuffer EncodeCachePush(const CachePush& push);
+Result<CachePush> DecodeCachePush(const WireBuffer& buffer);
+
 // Reusable encode scratch for an endpoint. The simulated wire carries exact
 // encoded sizes, not bytes, so the steady-state need is "encode to measure":
 // WireScratch keeps one buffer and routes every measurement through the
@@ -130,6 +134,7 @@ class WireScratch {
   size_t SizeOf(const WriteFollowup& m) { return Measure(EncodeWriteFollowupTo, m); }
   size_t SizeOf(const DirectRequest& m) { return Measure(EncodeDirectRequestTo, m); }
   size_t SizeOf(const DirectResponse& m) { return Measure(EncodeDirectResponseTo, m); }
+  size_t SizeOf(const CachePush& m) { return Measure(EncodeCachePushTo, m); }
 
   // The bytes of the most recent SizeOf, valid until the next call.
   const WireBuffer& buffer() const { return buf_; }

@@ -331,6 +331,28 @@ void LviServer::CacheDirectReply(ExecutionId exec_id, DirectResponse response) {
   }
 }
 
+std::vector<FreshItem> LviServer::FreshItems(std::vector<Key> keys) const {
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::vector<FreshItem> items;
+  items.reserve(keys.size());
+  for (Key& key : keys) {
+    std::optional<Item> item = store_->Peek(key);
+    if (item.has_value()) {
+      items.push_back(FreshItem{std::move(key), std::move(item->value), item->version});
+    }
+  }
+  return items;
+}
+
+std::vector<FreshItem> LviServer::PublishWrites(std::vector<Key> written) {
+  std::vector<FreshItem> items = FreshItems(std::move(written));
+  if (push_ && !items.empty()) {
+    push_(CachePush{items});
+  }
+  return items;
+}
+
 void LviServer::RespondLvi(ExecutionId exec_id, LviResponse response) {
   RespondFn respond;
   const auto it = inflight_lvi_.find(exec_id);
@@ -669,22 +691,16 @@ void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t
     const ExecResult exec = interpreter_->Execute(fn->original, request.inputs, store_,
                                                   options_.exec_limits, &env);
     assert(exec.ok() && "backup execution failed");
+    const ExecutionId exec_id = request.exec_id;
+    PublishWrites(exec.writes);
     // Cache repairs: every stale item plus everything the execution wrote.
-    std::vector<Key> repair_keys = stale_keys;
+    std::vector<Key> repair_keys = std::move(stale_keys);
     repair_keys.insert(repair_keys.end(), exec.writes.begin(), exec.writes.end());
-    std::sort(repair_keys.begin(), repair_keys.end());
-    repair_keys.erase(std::unique(repair_keys.begin(), repair_keys.end()), repair_keys.end());
     LviResponse response;
-    response.exec_id = request.exec_id;
+    response.exec_id = exec_id;
     response.validated = false;
     response.backup_result = exec.return_value;
-    for (const Key& key : repair_keys) {
-      const std::optional<Item> item = store_->Peek(key);
-      if (item.has_value()) {
-        response.fresh_items.push_back(FreshItem{key, item->value, item->version});
-      }
-    }
-    const ExecutionId exec_id = request.exec_id;
+    response.fresh_items = FreshItems(std::move(repair_keys));
     // The backup execution's writes are applied (and its reply recorded with
     // the idempotency key): a retried request from here on replays the reply
     // instead of re-executing, even if this server life ends before the
@@ -772,6 +788,12 @@ void LviServer::ApplyAndFinish(ExecState state, const std::vector<BufferedWrite>
                                 &apply_latency);
   }
   const ExecutionId exec_id = state.request.exec_id;
+  std::vector<Key> written;
+  written.reserve(writes.size());
+  for (const BufferedWrite& write : writes) {
+    written.push_back(write.key);
+  }
+  PublishWrites(std::move(written));
   const uint64_t epoch = epoch_;
   sim_->Schedule(apply_latency, [this, epoch, exec_id, phase = state.phase,
                                  ack = std::move(ack)]() mutable {
@@ -843,15 +865,7 @@ void LviServer::ResolveIntentByReExecution(ExecutionId exec_id, DirectRespondFn 
   DirectResponse dresp;
   dresp.exec_id = exec_id;
   dresp.result = exec.return_value;
-  std::vector<Key> written = exec.writes;
-  std::sort(written.begin(), written.end());
-  written.erase(std::unique(written.begin(), written.end()), written.end());
-  for (const Key& key : written) {
-    const std::optional<Item> item = store_->Peek(key);
-    if (item.has_value()) {
-      dresp.fresh_items.push_back(FreshItem{key, item->value, item->version});
-    }
-  }
+  dresp.fresh_items = PublishWrites(exec.writes);
   CacheDirectReply(exec_id, dresp);
   const bool answer_direct = static_cast<bool>(respond);
   if (answer_direct) {
@@ -1057,15 +1071,7 @@ void LviServer::ExecuteDirect(DirectRequest request, const AnalyzedFunction* fn,
   DirectResponse response;
   response.exec_id = exec_id;
   response.result = exec.return_value;
-  std::vector<Key> written = exec.writes;
-  std::sort(written.begin(), written.end());
-  written.erase(std::unique(written.begin(), written.end()), written.end());
-  for (const Key& key : written) {
-    const std::optional<Item> item = store_->Peek(key);
-    if (item.has_value()) {
-      response.fresh_items.push_back(FreshItem{key, item->value, item->version});
-    }
-  }
+  response.fresh_items = PublishWrites(exec.writes);
   // The writes (and the reply, with its idempotency key) are durable from
   // here: a retry replays instead of re-executing.
   CacheDirectReply(exec_id, response);

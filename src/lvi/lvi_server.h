@@ -136,6 +136,9 @@ class LviServer {
   // server was down and the followup went nowhere — the deterministic
   // failure signal that lets the sender retransmit instead of hanging.
   using AckFn = std::function<void(bool applied)>;
+  // Cache push (see CachePush): receives each execution's written items the
+  // moment they are durable at the primary.
+  using PushFn = std::function<void(CachePush push)>;
 
   // All pointers must outlive the server. `locks` is either a
   // LocalLockService (§4; built with the same shard count as
@@ -205,6 +208,11 @@ class LviServer {
     return metrics_.RatioOf("validate_success", "validate_fail");
   }
 
+  // Where committed writes go: the deployment fans each push out to the
+  // near-user caches. Unset (the default, and the primary-DC baseline), the
+  // server pushes nothing. Seeding the store directly never pushes.
+  void set_push_listener(PushFn push) { push_ = std::move(push); }
+
   // Optional span sink: when set, each pipeline substep (admission, lock
   // wait, validation, intent write, backup execution) is recorded as a
   // server-track span keyed by execution id. Must outlive the server.
@@ -262,6 +270,15 @@ class LviServer {
   // functions.
   void ExecuteDirect(DirectRequest request, const AnalyzedFunction* fn, bool release_locks);
 
+  // Fresh copies of `keys` from the primary, sorted and deduplicated; keys
+  // the primary does not hold are skipped.
+  std::vector<FreshItem> FreshItems(std::vector<Key> keys) const;
+  // Durable-write funnel, called wherever an execution's writes land at the
+  // primary (followup apply, backup execution, re-execution, direct
+  // execution): hands the written items to the push listener, if any, and
+  // returns them.
+  std::vector<FreshItem> PublishWrites(std::vector<Key> written);
+
   // Completion funnel: caches the reply (idempotency) and answers the
   // freshest in-flight respond slot for the exec, if any.
   void RespondLvi(ExecutionId exec_id, LviResponse response);
@@ -314,6 +331,7 @@ class LviServer {
   std::deque<ExecutionId> direct_reply_order_;
   obs::MetricsScope metrics_;
   obs::SpanCollector* spans_ = nullptr;
+  PushFn push_;
   // Capacity model, per shard: the instant shard i frees up (>= now when
   // busy). Each shard has the full serving capacity.
   std::vector<SimTime> busy_until_;

@@ -5,7 +5,8 @@
 // validation success, or — on failure — the backup execution's result plus
 // fresh copies of every stale or written item so the near-user cache can be
 // repaired (§3.2). The write followup ships the speculative writes after the
-// client has already been answered.
+// client has already been answered. The cache push carries every committed
+// write from the primary to the near-user caches that hold the key.
 
 #ifndef RADICAL_SRC_LVI_MESSAGES_H_
 #define RADICAL_SRC_LVI_MESSAGES_H_
@@ -123,6 +124,17 @@ struct DirectResponse {
   std::vector<FreshItem> fresh_items;  // Written items, for cache repair.
   ResponseStatus status = ResponseStatus::kOk;
   SimDuration retry_after = 0;
+};
+
+// Primary -> every near-user cache, once an execution's writes are durable at
+// the primary: the written items at their new versions. A cache refreshes
+// only keys it already holds and only to a newer version, so a push never
+// inserts and never moves an item backwards. Pushes are lossy by design —
+// dropped, delayed or reordered pushes only leave a cache stale, which
+// validation already tolerates (§3.2); they just spare the next reader a
+// failed validation and its backup execution.
+struct CachePush {
+  std::vector<FreshItem> items;  // Sorted by key.
 };
 
 }  // namespace radical

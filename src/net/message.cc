@@ -17,6 +17,8 @@ const char* MessageKindName(MessageKind kind) {
       return "direct_request";
     case MessageKind::kDirectResponse:
       return "direct_response";
+    case MessageKind::kCachePush:
+      return "cache_push";
     case MessageKind::kRaftVote:
       return "raft_vote";
     case MessageKind::kRaftVoteReply:

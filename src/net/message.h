@@ -34,6 +34,7 @@ enum class MessageKind : uint8_t {
   kWriteFollowup,
   kDirectRequest,
   kDirectResponse,
+  kCachePush,
   // Raft RPCs (AZ mesh, src/raft).
   kRaftVote,
   kRaftVoteReply,
@@ -47,7 +48,7 @@ enum class MessageKind : uint8_t {
   kQuorumReply,
 };
 
-inline constexpr int kNumMessageKinds = 15;
+inline constexpr int kNumMessageKinds = 16;
 
 const char* MessageKindName(MessageKind kind);
 

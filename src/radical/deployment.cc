@@ -1,6 +1,7 @@
 #include "src/radical/deployment.h"
 
 #include <cassert>
+#include <memory>
 
 #include "src/lvi/codec.h"
 
@@ -74,6 +75,20 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
     runtime->set_shard_endpoints(shard_endpoints);
     runtimes_.emplace(region, std::move(runtime));
   }
+  // Cache push: every execution's committed writes travel from the server to
+  // every runtime, one message each; a runtime refreshes only the keys it
+  // already caches. Lossy by design — a fabric drop rule on kCachePush gives
+  // back the paper's pull-only cache.
+  push_endpoint_ = network->AddEndpoint("lvi-server.push", kPrimaryRegion, kServerHopRtt / 2);
+  server_->set_push_listener([this](CachePush push) {
+    const size_t bytes = wire_scratch_.SizeOf(push);
+    auto shared = std::make_shared<const CachePush>(std::move(push));
+    for (const auto& [region, runtime] : runtimes_) {
+      (void)region;
+      push_endpoint_.Send(runtime->endpoint(), net::MessageKind::kCachePush, bytes,
+                          [rt = runtime.get(), shared] { rt->OnCachePush(*shared); });
+    }
+  });
   // Store statistics surface as callback gauges: read at snapshot time, so
   // the kv hot paths carry no instrumentation cost.
   obs::MetricsRegistry& reg = sim->metrics();

@@ -58,10 +58,11 @@ class RadicalDeployment : public AppService {
   void Invoke(Region origin, const std::string& function, std::vector<Value> inputs,
               std::function<void(Value)> done) override;
   const AnalyzedFunction& RegisterFunction(const FunctionDef& fn) override;
+  // Seeding writes the primary directly and sends no cache push.
   void Seed(const Key& key, const Value& value) override;
 
   // Copies every primary item (value and version) into every cache: the
-  // steady state after the gradual bootstrap of §3.2.
+  // steady state after the gradual bootstrap of §3.2. Sends no cache push.
   void WarmCaches();
 
   // Routes every runtime's and the server's protocol-leg spans into
@@ -91,6 +92,10 @@ class RadicalDeployment : public AppService {
   // The LVI server's fabric address, shared by every runtime; its
   // extra_hop_delay models the intra-DC hop to the server's EC2 instance.
   const net::Endpoint& server_endpoint() const { return server_endpoint_; }
+  // Where the server's cache pushes leave from: next to the server (same
+  // intra-DC hop), on channels of their own, so a fault aimed at pushes —
+  // a delay spike, a partition — leaves LVI responses alone.
+  const net::Endpoint& push_endpoint() const { return push_endpoint_; }
   VersionedStore& primary() { return primary_; }
   FunctionRegistry& registry() { return registry_; }
   ExternalServiceRegistry& externals() override { return externals_; }
@@ -110,9 +115,12 @@ class RadicalDeployment : public AppService {
   std::unique_ptr<ReplicatedLockService> replicated_locks_;
   std::unique_ptr<LviServer> server_;
   net::Endpoint server_endpoint_;
+  net::Endpoint push_endpoint_;
   std::map<Region, std::unique_ptr<Runtime>> runtimes_;
   std::vector<Region> regions_;
   uint64_t next_session_id_ = 0;
+  // Sizes each cache push on the wire.
+  WireScratch wire_scratch_;
 };
 
 class PrimaryBaselineDeployment : public AppService {

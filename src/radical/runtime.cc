@@ -76,6 +76,21 @@ void Runtime::Recover() {
   metrics_.Increment("recoveries");
 }
 
+void Runtime::OnCachePush(const CachePush& push) {
+  if (push_applied_ == nullptr) {
+    push_applied_ = metrics_.counter("cache_push_applied");
+    push_ignored_ = metrics_.counter("cache_push_ignored");
+  }
+  if (!alive_) {
+    push_ignored_->Increment(push.items.size());
+    return;
+  }
+  for (const FreshItem& item : push.items) {
+    (cache_.Refresh(item.key, item.value, item.version) ? push_applied_ : push_ignored_)
+        ->Increment();
+  }
+}
+
 void Runtime::Submit(Request request, RequestOptions options, OutcomeFn done) {
   SubmitImpl(std::move(request), std::move(options), std::move(done));
 }

@@ -90,6 +90,12 @@ class Runtime {
   // Pass nullptr to detach. Must outlive the runtime while attached.
   void set_span_collector(obs::SpanCollector* spans) { spans_ = spans; }
 
+  // Receives a cache push from the primary (see CachePush): each pushed item
+  // refreshes this cache only if the cache already holds the key at an older
+  // version. A crashed runtime drops the push. Per item, the registry counts
+  // "cache_push_applied" (the cache changed) or "cache_push_ignored".
+  void OnCachePush(const CachePush& push);
+
   // --- PoP failure (SwiftCloud-style session failover) ---------------------
   // Crash() models the edge runtime's process dying: every in-flight request
   // is orphaned (its pending events fire into a dead epoch and drop), the
@@ -269,6 +275,10 @@ class Runtime {
   obs::MetricsScope metrics_;
   // Resolved once: end-to-end latency histogram, bumped on every Reply.
   obs::LatencyHistogram* latency_hist_ = nullptr;
+  // Resolved on the first push, so a runtime that never receives one
+  // registers no push instruments.
+  obs::Counter* push_applied_ = nullptr;
+  obs::Counter* push_ignored_ = nullptr;
   ExternalServiceRegistry* externals_;
   TraceCollector* tracer_ = nullptr;
   obs::SpanCollector* spans_ = nullptr;

@@ -247,6 +247,41 @@ TEST(WireCodecTest, DirectResponseRoundTrip) {
   EXPECT_EQ(decoded->fresh_items[0].version, 12);
 }
 
+TEST(WireCodecTest, CachePushRoundTrip) {
+  CachePush push;
+  push.items = {{"frontpage", Value(ValueList{Value("p1"), Value("p2")}), 9},
+                {"vote:p1:u3", Value(int64_t{1}), 0}};
+  const Result<CachePush> decoded = DecodeCachePush(EncodeCachePush(push));
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  ASSERT_EQ(decoded->items.size(), 2u);
+  for (size_t i = 0; i < push.items.size(); ++i) {
+    EXPECT_EQ(decoded->items[i].key, push.items[i].key);
+    EXPECT_EQ(decoded->items[i].value, push.items[i].value);
+    EXPECT_EQ(decoded->items[i].version, push.items[i].version);
+  }
+  const WireBuffer bytes = EncodeCachePush(push);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    WireBuffer truncated(bytes.begin(), bytes.begin() + static_cast<long>(cut));
+    EXPECT_FALSE(DecodeCachePush(truncated).ok()) << "cut=" << cut;
+  }
+  EXPECT_FALSE(DecodeCachePush(EncodeLviResponse(LviResponse{})).ok());
+  EXPECT_FALSE(DecodeLviResponse(bytes).ok());
+}
+
+TEST(WireCodecTest, CachePushSizeOfIsExact) {
+  CachePush push;
+  push.items = {{"k", Value("v1"), 3}};
+  // version + tag + item count, then the item: key (length + 1 byte),
+  // value (tag + length + 2 bytes), zigzag version.
+  const size_t expected = 1 + 1 + 1 + (1 + 1) + (1 + 1 + 2) + 1;
+  WireScratch scratch;
+  EXPECT_EQ(scratch.SizeOf(push), expected);
+  EXPECT_EQ(scratch.buffer(), EncodeCachePush(push));
+  push.items.push_back({"key2", Value(int64_t{300}), 200});
+  // key (1 + 4), value (tag + 2-byte zigzag varint), version (2-byte zigzag).
+  EXPECT_EQ(scratch.SizeOf(push), expected + (1 + 4) + (1 + 2) + 2);
+}
+
 TEST(WireCodecTest, EnvelopeCarriesWireFormatVersion) {
   const WireBuffer buffer = EncodeLviRequest(SampleRequest());
   ASSERT_FALSE(buffer.empty());
@@ -255,6 +290,7 @@ TEST(WireCodecTest, EnvelopeCarriesWireFormatVersion) {
   EXPECT_EQ(EncodeWriteFollowup(WriteFollowup{})[0], kWireFormatVersion);
   EXPECT_EQ(EncodeDirectRequest(DirectRequest{})[0], kWireFormatVersion);
   EXPECT_EQ(EncodeDirectResponse(DirectResponse{})[0], kWireFormatVersion);
+  EXPECT_EQ(EncodeCachePush(CachePush{})[0], kWireFormatVersion);
 }
 
 TEST(WireCodecTest, VersionMismatchRejectedAtDecode) {
@@ -274,6 +310,7 @@ TEST(WireCodecTest, MessageTypeConfusionRejected) {
   EXPECT_FALSE(DecodeFunction(request_bytes).ok());
   EXPECT_FALSE(DecodeDirectRequest(request_bytes).ok());
   EXPECT_FALSE(DecodeDirectResponse(request_bytes).ok());
+  EXPECT_FALSE(DecodeCachePush(request_bytes).ok());
 }
 
 TEST(WireCodecTest, RequestTruncationAlwaysFails) {

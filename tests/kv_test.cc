@@ -101,6 +101,19 @@ TEST(CacheStoreTest, InstallSetsExactVersion) {
   EXPECT_EQ(cache.Peek("k")->value, Value("v"));
 }
 
+TEST(CacheStoreTest, RefreshOnlyRaisesVersionsOfHeldKeys) {
+  CacheStore cache;
+  cache.Install("k", Value("v3"), 3);
+  EXPECT_TRUE(cache.Refresh("k", Value("v5"), 5));
+  EXPECT_EQ(cache.Peek("k")->value, Value("v5"));
+  EXPECT_FALSE(cache.Refresh("k", Value("v4"), 4));  // Older: never lowers.
+  EXPECT_FALSE(cache.Refresh("k", Value("other"), 5));  // Same version.
+  EXPECT_EQ(cache.Peek("k")->value, Value("v5"));
+  EXPECT_EQ(cache.VersionOf("k"), 5);
+  EXPECT_FALSE(cache.Refresh("absent", Value("x"), 1));  // Never inserts.
+  EXPECT_EQ(cache.item_count(), 1u);
+}
+
 TEST(CacheStoreTest, MissReturnsSentinel) {
   CacheStore cache;
   EXPECT_EQ(cache.VersionOf("nope"), kMissingVersion);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "src/check/linearizability.h"
@@ -175,79 +176,88 @@ NetworkOptions NoJitter() {
   return options;
 }
 
+// Fault injected into a random-history run once the deployment is built.
+using Perturbation = std::function<void(Network&, RadicalDeployment&)>;
+
+// Random reads and writes of three registers from every region over three
+// seconds, checked for linearizability.
+void RunRandomHistory(const DeploymentProfile& profile, uint64_t seed, int ops_per_key,
+                      const Perturbation& perturb = {}) {
+  Simulator sim(seed);
+  Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
+  RadicalConfig config;
+  // Tight intent timer so dropped followups re-execute within the test.
+  config.server.intent_timeout = Millis(400);
+  ProfiledDeployment radical(profile, &sim, &net, config, DeploymentRegions());
+  if (perturb) {
+    perturb(net, radical);
+  }
+  radical.RegisterFunction(Fn("reg_read", {"k"}, {
+      Read("v", In("k")),
+      Compute(Millis(30)),
+      Return(V("v")),
+  }));
+  radical.RegisterFunction(Fn("reg_write", {"k", "v"}, {
+      Write(In("k"), In("v")),
+      Compute(Millis(30)),
+      Return(In("v")),
+  }));
+  const std::vector<Key> keys = {"r0", "r1", "r2"};
+  std::map<Key, Value> initials;
+  for (const Key& key : keys) {
+    radical.Seed(key, Value("init-" + key));
+    initials[key] = Value("init-" + key);
+  }
+  radical.WarmCaches();
+  HistoryRecorder history;
+  Rng rng(seed * 31 + 7);
+  int unique = 0;
+  int in_flight = 0;
+  // Issue operations from random regions at random times.
+  const int total_ops = ops_per_key * static_cast<int>(keys.size());
+  for (int i = 0; i < total_ops; ++i) {
+    const Region region =
+        DeploymentRegions()[rng.NextBelow(DeploymentRegions().size())];
+    const Key key = keys[rng.NextBelow(keys.size())];
+    const bool is_write = rng.NextBool(0.4);
+    const SimDuration at = static_cast<SimDuration>(rng.NextBelow(Seconds(3)));
+    sim.Schedule(at, [&, region, key, is_write] {
+      ++in_flight;
+      const SimTime invoke = sim.Now();
+      if (is_write) {
+        const Value value("w" + std::to_string(unique++));
+        radical.Invoke(region, "reg_write", {Value(key), value},
+                       [&, key, value, invoke](Value) {
+                         history.Record(HistoryOp{true, key, value, invoke, sim.Now()});
+                         --in_flight;
+                       });
+      } else {
+        radical.Invoke(region, "reg_read", {Value(key)},
+                       [&, key, invoke](Value result) {
+                         history.Record(
+                             HistoryOp{false, key, std::move(result), invoke, sim.Now()});
+                         --in_flight;
+                       });
+      }
+    });
+  }
+  sim.Run();
+  EXPECT_EQ(in_flight, 0);
+  EXPECT_EQ(history.size(), static_cast<size_t>(total_ops));
+  const LinearizabilityResult result = CheckHistory(history, initials);
+  EXPECT_TRUE(result.linearizable) << result.violation;
+  EXPECT_TRUE(radical.server().idle());
+}
+
 // RandomHistoriesLinearize for one seed on one profile.
 class RadicalLinearizabilityTest : public ProfiledTest {
  public:
   RadicalLinearizabilityTest(const DeploymentProfile& profile, uint64_t seed)
       : ProfiledTest(profile), seed_(seed) {}
 
-  void TestBody() override { RunWorkload(seed_, 18); }
+  void TestBody() override { RunRandomHistory(profile(), seed_, 18); }
 
  private:
-  void RunWorkload(uint64_t seed, int ops_per_key) {
-    Simulator sim(seed);
-    Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
-    RadicalConfig config;
-    // Tight intent timer so dropped followups re-execute within the test.
-    config.server.intent_timeout = Millis(400);
-    ProfiledDeployment radical(profile(), &sim, &net, config, DeploymentRegions());
-    radical.RegisterFunction(Fn("reg_read", {"k"}, {
-        Read("v", In("k")),
-        Compute(Millis(30)),
-        Return(V("v")),
-    }));
-    radical.RegisterFunction(Fn("reg_write", {"k", "v"}, {
-        Write(In("k"), In("v")),
-        Compute(Millis(30)),
-        Return(In("v")),
-    }));
-    const std::vector<Key> keys = {"r0", "r1", "r2"};
-    std::map<Key, Value> initials;
-    for (const Key& key : keys) {
-      radical.Seed(key, Value("init-" + key));
-      initials[key] = Value("init-" + key);
-    }
-    radical.WarmCaches();
-    HistoryRecorder history;
-    Rng rng(seed * 31 + 7);
-    int unique = 0;
-    int in_flight = 0;
-    // Issue operations from random regions at random times.
-    const int total_ops = ops_per_key * static_cast<int>(keys.size());
-    for (int i = 0; i < total_ops; ++i) {
-      const Region region =
-          DeploymentRegions()[rng.NextBelow(DeploymentRegions().size())];
-      const Key key = keys[rng.NextBelow(keys.size())];
-      const bool is_write = rng.NextBool(0.4);
-      const SimDuration at = static_cast<SimDuration>(rng.NextBelow(Seconds(3)));
-      sim.Schedule(at, [&, region, key, is_write] {
-        ++in_flight;
-        const SimTime invoke = sim.Now();
-        if (is_write) {
-          const Value value("w" + std::to_string(unique++));
-          radical.Invoke(region, "reg_write", {Value(key), value},
-                         [&, key, value, invoke](Value) {
-                           history.Record(HistoryOp{true, key, value, invoke, sim.Now()});
-                           --in_flight;
-                         });
-        } else {
-          radical.Invoke(region, "reg_read", {Value(key)},
-                         [&, key, invoke](Value result) {
-                           history.Record(
-                               HistoryOp{false, key, std::move(result), invoke, sim.Now()});
-                           --in_flight;
-                         });
-        }
-      });
-    }
-    sim.Run();
-    EXPECT_EQ(in_flight, 0);
-    EXPECT_EQ(history.size(), static_cast<size_t>(total_ops));
-    const LinearizabilityResult result = CheckHistory(history, initials);
-    EXPECT_TRUE(result.linearizable) << result.violation;
-    EXPECT_TRUE(radical.server().idle());
-  }
-
   const uint64_t seed_;
 };
 
@@ -271,6 +281,35 @@ class RadicalLinearizabilityEdgeTest : public ProfiledTest {
  protected:
   using ProfiledTest::ProfiledTest;
 };
+
+// Cache pushes are an optimization, not part of the protocol: losing half of
+// them changes nothing a client can observe about consistency.
+PROFILE_TEST(RadicalLinearizabilityEdgeTest, LinearizableWithHalfOfCachePushesDropped) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RunRandomHistory(profile(), seed, 18, [](Network& net, RadicalDeployment&) {
+      net::DropRule rule;
+      rule.kind = net::MessageKind::kCachePush;
+      rule.probability = 0.5;
+      net.fabric().AddDropRule(rule);
+    });
+  }
+}
+
+// Pushes that land after the cache already holds a newer version (from a
+// validation repair or a later push) are ignored, never installed over it.
+PROFILE_TEST(RadicalLinearizabilityEdgeTest, LinearizableWithCachePushesLandingLate) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RunRandomHistory(profile(), seed, 18, [seed](Network& net, RadicalDeployment& radical) {
+      SimDuration extra = Millis(150);
+      for (const Region region : DeploymentRegions()) {
+        net.fabric().InjectDelaySpike(radical.push_endpoint().id(),
+                                      radical.runtime(region).endpoint().id(),
+                                      extra * static_cast<SimDuration>(seed), Seconds(60));
+        extra += Millis(100);
+      }
+    });
+  }
+}
 
 PROFILE_TEST(RadicalLinearizabilityEdgeTest, WritesVisibleInRealTimeOrderAcrossRegions) {
   Simulator sim(4242);

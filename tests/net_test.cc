@@ -213,6 +213,20 @@ TEST(FabricTest, PerKindCountersTrackOfferedTraffic) {
   EXPECT_EQ(fabric.wan_bytes_sent(), 500u);  // The intra-region 50 is not WAN.
 }
 
+TEST(FabricTest, CachePushHasItsOwnKindCounters) {
+  EXPECT_STREQ(net::MessageKindName(MessageKind::kCachePush), "cache_push");
+  EXPECT_EQ(net::kNumMessageKinds, 16);
+  Simulator sim(1);
+  Fabric fabric(&sim, UniformModel(Millis(1)));
+  const Endpoint va = fabric.AddEndpoint("va", Region::kVA);
+  const Endpoint de = fabric.AddEndpoint("de", Region::kDE);
+  va.Send(de, MessageKind::kCachePush, 40, [] {});
+  sim.Run();
+  EXPECT_EQ(fabric.messages_of(MessageKind::kCachePush), 1u);
+  EXPECT_EQ(fabric.metrics().Get("kind.cache_push.sent"), 1u);
+  EXPECT_EQ(fabric.metrics().Get("kind.cache_push.bytes"), 40u);
+}
+
 TEST(FabricTest, LinkDropProbabilityOverridesGlobal) {
   Simulator sim(9);
   Fabric fabric(&sim, UniformModel(Millis(1)));

@@ -39,6 +39,15 @@ class SessionTest : public ::testing::Test {
 
   obs::MetricsScope Counters(Region region) { return radical_->runtime(region).counters(); }
 
+  // Keeps `region`'s cache behind the primary: drops every cache push toward
+  // its runtime, so only a failed validation can repair it.
+  void DropCachePushesTo(Region region) {
+    net::DropRule rule;
+    rule.kind = net::MessageKind::kCachePush;
+    rule.to = radical_->runtime(region).endpoint().id();
+    net_.fabric().AddDropRule(rule);
+  }
+
   Simulator sim_;
   Network net_;
   RadicalConfig config_;
@@ -83,6 +92,7 @@ TEST_F(SessionTest, PreviewArrivesStrictlyBeforeConfirmedFinal) {
 // of the speculation, not the request.
 TEST_F(SessionTest, StalePreviewResolvesToSingleAbortedFinal) {
   // Another region's client moves the primary past kCA's warm cache copy.
+  DropCachePushesTo(Region::kCA);
   radical_->client(Region::kDE).Submit(Request{"reg_write", {Value("k"), Value("v1")}},
                                        [](Outcome) {});
   sim_.Run();
@@ -109,6 +119,8 @@ TEST_F(SessionTest, StalePreviewResolvesToSingleAbortedFinal) {
 // with the session's own write — the floor forces a validated read instead of
 // previewing the stale copy.
 TEST_F(SessionTest, ReadYourWritesSurvivesFailoverToColderCache) {
+  // The session fails over from kCA to the next region, kIE.
+  DropCachePushesTo(Region::kIE);
   Session session = radical_->OpenSession(Region::kCA);
   std::optional<Value> written;
   session.Submit(Request{"reg_write", {Value("k"), Value("v1")}}, [&](Outcome outcome) {
@@ -145,7 +157,8 @@ TEST_F(SessionTest, ReadYourWritesSurvivesFailoverToColderCache) {
 // answer with the older state.
 TEST_F(SessionTest, MonotonicReadsHoldAcrossFailover) {
   // A sessionless writer at kCA advances the primary AND kCA's cache; the
-  // other regions' caches stay at the seeded version.
+  // failover target kIE's cache stays at the seeded version.
+  DropCachePushesTo(Region::kIE);
   radical_->client(Region::kCA).Submit(Request{"reg_write", {Value("k"), Value("v1")}},
                                        [](Outcome) {});
   sim_.Run();

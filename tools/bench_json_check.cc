@@ -512,9 +512,19 @@ void CheckBenchReport(const JsonValue& root, const std::string& path) {
     }
     const JsonValue* protocol = Require(exp, where, "protocol", JsonValue::Type::kObject);
     if (protocol != nullptr) {
-      for (const char* field : {"validation_success_rate", "reexecutions", "lock_waits",
+      for (const char* field : {"validation_success_rate", "validation_ok_pct",
+                                "backup_execs_per_req", "reexecutions", "lock_waits",
                                 "speculations", "wan_bytes", "lvi_requests"}) {
         Require(*protocol, where + ".protocol", field, JsonValue::Type::kNumber);
+      }
+      const JsonValue* ok_pct = protocol->Find("validation_ok_pct");
+      if (ok_pct != nullptr && ok_pct->is(JsonValue::Type::kNumber) &&
+          (ok_pct->number < 0.0 || ok_pct->number > 100.0)) {
+        Report(where + ".protocol", "validation_ok_pct outside [0, 100]");
+      }
+      const JsonValue* backups = protocol->Find("backup_execs_per_req");
+      if (backups != nullptr && backups->is(JsonValue::Type::kNumber) && backups->number < 0.0) {
+        Report(where + ".protocol", "backup_execs_per_req is negative");
       }
     }
     const JsonValue* simulator = Require(exp, where, "simulator", JsonValue::Type::kObject);
