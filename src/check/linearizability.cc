@@ -23,39 +23,57 @@ const Value& RegisterValue(const SearchState& s, int last_write) {
   return (*s.ops)[static_cast<size_t>(last_write)].value;
 }
 
+// Earliest response among the ops not yet in `done_mask`.
+SimTime MinPendingResponse(const SearchState& s, uint64_t done_mask) {
+  SimTime min_response = INT64_MAX;
+  for (size_t i = 0; i < s.ops->size(); ++i) {
+    if ((done_mask & (1ULL << i)) == 0) {
+      min_response = std::min(min_response, (*s.ops)[i].response);
+    }
+  }
+  return min_response;
+}
+
 bool Search(SearchState& s, uint64_t done_mask, int last_write) {
   const size_t n = s.ops->size();
-  if (done_mask == (n == 64 ? ~0ULL : ((1ULL << n) - 1))) {
+  const uint64_t all = n == 64 ? ~0ULL : ((1ULL << n) - 1);
+  // An op may linearize next only if it is pending and no other pending op
+  // responded before it was invoked (else that one must come first).
+  SimTime min_pending_response = MinPendingResponse(s, done_mask);
+  // Linearize, without branching, every enabled read that returns the
+  // current value. Exchange argument: in any completing order, moving such a
+  // read to the front breaks no real-time edge (every op that had to precede
+  // it is already linearized, and each pending op's response is >= its
+  // invoke) and changes no value (a read leaves the register as it is).
+  for (bool absorbed = true; absorbed && done_mask != all;) {
+    absorbed = false;
+    for (size_t i = 0; i < n; ++i) {
+      const HistoryOp& op = (*s.ops)[i];
+      if ((done_mask & (1ULL << i)) == 0 && !op.is_write && op.invoke <= min_pending_response &&
+          op.value == RegisterValue(s, last_write)) {
+        done_mask |= 1ULL << i;
+        absorbed = true;
+      }
+    }
+    if (absorbed) {
+      min_pending_response = MinPendingResponse(s, done_mask);
+    }
+  }
+  if (done_mask == all) {
     return true;
   }
   if (!s.visited.emplace(done_mask, last_write).second) {
     return false;
   }
-  // An op may linearize next only if it is pending and no other pending op
-  // responded before it was invoked (else that one must come first).
-  SimTime min_pending_response = INT64_MAX;
+  // Only writes branch: every enabled read of the current value went above,
+  // and a read of any other value cannot go next.
   for (size_t i = 0; i < n; ++i) {
-    if ((done_mask & (1ULL << i)) == 0) {
-      min_pending_response = std::min(min_pending_response, (*s.ops)[i].response);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if ((done_mask & (1ULL << i)) != 0) {
-      continue;
-    }
     const HistoryOp& op = (*s.ops)[i];
-    if (op.invoke > min_pending_response) {
-      continue;  // Some pending op strictly precedes it in real time.
+    if ((done_mask & (1ULL << i)) != 0 || !op.is_write || op.invoke > min_pending_response) {
+      continue;  // Linearized, a read, or some pending op precedes it in real time.
     }
-    if (op.is_write) {
-      if (Search(s, done_mask | (1ULL << i), static_cast<int>(i))) {
-        return true;
-      }
-    } else {
-      if (op.value == RegisterValue(s, last_write) &&
-          Search(s, done_mask | (1ULL << i), last_write)) {
-        return true;
-      }
+    if (Search(s, done_mask | (1ULL << i), static_cast<int>(i))) {
+      return true;
     }
   }
   return false;

@@ -7,10 +7,14 @@
 // must return the value of the most recently linearized write, and states
 // are memoized by (linearized-set, last-write) pairs.
 //
-// Complexity is exponential in the worst case; tests keep per-key histories
-// at <= 64 concurrent-cluster sizes, which the memoized search handles
-// easily. Linearizability is compositional (Herlihy & Wing), so checking
-// each key independently checks the whole history.
+// Only writes branch. Before branching, the search linearizes every enabled
+// read that returns the current value: moving such a read to the front of
+// any completing order breaks no real-time edge and changes no value, so it
+// never loses a linearization. The search stays exponential in the number
+// of mutually concurrent writes, but overlapping reads cost nothing extra.
+// A key's history holds at most 64 ops (the linearized set is a 64-bit
+// mask). Linearizability is compositional (Herlihy & Wing), so checking each
+// key independently checks the whole history.
 
 #ifndef RADICAL_SRC_CHECK_LINEARIZABILITY_H_
 #define RADICAL_SRC_CHECK_LINEARIZABILITY_H_

@@ -29,14 +29,31 @@ bool IntentTable::TryComplete(ExecutionId id) {
   return true;
 }
 
-bool IntentTable::IsPending(ExecutionId id) const {
+bool IntentTable::TryResolve(ExecutionId id) {
   const auto it = intents_.find(id);
-  return it != intents_.end() && it->second == IntentStatus::kPending;
+  if (it == intents_.end() || it->second != IntentStatus::kPending) {
+    return false;
+  }
+  it->second = IntentStatus::kResolving;
+  ++completed_;
+  return true;
+}
+
+void IntentTable::Reopen(ExecutionId id) {
+  const auto it = intents_.find(id);
+  if (it != intents_.end() && it->second == IntentStatus::kResolving) {
+    it->second = IntentStatus::kPending;
+  }
+}
+
+bool IntentTable::StatusIs(ExecutionId id, IntentStatus status) const {
+  const auto it = intents_.find(id);
+  return it != intents_.end() && it->second == status;
 }
 
 bool IntentTable::Remove(ExecutionId id) {
   const auto it = intents_.find(id);
-  if (it == intents_.end() || it->second != IntentStatus::kDone) {
+  if (it == intents_.end() || it->second == IntentStatus::kPending) {
     return false;
   }
   intents_.erase(it);

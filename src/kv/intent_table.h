@@ -27,8 +27,9 @@
 namespace radical {
 
 enum class IntentStatus {
-  kPending,  // Intent created; awaiting followup or re-execution.
-  kDone,     // Updates applied (by followup or re-execution).
+  kPending,    // Intent created; awaiting followup or re-execution.
+  kResolving,  // Re-execution won the race; its writes are not applied yet.
+  kDone,       // Updates applied by the followup.
 };
 
 class IntentTable {
@@ -39,17 +40,29 @@ class IntentTable {
   // authoritative rather than re-creating it.
   bool Create(ExecutionId id);
 
-  // Atomically transitions kPending -> kDone. Returns true iff this call won
-  // the race; the caller that loses (late followup, or a timer firing after
-  // the followup landed) must discard its updates.
+  // Atomically transitions kPending -> kDone: the followup, which applies
+  // its writes at once. Returns true iff this call won the race; the caller
+  // that loses (late followup, or a timer firing after the followup landed)
+  // must discard its updates.
   bool TryComplete(ExecutionId id);
 
-  // True if the intent exists and is still pending.
-  bool IsPending(ExecutionId id) const;
+  // Atomically transitions kPending -> kResolving: deterministic
+  // re-execution claims the intent, and applies its writes only when its
+  // compute ends. Returns true iff this call won the race.
+  bool TryResolve(ExecutionId id);
+
+  // kResolving -> kPending: a crash cut the re-execution off before its
+  // writes landed, so recovery re-arms the intent. No-op in any other state.
+  void Reopen(ExecutionId id);
+
+  // True if the intent exists and is still pending / being re-executed.
+  bool IsPending(ExecutionId id) const { return StatusIs(id, IntentStatus::kPending); }
+  bool IsResolving(ExecutionId id) const { return StatusIs(id, IntentStatus::kResolving); }
   bool Exists(ExecutionId id) const { return intents_.count(id) > 0; }
 
-  // Removes a completed intent from storage (the paper removes intents once
-  // handled). Returns false if absent or still pending.
+  // Removes a handled intent from storage (the paper removes intents once
+  // handled): a completed one, or a resolving one at the instant its
+  // re-execution's writes land. Returns false if absent or still pending.
   bool Remove(ExecutionId id);
 
   // Visits every intent (recovery scans the table for completed-but-not-yet
@@ -63,6 +76,8 @@ class IntentTable {
   uint64_t duplicate_creates() const { return duplicate_creates_; }
 
  private:
+  bool StatusIs(ExecutionId id, IntentStatus status) const;
+
   std::unordered_map<ExecutionId, IntentStatus> intents_;
   uint64_t created_ = 0;
   uint64_t completed_ = 0;

@@ -91,6 +91,31 @@ PROFILE_TEST(CachePushTest, WriteReachesOtherCacheOneOneWayDelayLater) {
   EXPECT_EQ(radical_->server().validations_failed(), failed);
 }
 
+PROFILE_TEST(CachePushTest, BackupWritersPushLeavesWhenItsComputeEnds) {
+  // The primary moves on without telling the caches, so CA's write
+  // speculates on a stale version, fails validation, and runs as a backup.
+  radical_->primary().Put("k", Value("v-moved"), nullptr);
+  std::optional<SimTime> pushed_at;
+  net_.fabric().SetFilter([&](const net::SendContext& ctx) {
+    if (ctx.kind == net::MessageKind::kCachePush && !pushed_at) {
+      pushed_at = sim_.Now();
+    }
+    return true;
+  });
+  std::optional<Value> result;
+  radical_->Invoke(Region::kCA, "reg_write", {Value("k"), Value("v1")},
+                   [&](Value v) { result = std::move(v); });
+  while (radical_->server().validations_failed() == 0 && sim_.Step()) {
+  }
+  // The backup's read point is one invoke overhead away; its 20 ms compute
+  // follows. The write, and its push, wait for the compute to end.
+  const SimTime read_point = sim_.Now() + radical_->config().server.backup_invoke_overhead;
+  sim_.Run();
+  EXPECT_EQ(result, Value("v1"));
+  ASSERT_TRUE(pushed_at.has_value());
+  EXPECT_GE(*pushed_at, read_point + Millis(20));
+}
+
 PROFILE_TEST(CachePushTest, PushNeverInsertsAnAbsentKey) {
   radical_->RegisterFunction(Fn("vote", {"k"}, {
       Write(In("k"), C(Value(int64_t{1}))),

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+
 #include "src/check/linearizability.h"
 #include "src/func/builder.h"
 #include "src/radical/deployment.h"
@@ -47,6 +50,25 @@ class FailureTest : public ProfiledTest {
     rule.kind = net::MessageKind::kWriteFollowup;
     rule.from = radical_->runtime(region).endpoint().id();
     return net_.fabric().AddDropRule(rule);
+  }
+
+  // Keys locked by anyone, across every shard's lock table.
+  size_t HeldLocks() {
+    LocalLockService* locks = radical_->local_locks();
+    size_t held = 0;
+    for (int shard = 0; shard < locks->shards(); ++shard) {
+      held += locks->table(shard).active_lock_count();
+    }
+    return held;
+  }
+
+  // Steps until `started` holds — an execution at the primary has begun its
+  // invoke overhead — then runs into the middle of its 25 ms compute: past
+  // the read point, short of the write.
+  void RunIntoCompute(const std::function<bool()>& started) {
+    while (!started() && sim_.Step()) {
+    }
+    sim_.RunFor(radical_->config().server.backup_invoke_overhead + Millis(10));
   }
 
   Simulator sim_;
@@ -319,6 +341,77 @@ PROFILE_TEST(FailureTest, RecoverReArmsAllPendingIntentTimers) {
   EXPECT_EQ(radical_->server().reexecutions(), 2u);
   EXPECT_EQ(radical_->primary().Peek("a")->value, Value("a1"));
   EXPECT_EQ(radical_->primary().Peek("b")->value, Value("b1"));
+  EXPECT_TRUE(radical_->server().idle());
+}
+
+// A crash between an execution's read point and its write (RunAtPrimary):
+// the writes were still buffered, so none reached the primary, and the locks
+// survive on disk. After recovery the execution runs again — through the
+// client's retry, or the re-armed intent — and its write lands exactly once.
+
+PROFILE_TEST(FailureTest, BackupCutOffBeforeItsWriteRunsOnceOnRetry) {
+  // The primary moves on without telling the caches, so CA's write
+  // speculates on a stale version, fails validation, and runs as a backup.
+  radical_->primary().Put("k", Value("v-moved"), nullptr);  // Version 2.
+  Value result;
+  radical_->Invoke(Region::kCA, "reg_write", {Value("k"), Value("v1")},
+                   [&](Value v) { result = std::move(v); });
+  RunIntoCompute([&] { return radical_->server().validations_failed() > 0; });
+  radical_->server().Crash();
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 2);  // Nothing applied.
+  EXPECT_GT(HeldLocks(), 0u);                        // The write lock survives.
+  sim_.RunFor(Millis(500));
+  radical_->server().Recover();
+  sim_.Run();  // The client's retry fails validation again; the backup reruns.
+  EXPECT_EQ(result, Value("v1"));
+  EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 3);  // Applied exactly once.
+  EXPECT_EQ(HeldLocks(), 0u);
+  EXPECT_TRUE(radical_->server().idle());
+}
+
+PROFILE_TEST(FailureTest, ReExecutionCutOffBeforeItsWriteRunsOnceAfterRecovery) {
+  DropFollowupsFrom(Region::kCA);
+  bool replied = false;
+  radical_->Invoke(Region::kCA, "reg_write", {Value("k"), Value("v1")},
+                   [&](Value) { replied = true; });
+  RunIntoCompute([&] { return radical_->server().reexecutions() > 0; });
+  radical_->server().Crash();
+  EXPECT_TRUE(replied);  // Answered from speculation before the crash.
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 1);  // Nothing applied.
+  EXPECT_GT(HeldLocks(), 0u);
+  sim_.RunFor(Seconds(1));
+  // The cut-off re-execution's intent goes back to pending; a fresh timer
+  // re-executes it.
+  radical_->server().Recover();
+  sim_.Run();
+  EXPECT_EQ(radical_->server().reexecutions(), 2u);
+  EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 2);  // Applied exactly once.
+  EXPECT_EQ(HeldLocks(), 0u);
+  EXPECT_TRUE(radical_->server().idle());
+}
+
+PROFILE_TEST(FailureTest, DirectExecutionCutOffBeforeItsWriteRunsOnceOnRetry) {
+  RequestOptions options;
+  options.consistency = ConsistencyMode::kDirect;
+  std::optional<Outcome> outcome;
+  radical_->client(Region::kCA).Submit(Request{"reg_write", {Value("k"), Value("v1")}}, options,
+                                       [&](Outcome o) { outcome = std::move(o); });
+  RunIntoCompute([&] { return radical_->server().counters().Get("direct_requests") > 0; });
+  radical_->server().Crash();
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 1);  // Nothing applied.
+  EXPECT_GT(HeldLocks(), 0u);
+  sim_.RunFor(Millis(500));
+  radical_->server().Recover();
+  sim_.Run();  // The client's retry is granted the locks it holds and reruns.
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->ok());
+  EXPECT_EQ(outcome->result, Value("v1"));
+  EXPECT_EQ(radical_->server().counters().Get("direct_requests"), 2u);
+  EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 2);  // Applied exactly once.
+  EXPECT_EQ(HeldLocks(), 0u);
   EXPECT_TRUE(radical_->server().idle());
 }
 

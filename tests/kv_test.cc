@@ -235,6 +235,34 @@ TEST(IntentTableTest, RemoveRequiresDone) {
   EXPECT_FALSE(intents.Remove(99));  // Never existed.
 }
 
+TEST(IntentTableTest, ResolvingIsNeitherPendingNorDoneUntilRemoved) {
+  IntentTable intents;
+  intents.Create(1);
+  EXPECT_TRUE(intents.TryResolve(1));    // Re-execution claims it...
+  EXPECT_FALSE(intents.TryComplete(1));  // ...so the followup is late...
+  EXPECT_FALSE(intents.TryResolve(1));   // ...and so is a second resolver.
+  EXPECT_TRUE(intents.IsResolving(1));
+  EXPECT_FALSE(intents.IsPending(1));
+  bool seen_done = false;
+  intents.ForEach([&](ExecutionId, IntentStatus status) {
+    seen_done = seen_done || status == IntentStatus::kDone;
+  });
+  EXPECT_FALSE(seen_done);  // Recovery does not mistake it for applied.
+  EXPECT_TRUE(intents.Remove(1));  // Its writes landed.
+  EXPECT_FALSE(intents.Exists(1));
+}
+
+TEST(IntentTableTest, ReopenReturnsACutOffResolutionToPending) {
+  IntentTable intents;
+  intents.Create(1);
+  intents.Reopen(1);  // No-op on a pending intent.
+  EXPECT_TRUE(intents.IsPending(1));
+  ASSERT_TRUE(intents.TryResolve(1));
+  intents.Reopen(1);  // A crash cut the re-execution off before its writes.
+  EXPECT_TRUE(intents.IsPending(1));
+  EXPECT_TRUE(intents.TryResolve(1));
+}
+
 TEST(IntentTableTest, CompleteUnknownFails) {
   IntentTable intents;
   EXPECT_FALSE(intents.TryComplete(42));

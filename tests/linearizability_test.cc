@@ -168,6 +168,34 @@ TEST(CheckerDifferentialTest, AgreesWithBruteForceOnRandomHistories) {
   }
 }
 
+// Histories of up to eight ops, read-heavy so that the read-absorption step
+// of the search runs on most of them. Values come from a pool of three (one
+// of them the initial value), so both verdicts occur often.
+TEST(CheckerDifferentialTest, AgreesWithBruteForceOnHistoriesOfUpToEightOps) {
+  Rng rng(2718);
+  int linearizable = 0;
+  int violations = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 1 + rng.NextBelow(8);
+    std::vector<HistoryOp> ops;
+    for (size_t i = 0; i < n; ++i) {
+      HistoryOp op;
+      op.is_write = rng.NextBool(0.35);
+      op.key = "k";
+      op.value = Value("v" + std::to_string(rng.NextBelow(3)));
+      op.invoke = static_cast<SimTime>(rng.NextBelow(24));
+      op.response = op.invoke + static_cast<SimTime>(rng.NextBelow(20));
+      ops.push_back(op);
+    }
+    const bool brute = BruteForceLinearizable(ops, Value("v0"));
+    const bool wgl = CheckRegisterHistory(ops, Value("v0")).linearizable;
+    ASSERT_EQ(wgl, brute) << "trial " << trial << ": checker disagrees with brute force";
+    ++(brute ? linearizable : violations);
+  }
+  EXPECT_GE(linearizable, 60) << violations << " violations";
+  EXPECT_GE(violations, 60) << linearizable << " linearizable";
+}
+
 // --- End-to-end property: Radical histories linearize ------------------------------
 
 NetworkOptions NoJitter() {
