@@ -68,6 +68,54 @@ PROFILE_TEST(RuntimeEdgeTest, ReadLocksReleaseEarlySoWritersAreNotBlockedByLongR
   EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
 }
 
+PROFILE_TEST(RuntimeEdgeTest, BackupWritingBeyondItsLocksLosesNoConcurrentUpdate) {
+  // post(user, text) appends to each follower's timeline. The follower list
+  // feeds the timeline keys, so a PoP predicts them from its cache.
+  radical_->RegisterFunction(Fn("post", {"user", "text"}, {
+      Read("followers", Cat({C("followers:"), In("user")})),
+      ForEach("f", V("followers"), {
+          Read("tl", Cat({C("timeline:"), V("f")})),
+          Write(Cat({C("timeline:"), V("f")}), Append(V("tl"), In("text"))),
+      }),
+      Compute(Millis(80)),
+      Return(In("text")),
+  }));
+  radical_->RegisterFunction(Fn("append", {"k", "text"}, {
+      Read("tl", In("k")),
+      Write(In("k"), Append(V("tl"), In("text"))),
+      Compute(Millis(5)),
+      Return(In("text")),
+  }));
+  radical_->Seed("followers:a", Value(ValueList{Value("b")}));
+  radical_->Seed("timeline:b", Value(ValueList{}));
+  radical_->Seed("timeline:c", Value(ValueList{}));
+  radical_->WarmCaches();
+  // c follows a after the caches were warmed, and no push tells them.
+  radical_->primary().Put("followers:a", Value(ValueList{Value("b"), Value("c")}), nullptr);
+  // CA locks {followers:a, timeline:b}; validation fails on followers:a, and
+  // the backup's fresh run also reads and writes timeline:c, unlocked.
+  Value posted;
+  radical_->Invoke(Region::kCA, "post", {Value("a"), Value("hello")},
+                   [&](Value v) { posted = std::move(v); });
+  while (radical_->server().validations_failed() == 0 && sim_.Step()) {
+  }
+  // Past the backup's read point, inside its compute: another writer next
+  // to the primary appends to timeline:c.
+  sim_.RunFor(radical_->config().server.backup_invoke_overhead + Millis(1));
+  Value appended;
+  radical_->Invoke(Region::kVA, "append", {Value("timeline:c"), Value("bye")},
+                   [&](Value v) { appended = std::move(v); });
+  sim_.Run();
+  EXPECT_EQ(posted, Value("hello"));
+  EXPECT_EQ(appended, Value("bye"));
+  EXPECT_EQ(radical_->server().counters().Get("writes_beyond_locks"), 1u);
+  // Both updates land, the post first: it committed at its read point.
+  EXPECT_EQ(radical_->primary().Peek("timeline:b")->value, Value(ValueList{Value("hello")}));
+  EXPECT_EQ(radical_->primary().Peek("timeline:c")->value,
+            Value(ValueList{Value("hello"), Value("bye")}));
+  EXPECT_TRUE(radical_->server().idle());
+}
+
 PROFILE_TEST(RuntimeEdgeTest, SameRegionBackToBackWritesChainThroughCacheVersions) {
   // Two sequential writes from the same region: the second validates against
   // the version the first installed locally — no failure, both land.
