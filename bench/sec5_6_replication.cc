@@ -130,7 +130,6 @@ ThroughputPoint MeasureShardThroughput(int groups) {
 
   Simulator sim(900 + static_cast<uint64_t>(groups));
   RaftOptions raft;
-  raft.pre_vote = true;
   raft.proposal_capacity_rps = 1200;
   ReplicatedLockService service(&sim, 3, raft, LocalMeshOptions{}, /*batched=*/false, groups);
   ThroughputPoint point;

@@ -91,7 +91,6 @@ ReplicatedLockService::ReplicatedLockService(Simulator* sim, int node_count,
                                              int shards)
     : sim_(sim),
       batched_(batched),
-      lease_reads_enabled_(raft_options.leader_lease),
       raft_options_(raft_options),
       router_(std::max(1, shards)),
       groups_(static_cast<size_t>(router_.shards())) {
@@ -165,12 +164,6 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     sim_->Schedule(0, std::move(granted));
     return;
   }
-  if (lease_held_.count(exec) > 0) {
-    // A retry of an acquisition already served off a leader lease: the
-    // lease registration still stands.
-    sim_->Schedule(0, std::move(granted));
-    return;
-  }
   const auto pit = pending_.find(exec);
   if (pit != pending_.end()) {
     // Retried acquisition while the original is still working through Raft:
@@ -212,9 +205,6 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     sim_->Schedule(0, std::move(acq.granted));
     return;
   }
-  if (acq.granted_keys.empty() && TryLeaseRead(exec, acq)) {
-    return;
-  }
   while (!batched_ && acq.next < acq.keys.size() &&
          acq.granted_keys.count(acq.keys[acq.next]) > 0) {
     ++acq.next;
@@ -225,100 +215,6 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     return;
   }
   SubmitNext(exec);
-}
-
-bool ReplicatedLockService::TryLeaseRead(ExecutionId exec, PendingAcquire& acq) {
-  if (!lease_reads_enabled_) {
-    return false;
-  }
-  for (LockMode mode : acq.modes) {
-    if (mode != LockMode::kRead) {
-      return false;
-    }
-  }
-  // Every key's group leader must hold a valid lease, and the key must be
-  // write-free with an empty wait queue in that leader's applied state.
-  for (size_t i = 0; i < acq.keys.size(); ++i) {
-    const LockGroup& group = groups_[static_cast<size_t>(acq.shard_of[i])];
-    RaftNode* leader = group.cluster->leader();
-    if (leader == nullptr || !leader->HasLeaderLease()) {
-      ++lease_read_fallbacks_;
-      return false;
-    }
-    const LockStateMachine* machine =
-        group.machines[static_cast<size_t>(leader->id())].get();
-    if (machine->IsWriteLocked(acq.keys[i]) || machine->WaitingCount(acq.keys[i]) > 0) {
-      ++lease_read_fallbacks_;
-      return false;
-    }
-  }
-  // No in-flight (submitted or parked) write on any of the keys either: the
-  // service is the groups' sole client, so checking its own pending set
-  // closes the window between a write's submission and its commit.
-  for (const auto& [other, other_acq] : pending_) {
-    (void)other;
-    for (size_t i = 0; i < other_acq.keys.size(); ++i) {
-      if (other_acq.modes[i] != LockMode::kWrite ||
-          other_acq.granted_keys.count(other_acq.keys[i]) > 0) {
-        continue;
-      }
-      if (std::find(acq.keys.begin(), acq.keys.end(), other_acq.keys[i]) != acq.keys.end()) {
-        ++lease_read_fallbacks_;
-        return false;
-      }
-    }
-  }
-  for (const Key& key : acq.keys) {
-    lease_readers_[key].insert(exec);
-  }
-  lease_held_.emplace(exec, acq.keys);
-  ++lease_reads_;
-  sim_->Schedule(0, std::move(acq.granted));
-  return true;
-}
-
-bool ReplicatedLockService::ReleaseLeaseReads(ExecutionId exec) {
-  const auto it = lease_held_.find(exec);
-  const bool had_lease = it != lease_held_.end();
-  if (had_lease) {
-    for (const Key& key : it->second) {
-      const auto rit = lease_readers_.find(key);
-      if (rit == lease_readers_.end()) {
-        continue;
-      }
-      rit->second.erase(exec);
-      if (!rit->second.empty()) {
-        continue;
-      }
-      lease_readers_.erase(rit);
-      // The key's last lease reader is gone: wake writers parked behind it.
-      const auto bit = lease_blocked_.find(key);
-      if (bit == lease_blocked_.end()) {
-        continue;
-      }
-      std::set<ExecutionId> waiters = std::move(bit->second);
-      lease_blocked_.erase(bit);
-      for (ExecutionId waiter : waiters) {
-        sim_->Schedule(0, [this, waiter] {
-          if (pending_.count(waiter) == 0) {
-            return;
-          }
-          if (batched_) {
-            SubmitNextBatch(waiter);
-          } else {
-            SubmitNext(waiter);
-          }
-        });
-      }
-    }
-    lease_held_.erase(it);
-  }
-  // Drop any parked-writer registrations `exec` itself holds.
-  for (auto bit = lease_blocked_.begin(); bit != lease_blocked_.end();) {
-    bit->second.erase(exec);
-    bit = bit->second.empty() ? lease_blocked_.erase(bit) : std::next(bit);
-  }
-  return had_lease;
 }
 
 void ReplicatedLockService::SubmitNext(ExecutionId exec) {
@@ -333,17 +229,8 @@ void ReplicatedLockService::SubmitNext(ExecutionId exec) {
   if (acq.next >= acq.keys.size()) {
     return;  // Completion is handled on the grant path.
   }
-  const Key& key = acq.keys[acq.next];
-  if (acq.modes[acq.next] == LockMode::kWrite) {
-    const auto rit = lease_readers_.find(key);
-    if (rit != lease_readers_.end() && !rit->second.empty()) {
-      // Lease readers hold the key outside the replicated table; park until
-      // the last one releases (ReleaseLeaseReads resumes us).
-      lease_blocked_[key].insert(exec);
-      return;
-    }
-  }
-  const std::string command = LockStateMachine::EncodeAcquire(exec, acq.modes[acq.next], key);
+  const std::string command =
+      LockStateMachine::EncodeAcquire(exec, acq.modes[acq.next], acq.keys[acq.next]);
   // Locks are acquired in series (§5.6): the next key is only submitted once
   // this one is granted — see OnGrant.
   cluster(acq.shard_of[acq.next])
@@ -395,13 +282,6 @@ void ReplicatedLockService::SubmitNextBatch(ExecutionId exec) {
   std::vector<Key> run_keys;
   std::vector<LockMode> run_modes;
   for (size_t i = acq.batch_from; i < end; ++i) {
-    if (acq.modes[i] == LockMode::kWrite) {
-      const auto rit = lease_readers_.find(acq.keys[i]);
-      if (rit != lease_readers_.end() && !rit->second.empty()) {
-        lease_blocked_[acq.keys[i]].insert(exec);
-        return;
-      }
-    }
     run_keys.push_back(acq.keys[i]);
     run_modes.push_back(acq.modes[i]);
   }
@@ -523,11 +403,7 @@ void ReplicatedLockService::ReleaseAll(ExecutionId exec) {
     }
     pending_.erase(pit);
   }
-  const bool had_lease = ReleaseLeaseReads(exec);
   if (shards.empty()) {
-    if (had_lease) {
-      return;  // A pure lease read never touched any log: zero-commit release.
-    }
     shards.insert(0);  // Stray release: route to group 0 (harmless no-op).
   }
   released_execs_.insert(exec);

@@ -27,7 +27,6 @@
 #define RADICAL_SRC_LVI_LOCK_SERVICE_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -95,10 +94,7 @@ class ReplicatedLockService : public LockService {
   // contiguous same-shard key run instead of one per lock (the paper
   // acquires in series and notes batching as future work). `shards` > 1
   // partitions the key space across that many independent Raft groups
-  // (each `node_count` wide) keyed by ShardRouter. When
-  // raft_options.leader_lease is set, all-read acquisitions additionally
-  // take a local lease-read fast path on group leaders holding a valid
-  // lease (see docs/raft.md), skipping the commit path entirely.
+  // (each `node_count` wide) keyed by ShardRouter.
   ReplicatedLockService(Simulator* sim, int node_count, RaftOptions raft_options = {},
                         LocalMeshOptions mesh_options = {}, bool batched = false,
                         int shards = 1);
@@ -119,17 +115,13 @@ class ReplicatedLockService : public LockService {
   // The group leader's view of the lock state (tests).
   const LockStateMachine* LeaderState(int shard = 0) const;
 
-  // Liveness and fast-path counters.
+  // Liveness counters.
   // Acquire proposals that timed out (e.g. a leaderless spell outlasting the
   // submit deadline) and were resubmitted instead of stalling forever.
   uint64_t acquire_resubmits() const { return acquire_resubmits_; }
   // Release proposals that timed out and were retried until committed
   // (dropping one would leak the lock in the replicated table).
   uint64_t release_retries() const { return release_retries_; }
-  // All-read acquisitions served locally off a leader lease (zero commits).
-  uint64_t lease_reads() const { return lease_reads_; }
-  // All-read acquisitions that had to fall back to the commit path.
-  uint64_t lease_read_fallbacks() const { return lease_read_fallbacks_; }
 
  private:
   struct LockGroup {
@@ -161,17 +153,9 @@ class ReplicatedLockService : public LockService {
   void OnGrant(ExecutionId exec, const Key& key);
   // Submits (and retries until committed) `exec`'s release in `shard`.
   void SubmitRelease(ExecutionId exec, int shard);
-  // Lease-read fast path: grants an all-read acquisition locally when every
-  // key's group leader holds a valid lease and no writer is committed,
-  // queued, or pending on any of the keys. Consumes acq.granted on success.
-  bool TryLeaseRead(ExecutionId exec, PendingAcquire& acq);
-  // Drops `exec`'s lease-read registrations, waking parked writers; returns
-  // whether it held any.
-  bool ReleaseLeaseReads(ExecutionId exec);
 
   Simulator* sim_;
   bool batched_;
-  bool lease_reads_enabled_ = false;
   RaftOptions raft_options_;
   ShardRouter router_;
   std::vector<LockGroup> groups_;
@@ -184,15 +168,8 @@ class ReplicatedLockService : public LockService {
   std::set<ExecutionId> released_execs_;
   // Shards with a release submitted but not yet committed, per exec.
   std::unordered_map<ExecutionId, std::set<int>> releasing_;
-  // Lease-read bookkeeping: per-key lease readers, each exec's lease-read
-  // key set, and writers parked behind a key's lease readers.
-  std::map<Key, std::set<ExecutionId>> lease_readers_;
-  std::unordered_map<ExecutionId, std::vector<Key>> lease_held_;
-  std::map<Key, std::set<ExecutionId>> lease_blocked_;
   uint64_t acquire_resubmits_ = 0;
   uint64_t release_retries_ = 0;
-  uint64_t lease_reads_ = 0;
-  uint64_t lease_read_fallbacks_ = 0;
 };
 
 }  // namespace radical

@@ -32,14 +32,9 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
   if (replicated_locks > 0) {
     // Multi-Raft: one Raft lock group per key-range shard, so the server's
     // hot path and the lock groups share one ShardRouter partition.
-    const int groups = config_.server.shards;
-    RaftOptions raft_options;
-    // Multi-group deployments harden elections with pre-vote (a restarting
-    // or partitioned node cannot depose a healthy group leader); the
-    // single-group default keeps the exact historical option set.
-    raft_options.pre_vote = groups > 1;
     replicated_locks_ = std::make_unique<ReplicatedLockService>(
-        sim, replicated_locks, raft_options, LocalMeshOptions{}, /*batched=*/false, groups);
+        sim, replicated_locks, RaftOptions{}, LocalMeshOptions{}, /*batched=*/false,
+        config_.server.shards);
     const bool elected = replicated_locks_->Bootstrap();
     assert(elected && "replicated lock service failed to elect a leader");
     (void)elected;

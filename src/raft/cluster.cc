@@ -111,14 +111,6 @@ void RaftCluster::TrySubmit(std::string command, RaftNode::ProposeCallback done,
 
 void RaftCluster::CrashNode(NodeId id) { nodes_[static_cast<size_t>(id)]->Crash(); }
 
-bool RaftCluster::TransferLeadership(NodeId target) {
-  RaftNode* lead = leader();
-  if (lead == nullptr || target < 0 || target >= size()) {
-    return false;
-  }
-  return lead->TransferLeadership(target);
-}
-
 void RaftCluster::RestartNode(NodeId id) {
   RaftNode* node = nodes_[static_cast<size_t>(id)].get();
   if (apply_factory_) {

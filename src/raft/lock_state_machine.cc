@@ -206,11 +206,6 @@ bool LockStateMachine::IsWriteHeldBy(const Key& key, ExecutionId exec) const {
   return it != locks_.end() && it->second.writer == exec;
 }
 
-bool LockStateMachine::IsWriteLocked(const Key& key) const {
-  const auto it = locks_.find(key);
-  return it != locks_.end() && it->second.writer != 0;
-}
-
 bool LockStateMachine::IsReadHeldBy(const Key& key, ExecutionId exec) const {
   const auto it = locks_.find(key);
   return it != locks_.end() && it->second.readers.count(exec) > 0;

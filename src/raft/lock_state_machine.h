@@ -56,11 +56,8 @@ class LockStateMachine {
   std::string EncodeSnapshot() const;
   void RestoreSnapshot(const std::string& data);
 
-  // --- Introspection (tests, lease-read gating) ---------------------------
+  // --- Introspection (tests) ---------------------------------------------
   bool IsWriteHeldBy(const Key& key, ExecutionId exec) const;
-  // Any writer at all holds `key` (the lease-read fast path refuses keys
-  // with a committed writer).
-  bool IsWriteLocked(const Key& key) const;
   bool IsReadHeldBy(const Key& key, ExecutionId exec) const;
   size_t WaitingCount(const Key& key) const;
   size_t HeldKeyCount(ExecutionId exec) const;

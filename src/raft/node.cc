@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "src/common/logging.h"
 
@@ -27,11 +26,6 @@ size_t AppendWireSize(const AppendEntriesArgs& args) {
 
 size_t SnapshotWireSize(const InstallSnapshotArgs& args) { return 56 + args.data.size(); }
 
-// "Never heard from a leader": far enough in the virtual past that the
-// leader-stickiness window has always expired (without underflowing when an
-// election timeout is subtracted).
-constexpr SimTime kNeverHeard = std::numeric_limits<SimTime>::min() / 2;
-
 }  // namespace
 
 const char* RaftRoleName(RaftRole role) {
@@ -53,8 +47,7 @@ RaftNode::RaftNode(NodeId id, int cluster_size, LocalMesh* mesh, RaftOptions opt
       mesh_(mesh),
       options_(options),
       apply_(std::move(apply)),
-      rng_(mesh->simulator()->rng().Fork()),
-      last_leader_contact_(kNeverHeard) {}
+      rng_(mesh->simulator()->rng().Fork()) {}
 
 void RaftNode::Start() {
   alive_ = true;
@@ -69,12 +62,7 @@ void RaftNode::Crash() {
   commit_index_ = 0;
   last_applied_ = 0;
   votes_granted_.clear();
-  pre_candidate_ = false;
-  prevotes_granted_.clear();
-  last_leader_contact_ = kNeverHeard;
-  transfer_target_ = -1;
   leader_hint_ = -1;
-  ack_anchor_.clear();
   proposal_busy_until_ = 0;
   next_index_.clear();
   match_index_.clear();
@@ -123,10 +111,7 @@ void RaftNode::ResetElectionTimer() {
 void RaftNode::BecomeFollower(Term term) {
   const bool was_leader = (role_ == RaftRole::kLeader);
   role_ = RaftRole::kFollower;
-  pre_candidate_ = false;
-  prevotes_granted_.clear();
   votes_granted_.clear();
-  transfer_target_ = -1;
   if (term > current_term_) {
     current_term_ = term;
     voted_for_ = -1;
@@ -142,29 +127,6 @@ void RaftNode::BecomeFollower(Term term) {
 }
 
 void RaftNode::BecomeCandidate() {
-  if (options_.pre_vote) {
-    // Pre-vote round: poll a majority at the term we *would* campaign at,
-    // changing no persistent state. Only a successful poll starts the real
-    // election — a node that cannot reach a majority (partitioned away)
-    // keeps its term where it was.
-    pre_candidate_ = true;
-    prevotes_granted_.clear();
-    prevotes_granted_.insert(id_);
-    RLOG(kDebug) << "raft node " << id_ << " starts pre-vote, term " << current_term_ + 1;
-    ResetElectionTimer();
-    BroadcastVoteRequest(RequestVoteArgs{.term = current_term_ + 1,
-                                         .candidate = id_,
-                                         .last_log_index = log_.last_index(),
-                                         .last_log_term = log_.last_term(),
-                                         .pre_vote = true});
-    return;
-  }
-  StartRealElection();
-}
-
-void RaftNode::StartRealElection() {
-  pre_candidate_ = false;
-  prevotes_granted_.clear();
   role_ = RaftRole::kCandidate;
   ++current_term_;
   voted_for_ = id_;
@@ -175,8 +137,7 @@ void RaftNode::StartRealElection() {
   BroadcastVoteRequest(RequestVoteArgs{.term = current_term_,
                                        .candidate = id_,
                                        .last_log_index = log_.last_index(),
-                                       .last_log_term = log_.last_term(),
-                                       .pre_vote = false});
+                                       .last_log_term = log_.last_term()});
 }
 
 void RaftNode::BroadcastVoteRequest(const RequestVoteArgs& args) {
@@ -204,19 +165,9 @@ void RaftNode::BroadcastVoteRequest(const RequestVoteArgs& args) {
 void RaftNode::BecomeLeader() {
   role_ = RaftRole::kLeader;
   leader_hint_ = id_;
-  pre_candidate_ = false;
-  transfer_target_ = -1;
   RLOG(kInfo) << "raft node " << id_ << " becomes leader, term " << current_term_;
   next_index_.assign(static_cast<size_t>(mesh_->node_count()), log_.last_index() + 1);
   match_index_.assign(static_cast<size_t>(mesh_->node_count()), 0);
-  ack_anchor_.assign(static_cast<size_t>(mesh_->node_count()), kNeverHeard);
-  if (options_.leader_lease) {
-    // Commit a current-term entry right away: lease reads are only safe once
-    // the leader's commit index has caught up to its own term (leader
-    // completeness then guarantees its applied state is current). The state
-    // machines ignore unknown commands.
-    log_.Append(LogEntry{current_term_, "noop"});
-  }
   match_index_[static_cast<size_t>(id_)] = log_.last_index();
   if (election_timer_ != kInvalidEventId) {
     mesh_->simulator()->Cancel(election_timer_);
@@ -229,9 +180,6 @@ void RaftNode::SendHeartbeats() {
   if (!alive_ || role_ != RaftRole::kLeader) {
     return;
   }
-  // A leader is its own freshest leader contact: if deposed and asked for a
-  // pre-vote moments later, it should refuse like any sticky follower.
-  last_leader_contact_ = mesh_->simulator()->Now();
   for (NodeId peer = 0; peer < mesh_->node_count(); ++peer) {
     if (peer != id_) {
       ReplicateTo(peer);
@@ -260,9 +208,8 @@ void RaftNode::ReplicateTo(NodeId peer) {
                          .prev_term = log_.TermAt(prev),
                          .entries = log_.EntriesAfter(prev, options_.max_entries_per_append),
                          .leader_commit = commit_index_};
-  const SimTime sent_at = mesh_->simulator()->Now();
   mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftAppend,
-                            AppendWireSize(args), [this, peer, args, sent_at] {
+                            AppendWireSize(args), [this, peer, args] {
     RaftNode* node = peers_(peer);
     if (node == nullptr || !node->alive_) {
       return;
@@ -270,16 +217,16 @@ void RaftNode::ReplicateTo(NodeId peer) {
     // The follower fsyncs new entries to its WAL before acknowledging.
     const SimDuration handle_delay =
         options_.process_delay + (args.entries.empty() ? 0 : options_.fsync_delay);
-    mesh_->simulator()->Schedule(handle_delay, [this, peer, args, sent_at] {
+    mesh_->simulator()->Schedule(handle_delay, [this, peer, args] {
       RaftNode* target = peers_(peer);
       if (target == nullptr || !target->alive_) {
         return;
       }
       const AppendEntriesReply reply = target->HandleAppendEntries(args);
       mesh_->endpoint(peer).Send(mesh_->endpoint(id_), net::MessageKind::kRaftAppendReply,
-                                 kAppendReplyWireSize, [this, reply, sent_at] {
+                                 kAppendReplyWireSize, [this, reply] {
         if (alive_) {
-          HandleAppendReply(reply, sent_at);
+          HandleAppendReply(reply);
         }
       });
     });
@@ -292,25 +239,24 @@ void RaftNode::SendSnapshotTo(NodeId peer) {
                            .last_included_index = log_.snapshot_index(),
                            .last_included_term = log_.snapshot_term(),
                            .data = snapshot_data_};
-  const SimTime sent_at = mesh_->simulator()->Now();
   mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftSnapshot,
-                            SnapshotWireSize(args), [this, peer, args, sent_at] {
+                            SnapshotWireSize(args), [this, peer, args] {
     RaftNode* node = peers_(peer);
     if (node == nullptr || !node->alive_) {
       return;
     }
     // Installing a snapshot is a disk write on the follower.
     mesh_->simulator()->Schedule(options_.process_delay + options_.fsync_delay,
-                                 [this, peer, args, sent_at] {
+                                 [this, peer, args] {
       RaftNode* target = peers_(peer);
       if (target == nullptr || !target->alive_) {
         return;
       }
       const AppendEntriesReply reply = target->HandleInstallSnapshot(args);
       mesh_->endpoint(peer).Send(mesh_->endpoint(id_), net::MessageKind::kRaftAppendReply,
-                                 kAppendReplyWireSize, [this, reply, sent_at] {
+                                 kAppendReplyWireSize, [this, reply] {
         if (alive_) {
-          HandleAppendReply(reply, sent_at);
+          HandleAppendReply(reply);
         }
       });
     });
@@ -329,7 +275,6 @@ AppendEntriesReply RaftNode::HandleInstallSnapshot(const InstallSnapshotArgs& ar
     ResetElectionTimer();
   }
   leader_hint_ = args.leader;
-  last_leader_contact_ = mesh_->simulator()->Now();
   reply.term = current_term_;
   if (args.last_included_index <= log_.snapshot_index()) {
     // Stale snapshot; we already have at least this much.
@@ -365,27 +310,8 @@ void RaftNode::MaybeCompact() {
   log_.CompactTo(last_applied_);
 }
 
-bool RaftNode::HeardFromLeaderRecently() const {
-  if (role_ == RaftRole::kLeader) {
-    return true;
-  }
-  return mesh_->simulator()->Now() - last_leader_contact_ < options_.election_timeout_min;
-}
-
 RequestVoteReply RaftNode::HandleRequestVote(const RequestVoteArgs& args) {
-  RequestVoteReply reply{.term = current_term_, .granted = false, .from = id_,
-                         .pre_vote = args.pre_vote};
-  const bool log_ok = args.last_log_term > log_.last_term() ||
-                      (args.last_log_term == log_.last_term() &&
-                       args.last_log_index >= log_.last_index());
-  if (args.pre_vote) {
-    // A pre-vote changes nothing on the voter — no term bump, no votedFor,
-    // no timer reset. Grant only if the poll would beat our term, the
-    // candidate's log qualifies, and we have not heard from a live leader
-    // within the minimum election timeout (leader stickiness).
-    reply.granted = args.term > current_term_ && log_ok && !HeardFromLeaderRecently();
-    return reply;
-  }
+  RequestVoteReply reply{.term = current_term_, .granted = false, .from = id_};
   if (args.term < current_term_) {
     return reply;
   }
@@ -393,6 +319,9 @@ RequestVoteReply RaftNode::HandleRequestVote(const RequestVoteArgs& args) {
     BecomeFollower(args.term);
   }
   reply.term = current_term_;
+  const bool log_ok = args.last_log_term > log_.last_term() ||
+                      (args.last_log_term == log_.last_term() &&
+                       args.last_log_index >= log_.last_index());
   if ((voted_for_ == -1 || voted_for_ == args.candidate) && log_ok) {
     voted_for_ = args.candidate;
     reply.granted = true;
@@ -403,19 +332,7 @@ RequestVoteReply RaftNode::HandleRequestVote(const RequestVoteArgs& args) {
 
 void RaftNode::HandleVoteReply(const RequestVoteReply& reply) {
   if (reply.term > current_term_) {
-    // The peer is ahead (true for both real votes and pre-vote rejections
-    // from a higher term): adopt its term.
     BecomeFollower(reply.term);
-    return;
-  }
-  if (reply.pre_vote) {
-    if (!pre_candidate_ || !reply.granted) {
-      return;
-    }
-    prevotes_granted_.insert(reply.from);
-    if (static_cast<int>(prevotes_granted_.size()) >= majority()) {
-      StartRealElection();
-    }
     return;
   }
   if (role_ != RaftRole::kCandidate || reply.term < current_term_ || !reply.granted) {
@@ -442,7 +359,6 @@ AppendEntriesReply RaftNode::HandleAppendEntries(const AppendEntriesArgs& args) 
     ResetElectionTimer();
   }
   leader_hint_ = args.leader;
-  last_leader_contact_ = mesh_->simulator()->Now();
   reply.term = current_term_;
   if (!log_.TryAppend(args.prev_index, args.prev_term, args.entries)) {
     // Fill the fast-backoff hint: where our log actually diverges, so the
@@ -473,7 +389,7 @@ AppendEntriesReply RaftNode::HandleAppendEntries(const AppendEntriesArgs& args) 
   return reply;
 }
 
-void RaftNode::HandleAppendReply(const AppendEntriesReply& reply, SimTime sent_at) {
+void RaftNode::HandleAppendReply(const AppendEntriesReply& reply) {
   if (reply.term > current_term_) {
     BecomeFollower(reply.term);
     return;
@@ -482,21 +398,10 @@ void RaftNode::HandleAppendReply(const AppendEntriesReply& reply, SimTime sent_a
     return;
   }
   const auto peer = static_cast<size_t>(reply.from);
-  // Any current-term reply — success or not — proves the follower processed
-  // an RPC of ours sent at `sent_at`; that send time anchors the lease.
-  if (sent_at >= 0 && peer < ack_anchor_.size()) {
-    ack_anchor_[peer] = std::max(ack_anchor_[peer], sent_at);
-  }
   if (reply.success) {
     match_index_[peer] = std::max(match_index_[peer], reply.match_index);
     next_index_[peer] = match_index_[peer] + 1;
     AdvanceCommit();
-    // Leadership transfer: the successor just caught up — tell it to go.
-    if (TransferInProgress() && transfer_target_ == reply.from &&
-        match_index_[peer] == log_.last_index()) {
-      SendTimeoutNow(reply.from);
-      return;
-    }
     // More to ship? Keep the pipe full without waiting for the next beat.
     if (next_index_[peer] <= log_.last_index()) {
       ReplicateTo(reply.from);
@@ -556,8 +461,8 @@ void RaftNode::ApplyCommitted() {
 }
 
 void RaftNode::Propose(std::string command, ProposeCallback done) {
-  if (!alive_ || role_ != RaftRole::kLeader || TransferInProgress()) {
-    // Not leading (or handing leadership off): clients retry elsewhere.
+  if (!alive_ || role_ != RaftRole::kLeader) {
+    // Not leading: clients retry elsewhere.
     if (done) {
       done(0);
     }
@@ -601,82 +506,6 @@ void RaftNode::ProposeNow(std::string command, ProposeCallback done) {
   }
   // Single-node cluster: commit immediately.
   AdvanceCommit();
-}
-
-bool RaftNode::TransferInProgress() {
-  if (transfer_target_ < 0) {
-    return false;
-  }
-  if (mesh_->simulator()->Now() >= transfer_deadline_) {
-    // The successor never took over; resume normal service.
-    transfer_target_ = -1;
-    return false;
-  }
-  return true;
-}
-
-bool RaftNode::TransferLeadership(NodeId target) {
-  if (!is_leader() || target == id_ || target < 0 || target >= mesh_->node_count()) {
-    return false;
-  }
-  transfer_target_ = target;
-  transfer_deadline_ = mesh_->simulator()->Now() + options_.election_timeout_max;
-  if (match_index_[static_cast<size_t>(target)] == log_.last_index()) {
-    SendTimeoutNow(target);
-  } else {
-    // Catch the successor up first; HandleAppendReply fires TimeoutNow once
-    // its match index reaches our last entry.
-    ReplicateTo(target);
-  }
-  return true;
-}
-
-void RaftNode::SendTimeoutNow(NodeId peer) {
-  const Term term = current_term_;
-  transfer_target_ = -1;
-  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftVote,
-                            kVoteWireSize, [this, peer, term] {
-    RaftNode* node = peers_(peer);
-    if (node != nullptr && node->alive_) {
-      node->HandleTimeoutNow(term);
-    }
-  });
-}
-
-void RaftNode::HandleTimeoutNow(Term term) {
-  if (!alive_ || term < current_term_ || role_ == RaftRole::kLeader) {
-    return;
-  }
-  // The leader blessed this takeover: campaign immediately, skipping the
-  // pre-vote poll (peers would refuse it — they heard from the leader
-  // moments ago).
-  StartRealElection();
-}
-
-bool RaftNode::HasLeaderLease() const {
-  if (!options_.leader_lease || !is_leader()) {
-    return false;
-  }
-  // The applied state is only provably current once an entry of our own term
-  // has committed (leader completeness covers everything before it).
-  if (log_.TermAt(commit_index_) != current_term_) {
-    return false;
-  }
-  // Majority anchor: the send time of the oldest append among the newest
-  // majority of acknowledged appends (counting ourselves as "now"). A rival
-  // needs votes from a majority; every majority intersects ours, and each of
-  // ours reset its election timer after the anchor — so no rival can finish
-  // an election before anchor + election_timeout_min (pre-vote stickiness
-  // keeps even polls from starting sooner).
-  const SimTime now = mesh_->simulator()->Now();
-  std::vector<SimTime> anchors;
-  anchors.reserve(ack_anchor_.size());
-  for (NodeId peer = 0; peer < mesh_->node_count(); ++peer) {
-    anchors.push_back(peer == id_ ? now : ack_anchor_[static_cast<size_t>(peer)]);
-  }
-  std::sort(anchors.begin(), anchors.end(), std::greater<SimTime>());
-  const SimTime majority_anchor = anchors[static_cast<size_t>(majority() - 1)];
-  return now < majority_anchor + options_.election_timeout_min;
 }
 
 void RaftNode::FailPendingProposals() {

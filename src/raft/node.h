@@ -45,24 +45,6 @@ struct RaftOptions {
   // snapshot hooks). Followers that fall behind the compaction point catch
   // up via InstallSnapshot.
   size_t compaction_threshold = 0;
-  // Pre-vote (Raft §9.6 / etcd PreVote): a timed-out node first polls a
-  // majority with a *hypothetical* next-term vote — without bumping its own
-  // term — and only starts a real election if the poll succeeds. A node
-  // partitioned away (or restarting) therefore no longer inflates its term
-  // and deposes a healthy leader on rejoin. Voters also refuse pre-votes
-  // while they have heard from a live leader within election_timeout_min
-  // (leader stickiness).
-  bool pre_vote = false;
-  // Leader lease: the leader tracks, per follower, the send time of the
-  // latest append RPC that follower answered at the current term. While a
-  // majority of those anchors are younger than election_timeout_min (and a
-  // current-term entry has committed), no rival can have started winning an
-  // election, so the leader's applied state machine is safe to read locally
-  // — HasLeaderLease() gates the lock service's read-only fast path. Also
-  // appends a no-op entry on election so the commit index reaches the
-  // leader's term without client traffic. Requires pre_vote (stickiness is
-  // part of the safety argument; see docs/raft.md).
-  bool leader_lease = false;
   // Models the leader's finite proposal-processing rate: each Propose
   // occupies the leader for 1/rate seconds before it is appended, queueing
   // behind earlier proposals (same busy-until model as the LVI server's
@@ -76,16 +58,12 @@ struct RequestVoteArgs {
   NodeId candidate = -1;
   LogIndex last_log_index = 0;
   Term last_log_term = 0;
-  // Pre-vote poll: `term` is the term the candidate *would* campaign at;
-  // granting changes no state on the voter.
-  bool pre_vote = false;
 };
 
 struct RequestVoteReply {
   Term term = 0;
   bool granted = false;
   NodeId from = -1;
-  bool pre_vote = false;
 };
 
 struct AppendEntriesArgs {
@@ -166,19 +144,6 @@ class RaftNode {
     restore_ = std::move(restore);
   }
 
-  // Hands leadership to `target`: catches it up to the leader's last entry,
-  // then tells it to campaign immediately (bypassing pre-vote). New
-  // proposals are refused while the transfer is in flight; it expires after
-  // election_timeout_max if the target never takes over. Returns false if
-  // this node is not the leader or `target` is not a valid peer.
-  bool TransferLeadership(NodeId target);
-
-  // True while the leader-lease read fast path is safe: this node leads, a
-  // current-term entry has committed, and a majority answered an append sent
-  // within the last election_timeout_min. Always false when
-  // options.leader_lease is off.
-  bool HasLeaderLease() const;
-
   NodeId id() const { return id_; }
   RaftRole role() const { return role_; }
   bool is_leader() const { return alive_ && role_ == RaftRole::kLeader; }
@@ -193,17 +158,11 @@ class RaftNode {
   AppendEntriesReply HandleAppendEntries(const AppendEntriesArgs& args);
   AppendEntriesReply HandleInstallSnapshot(const InstallSnapshotArgs& args);
   void HandleVoteReply(const RequestVoteReply& reply);
-  // `sent_at` is the leader-side send time of the append this reply answers
-  // (-1 when unknown); it anchors the leader lease.
-  void HandleAppendReply(const AppendEntriesReply& reply, SimTime sent_at = -1);
-  // Leadership transfer: the old leader tells `this` node to start a real
-  // election right now (its log is already caught up).
-  void HandleTimeoutNow(Term term);
+  void HandleAppendReply(const AppendEntriesReply& reply);
 
  private:
   void BecomeFollower(Term term);
   void BecomeCandidate();
-  void StartRealElection();
   void BroadcastVoteRequest(const RequestVoteArgs& args);
   void BecomeLeader();
   void ResetElectionTimer();
@@ -211,14 +170,11 @@ class RaftNode {
   void SendHeartbeats();
   void ReplicateTo(NodeId peer);
   void SendSnapshotTo(NodeId peer);
-  void SendTimeoutNow(NodeId peer);
   void MaybeCompact();
   void AdvanceCommit();
   void ApplyCommitted();
   void FailPendingProposals();
   void ProposeNow(std::string command, ProposeCallback done);
-  bool TransferInProgress();
-  bool HeardFromLeaderRecently() const;
   int majority() const { return cluster_size_ / 2 + 1; }
 
   const NodeId id_;
@@ -246,19 +202,6 @@ class RaftNode {
   // Granted voters this election, deduplicated per peer: a retried or
   // duplicated reply must not count twice toward the majority.
   std::set<NodeId> votes_granted_;
-  // Pre-vote round state (role stays kFollower while polling).
-  bool pre_candidate_ = false;
-  std::set<NodeId> prevotes_granted_;
-  // When this node last heard from a valid leader (append/snapshot at its
-  // term, or its own heartbeats while leading); pre-votes are refused within
-  // election_timeout_min of it.
-  SimTime last_leader_contact_;
-  // Leadership transfer in flight: the designated successor, or -1.
-  NodeId transfer_target_ = -1;
-  SimTime transfer_deadline_ = 0;
-  // Leader lease: per-peer send time of the newest append RPC the peer
-  // answered at the current term (self slot unused — "now" stands in).
-  std::vector<SimTime> ack_anchor_;
   // Proposal-capacity model: the leader is busy appending until this time.
   SimTime proposal_busy_until_ = 0;
   std::vector<LogIndex> next_index_;

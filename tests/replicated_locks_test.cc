@@ -1,8 +1,8 @@
 // Tests for the replicated (Raft-backed) lock service of §5.6: the original
 // single-group configuration, the multi-Raft sharded-group configuration,
 // the acquire/release liveness machinery (resubmits and retried releases
-// across leaderless spells), the leader-lease read fast path, and a
-// deployment-level sharded fault sweep with a linearizability check.
+// across leaderless spells), and a deployment-level sharded fault sweep with
+// a linearizability check.
 
 #include <gtest/gtest.h>
 
@@ -283,62 +283,40 @@ TEST(ShardedReplicatedLocksTest, ContentionResolvesInShardKeyOrder) {
   EXPECT_EQ(granted, 2);
 }
 
-// --- Leader-lease read fast path --------------------------------------------
-
-TEST(LeaseReadTest, AllReadAcquisitionSkipsCommitAndParksWriters) {
-  Simulator sim(311);
-  RaftOptions options;
-  options.pre_vote = true;
-  options.leader_lease = true;
-  ReplicatedLockService service(&sim, 3, options, LocalMeshOptions{},
-                                /*batched=*/false, /*shards=*/2);
-  ASSERT_TRUE(service.Bootstrap());
-  // Let the election noop commit and lease anchors freshen on every group.
-  sim.RunFor(Millis(300));
-  std::vector<LogIndex> log_before;
-  for (int g = 0; g < service.shards(); ++g) {
-    RaftNode* leader = service.cluster(g).leader();
-    ASSERT_NE(leader, nullptr);
-    EXPECT_TRUE(leader->HasLeaderLease()) << "group " << g;
-    log_before.push_back(leader->log().last_index());
-  }
-  bool read_granted = false;
-  service.AcquireAll(1, {"ra", "rb"}, {LockMode::kRead, LockMode::kRead},
-                     [&] { read_granted = true; });
-  sim.RunFor(Millis(10));
-  EXPECT_TRUE(read_granted);
-  EXPECT_EQ(service.lease_reads(), 1u);
-  EXPECT_EQ(service.lease_read_fallbacks(), 0u);
-  // Zero Raft commits: no group's log grew.
-  for (int g = 0; g < service.shards(); ++g) {
-    EXPECT_EQ(service.cluster(g).leader()->log().last_index(), log_before[g])
-        << "group " << g;
-  }
-  // A writer on a lease-read key parks until the lease readers drain; granting
-  // it early would let it commit underneath an uncommitted local read.
-  bool write_granted = false;
-  service.AcquireAll(2, {"ra"}, {LockMode::kWrite}, [&] { write_granted = true; });
-  sim.RunFor(Millis(200));
-  EXPECT_FALSE(write_granted);
-  service.ReleaseAll(1);
-  sim.RunFor(Millis(200));
-  EXPECT_TRUE(write_granted);
-  EXPECT_TRUE(service.LeaderState(service.router().ShardOf("ra"))->IsWriteHeldBy("ra", 2));
-  service.ReleaseAll(2);
-}
-
-TEST(LeaseReadTest, FallsBackToCommitWithoutLease) {
-  // Same configuration but lease disabled: reads go through the commit path.
+TEST(ShardedReplicatedLocksTest, AllReadAcquisitionCommitsOncePerKey) {
+  // Read locks take the same commit path as writes: one Raft entry per key,
+  // each in its own key's group, and no entry anywhere else.
   Simulator sim(313);
   ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{},
                                 /*batched=*/false, /*shards=*/2);
   ASSERT_TRUE(service.Bootstrap());
   sim.RunFor(Millis(300));
+  const std::vector<Key> keys = {"a", "aa", "b", "jaa", "k", "ra"};
+  std::vector<size_t> keys_in_group(static_cast<size_t>(service.shards()), 0);
+  for (const Key& key : keys) {
+    ++keys_in_group[static_cast<size_t>(service.router().ShardOf(key))];
+  }
+  ASSERT_GT(keys_in_group[0], 0u) << "pick keys spanning both groups";
+  ASSERT_GT(keys_in_group[1], 0u) << "pick keys spanning both groups";
+  std::vector<LogIndex> log_before;
+  for (int g = 0; g < service.shards(); ++g) {
+    ASSERT_NE(service.cluster(g).leader(), nullptr) << "group " << g;
+    log_before.push_back(service.cluster(g).leader()->log().last_index());
+  }
   bool granted = false;
-  service.AcquireAll(1, {"ra"}, {LockMode::kRead}, [&] { granted = true; });
-  sim.RunFor(Millis(100));
+  service.AcquireAll(1, keys, std::vector<LockMode>(keys.size(), LockMode::kRead),
+                     [&] { granted = true; });
+  sim.RunFor(Millis(500));
   EXPECT_TRUE(granted);
-  EXPECT_EQ(service.lease_reads(), 0u);
+  for (int g = 0; g < service.shards(); ++g) {
+    EXPECT_EQ(service.cluster(g).leader()->log().last_index() - log_before[g],
+              keys_in_group[static_cast<size_t>(g)])
+        << "group " << g;
+  }
+  for (const Key& key : keys) {
+    EXPECT_TRUE(service.LeaderState(service.router().ShardOf(key))->IsReadHeldBy(key, 1))
+        << "key " << key;
+  }
 }
 
 // --- Deployment-level fault sweep at one and four lock groups -------------
