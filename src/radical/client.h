@@ -1,16 +1,11 @@
 // radical::Client — the single public entry point for submitting application
-// requests to a Radical deployment.
-//
-// Historically callers reached into Runtime::Invoke directly, and anything
-// per-request (retry budget, tracing, direct execution) required a separate
-// Runtime configured differently. Client collapses all of that into one call:
+// requests to a Radical deployment:
 //
 //   client.Submit({"reg_write", {Value("k"), Value("v")}}, options, done);
 //
 // where RequestOptions carries every per-request knob — retry-policy
 // override, consistency mode (full LVI protocol vs. near-storage direct
-// execution), trace opt-in/out, and a shard channel hint for sharded
-// servers.
+// execution), trace opt-in/out, and a deadline.
 
 #ifndef RADICAL_SRC_RADICAL_CLIENT_H_
 #define RADICAL_SRC_RADICAL_CLIENT_H_
@@ -35,7 +30,7 @@ class Runtime;
 enum class ConsistencyMode {
   // The default: the full LVI protocol — near-user speculation with
   // near-storage lock/validate/intent — falling back to direct execution
-  // only when the LVI retry budget is exhausted. Linearizable. One callback:
+  // only when the LVI attempts run out. Linearizable. One callback:
   // the final outcome.
   kLinearizable,
   // Correctables-style incremental results: same execution as
@@ -73,10 +68,11 @@ enum class RequestStatus {
   // The request executed and `result` is its value.
   kOk = 0,
   // Backpressure: the server refused or shed the request (bounded admission
-  // queue, deadline-aware shedding) and the client's retry budget did not
+  // queue, deadline-aware shedding) and the client's attempt budget did not
   // allow riding it out. The request did NOT execute; `retry_after` carries
   // the server's drain hint when one was given. Retrying immediately is
-  // exactly the amplification the budget exists to prevent — honor the hint.
+  // exactly the amplification backpressure exists to prevent — honor the
+  // hint.
   kRejected = 1,
   // The request's deadline passed before a usable response arrived. The
   // request may or may not have executed server-side; the client stopped

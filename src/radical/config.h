@@ -17,9 +17,9 @@
 namespace radical {
 
 // Client-side request-lifecycle policy: per-attempt timeouts, exponential
-// backoff, and a bounded retry budget for LVI and direct requests. Retries
-// are safe because exec_ids make the server side idempotent — a retried
-// request replays the cached response, re-attaches to the in-flight
+// backoff and an attempt budget for every path a request's messages take.
+// Retries are safe because exec_ids make the server side idempotent — a
+// retried request replays the cached response, re-attaches to the in-flight
 // pipeline, or hits the existing intent/idempotency tables; it never
 // re-locks or re-executes (see DESIGN.md, "Failure handling & retries").
 struct RetryPolicy {
@@ -31,34 +31,14 @@ struct RetryPolicy {
   // Timeout multiplier per retry, capped at max_backoff.
   double backoff = 2.0;
   SimDuration max_backoff = Seconds(5);
-  // Attempts on the LVI path (1 = no retry). Exhausting the budget degrades
-  // the request to InvokeDirect, which keeps retrying with capped backoff
-  // until the server answers — every Invoke eventually calls done once the
-  // near-storage location is reachable again.
+  // Attempts on the LVI path (1 = no retry). Exhausting them degrades the
+  // request to InvokeDirect, which keeps retrying with capped backoff until
+  // the server answers — every Invoke eventually calls done once the
+  // near-storage location is reachable again. The same budget bounds the
+  // two-RTT ablation's followup transmissions; exhausting those answers the
+  // client at once, since the write intent already guarantees the writes
+  // reach the primary via deterministic re-execution.
   int max_lvi_attempts = 4;
-  // Two-RTT ablation only: followup retransmission budget. Exhausting it
-  // answers the client immediately — the write intent already guarantees
-  // the writes reach the primary via deterministic re-execution.
-  SimDuration followup_ack_timeout = Millis(1200);
-  int max_followup_attempts = 4;
-
-  // --- Retry budget (overload control) -----------------------------------
-  // Token bucket shared by every request on a Runtime, so a saturation event
-  // cannot turn into a retry storm that amplifies itself: each retry spends
-  // tokens, tokens refill with virtual time, and an empty bucket completes
-  // the request with Status::kRejected instead of retrying. The bucket is
-  // deployment-wide state, so it always reads these fields from
-  // RadicalConfig::retry — a per-request RetryPolicy override does not get
-  // its own bucket. 0 = no budget (the historical unbounded behaviour, and
-  // the default).
-  double retry_budget = 0.0;
-  // Tokens regained per second of virtual time (up to retry_budget).
-  double retry_budget_refill_per_sec = 1.0;
-  // Tokens one retry costs after an explicit backpressure reply (kOverloaded
-  // / kShed), vs. 1.0 for a timeout retry: when the server *says* it is
-  // overloaded, retrying into it is what melts it down, so backpressure
-  // drains the budget faster than silence does.
-  double reject_retry_cost = 2.0;
 };
 
 struct RadicalConfig {

@@ -91,11 +91,31 @@ void Runtime::OnCachePush(const CachePush& push) {
   }
 }
 
-void Runtime::Submit(Request request, RequestOptions options, OutcomeFn done) {
-  SubmitImpl(std::move(request), std::move(options), std::move(done));
+namespace {
+
+// The phase in which a path's attempts are live; an attempt event that finds
+// the request in any other phase arrived too late and drops.
+RequestPhase PhaseOf(AttemptPath path) {
+  switch (path) {
+    case AttemptPath::kLvi:
+      return RequestPhase::kLvi;
+    case AttemptPath::kDirect:
+      return RequestPhase::kDirect;
+    case AttemptPath::kFollowup:
+      return RequestPhase::kAwaitingAck;
+  }
+  return RequestPhase::kDone;
 }
 
-void Runtime::SubmitImpl(Request request, RequestOptions options, OutcomeFn done) {
+// From kCommitting on the outcome is fixed and only its delivery remains.
+bool Settled(const Sm<RequestPhase>& phase) {
+  return phase.Is(RequestPhase::kCommitting) || phase.Is(RequestPhase::kAwaitingAck) ||
+         phase.Is(RequestPhase::kDone);
+}
+
+}  // namespace
+
+void Runtime::Submit(Request request, RequestOptions options, OutcomeFn done) {
   if (!alive_) {
     // A crashed PoP accepts nothing; sessions re-bind on the crash signal,
     // so only a caller holding a stale handle lands here.
@@ -135,7 +155,7 @@ void Runtime::SubmitImpl(Request request, RequestOptions options, OutcomeFn done
     // without a retry timer nothing else would ever fire).
     state->deadline_event = sim_->Schedule(state->deadline - invoked_at, [this, state] {
       state->deadline_event = kInvalidEventId;
-      if (!state->completed && !DeadRequest(*state)) {
+      if (!Settled(state->phase) && !DeadRequest(*state)) {
         CompleteRejected(state, RequestStatus::kDeadlineExceeded, 0);
       }
     });
@@ -192,9 +212,10 @@ void Runtime::SubmitImpl(Request request, RequestOptions options, OutcomeFn done
 }
 
 void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
-  if (DeadRequest(*state)) {
-    return;
+  if (DeadRequest(*state) || state->phase.Is(RequestPhase::kDone)) {
+    return;  // Crashed, or the deadline watchdog answered during f^rw.
   }
+  state->phase.Move(RequestPhase::kLvi);
   RequestTrace::StampOnce(&state->trace.lvi_sent, sim_->Now());
   const AnalyzedFunction* fn = registry_->Find(state->function);
   // Assemble the LVI request: every item with its cached version and lock
@@ -256,12 +277,12 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
   state->lvi_request = std::move(request);
   state->lvi_request_size = wire_scratch_.SizeOf(state->lvi_request);
   if (!state->lvi_request.items.empty()) {
-    // Sharded server: now that the key set is known, re-route the request
-    // onto its home shard's channel (a hint, if given, still wins).
+    // Sharded server: now that the key set is known, route the request onto
+    // its home shard's channel.
     RouteToServer(state.get(), &state->lvi_request.items.front().key);
   }
-  SendLviAttempt(state);
-  if (state->completed) {
+  SendAttempt(state, AttemptPath::kLvi);
+  if (state->phase.Is(RequestPhase::kDone)) {
     // The first attempt already ended the request (deadline passed before
     // the send): don't start a speculation nobody will consume.
     return;
@@ -287,27 +308,32 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
   const ExecResult exec = interpreter_->Execute(fn->original, state->inputs,
                                                 state->buffer.get(), config_.exec_limits, &env);
   assert(exec.ok() && "speculative execution failed");
-  state->speculated = true;
+  state->speculation = Speculation::kRunning;
   state->trace.speculated = true;
   metrics_.Increment("speculations");
   sim_->Schedule(exec.elapsed, [this, state, result = exec.return_value] {
     if (DeadRequest(*state)) {
       return;
     }
-    state->spec_finished = true;
+    state->speculation = Speculation::kFinished;
     RequestTrace::StampOnce(&state->trace.spec_finished, sim_->Now());
     state->spec_result = result;
     MaybeDeliverPreview(state);
-    TryComplete(state);
+    // §3.2: "Radical delays responding to the client until it receives a
+    // response from the near-storage location and f finishes executing".
+    if (state->phase.Is(RequestPhase::kAwaitSpec)) {
+      state->phase.Move(RequestPhase::kCommitting);
+      CompleteValidated(state);
+    }
   });
 }
 
 void Runtime::MaybeDeliverPreview(const std::shared_ptr<RequestState>& state) {
-  // A preview is worth delivering only while the final is still unknown: if
-  // the LVI response already arrived, the authoritative callback fires at
-  // this same instant and a preview would be pure noise.
-  if (!state->preview_requested || state->preview_fired || state->completed ||
-      state->response_received || !state->done) {
+  // A preview is worth delivering only while the final is still unknown: once
+  // the LVI response is in, the authoritative callback follows at once and a
+  // preview would be pure noise.
+  if (!state->preview_requested ||
+      !(state->phase.Is(RequestPhase::kLvi) || state->phase.Is(RequestPhase::kDirect))) {
     return;
   }
   state->preview_fired = true;
@@ -331,9 +357,9 @@ SimDuration Runtime::AttemptTimeout(const RetryPolicy& retry, int attempt) {
 }
 
 void Runtime::CancelTimeout(const std::shared_ptr<RequestState>& state) {
-  if (state->timeout_event != kInvalidEventId) {
-    sim_->Cancel(state->timeout_event);
-    state->timeout_event = kInvalidEventId;
+  if (state->timer != kInvalidEventId) {
+    sim_->Cancel(state->timer);
+    state->timer = kInvalidEventId;
   }
 }
 
@@ -375,17 +401,20 @@ void Runtime::ResolveAttempt(const std::shared_ptr<RequestState>& state, Attempt
   }
 }
 
-void Runtime::SendLviAttempt(const std::shared_ptr<RequestState>& state) {
-  if (state->completed || state->response_received || DeadRequest(*state)) {
+void Runtime::SendAttempt(const std::shared_ptr<RequestState>& state, AttemptPath path) {
+  if (!state->phase.Is(PhaseOf(path)) || DeadRequest(*state)) {
     return;
   }
-  if (DeadlinePassed(*state)) {
+  if (DeadlinePassed(*state, path)) {
     CompleteRejected(state, RequestStatus::kDeadlineExceeded, 0);
     return;
   }
-  ++state->lvi_attempts;
-  if (state->lvi_attempts > 1) {
+  const int attempt = ++state->attempts[static_cast<int>(path)];
+  if (attempt > 1) {
     metrics_.Increment("retries");
+    if (path == AttemptPath::kFollowup) {
+      metrics_.Increment("followup_retransmits");
+    }
     ++state->trace.retries;
   }
   // Fail fast when the deterministic fault state (partition, isolation)
@@ -393,85 +422,96 @@ void Runtime::SendLviAttempt(const std::shared_ptr<RequestState>& state) {
   // schedule running at a quarter of the timeout so recovery is noticed
   // quickly. Probabilistic loss is invisible, as on a real network.
   const bool reachable = self_.CanReach(state->server_ep);
-  RecordAttempt(state, AttemptPath::kLvi, state->lvi_attempts);
+  RecordAttempt(state, path, attempt);
   if (reachable) {
-    SendToServer(state->server_ep, net::MessageKind::kLviRequest, state->lvi_request_size,
-                 [this, state] {
-      server_->HandleLviRequest(state->lvi_request, [this, state](LviResponse response) {
-        const size_t size = wire_scratch_.SizeOf(response);
-        SendFromServer(state->server_ep, net::MessageKind::kLviResponse, size,
-                       [this, state, response = std::move(response)]() mutable {
-                         OnLviResponse(state, std::move(response));
-                       },
-                       state->deadline);
-      });
-    }, state->deadline);
+    Transmit(state, path);
   } else {
     metrics_.Increment("fast_fail");
-    ResolveAttempt(state, AttemptPath::kLvi, "fast_fail");
+    ResolveAttempt(state, path, "fast_fail");
   }
   if (!state->retry.enabled) {
     return;
   }
-  const SimDuration timeout = AttemptTimeout(state->retry, state->lvi_attempts);
-  state->timeout_event = sim_->Schedule(reachable ? timeout : timeout / 4, [this, state] {
-    state->timeout_event = kInvalidEventId;
-    OnLviTimeout(state);
+  const SimDuration timeout = AttemptTimeout(state->retry, attempt);
+  state->timer = sim_->Schedule(reachable ? timeout : timeout / 4, [this, state, path] {
+    state->timer = kInvalidEventId;
+    OnAttemptTimeout(state, path);
   });
 }
 
-void Runtime::OnLviResponse(const std::shared_ptr<RequestState>& state, LviResponse response) {
-  if (DeadRequest(*state)) {
-    return;
+void Runtime::Transmit(const std::shared_ptr<RequestState>& state, AttemptPath path) {
+  const net::Endpoint& server = state->server_ep;
+  switch (path) {
+    case AttemptPath::kLvi:
+      self_.Send(server, net::MessageKind::kLviRequest, state->lvi_request_size, [this, state] {
+        server_->HandleLviRequest(state->lvi_request, [this, state](LviResponse response) {
+          const size_t size = wire_scratch_.SizeOf(response);
+          state->server_ep.Send(self_, net::MessageKind::kLviResponse, size,
+                                [this, state, response = std::move(response)]() mutable {
+                                  OnLviResponse(state, std::move(response));
+                                },
+                                state->deadline);
+        });
+      }, state->deadline);
+      return;
+    case AttemptPath::kDirect:
+      self_.Send(server, net::MessageKind::kDirectRequest, state->direct_request_size,
+                 [this, state] {
+        server_->HandleDirect(state->direct_request, [this, state](DirectResponse response) {
+          const size_t size = wire_scratch_.SizeOf(response);
+          state->server_ep.Send(self_, net::MessageKind::kDirectResponse, size,
+                                [this, state, response = std::move(response)]() mutable {
+                                  OnDirectResponse(state, std::move(response));
+                                },
+                                state->deadline);
+        });
+      }, state->deadline);
+      return;
+    case AttemptPath::kFollowup:
+      self_.Send(server, net::MessageKind::kWriteFollowup, state->followup_size, [this, state] {
+        server_->HandleFollowup(state->followup, [this, state](bool applied) {
+          state->server_ep.Send(self_, net::MessageKind::kGeneric, 64,
+                                [this, state, applied] { OnFollowupAck(state, applied); });
+        });
+      });
+      return;
   }
-  if (state->completed || state->response_received || state->lvi_abandoned) {
-    // A slow or duplicate response raced a retry (or the direct fallback
-    // already owns the request): the first one in wins.
-    metrics_.Increment("late_response_ignored");
-    return;
-  }
-  if (response.status != ResponseStatus::kOk) {
-    // Backpressure, not an answer: the server refused admission (kOverloaded)
-    // or shed the request against its deadline (kShed). Nothing executed.
-    CancelTimeout(state);
-    const bool overloaded = response.status == ResponseStatus::kOverloaded;
-    metrics_.Increment(overloaded ? "rejected_by_server" : "shed_by_server");
-    ResolveAttempt(state, AttemptPath::kLvi, overloaded ? "rejected" : "shed");
-    OnBackpressure(state, AttemptPath::kLvi, response.status, response.retry_after);
-    return;
-  }
-  CancelTimeout(state);
-  state->response_received = true;
-  ResolveAttempt(state, AttemptPath::kLvi, "response");
-  RequestTrace::StampOnce(&state->trace.response_received, sim_->Now());
-  state->trace.validated = response.validated;
-  state->response = std::move(response);
-  TryComplete(state);
 }
 
-void Runtime::OnLviTimeout(const std::shared_ptr<RequestState>& state) {
-  if (state->completed || state->response_received || DeadRequest(*state)) {
+void Runtime::OnAttemptTimeout(const std::shared_ptr<RequestState>& state, AttemptPath path) {
+  if (!state->phase.Is(PhaseOf(path)) || DeadRequest(*state)) {
     return;
   }
-  metrics_.Increment("timeouts");
-  ResolveAttempt(state, AttemptPath::kLvi, "timeout");
-  if (DeadlinePassed(*state)) {
+  if (path != AttemptPath::kFollowup) {
+    metrics_.Increment("timeouts");
+  }
+  ResolveAttempt(state, path, "timeout");
+  if (DeadlinePassed(*state, path)) {
     CompleteRejected(state, RequestStatus::kDeadlineExceeded, 0);
     return;
   }
-  if (!SpendRetryBudget(1.0)) {
-    // Every retry — including the degrade-to-direct below, which is just a
-    // retry on a different path — spends budget; an empty bucket ends the
-    // request instead of adding load to a struggling deployment.
-    CompleteRejected(state, RequestStatus::kRejected, 0);
+  if (AttemptsExhausted(*state, path)) {
+    ExhaustAttempts(state, path);
     return;
   }
-  if (state->lvi_attempts >= state->retry.max_lvi_attempts) {
-    // Budget exhausted: degrade to the direct path, which retries without
-    // bound. Discard the speculation — the direct response is authoritative
-    // and never commits through a followup.
+  SendAttempt(state, path);
+}
+
+bool Runtime::DeadlinePassed(const RequestState& state, AttemptPath path) const {
+  return path != AttemptPath::kFollowup && state.deadline != 0 && sim_->Now() >= state.deadline;
+}
+
+bool Runtime::AttemptsExhausted(const RequestState& state, AttemptPath path) const {
+  return path != AttemptPath::kDirect &&
+         state.attempts[static_cast<int>(path)] >= state.retry.max_lvi_attempts;
+}
+
+void Runtime::ExhaustAttempts(const std::shared_ptr<RequestState>& state, AttemptPath path) {
+  if (path == AttemptPath::kLvi) {
+    // Degrade to the direct path, which retries without bound. Discard the
+    // speculation — the direct response is authoritative and never commits
+    // through a followup.
     metrics_.Increment("fallback_direct");
-    state->lvi_abandoned = true;
     state->trace.fallback_direct = true;
     if (state->buffer != nullptr) {
       state->buffer->Discard();
@@ -480,71 +520,65 @@ void Runtime::OnLviTimeout(const std::shared_ptr<RequestState>& state) {
     InvokeDirect(state);
     return;
   }
-  SendLviAttempt(state);
+  // The followup's attempts ran out. The write intent already guarantees the
+  // writes reach the primary (deterministic re-execution, §3.4), so answer
+  // the client rather than hang — the ablation's second round trip degrades
+  // to the one-RTT guarantee under failure.
+  assert(path == AttemptPath::kFollowup);
+  metrics_.Increment("followup_give_up");
+  ResolveAttempt(state, path, "gave_up");
+  Reply(state, std::move(state->pending_result));
 }
 
-void Runtime::SendDirectAttempt(const std::shared_ptr<RequestState>& state) {
-  if (state->completed || DeadRequest(*state)) {
+bool Runtime::AcceptResponse(const std::shared_ptr<RequestState>& state, AttemptPath path,
+                             ResponseStatus status, SimDuration retry_after) {
+  if (DeadRequest(*state)) {
+    return false;
+  }
+  if (!state->phase.Is(PhaseOf(path))) {
+    // A slow or duplicate response raced a retry, or the request moved on
+    // (the direct fallback owns it, or it already ended): the first one in
+    // wins.
+    metrics_.Increment("late_response_ignored");
+    return false;
+  }
+  CancelTimeout(state);
+  if (status != ResponseStatus::kOk) {
+    // Backpressure, not an answer: the server refused admission (kOverloaded)
+    // or shed the request against its deadline (kShed). Nothing executed.
+    const bool overloaded = status == ResponseStatus::kOverloaded;
+    metrics_.Increment(overloaded ? "rejected_by_server" : "shed_by_server");
+    ResolveAttempt(state, path, overloaded ? "rejected" : "shed");
+    OnBackpressure(state, path, retry_after);
+    return false;
+  }
+  ResolveAttempt(state, path, "response");
+  RequestTrace::StampOnce(&state->trace.response_received, sim_->Now());
+  return true;
+}
+
+void Runtime::OnLviResponse(const std::shared_ptr<RequestState>& state, LviResponse response) {
+  if (!AcceptResponse(state, AttemptPath::kLvi, response.status, response.retry_after)) {
     return;
   }
-  if (DeadlinePassed(*state)) {
-    CompleteRejected(state, RequestStatus::kDeadlineExceeded, 0);
-    return;
-  }
-  ++state->direct_attempts;
-  if (state->direct_attempts > 1) {
-    metrics_.Increment("retries");
-    ++state->trace.retries;
-  }
-  const bool reachable = self_.CanReach(state->server_ep);
-  RecordAttempt(state, AttemptPath::kDirect, state->direct_attempts);
-  if (reachable) {
-    SendToServer(state->server_ep, net::MessageKind::kDirectRequest, state->direct_request_size,
-                 [this, state] {
-      server_->HandleDirect(state->direct_request, [this, state](DirectResponse response) {
-        const size_t response_size = wire_scratch_.SizeOf(response);
-        SendFromServer(state->server_ep, net::MessageKind::kDirectResponse, response_size,
-                       [this, state, response = std::move(response)]() mutable {
-                         OnDirectResponse(state, std::move(response));
-                       },
-                       state->deadline);
-      });
-    }, state->deadline);
+  state->trace.validated = response.validated;
+  state->response = std::move(response);
+  if (!state->response.validated) {
+    state->phase.Move(RequestPhase::kCommitting);
+    CompleteFailed(state);
+  } else if (state->speculation == Speculation::kRunning) {
+    state->phase.Move(RequestPhase::kAwaitSpec);
   } else {
-    metrics_.Increment("fast_fail");
-    ResolveAttempt(state, AttemptPath::kDirect, "fast_fail");
+    state->phase.Move(RequestPhase::kCommitting);
+    CompleteValidated(state);
   }
-  if (!state->retry.enabled) {
-    return;
-  }
-  const SimDuration timeout = AttemptTimeout(state->retry, state->direct_attempts);
-  state->timeout_event = sim_->Schedule(reachable ? timeout : timeout / 4, [this, state] {
-    state->timeout_event = kInvalidEventId;
-    OnDirectTimeout(state);
-  });
 }
 
 void Runtime::OnDirectResponse(const std::shared_ptr<RequestState>& state,
                                DirectResponse response) {
-  if (DeadRequest(*state)) {
+  if (!AcceptResponse(state, AttemptPath::kDirect, response.status, response.retry_after)) {
     return;
   }
-  if (state->completed) {
-    metrics_.Increment("late_response_ignored");
-    return;
-  }
-  if (response.status != ResponseStatus::kOk) {
-    CancelTimeout(state);
-    const bool overloaded = response.status == ResponseStatus::kOverloaded;
-    metrics_.Increment(overloaded ? "rejected_by_server" : "shed_by_server");
-    ResolveAttempt(state, AttemptPath::kDirect, overloaded ? "rejected" : "shed");
-    OnBackpressure(state, AttemptPath::kDirect, response.status, response.retry_after);
-    return;
-  }
-  CancelTimeout(state);
-  state->completed = true;
-  ResolveAttempt(state, AttemptPath::kDirect, "response");
-  RequestTrace::StampOnce(&state->trace.response_received, sim_->Now());
   for (const FreshItem& item : response.fresh_items) {
     cache_.Install(item.key, item.value, item.version);
   }
@@ -552,103 +586,37 @@ void Runtime::OnDirectResponse(const std::shared_ptr<RequestState>& state,
   Reply(state, response.result);
 }
 
-void Runtime::OnDirectTimeout(const std::shared_ptr<RequestState>& state) {
-  if (state->completed || DeadRequest(*state)) {
-    return;
-  }
-  metrics_.Increment("timeouts");
-  ResolveAttempt(state, AttemptPath::kDirect, "timeout");
-  if (DeadlinePassed(*state)) {
-    CompleteRejected(state, RequestStatus::kDeadlineExceeded, 0);
-    return;
-  }
-  if (!SpendRetryBudget(1.0)) {
-    CompleteRejected(state, RequestStatus::kRejected, 0);
-    return;
-  }
-  SendDirectAttempt(state);
-}
-
 void Runtime::OnBackpressure(const std::shared_ptr<RequestState>& state, AttemptPath path,
-                             ResponseStatus status, SimDuration retry_after) {
-  (void)status;
-  if (state->completed || DeadRequest(*state)) {
-    return;
-  }
-  if (DeadlinePassed(*state)) {
+                             SimDuration retry_after) {
+  if (DeadlinePassed(*state, path)) {
     CompleteRejected(state, RequestStatus::kDeadlineExceeded, retry_after);
     return;
   }
   // An LVI request that exhausts its attempts on backpressure does NOT
   // degrade to the direct path — that sends the same work to the same
   // overloaded deployment with a longer critical path. It completes
-  // kRejected, which is the graceful ending the budget exists to provide.
-  if (!state->retry.enabled ||
-      (path == AttemptPath::kLvi && state->lvi_attempts >= state->retry.max_lvi_attempts)) {
-    CompleteRejected(state, RequestStatus::kRejected, retry_after);
-    return;
-  }
-  // A backpressure retry costs more than a timeout retry: the server
-  // explicitly said it cannot take the load.
-  if (!SpendRetryBudget(config_.retry.reject_retry_cost)) {
+  // kRejected, which is the graceful ending the attempt budget provides.
+  if (!state->retry.enabled || AttemptsExhausted(*state, path)) {
     CompleteRejected(state, RequestStatus::kRejected, retry_after);
     return;
   }
   // Honor the server's drain hint, never retrying sooner than the backoff
   // schedule would have: an immediate resend into a server that just said
   // "overloaded" is precisely the amplification this path removes.
-  const int attempts = path == AttemptPath::kLvi ? state->lvi_attempts : state->direct_attempts;
-  const SimDuration wait = std::max(retry_after, AttemptTimeout(state->retry, attempts));
-  sim_->Schedule(wait, [this, state, path] {
-    if (path == AttemptPath::kLvi) {
-      SendLviAttempt(state);
-    } else {
-      SendDirectAttempt(state);
-    }
-  });
-}
-
-bool Runtime::SpendRetryBudget(double cost) {
-  const RetryPolicy& policy = config_.retry;
-  if (policy.retry_budget <= 0.0) {
-    return true;  // No budget configured: the historical unbounded behaviour.
-  }
-  const SimTime now = sim_->Now();
-  if (!retry_bucket_init_) {
-    retry_bucket_init_ = true;
-    retry_tokens_ = policy.retry_budget;
-    retry_tokens_at_ = now;
-  }
-  const double elapsed_sec =
-      static_cast<double>(now - retry_tokens_at_) / static_cast<double>(Seconds(1));
-  retry_tokens_ = std::min(policy.retry_budget,
-                           retry_tokens_ + elapsed_sec * policy.retry_budget_refill_per_sec);
-  retry_tokens_at_ = now;
-  if (retry_tokens_ + 1e-9 < cost) {
-    metrics_.Increment("retry_budget_exhausted");
-    return false;
-  }
-  retry_tokens_ -= cost;
-  return true;
-}
-
-bool Runtime::DeadlinePassed(const RequestState& state) const {
-  return state.deadline != 0 && sim_->Now() >= state.deadline;
+  const SimDuration wait = std::max(
+      retry_after, AttemptTimeout(state->retry, state->attempts[static_cast<int>(path)]));
+  sim_->Schedule(wait, [this, state, path] { SendAttempt(state, path); });
 }
 
 void Runtime::CompleteRejected(const std::shared_ptr<RequestState>& state, RequestStatus status,
                                SimDuration retry_after) {
-  if (state->completed) {
-    return;
-  }
   CancelTimeout(state);
-  state->completed = true;
   if (state->buffer != nullptr) {
     state->buffer->Discard();
     state->buffer.reset();
   }
   metrics_.Increment(status == RequestStatus::kDeadlineExceeded ? "deadline_exceeded_replies"
-                                                         : "rejected_replies");
+                                                                : "rejected_replies");
   FinishReply(state, Outcome{status, Value(), retry_after});
 }
 
@@ -663,28 +631,8 @@ void Runtime::AdvanceSessionFloor(const std::shared_ptr<RequestState>& state,
   }
 }
 
-void Runtime::TryComplete(const std::shared_ptr<RequestState>& state) {
-  // The client is answered only once the LVI response is in and — on the
-  // speculative path — the execution has finished (§3.2: "Radical delays
-  // responding to the client until it receives a response from the
-  // near-storage location and f finishes executing").
-  if (!state->response_received || state->completed) {
-    return;
-  }
-  if (!state->response.validated) {
-    state->completed = true;
-    CompleteFailed(state);
-    return;
-  }
-  if (state->speculated && !state->spec_finished) {
-    return;
-  }
-  state->completed = true;
-  CompleteValidated(state);
-}
-
 void Runtime::CompleteValidated(const std::shared_ptr<RequestState>& state) {
-  if (state->speculated) {
+  if (state->speculation == Speculation::kFinished) {
     metrics_.Increment("validated_speculative");
     CommitSpeculation(state, state->spec_result);
     return;
@@ -756,8 +704,8 @@ void Runtime::CommitSpeculation(const std::shared_ptr<RequestState>& state, Valu
       // even if this message is lost.
       Reply(state, std::move(result));
       const size_t followup_size = wire_scratch_.SizeOf(followup);
-      SendToServer(state->server_ep, net::MessageKind::kWriteFollowup, followup_size,
-                   [this, followup = std::move(followup)]() mutable {
+      self_.Send(state->server_ep, net::MessageKind::kWriteFollowup, followup_size,
+                 [this, followup = std::move(followup)]() mutable {
         server_->HandleFollowup(std::move(followup));
       });
       return;
@@ -771,96 +719,29 @@ void Runtime::CommitSpeculation(const std::shared_ptr<RequestState>& state, Valu
     state->followup = std::move(followup);
     state->followup_size = wire_scratch_.SizeOf(state->followup);
     state->pending_result = std::move(result);
-    SendFollowupAttempt(state);
+    state->phase.Move(RequestPhase::kAwaitingAck);
+    SendAttempt(state, AttemptPath::kFollowup);
   });
 }
 
-void Runtime::SendFollowupAttempt(const std::shared_ptr<RequestState>& state) {
-  if (state->followup_done || DeadRequest(*state)) {
-    return;
-  }
-  ++state->followup_attempts;
-  if (state->followup_attempts > 1) {
-    metrics_.Increment("retries");
-    metrics_.Increment("followup_retransmits");
-    ++state->trace.retries;
-  }
-  const bool reachable = self_.CanReach(state->server_ep);
-  RecordAttempt(state, AttemptPath::kFollowup, state->followup_attempts);
-  if (reachable) {
-    SendToServer(state->server_ep, net::MessageKind::kWriteFollowup, state->followup_size,
-                 [this, state] {
-      server_->HandleFollowup(state->followup, [this, state](bool applied) {
-        SendFromServer(state->server_ep, net::MessageKind::kGeneric, 64,
-                       [this, state, applied] { OnFollowupAck(state, applied); });
-      });
-    });
-  } else {
-    metrics_.Increment("fast_fail");
-    ResolveAttempt(state, AttemptPath::kFollowup, "fast_fail");
-  }
-  if (!state->retry.enabled) {
-    return;
-  }
-  double timeout = static_cast<double>(state->retry.followup_ack_timeout);
-  for (int i = 1; i < state->followup_attempts; ++i) {
-    timeout *= state->retry.backoff;
-  }
-  timeout = std::min(timeout, static_cast<double>(state->retry.max_backoff));
-  state->followup_timer =
-      sim_->Schedule(static_cast<SimDuration>(reachable ? timeout : timeout / 4),
-                     [this, state] {
-                       state->followup_timer = kInvalidEventId;
-                       OnFollowupTimeout(state);
-                     });
-}
-
 void Runtime::OnFollowupAck(const std::shared_ptr<RequestState>& state, bool applied) {
-  if (state->followup_done || DeadRequest(*state)) {
+  if (!state->phase.Is(RequestPhase::kAwaitingAck) || DeadRequest(*state)) {
     return;
   }
-  if (state->followup_timer != kInvalidEventId) {
-    sim_->Cancel(state->followup_timer);
-    state->followup_timer = kInvalidEventId;
-  }
+  CancelTimeout(state);
   if (!applied) {
     // Deterministic failure (the server was down): retransmit now instead
-    // of waiting out the timer, unless the budget is spent.
+    // of waiting out the timer, unless the attempts are spent.
     metrics_.Increment("followup_nacks");
     ResolveAttempt(state, AttemptPath::kFollowup, "nack");
-    if (state->followup_attempts >= state->retry.max_followup_attempts ||
-        !state->retry.enabled) {
-      GiveUpFollowup(state);
+    if (!state->retry.enabled || AttemptsExhausted(*state, AttemptPath::kFollowup)) {
+      ExhaustAttempts(state, AttemptPath::kFollowup);
       return;
     }
-    SendFollowupAttempt(state);
+    SendAttempt(state, AttemptPath::kFollowup);
     return;
   }
-  state->followup_done = true;
   ResolveAttempt(state, AttemptPath::kFollowup, "ack");
-  Reply(state, std::move(state->pending_result));
-}
-
-void Runtime::OnFollowupTimeout(const std::shared_ptr<RequestState>& state) {
-  if (state->followup_done || DeadRequest(*state)) {
-    return;
-  }
-  ResolveAttempt(state, AttemptPath::kFollowup, "timeout");
-  if (state->followup_attempts >= state->retry.max_followup_attempts) {
-    GiveUpFollowup(state);
-    return;
-  }
-  SendFollowupAttempt(state);
-}
-
-void Runtime::GiveUpFollowup(const std::shared_ptr<RequestState>& state) {
-  // Retransmission budget spent. The write intent already guarantees the
-  // writes reach the primary (deterministic re-execution, §3.4), so answer
-  // the client rather than hang — the ablation's second round trip degrades
-  // to the one-RTT guarantee under failure.
-  metrics_.Increment("followup_give_up");
-  state->followup_done = true;
-  ResolveAttempt(state, AttemptPath::kFollowup, "gave_up");
   Reply(state, std::move(state->pending_result));
 }
 
@@ -896,6 +777,10 @@ void Runtime::CompleteFailed(const std::shared_ptr<RequestState>& state) {
 }
 
 void Runtime::InvokeDirect(std::shared_ptr<RequestState> state) {
+  if (state->phase.Is(RequestPhase::kDone)) {
+    return;  // The deadline watchdog answered before the request started.
+  }
+  state->phase.Move(RequestPhase::kDirect);
   state->direct_request.exec_id = state->exec_id;
   state->direct_request.origin = region_;
   state->direct_request.function = state->function;
@@ -904,18 +789,7 @@ void Runtime::InvokeDirect(std::shared_ptr<RequestState> state) {
   state->direct_request.session_id = state->session != nullptr ? state->session->id : 0;
   state->trace.direct = true;
   state->direct_request_size = wire_scratch_.SizeOf(state->direct_request);
-  SendDirectAttempt(state);
-}
-
-
-void Runtime::SendToServer(const net::Endpoint& server, net::MessageKind kind, size_t bytes,
-                           std::function<void()> deliver, SimTime deadline) {
-  self_.Send(server, kind, bytes, std::move(deliver), deadline);
-}
-
-void Runtime::SendFromServer(const net::Endpoint& server, net::MessageKind kind, size_t bytes,
-                             std::function<void()> deliver, SimTime deadline) {
-  server.Send(self_, kind, bytes, std::move(deliver), deadline);
+  SendAttempt(state, AttemptPath::kDirect);
 }
 
 void Runtime::Reply(const std::shared_ptr<RequestState>& state, Value result) {
@@ -935,13 +809,9 @@ void Runtime::Reply(const std::shared_ptr<RequestState>& state, Value result) {
 }
 
 void Runtime::FinishReply(const std::shared_ptr<RequestState>& state, Outcome outcome) {
-  if (!state->done) {
-    // A duplicate completion (a late response racing a retry, or a second
-    // ack) must not inflate the reply count: the client was answered once.
-    metrics_.Increment("duplicate_replies");
-    return;
-  }
-  state->completed = true;
+  // The client is answered exactly once: a second completion is the illegal
+  // edge done -> done and aborts.
+  state->phase.Move(RequestPhase::kDone);
   if (state->deadline_event != kInvalidEventId) {
     sim_->Cancel(state->deadline_event);
     state->deadline_event = kInvalidEventId;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/analysis/registry.h"
+#include "src/common/sm.h"
 #include "src/common/stats.h"
 #include "src/kv/cache_store.h"
 #include "src/lvi/codec.h"
@@ -36,6 +37,38 @@
 #include "src/radical/trace.h"
 
 namespace radical {
+
+// Lifecycle of one request at the PoP, as a checked state machine
+// (src/common/sm.h). A request joins two branches (§3.2): the speculative run
+// of f over the cache and the LVI round trip. The phase says which of them
+// the request is still waiting for, so every handler asks one question —
+// "is the request in the phase this event belongs to?" — and an event that
+// arrives too late drops. A second completion is the illegal edge
+// done -> done and aborts.
+enum class RequestPhase : uint32_t {
+  kStarting = 0,  // Instantiating, loading the blob, running f^rw.
+  kLvi,           // LVI attempts in flight; the speculation may be running.
+  kAwaitSpec,     // Validated response in; waiting for the speculation to end.
+  kDirect,        // Direct attempts in flight (chosen, or LVI attempts ran out).
+  kCommitting,    // Outcome fixed: installing writes or repairing the cache.
+  kAwaitingAck,   // Two-RTT ablation: the result waits for the followup's ack.
+  kDone,          // The client has its final outcome. Terminal.
+};
+
+inline constexpr SmStateSpec kRequestPhaseSpec[] = {
+    // starting -> done: the deadline watchdog fired before f^rw finished.
+    {"starting", SmMask(RequestPhase::kLvi) | SmMask(RequestPhase::kDirect) |
+                     SmMask(RequestPhase::kDone)},
+    // lvi -> direct: LVI attempts ran out. lvi -> done: a rejection or a
+    // passed deadline.
+    {"lvi", SmMask(RequestPhase::kAwaitSpec) | SmMask(RequestPhase::kCommitting) |
+                SmMask(RequestPhase::kDirect) | SmMask(RequestPhase::kDone)},
+    {"await_spec", SmMask(RequestPhase::kCommitting) | SmMask(RequestPhase::kDone)},
+    {"direct", SmMask(RequestPhase::kDone)},
+    {"committing", SmMask(RequestPhase::kAwaitingAck) | SmMask(RequestPhase::kDone)},
+    {"awaiting_ack", SmMask(RequestPhase::kDone)},
+    {"done", 0},
+};
 
 class Runtime {
  public:
@@ -55,7 +88,7 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   // Submits a request on behalf of a colocated client with per-request
-  // options (retry override, consistency mode, trace opt-out, shard hint,
+  // options (retry override, consistency mode, trace opt-out, deadline,
   // session — see RequestOptions in client.h). `done` fires (as a simulator
   // event) when the result is released to the client, and — under
   // kPreviewThenFinal/kSession — once earlier with Outcome{kPreview}. Prefer
@@ -110,6 +143,9 @@ class Runtime {
   }
 
  private:
+  // Whether a speculative run of f over the cache was started and finished.
+  enum class Speculation : uint8_t { kNone, kRunning, kFinished };
+
   struct RequestState {
     ExecutionId exec_id = 0;
     std::string function;
@@ -134,39 +170,28 @@ class Runtime {
     // Cached version per write key (sorted), for post-success installs.
     std::vector<Key> write_keys;
     std::vector<Version> write_base_versions;
-    // Speculation.
+    Sm<RequestPhase> phase{kRequestPhaseSpec, RequestPhase::kStarting};
+    // Speculation: writes buffered over the cache, and f's result.
     std::unique_ptr<WriteBuffer> buffer;
-    bool speculated = false;       // A speculative execution was started.
-    bool spec_finished = false;    // ... and its completion event fired.
+    Speculation speculation = Speculation::kNone;
     Value spec_result;
-    // Rendezvous.
-    bool response_received = false;
-    bool completed = false;  // Client answered (or completion in progress).
-    LviResponse response;
+    LviResponse response;  // The LVI response that settled the request.
     RequestTrace trace;
-    // --- Retry machinery (RetryPolicy) ------------------------------------
-    // The request and its wire size are kept so a retry retransmits the
+    // --- Attempts (RetryPolicy) ---------------------------------------------
+    // Each message is kept with its wire size so a retry retransmits the
     // exact same bytes (same exec_id: the server side is idempotent).
     LviRequest lvi_request;
     size_t lvi_request_size = 0;
     DirectRequest direct_request;
     size_t direct_request_size = 0;
-    int lvi_attempts = 0;
-    int direct_attempts = 0;
-    EventId timeout_event = kInvalidEventId;  // Current attempt's timeout.
-    EventId deadline_event = kInvalidEventId;  // Deadline watchdog (if any).
-    bool lvi_abandoned = false;  // LVI budget exhausted; degraded to direct.
-    // Two-RTT ablation: the followup kept for retransmission, the result
-    // held back until its ack, and the ack timer.
-    WriteFollowup followup;
+    WriteFollowup followup;  // Two-RTT ablation only.
     size_t followup_size = 0;
-    Value pending_result;
-    int followup_attempts = 0;
-    EventId followup_timer = kInvalidEventId;
-    bool followup_done = false;
+    Value pending_result;    // Two-RTT: the result held back until the ack.
+    int attempts[3] = {};    // Per AttemptPath.
+    EventId timer = kInvalidEventId;           // Current attempt's timeout.
+    EventId deadline_event = kInvalidEventId;  // Deadline watchdog (if any).
   };
 
-  void SubmitImpl(Request request, RequestOptions options, OutcomeFn done);
   // True when `state` belongs to an epoch that died in a Crash(); such
   // requests silently stop (the session layer owns replaying them).
   bool DeadRequest(const RequestState& state) const {
@@ -176,42 +201,53 @@ class Runtime {
   static void AdvanceSessionFloor(const std::shared_ptr<RequestState>& state,
                                   const std::vector<FreshItem>& items);
   // Fires Outcome{kPreview} with the speculative result if the request asked
-  // for one and the final is not already determined. At most once.
+  // for one and the final is still unknown (kLvi or kDirect).
   void MaybeDeliverPreview(const std::shared_ptr<RequestState>& state);
   // Runs the LVI path once f^rw produced a read/write set.
   void StartLvi(std::shared_ptr<RequestState> state, RwSet rw);
   // Fallback: execute in the near-storage location (unanalyzable functions,
-  // f^rw failure, or an exhausted LVI retry budget).
+  // f^rw failure, or LVI attempts that ran out).
   void InvokeDirect(std::shared_ptr<RequestState> state);
 
-  // --- Request-lifecycle timeouts and retries (RetryPolicy) ---------------
-  // One LVI attempt: transmit (unless the server is deterministically
-  // unreachable — fail fast) and arm the attempt's timeout.
-  void SendLviAttempt(const std::shared_ptr<RequestState>& state);
+  // --- Attempts, timeouts and retries (RetryPolicy) ------------------------
+  // One attempt on `path`: transmit (unless the server is deterministically
+  // unreachable — fail fast) and arm the attempt's timeout. The three paths
+  // share the schedule and differ only in what running out of attempts does
+  // (ExhaustAttempts).
+  void SendAttempt(const std::shared_ptr<RequestState>& state, AttemptPath path);
+  void OnAttemptTimeout(const std::shared_ptr<RequestState>& state, AttemptPath path);
+  // Puts the path's message on the wire and routes the server's answer back
+  // to its handler. The legs ride the fabric: the WAN path plus the intra-DC
+  // hop to the server's EC2 instance, carried as the server endpoint's
+  // extra_hop_delay (Table 2's lat_nu<->ns is the sum of both). LVI and
+  // direct messages carry the request's deadline, so the fabric drops one
+  // that would land past it; followups never do (writes must reach the
+  // primary regardless of the client's patience).
+  void Transmit(const std::shared_ptr<RequestState>& state, AttemptPath path);
+  // True when an attempt on `path` would be past the request's deadline.
+  // Followups carry no deadline, so only LVI and direct attempts miss one.
+  bool DeadlinePassed(const RequestState& state, AttemptPath path) const;
+  // True when `path` has used its attempts: max_lvi_attempts for the LVI
+  // path and the followup; the direct path is the terminal fallback and
+  // never runs out, so every Invoke answers once the server is back.
+  bool AttemptsExhausted(const RequestState& state, AttemptPath path) const;
+  // LVI: degrade to direct. Followup: give up and reply.
+  void ExhaustAttempts(const std::shared_ptr<RequestState>& state, AttemptPath path);
+  // The shared front half of the LVI and direct response handlers: drops a
+  // response the request no longer waits for and turns backpressure into a
+  // retry or a rejection. True when the caller owns an ok response.
+  bool AcceptResponse(const std::shared_ptr<RequestState>& state, AttemptPath path,
+                      ResponseStatus status, SimDuration retry_after);
   void OnLviResponse(const std::shared_ptr<RequestState>& state, LviResponse response);
-  void OnLviTimeout(const std::shared_ptr<RequestState>& state);
-  // One direct attempt; retries are unbounded (capped backoff) — direct is
-  // the terminal fallback, so every Invoke answers once the server is back.
-  void SendDirectAttempt(const std::shared_ptr<RequestState>& state);
   void OnDirectResponse(const std::shared_ptr<RequestState>& state, DirectResponse response);
-  void OnDirectTimeout(const std::shared_ptr<RequestState>& state);
-  // Two-RTT ablation: followup transmission with ack tracking.
-  void SendFollowupAttempt(const std::shared_ptr<RequestState>& state);
   void OnFollowupAck(const std::shared_ptr<RequestState>& state, bool applied);
-  void OnFollowupTimeout(const std::shared_ptr<RequestState>& state);
-  void GiveUpFollowup(const std::shared_ptr<RequestState>& state);
   // --- Overload control ----------------------------------------------------
   // Reaction to an explicit backpressure reply (kOverloaded / kShed) on the
-  // LVI or direct path: retry after max(server hint, backoff) if the retry
-  // budget allows, else complete the request with RequestStatus::kRejected. Never
+  // LVI or direct path: retry after max(server hint, backoff) while attempts
+  // remain, else complete the request with RequestStatus::kRejected. Never
   // degrades to the direct path — that would move the load, not shed it.
   void OnBackpressure(const std::shared_ptr<RequestState>& state, AttemptPath path,
-                      ResponseStatus status, SimDuration retry_after);
-  // Takes `cost` tokens from the runtime-wide retry budget (config_.retry);
-  // true = spend allowed. Always true when no budget is configured.
-  bool SpendRetryBudget(double cost);
-  // True when the request carries a deadline that has already passed.
-  bool DeadlinePassed(const RequestState& state) const;
+                      SimDuration retry_after);
   // Terminal non-kOk completion: cancels timers, discards any speculation,
   // and answers the client with `status` (no result ever executed).
   void CompleteRejected(const std::shared_ptr<RequestState>& state, RequestStatus status,
@@ -225,31 +261,17 @@ class Runtime {
   void RecordAttempt(const std::shared_ptr<RequestState>& state, AttemptPath path, int number);
   void ResolveAttempt(const std::shared_ptr<RequestState>& state, AttemptPath path,
                       const char* outcome);
-  // Called when either the speculative execution or the LVI response is
-  // ready; completes the request when both are.
-  void TryComplete(const std::shared_ptr<RequestState>& state);
+  // kCommitting: the validated request commits its speculation (or runs f
+  // now, if nothing ran speculatively); the invalidated one repairs the
+  // cache and replies with the backup result.
   void CompleteValidated(const std::shared_ptr<RequestState>& state);
   void CompleteFailed(const std::shared_ptr<RequestState>& state);
   // Installs speculative writes into the cache and ships the followup.
   void CommitSpeculation(const std::shared_ptr<RequestState>& state, Value result);
   void Reply(const std::shared_ptr<RequestState>& state, Value result);
-  // Single exit point for every completion (ok or not): counters, trace,
-  // spans, then whichever of done/outcome_done the caller registered.
+  // Single exit point for every completion (ok or not): moves the phase to
+  // kDone, then counters, trace, spans and the client's callback.
   void FinishReply(const std::shared_ptr<RequestState>& state, Outcome outcome);
-  // Message legs to/from the LVI server over the fabric: the WAN path plus
-  // the intra-DC hop to the server's EC2 instance, which rides as the server
-  // endpoint's extra_hop_delay (kServerHopRtt / 2 each way; Table 2's
-  // lat_nu<->ns is the sum of both).
-  // `server` is the request's channel (RequestState::server_ep), picked by
-  // RouteToServer.
-  // `deadline` (0 = none) rides on the envelope: the fabric discards the
-  // message outright when it would land past the deadline — the receiver
-  // would only throw it away. Followups never carry one (writes must reach
-  // the primary regardless of the client's patience).
-  void SendToServer(const net::Endpoint& server, net::MessageKind kind, size_t bytes,
-                    std::function<void()> deliver, SimTime deadline = 0);
-  void SendFromServer(const net::Endpoint& server, net::MessageKind kind, size_t bytes,
-                      std::function<void()> deliver, SimTime deadline = 0);
   // Picks the server channel for `state`: the shard owning `first_key`
   // (nullptr = shard 0).
   void RouteToServer(RequestState* state, const Key* first_key) const;
@@ -282,12 +304,6 @@ class Runtime {
   ExternalServiceRegistry* externals_;
   TraceCollector* tracer_ = nullptr;
   obs::SpanCollector* spans_ = nullptr;
-  // Runtime-wide retry-budget token bucket (see RetryPolicy::retry_budget).
-  // Lazily refilled with virtual time on each spend attempt; initialized on
-  // first use so a no-budget deployment never touches it.
-  bool retry_bucket_init_ = false;
-  double retry_tokens_ = 0.0;
-  SimTime retry_tokens_at_ = 0;
   // PoP crash modeling (mirrors LviServer's alive_/epoch_ pattern): events
   // scheduled before a Crash() carry the old epoch and drop on arrival.
   bool alive_ = true;

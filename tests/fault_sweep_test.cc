@@ -23,7 +23,6 @@ class FaultSweepTest : public ProfiledTest {
     // Tight timeouts so the 6-second run exercises several retry rounds.
     config.retry.request_timeout = Millis(300);
     config.retry.max_lvi_attempts = 2;
-    config.retry.followup_ack_timeout = Millis(300);
     radical_ = std::make_unique<ProfiledDeployment>(profile, &sim_, &net_, config,
                                                     DeploymentRegions());
     radical_->RegisterFunction(Fn("reg_read", {"k"}, {
@@ -91,14 +90,14 @@ PROFILE_TEST(FaultSweepTest, EveryInvokeRepliesAndStaysLinearizable) {
   sim_.Schedule(Millis(1500), [&] { radical_->server().Recover(); });
   sim_.Run();
 
-  // 100% of Invokes answered, exactly once each.
+  // 100% of Invokes answered, exactly once each: one final callback per
+  // Submit (a second completion of a request aborts on done -> done).
   EXPECT_EQ(history.size(), static_cast<size_t>(total_ops));
   uint64_t requests = 0;
   uint64_t replies = 0;
   uint64_t retries = 0;
   uint64_t timeouts = 0;
   uint64_t fallback_direct = 0;
-  uint64_t duplicate_replies = 0;
   for (const Region region : DeploymentRegions()) {
     const obs::MetricsScope counters = radical_->runtime(region).counters();
     EXPECT_EQ(counters.Get("requests"), counters.Get("replies"))
@@ -108,11 +107,9 @@ PROFILE_TEST(FaultSweepTest, EveryInvokeRepliesAndStaysLinearizable) {
     retries += counters.Get("retries");
     timeouts += counters.Get("timeouts");
     fallback_direct += counters.Get("fallback_direct");
-    duplicate_replies += counters.Get("duplicate_replies");
   }
   EXPECT_EQ(requests, static_cast<uint64_t>(total_ops));
   EXPECT_EQ(replies, static_cast<uint64_t>(total_ops));
-  EXPECT_EQ(duplicate_replies, 0u);
 
   // The loss and the crash actually exercised the retry machinery.
   EXPECT_GT(timeouts, 0u);

@@ -1,9 +1,8 @@
-// Overload control: bounded admission queues, deadline-aware shedding, and
-// client retry budgets — plus regression pins for the saturation-amplifying
-// bugs fixed alongside them (reply-cache hits charging a full admission
-// slot, per-trace attempt records growing without bound across a long
-// partition, and serving capacities above the tick rate truncating to an
-// unlimited server).
+// Overload control: bounded admission queues and deadline-aware shedding —
+// plus regression pins for the saturation-amplifying bugs fixed alongside
+// them (reply-cache hits charging a full admission slot, per-trace attempt
+// records growing without bound across a long partition, and serving
+// capacities above the tick rate truncating to an unlimited server).
 
 #include <gtest/gtest.h>
 
@@ -222,42 +221,6 @@ TEST_F(OverloadTest, DeadlinedRequestsCompleteByDeadlineAndShedEarly) {
             static_cast<uint64_t>(deadline_exceeded));
 }
 
-// Tentpole: an empty retry budget completes the request with kRejected
-// instead of retrying forever into a dead or saturated server — and the
-// bucket is runtime-wide, so a second request finds it already drained.
-TEST_F(OverloadTest, RetryBudgetExhaustionFailsFastAndIsRuntimeWide) {
-  RadicalConfig config;
-  config.retry.request_timeout = Millis(100);
-  config.retry.backoff = 1.0;
-  config.retry.max_lvi_attempts = 10;
-  config.retry.retry_budget = 2.0;
-  config.retry.retry_budget_refill_per_sec = 0.0;  // No refill: 2 retries ever.
-  Build(config);
-  AddDrop(net::MessageKind::kLviRequest, 1.0);  // Unreachable server.
-
-  Client client = radical_->client(Region::kCA);
-  std::optional<Outcome> first;
-  client.Submit(Request{"reg_read", {Value("k")}}, [&](Outcome o) { first = o; });
-  sim_.Run();
-
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->status, RequestStatus::kRejected);
-  EXPECT_EQ(Counters(Region::kCA).Get("retries"), 2u);  // Budget of 2, spent.
-  EXPECT_EQ(Counters(Region::kCA).Get("timeouts"), 3u);
-  EXPECT_EQ(Counters(Region::kCA).Get("retry_budget_exhausted"), 1u);
-  EXPECT_EQ(Counters(Region::kCA).Get("rejected_replies"), 1u);
-
-  // The drained bucket is shared: the next request fails on its first
-  // timeout without getting any retries of its own.
-  std::optional<Outcome> second;
-  client.Submit(Request{"reg_read", {Value("k")}}, [&](Outcome o) { second = o; });
-  sim_.Run();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->status, RequestStatus::kRejected);
-  EXPECT_EQ(Counters(Region::kCA).Get("retries"), 2u);  // Unchanged.
-  EXPECT_EQ(Counters(Region::kCA).Get("retry_budget_exhausted"), 2u);
-}
-
 // Backpressure under message loss stays consistent: with a bounded queue, a
 // same-instant burst forcing rejections, and 10% request loss on both paths,
 // every op is answered exactly once, kRejected ops provably never executed
@@ -335,13 +298,10 @@ TEST_F(OverloadTest, FaultSweepWithSheddingStaysLinearizable) {
   }
   sim_.Run();
 
+  // One final callback per Submit (a second completion of a request aborts
+  // on done -> done).
   EXPECT_EQ(completions, background_ops + burst_ops);
   EXPECT_GT(radical_->server().counters().Get("rejected_overload"), 0u);
-  uint64_t duplicate_replies = 0;
-  for (const Region region : DeploymentRegions()) {
-    duplicate_replies += Counters(region).Get("duplicate_replies");
-  }
-  EXPECT_EQ(duplicate_replies, 0u);
   const LinearizabilityResult result = CheckHistory(history, {{"k", Value("v0")}});
   EXPECT_TRUE(result.linearizable) << result.violation;
   EXPECT_TRUE(radical_->server().idle());
@@ -441,7 +401,6 @@ TEST(OverloadDefaultsTest, DefaultsStayDormantAndDeterministic) {
       const obs::MetricsScope counters = radical.runtime(region).counters();
       EXPECT_EQ(counters.Get("rejected_by_server"), 0u);
       EXPECT_EQ(counters.Get("shed_by_server"), 0u);
-      EXPECT_EQ(counters.Get("retry_budget_exhausted"), 0u);
       EXPECT_EQ(counters.Get("rejected_replies"), 0u);
       EXPECT_EQ(counters.Get("deadline_exceeded_replies"), 0u);
     }

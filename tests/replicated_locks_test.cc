@@ -331,7 +331,6 @@ TEST_P(ReplicatedFaultSweepTest, FaultSweepStaysLinearizable) {
   RadicalConfig config;
   config.server.shards = groups;
   config.retry.request_timeout = Millis(400);
-  config.retry.followup_ack_timeout = Millis(400);
   RadicalDeployment radical(&sim, &net, config, DeploymentRegions(),
                             /*replicated_locks=*/3);
   radical.RegisterFunction(Fn("reg_read", {"k"}, {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/func/builder.h"
 #include "src/radical/deployment.h"
 #include "tests/deployment_profile.h"
@@ -249,6 +252,75 @@ PROFILE_TEST(RuntimeEdgeTest, EvictedSingleKeyOnlyAffectsThatKey) {
   radical_->Invoke(Region::kJP, "slow_read", {Value("k")}, [](Value) {});
   sim_.Run();
   EXPECT_EQ(radical_->runtime(Region::kJP).counters().Get("spec_skipped_miss"), 1u);
+}
+
+// LVI attempts that run out while the speculation is still running: the
+// request falls back to direct, and its first LVI response lands after the
+// fallback. The direct path owns the request from then on — the late
+// response is ignored, the speculation is discarded, and the client gets one
+// final, the direct result.
+TEST(RuntimeLifecycleTest, FallbackWhileSpeculatingIgnoresTheLateLviResponse) {
+  Simulator sim(112233);
+  Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
+  RadicalDeployment radical(&sim, &net, RadicalConfig{}, {Region::kCA});
+  radical.RegisterFunction(Fn("tag", {"k"}, {
+      Read("v", In("k")),
+      Write(In("k"), Cat({V("v"), C("+")})),
+      Compute(Millis(300)),
+      Return(V("v")),
+  }));
+  radical.Seed("k", Value("real"));
+  radical.WarmCaches();
+  // A tracer at the primary's version: validation passes, but anything the
+  // speculation computes from the cache is recognisable.
+  CacheStore& cache = radical.runtime(Region::kCA).cache();
+  const Version version = cache.VersionOf("k");
+  cache.Install("k", Value("tracer"), version);
+
+  // LVI attempts time out after 2 ms and 40 ms, so the request falls back
+  // 42 ms after the LVI send: inside the ~70 ms CA-VA round trip and the
+  // 300 ms speculation. The second attempt reaches the server while the
+  // first is in its pipeline, so exactly one LVI response comes back. Both
+  // direct retransmits (after 2 ms and 40 ms) reach the server while it
+  // re-executes, and its one reply lands before the 800 ms timeout.
+  RequestOptions options;
+  options.consistency = ConsistencyMode::kPreviewThenFinal;
+  options.retry = RetryPolicy{};
+  options.retry->request_timeout = Millis(2);
+  options.retry->max_lvi_attempts = 2;
+  options.retry->backoff = 20.0;
+  std::vector<Outcome> finals;
+  std::optional<Item> cached_after_spec;
+  radical.client(Region::kCA).Submit(Request{"tag", {Value("k")}}, options, [&](Outcome o) {
+    if (!o.preview()) {
+      finals.push_back(std::move(o));
+      return;
+    }
+    // The speculation just finished, after the fallback. Look at the cache
+    // once a commit would have installed its write.
+    EXPECT_EQ(o.result, Value("tracer"));
+    sim.Schedule(cache.options().write_latency + Millis(1),
+                 [&] { cached_after_spec = cache.Peek("k"); });
+  });
+  sim.Run();
+
+  ASSERT_EQ(finals.size(), 1u);
+  // The direct result, which the preview did not predict.
+  EXPECT_EQ(finals[0].status, RequestStatus::kAborted);
+  EXPECT_EQ(finals[0].result, Value("real"));
+  const obs::MetricsScope counters = radical.runtime(Region::kCA).counters();
+  EXPECT_EQ(counters.Get("speculations"), 1u);
+  EXPECT_EQ(counters.Get("fallback_direct"), 1u);
+  EXPECT_EQ(counters.Get("late_response_ignored"), 1u);
+  EXPECT_EQ(counters.Get("validated_speculative"), 0u);
+  EXPECT_EQ(counters.Get("replies"), 1u);
+  // The discarded speculation installed nothing: the cache still held the
+  // tracer at its old version, not "tracer+" at the next one.
+  ASSERT_TRUE(cached_after_spec.has_value());
+  EXPECT_EQ(cached_after_spec->value, Value("tracer"));
+  EXPECT_EQ(cached_after_spec->version, version);
+  EXPECT_EQ(radical.primary().Peek("k")->value, Value("real+"));
+  EXPECT_TRUE(radical.server().idle());
 }
 
 }  // namespace

@@ -320,7 +320,6 @@ class ShardedFaultSweepTest : public ::testing::Test {
     config.server.intent_timeout = Millis(500);
     config.retry.request_timeout = Millis(300);
     config.retry.max_lvi_attempts = 2;
-    config.retry.followup_ack_timeout = Millis(300);
     radical_ = std::make_unique<RadicalDeployment>(&sim_, &net_, config, DeploymentRegions());
     radical_->RegisterFunction(Fn("reg_read", {"k"}, {
         Read("v", In("k")),
@@ -385,12 +384,13 @@ TEST_F(ShardedFaultSweepTest, BatchedPathStaysLinearizableUnderLossAndCrash) {
   sim_.Schedule(Millis(1500), [&] { radical_->server().Recover(); });
   sim_.Run();
 
+  // One final callback per Submit (a second completion of a request aborts
+  // on done -> done).
   EXPECT_EQ(history.size(), static_cast<size_t>(total_ops));
   uint64_t requests = 0;
   uint64_t replies = 0;
   uint64_t retries = 0;
   uint64_t timeouts = 0;
-  uint64_t duplicate_replies = 0;
   for (const Region region : DeploymentRegions()) {
     const obs::MetricsScope counters = radical_->runtime(region).counters();
     EXPECT_EQ(counters.Get("requests"), counters.Get("replies"))
@@ -399,11 +399,9 @@ TEST_F(ShardedFaultSweepTest, BatchedPathStaysLinearizableUnderLossAndCrash) {
     replies += counters.Get("replies");
     retries += counters.Get("retries");
     timeouts += counters.Get("timeouts");
-    duplicate_replies += counters.Get("duplicate_replies");
   }
   EXPECT_EQ(requests, static_cast<uint64_t>(total_ops));
   EXPECT_EQ(replies, static_cast<uint64_t>(total_ops));
-  EXPECT_EQ(duplicate_replies, 0u);
   EXPECT_GT(timeouts, 0u);
   EXPECT_GT(retries, 0u);
 
