@@ -266,6 +266,8 @@ std::string BenchReport::ToJson() const {
         w.Double(p.replies_pct, 2);
         w.Key("linearizable");
         w.Bool(p.linearizable);
+        w.Key("compensating_releases");
+        w.Uint(p.compensating_releases);
       }
       if (p.session_point) {
         // Consistency-spectrum point: present only for session/preview

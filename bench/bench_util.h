@@ -111,6 +111,9 @@ struct ThroughputPoint {
   uint64_t leader_kills = 0;   // Group leaders crashed mid-run (fault sweep).
   double replies_pct = 0.0;    // Requests answered, percent of issued.
   bool linearizable = false;   // Wing&Gong check over the observed history.
+  // Releases the lock service submitted for stray grants (grants that
+  // committed after their execution released); 0 on a fault-free point.
+  uint64_t compensating_releases = 0;
   // --- Consistency spectrum (bench/consistency_spectrum session curves) -----
   // Whether the point measured the preview/final session path; the fields
   // below form an optional JSON group keyed on this flag (omitted when

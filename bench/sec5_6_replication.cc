@@ -213,6 +213,7 @@ ThroughputPoint MeasureShardThroughput(int groups) {
   // Uncontended unique-key locks: the per-grant holds-at-leader invariant is
   // the whole correctness story for this curve.
   point.linearizable = holds_on_grant;
+  point.compensating_releases = service.compensating_releases();
   return point;
 }
 
@@ -303,6 +304,7 @@ ThroughputPoint MeasureFailover(int groups) {
   point.p99_ms = latencies.PercentileMs(99);
   point.leader_kills = kills;
   point.replies_pct = 100.0 * static_cast<double>(history.size()) / total_ops;
+  point.compensating_releases = radical.replicated_locks()->compensating_releases();
   const LinearizabilityResult check = CheckHistory(history, initials);
   point.linearizable = check.linearizable;
   if (!check.linearizable) {

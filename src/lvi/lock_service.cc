@@ -102,13 +102,8 @@ ReplicatedLockService::ReplicatedLockService(Simulator* sim, int node_count,
 void ReplicatedLockService::BuildGroup(int g, int node_count, const RaftOptions& raft_options,
                                        const LocalMeshOptions& mesh_options) {
   LockGroup& group = groups_[static_cast<size_t>(g)];
-  group.machines.reserve(static_cast<size_t>(node_count));
-  for (int i = 0; i < node_count; ++i) {
-    auto machine = std::make_unique<LockStateMachine>();
-    machine->set_grant_listener(
-        [this](ExecutionId exec, const Key& key) { OnGrant(exec, key); });
-    group.machines.push_back(std::move(machine));
-  }
+  // Filled by the apply factory below, once per node at construction.
+  group.machines.resize(static_cast<size_t>(node_count));
   // A single group keeps the historical "raft" metric scope; multi-group
   // deployments get one scope per shard so each group is observable.
   const std::string scope =
@@ -117,15 +112,28 @@ void ReplicatedLockService::BuildGroup(int g, int node_count, const RaftOptions&
       sim_, node_count, raft_options,
       [this, g](NodeId id) -> RaftNode::ApplyFn {
         // On restart the machine is rebuilt from scratch and replayed.
-        auto machine = std::make_unique<LockStateMachine>();
-        machine->set_grant_listener(
-            [this](ExecutionId exec, const Key& key) { OnGrant(exec, key); });
         auto& slot = groups_[static_cast<size_t>(g)].machines[static_cast<size_t>(id)];
-        slot = std::move(machine);
+        slot = std::make_unique<LockStateMachine>();
         LockStateMachine* raw = slot.get();
-        return [raw](LogIndex index, const std::string& command) { raw->Apply(index, command); };
+        return [this, g, raw](LogIndex index, const std::string& command) {
+          const std::vector<LockStateMachine::Grant> grants = raw->Apply(index, command);
+          // Every replica computes the same grants for an index: act on the
+          // first apply only.
+          LockGroup& applied_group = groups_[static_cast<size_t>(g)];
+          if (index <= applied_group.applied) {
+            return;
+          }
+          applied_group.applied = index;
+          for (const LockStateMachine::Grant& grant : grants) {
+            OnGrant(g, grant.exec, grant.key);
+          }
+        };
       },
       mesh_options, scope);
+  obs::MetricsScope metrics(&sim_->metrics(), group.cluster->metric_scope());
+  group.acquire_resubmits = metrics.counter("acquire_resubmits");
+  group.release_retries = metrics.counter("release_retries");
+  group.compensating_releases = metrics.counter("compensating_releases");
   // Snapshot hooks resolve the machine at call time, so they stay valid
   // across node restarts (which recreate the machines).
   for (NodeId id = 0; id < node_count; ++id) {
@@ -154,6 +162,14 @@ const LockStateMachine* ReplicatedLockService::LeaderState(int shard) const {
   const LockGroup& group = groups_[static_cast<size_t>(shard)];
   const NodeId id = group.cluster->LeaderId();
   return id < 0 ? nullptr : group.machines[static_cast<size_t>(id)].get();
+}
+
+uint64_t ReplicatedLockService::Sum(obs::Counter* LockGroup::*counter) const {
+  uint64_t n = 0;
+  for (const LockGroup& group : groups_) {
+    n += (group.*counter)->value();
+  }
+  return n;
 }
 
 void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
@@ -194,27 +210,39 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
     acq.shard_of.push_back(shard[i]);
   }
   acq.granted = std::move(granted);
-  // Grants this exec already received (a retry after a crash re-acquires
-  // locks it still holds in the replicated table) count immediately.
-  for (const Key& key : acq.keys) {
-    if (seen_grants_.count({exec, key}) > 0) {
-      acq.granted_keys.insert(key);
-    }
-  }
-  if (acq.granted_keys.size() == acq.keys.size()) {
+  // Locks this exec already holds (a retry after a crash re-acquires locks
+  // it still holds in the replicated table) count immediately.
+  if (Advance(exec, acq)) {
     sim_->Schedule(0, std::move(acq.granted));
     return;
   }
-  while (!batched_ && acq.next < acq.keys.size() &&
-         acq.granted_keys.count(acq.keys[acq.next]) > 0) {
-    ++acq.next;
-  }
   pending_.emplace(exec, std::move(acq));
-  if (batched_) {
-    SubmitNextBatch(exec);
-    return;
-  }
   SubmitNext(exec);
+}
+
+size_t ReplicatedLockService::RunEnd(const PendingAcquire& acq) const {
+  if (!batched_) {
+    return acq.next + 1;
+  }
+  size_t end = acq.next;
+  while (end < acq.keys.size() && acq.shard_of[end] == acq.shard_of[acq.next]) {
+    ++end;
+  }
+  return end;
+}
+
+bool ReplicatedLockService::Advance(ExecutionId exec, PendingAcquire& acq) const {
+  const auto hit = held_.find(exec);
+  while (acq.next < acq.keys.size()) {
+    const size_t end = RunEnd(acq);
+    for (size_t i = acq.next; i < end; ++i) {
+      if (hit == held_.end() || hit->second.count(acq.keys[i]) == 0) {
+        return false;
+      }
+    }
+    acq.next = end;
+  }
+  return true;
 }
 
 void ReplicatedLockService::SubmitNext(ExecutionId exec) {
@@ -222,82 +250,30 @@ void ReplicatedLockService::SubmitNext(ExecutionId exec) {
   if (it == pending_.end()) {
     return;
   }
-  PendingAcquire& acq = it->second;
-  while (acq.next < acq.keys.size() && acq.granted_keys.count(acq.keys[acq.next]) > 0) {
-    ++acq.next;
+  const PendingAcquire& acq = it->second;
+  const int shard = acq.shard_of[acq.next];
+  // Serial (§5.6): one key per commit, the next submitted only once this one
+  // is granted. Batched: one commit carries the run's whole key set; the
+  // state machine grants what is free and queues the rest atomically. Runs
+  // are taken in ascending shard order, chaining on grants (OnGrant).
+  std::string command;
+  if (batched_) {
+    const auto from = static_cast<std::ptrdiff_t>(acq.next);
+    const auto to = static_cast<std::ptrdiff_t>(RunEnd(acq));
+    command = LockStateMachine::EncodeBatchAcquire(
+        exec, std::vector<Key>(acq.keys.begin() + from, acq.keys.begin() + to),
+        std::vector<LockMode>(acq.modes.begin() + from, acq.modes.begin() + to));
+  } else {
+    command = LockStateMachine::EncodeAcquire(exec, acq.modes[acq.next], acq.keys[acq.next]);
   }
-  if (acq.next >= acq.keys.size()) {
-    return;  // Completion is handled on the grant path.
-  }
-  const std::string command =
-      LockStateMachine::EncodeAcquire(exec, acq.modes[acq.next], acq.keys[acq.next]);
-  // Locks are acquired in series (§5.6): the next key is only submitted once
-  // this one is granted — see OnGrant.
-  cluster(acq.shard_of[acq.next])
-      .SubmitToLeader(command, [this, exec](LogIndex index) {
-        if (index == 0) {
-          OnAcquireSubmitFailed(exec);
-        }
-      });
-}
-
-size_t ReplicatedLockService::RunEnd(const PendingAcquire& acq, size_t from) {
-  if (from >= acq.keys.size()) {
-    return from;
-  }
-  const int shard = acq.shard_of[from];
-  size_t end = from;
-  while (end < acq.keys.size() && acq.shard_of[end] == shard) {
-    ++end;
-  }
-  return end;
-}
-
-void ReplicatedLockService::SubmitNextBatch(ExecutionId exec) {
-  const auto it = pending_.find(exec);
-  if (it == pending_.end()) {
-    return;
-  }
-  PendingAcquire& acq = it->second;
-  // Skip over runs whose keys are all already granted (pre-grants from a
-  // retry after crash).
-  while (acq.batch_from < acq.keys.size()) {
-    const size_t end = RunEnd(acq, acq.batch_from);
-    bool all_granted = true;
-    for (size_t i = acq.batch_from; i < end; ++i) {
-      if (acq.granted_keys.count(acq.keys[i]) == 0) {
-        all_granted = false;
-        break;
-      }
+  cluster(shard).SubmitToLeader(std::move(command), [this, exec, shard](LogIndex index) {
+    if (index == 0) {
+      OnAcquireSubmitFailed(exec, shard);
     }
-    if (!all_granted) {
-      break;
-    }
-    acq.batch_from = end;
-  }
-  if (acq.batch_from >= acq.keys.size()) {
-    return;  // Completion is handled on the grant path.
-  }
-  const size_t end = RunEnd(acq, acq.batch_from);
-  std::vector<Key> run_keys;
-  std::vector<LockMode> run_modes;
-  for (size_t i = acq.batch_from; i < end; ++i) {
-    run_keys.push_back(acq.keys[i]);
-    run_modes.push_back(acq.modes[i]);
-  }
-  // One commit carries the run's whole key set; the state machine grants
-  // what is free and queues the rest atomically. Runs are taken in
-  // ascending shard order, chaining on the run's last grant.
-  cluster(acq.shard_of[acq.batch_from])
-      .SubmitToLeader(LockStateMachine::EncodeBatchAcquire(exec, run_keys, run_modes),
-                      [this, exec](LogIndex index) {
-                        if (index == 0) {
-                          OnAcquireSubmitFailed(exec);
-                        }
-                      });
+  });
 }
 
-void ReplicatedLockService::OnAcquireSubmitFailed(ExecutionId exec) {
+void ReplicatedLockService::OnAcquireSubmitFailed(ExecutionId exec, int shard) {
   if (pending_.count(exec) == 0) {
     return;  // Granted through another path or released meanwhile.
   }
@@ -305,71 +281,33 @@ void ReplicatedLockService::OnAcquireSubmitFailed(ExecutionId exec) {
   // proposing leader lost its term). The command may or may not be in some
   // log; resubmitting is idempotent either way, and *not* resubmitting
   // would stall the acquisition forever.
-  ++acquire_resubmits_;
+  groups_[static_cast<size_t>(shard)].acquire_resubmits->Increment();
   RLOG(kWarn) << "replicated acquire proposal timed out; resubmitting exec=" << exec;
-  sim_->Schedule(raft_options_.election_timeout_min, [this, exec] {
-    if (pending_.count(exec) == 0) {
-      return;
-    }
-    if (batched_) {
-      SubmitNextBatch(exec);
-    } else {
-      SubmitNext(exec);
-    }
-  });
+  sim_->Schedule(raft_options_.election_timeout_min, [this, exec] { SubmitNext(exec); });
 }
 
-void ReplicatedLockService::OnGrant(ExecutionId exec, const Key& key) {
-  // Every replica applies every command; act once per (exec, key).
-  if (!seen_grants_.emplace(exec, key).second) {
-    return;
-  }
+void ReplicatedLockService::OnGrant(int shard, ExecutionId exec, const Key& key) {
   const auto it = pending_.find(exec);
-  if (it == pending_.end()) {
-    if (released_execs_.count(exec) > 0) {
-      // The exec released before this (retried) acquire committed. Submit a
-      // fresh release: it necessarily lands after the acquire in the
-      // group's log, so the stray lock cannot leak.
-      const int shard = router_.ShardOf(key);
-      releasing_[exec].insert(shard);
+  if (it == pending_.end() && held_.count(exec) == 0) {
+    // A stray grant: `exec` released before it committed. A release behind
+    // it in the group's log frees the lock; one already in flight does.
+    if (releasing_[exec].insert(shard).second) {
+      groups_[static_cast<size_t>(shard)].compensating_releases->Increment();
       SubmitRelease(exec, shard);
     }
     return;
   }
-  PendingAcquire& acq = it->second;
-  const bool expected =
-      std::find(acq.keys.begin(), acq.keys.end(), key) != acq.keys.end();
-  if (!expected) {
-    return;  // A grant for some other key (e.g. replayed after restart).
+  held_[exec].insert(key);
+  if (it == pending_.end()) {
+    return;
   }
-  acq.granted_keys.insert(key);
-  if (!batched_ && acq.next < acq.keys.size() && acq.keys[acq.next] == key) {
-    ++acq.next;
-    while (acq.next < acq.keys.size() && acq.granted_keys.count(acq.keys[acq.next]) > 0) {
-      ++acq.next;
-    }
-    if (acq.next < acq.keys.size()) {
-      // Schedule rather than recurse: grants fire inside Raft's apply path.
+  PendingAcquire& acq = it->second;
+  const size_t before = acq.next;
+  if (!Advance(exec, acq)) {
+    if (acq.next != before) {
+      // Schedule rather than recurse: grants arrive inside Raft's apply path.
       sim_->Schedule(0, [this, exec] { SubmitNext(exec); });
     }
-  }
-  if (batched_ && acq.batch_from < acq.keys.size()) {
-    const size_t end = RunEnd(acq, acq.batch_from);
-    bool run_granted = true;
-    for (size_t i = acq.batch_from; i < end; ++i) {
-      if (acq.granted_keys.count(acq.keys[i]) == 0) {
-        run_granted = false;
-        break;
-      }
-    }
-    if (run_granted) {
-      acq.batch_from = end;
-      if (acq.batch_from < acq.keys.size()) {
-        sim_->Schedule(0, [this, exec] { SubmitNextBatch(exec); });
-      }
-    }
-  }
-  if (acq.granted_keys.size() < acq.keys.size()) {
     return;
   }
   std::function<void()> granted = std::move(acq.granted);
@@ -381,23 +319,21 @@ void ReplicatedLockService::OnGrant(ExecutionId exec, const Key& key) {
 
 void ReplicatedLockService::ReleaseAll(ExecutionId exec) {
   // Collect the groups that may hold state for this exec: those of every
-  // granted key, plus those of every key at or before the submission
-  // frontier of a still-pending acquire (submitted but ungranted commands
-  // may be queued in the group's table).
+  // held key, plus those of every key up to the end of a still-pending
+  // acquire's run in flight (submitted but ungranted commands may be queued
+  // in the group's table).
   std::set<int> shards;
-  for (auto it = seen_grants_.begin(); it != seen_grants_.end();) {
-    if (it->first == exec) {
-      shards.insert(router_.ShardOf(it->second));
-      it = seen_grants_.erase(it);
-    } else {
-      ++it;
+  const auto hit = held_.find(exec);
+  if (hit != held_.end()) {
+    for (const Key& key : hit->second) {
+      shards.insert(router_.ShardOf(key));
     }
+    held_.erase(hit);
   }
   const auto pit = pending_.find(exec);
   if (pit != pending_.end()) {
     const PendingAcquire& acq = pit->second;
-    const size_t frontier =
-        batched_ ? RunEnd(acq, acq.batch_from) : std::min(acq.next + 1, acq.keys.size());
+    const size_t frontier = RunEnd(acq);
     for (size_t i = 0; i < frontier; ++i) {
       shards.insert(acq.shard_of[i]);
     }
@@ -406,7 +342,6 @@ void ReplicatedLockService::ReleaseAll(ExecutionId exec) {
   if (shards.empty()) {
     shards.insert(0);  // Stray release: route to group 0 (harmless no-op).
   }
-  released_execs_.insert(exec);
   for (int shard : shards) {
     if (releasing_[exec].insert(shard).second) {
       SubmitRelease(exec, shard);
@@ -430,7 +365,7 @@ void ReplicatedLockService::SubmitRelease(ExecutionId exec, int shard) {
         }
         // The release outlived the submit deadline. Retry until it commits:
         // dropping it would leak the lock in the replicated table forever.
-        ++release_retries_;
+        groups_[static_cast<size_t>(shard)].release_retries->Increment();
         RLOG(kWarn) << "replicated release timed out; retrying exec=" << exec;
         sim_->Schedule(raft_options_.election_timeout_min, [this, exec, shard] {
           const auto rit2 = releasing_.find(exec);

@@ -34,6 +34,7 @@
 
 #include "src/lvi/lock_table.h"
 #include "src/lvi/shard_router.h"
+#include "src/obs/metrics.h"
 #include "src/raft/cluster.h"
 #include "src/raft/lock_state_machine.h"
 
@@ -86,7 +87,9 @@ class LocalLockService : public LockService {
 };
 
 // Locks behind Raft (etcd-like) groups. Owns the groups and their per-node
-// lock state machines; grants are observed on the applied command stream.
+// lock state machines, and acts on each committed log entry's grants once:
+// the first replica to apply an index reports them, and every later apply of
+// that index (followers, a restarted replica replaying its log) is ignored.
 class ReplicatedLockService : public LockService {
  public:
   // `node_count` is 3 in the paper's deployment (one per availability zone).
@@ -115,18 +118,33 @@ class ReplicatedLockService : public LockService {
   // The group leader's view of the lock state (tests).
   const LockStateMachine* LeaderState(int shard = 0) const;
 
-  // Liveness counters.
+  // Liveness counters, summed over the groups. Each group keeps its own in
+  // the simulator's MetricsRegistry under its RaftCluster's metric scope
+  // ("raft", or "raft.shard<g>" with several groups).
   // Acquire proposals that timed out (e.g. a leaderless spell outlasting the
   // submit deadline) and were resubmitted instead of stalling forever.
-  uint64_t acquire_resubmits() const { return acquire_resubmits_; }
+  uint64_t acquire_resubmits() const { return Sum(&LockGroup::acquire_resubmits); }
   // Release proposals that timed out and were retried until committed
   // (dropping one would leak the lock in the replicated table).
-  uint64_t release_retries() const { return release_retries_; }
+  uint64_t release_retries() const { return Sum(&LockGroup::release_retries); }
+  // Releases submitted for a stray grant: one that committed after its
+  // execution released (it was queued on the key, or a resubmitted acquire
+  // landed late in the log).
+  uint64_t compensating_releases() const { return Sum(&LockGroup::compensating_releases); }
+
+  // No acquisition, holding or release in flight: the service keeps no
+  // per-execution state (tests).
+  bool idle() const { return pending_.empty() && held_.empty() && releasing_.empty(); }
 
  private:
   struct LockGroup {
     std::vector<std::unique_ptr<LockStateMachine>> machines;  // One per node.
     std::unique_ptr<RaftCluster> cluster;
+    // Highest log index whose grants the service has acted on.
+    LogIndex applied = 0;
+    obs::Counter* acquire_resubmits = nullptr;
+    obs::Counter* release_retries = nullptr;
+    obs::Counter* compensating_releases = nullptr;
   };
 
   struct PendingAcquire {
@@ -134,25 +152,27 @@ class ReplicatedLockService : public LockService {
     std::vector<Key> keys;
     std::vector<LockMode> modes;
     std::vector<int> shard_of;
-    size_t next = 0;        // Serial mode: next key to submit through Raft.
-    size_t batch_from = 0;  // Batched mode: first key of the current run.
-    std::set<Key> granted_keys;
+    // First key of the run in flight through Raft (see RunEnd).
+    size_t next = 0;
     std::function<void()> granted;
   };
 
   void BuildGroup(int g, int node_count, const RaftOptions& raft_options,
                   const LocalMeshOptions& mesh_options);
-  // Submits the acquire command for `exec`'s next key; continues on grant.
+  // End of the run starting at `acq.next`: the one key when serial (§5.6),
+  // the contiguous same-shard keys when batched.
+  size_t RunEnd(const PendingAcquire& acq) const;
+  // Moves `acq.next` past the runs `exec` already holds; true once every
+  // key is held.
+  bool Advance(ExecutionId exec, PendingAcquire& acq) const;
+  // Submits `exec`'s run at `next` as one command; continues on grant.
   void SubmitNext(ExecutionId exec);
-  // Batched mode: submits the contiguous same-shard run at `batch_from`.
-  void SubmitNextBatch(ExecutionId exec);
-  // End of the contiguous same-shard run starting at `from`.
-  static size_t RunEnd(const PendingAcquire& acq, size_t from);
   // An acquire proposal timed out; resubmit once the dust settles.
-  void OnAcquireSubmitFailed(ExecutionId exec);
-  void OnGrant(ExecutionId exec, const Key& key);
+  void OnAcquireSubmitFailed(ExecutionId exec, int shard);
+  void OnGrant(int shard, ExecutionId exec, const Key& key);
   // Submits (and retries until committed) `exec`'s release in `shard`.
   void SubmitRelease(ExecutionId exec, int shard);
+  uint64_t Sum(obs::Counter* LockGroup::*counter) const;
 
   Simulator* sim_;
   bool batched_;
@@ -160,16 +180,11 @@ class ReplicatedLockService : public LockService {
   ShardRouter router_;
   std::vector<LockGroup> groups_;
   std::unordered_map<ExecutionId, PendingAcquire> pending_;
-  // Dedupe grant notifications (each replica applies every command).
-  std::set<std::pair<ExecutionId, Key>> seen_grants_;
-  // Execs that have released: a grant that commits after the release (a
-  // retried acquire landing late in the log) triggers a compensating
-  // release instead of leaking the lock.
-  std::set<ExecutionId> released_execs_;
+  // Keys each execution holds, from the grants acted on; erased at
+  // ReleaseAll.
+  std::unordered_map<ExecutionId, std::set<Key>> held_;
   // Shards with a release submitted but not yet committed, per exec.
   std::unordered_map<ExecutionId, std::set<int>> releasing_;
-  uint64_t acquire_resubmits_ = 0;
-  uint64_t release_retries_ = 0;
 };
 
 }  // namespace radical

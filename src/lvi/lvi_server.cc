@@ -14,8 +14,6 @@ namespace radical {
 
 namespace {
 
-size_t ValueWireSize(const Value& v) { return v.ApproxSizeBytes() + 4; }
-
 // The simulator ticks in microseconds, so one request per tick is the
 // highest capacity the M/D/1 model can represent; anything above it used to
 // truncate service_time to 0 and silently model an *unlimited* server.
@@ -59,38 +57,6 @@ const char* ResponseStatusName(ResponseStatus status) {
       return "shed";
   }
   return "?";
-}
-
-size_t LviRequest::ApproxSizeBytes() const {
-  size_t n = 64;  // Header, exec id, function name.
-  n += function.size();
-  for (const Value& v : inputs) {
-    n += ValueWireSize(v);
-  }
-  for (const LviItem& item : items) {
-    n += item.key.size() + 9;  // Key + version + mode.
-  }
-  if (session_id != 0) {
-    n += 8 + 8 * items.size();  // Session id + per-item floor versions.
-  }
-  return n;
-}
-
-size_t LviResponse::ApproxSizeBytes() const {
-  size_t n = 32;
-  n += ValueWireSize(backup_result);
-  for (const FreshItem& item : fresh_items) {
-    n += item.key.size() + ValueWireSize(item.value) + 8;
-  }
-  return n;
-}
-
-size_t WriteFollowup::ApproxSizeBytes() const {
-  size_t n = 32;
-  for (const BufferedWrite& w : writes) {
-    n += w.key.size() + ValueWireSize(w.value);
-  }
-  return n;
 }
 
 LviServer::LviServer(Simulator* sim, VersionedStore* store, const FunctionRegistry* registry,

@@ -65,9 +65,6 @@ struct LviRequest {
   // the sessionless encoding). 0 = no session. When nonzero, the items'
   // session_floor versions travel with it.
   uint64_t session_id = 0;
-
-  // Approximate wire size for bandwidth accounting.
-  size_t ApproxSizeBytes() const;
 };
 
 // Fresh copy shipped back for a stale or backup-written item.
@@ -92,15 +89,11 @@ struct LviResponse {
   // hints how long the client should wait before retrying (0 = no hint).
   ResponseStatus status = ResponseStatus::kOk;
   SimDuration retry_after = 0;
-
-  size_t ApproxSizeBytes() const;
 };
 
 struct WriteFollowup {
   ExecutionId exec_id = 0;
   std::vector<BufferedWrite> writes;
-
-  size_t ApproxSizeBytes() const;
 };
 
 // Fallback path for functions the analyzer could not handle: the request is

@@ -21,10 +21,10 @@ RaftCluster::RaftCluster(Simulator* sim, int node_count, RaftOptions options,
   }
   // Per-node health gauges, read off the node at snapshot time.
   obs::MetricsRegistry& reg = sim->metrics();
-  const std::string prefix = reg.UniqueScopeName(metric_scope);
+  metric_scope_ = reg.UniqueScopeName(metric_scope);
   for (NodeId id = 0; id < node_count; ++id) {
     const RaftNode* n = nodes_[static_cast<size_t>(id)].get();
-    const std::string base = prefix + ".node" + std::to_string(id);
+    const std::string base = metric_scope_ + ".node" + std::to_string(id);
     reg.AddCallbackGauge(base + ".term", [n] { return static_cast<int64_t>(n->term()); });
     reg.AddCallbackGauge(base + ".commit_index",
                          [n] { return static_cast<int64_t>(n->commit_index()); });

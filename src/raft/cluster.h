@@ -39,6 +39,8 @@ class RaftCluster {
   int size() const { return static_cast<int>(nodes_.size()); }
   LocalMesh& mesh() { return *mesh_; }
   Simulator* simulator() { return sim_; }
+  // The unique metric scope reserved for this group's instruments.
+  const std::string& metric_scope() const { return metric_scope_; }
 
   // Proposes `command`, retrying against whichever node claims leadership
   // until it commits or `deadline` virtual time passes. `done(index)` fires
@@ -58,6 +60,7 @@ class RaftCluster {
   ApplyFactory apply_factory_;
   std::unique_ptr<LocalMesh> mesh_;
   std::vector<std::unique_ptr<RaftNode>> nodes_;
+  std::string metric_scope_;
 };
 
 }  // namespace radical

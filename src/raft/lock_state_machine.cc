@@ -81,8 +81,10 @@ void LockStateMachine::RestoreSnapshot(const std::string& data) {
   }
 }
 
-void LockStateMachine::Apply(LogIndex index, const std::string& command) {
+std::vector<LockStateMachine::Grant> LockStateMachine::Apply(LogIndex index,
+                                                             const std::string& command) {
   last_applied_ = index;
+  std::vector<Grant> grants;
   std::istringstream is(command);
   std::string op;
   is >> op;
@@ -91,10 +93,9 @@ void LockStateMachine::Apply(LogIndex index, const std::string& command) {
     std::string mode_str;
     std::string key;
     is >> exec >> mode_str >> key;
-    if (exec == 0 || key.empty()) {
-      return;
+    if (exec != 0 && !key.empty()) {
+      ApplyAcquire(exec, mode_str == "w" ? LockMode::kWrite : LockMode::kRead, key, &grants);
     }
-    ApplyAcquire(exec, mode_str == "w" ? LockMode::kWrite : LockMode::kRead, key);
   } else if (op == "batch") {
     ExecutionId exec = 0;
     size_t n = 0;
@@ -104,38 +105,36 @@ void LockStateMachine::Apply(LogIndex index, const std::string& command) {
       std::string key;
       is >> mode_str >> key;
       if (exec != 0 && !key.empty()) {
-        ApplyAcquire(exec, mode_str == "w" ? LockMode::kWrite : LockMode::kRead, key);
+        ApplyAcquire(exec, mode_str == "w" ? LockMode::kWrite : LockMode::kRead, key, &grants);
       }
     }
   } else if (op == "release") {
     ExecutionId exec = 0;
     is >> exec;
     if (exec != 0) {
-      ApplyRelease(exec);
+      ApplyRelease(exec, &grants);
     }
   }
   // Unknown commands ignored.
+  return grants;
 }
 
-void LockStateMachine::Grant(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock) {
+void LockStateMachine::Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock,
+                            std::vector<Grant>* grants) {
   if (mode == LockMode::kWrite) {
     lock.writer = exec;
   } else {
     lock.readers.insert(exec);
   }
   held_[exec].insert(key);
-  if (grant_listener_) {
-    grant_listener_(exec, key);
-  }
+  grants->push_back(Grant{exec, key});
 }
 
-void LockStateMachine::ApplyAcquire(ExecutionId exec, LockMode mode, const Key& key) {
+void LockStateMachine::ApplyAcquire(ExecutionId exec, LockMode mode, const Key& key,
+                                    std::vector<Grant>* grants) {
   KeyLock& lock = locks_[key];
   // Idempotence: already held by this execution.
   if (lock.writer == exec || lock.readers.count(exec) > 0) {
-    if (grant_listener_) {
-      grant_listener_(exec, key);  // Re-notify; listeners dedupe.
-    }
     return;
   }
   const bool grantable =
@@ -144,7 +143,7 @@ void LockStateMachine::ApplyAcquire(ExecutionId exec, LockMode mode, const Key& 
           // Readers share, but queue behind a waiting writer (fairness).
           : lock.writer == 0 && lock.queue.empty();
   if (grantable) {
-    Grant(exec, mode, key, lock);
+    Hold(exec, mode, key, lock, grants);
     return;
   }
   // Duplicate queued request is idempotent.
@@ -156,7 +155,7 @@ void LockStateMachine::ApplyAcquire(ExecutionId exec, LockMode mode, const Key& 
   lock.queue.push_back(Waiter{exec, mode});
 }
 
-void LockStateMachine::ApplyRelease(ExecutionId exec) {
+void LockStateMachine::ApplyRelease(ExecutionId exec, std::vector<Grant>* grants) {
   const auto it = held_.find(exec);
   if (it == held_.end()) {
     return;
@@ -173,14 +172,14 @@ void LockStateMachine::ApplyRelease(ExecutionId exec) {
       lock.writer = 0;
     }
     lock.readers.erase(exec);
-    DrainQueue(key, lock);
+    DrainQueue(key, lock, grants);
     if (lock.Free() && lock.queue.empty()) {
       locks_.erase(lit);
     }
   }
 }
 
-void LockStateMachine::DrainQueue(const Key& key, KeyLock& lock) {
+void LockStateMachine::DrainQueue(const Key& key, KeyLock& lock, std::vector<Grant>* grants) {
   while (!lock.queue.empty()) {
     const Waiter head = lock.queue.front();
     if (head.mode == LockMode::kWrite) {
@@ -188,7 +187,7 @@ void LockStateMachine::DrainQueue(const Key& key, KeyLock& lock) {
         return;
       }
       lock.queue.pop_front();
-      Grant(head.exec, head.mode, key, lock);
+      Hold(head.exec, head.mode, key, lock, grants);
       return;  // A writer excludes everything behind it.
     }
     // Reader: joins as long as no writer holds the lock.
@@ -196,7 +195,7 @@ void LockStateMachine::DrainQueue(const Key& key, KeyLock& lock) {
       return;
     }
     lock.queue.pop_front();
-    Grant(head.exec, head.mode, key, lock);
+    Hold(head.exec, head.mode, key, lock, grants);
     // Continue: consecutive readers are granted together.
   }
 }

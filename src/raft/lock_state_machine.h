@@ -3,19 +3,20 @@
 // When the LVI server is replicated for high availability, its locks move
 // into an etcd-like store: every acquire/release is a command committed
 // through Raft, and each replica applies the same deterministic lock-table
-// transitions. The service layer listens for grant events on the applied
-// stream (grants may happen at apply time, or later when a release unblocks
-// a queued waiter).
+// transitions. Apply returns the grants a command made: at apply time, or
+// when a release unblocks queued waiters. Every replica computes the same
+// grants for the same log index, so the service acts on one replica's.
 //
-// Commands are single-key ("our implementation of the replicated server
-// acquires all locks in series", §5.6); the multi-key in-memory table of the
-// singleton server lives in src/lvi/lock_table.h.
+// An `acquire` command takes one key ("our implementation of the replicated
+// server acquires all locks in series", §5.6); a `batch` command takes a
+// same-group run of keys in one commit (the batching the paper leaves as
+// future work). The multi-key in-memory table of the singleton server lives
+// in src/lvi/lock_table.h.
 
 #ifndef RADICAL_SRC_RAFT_LOCK_STATE_MACHINE_H_
 #define RADICAL_SRC_RAFT_LOCK_STATE_MACHINE_H_
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -29,15 +30,16 @@ namespace radical {
 
 class LockStateMachine {
  public:
-  // Fired when `exec` is granted the lock on `key` (at apply time or when a
-  // release unblocks it). Every replica fires it; listeners dedupe.
-  using GrantListener = std::function<void(ExecutionId exec, const Key& key)>;
+  // `exec` now holds the lock on `key`.
+  struct Grant {
+    ExecutionId exec;
+    Key key;
+  };
 
-  void set_grant_listener(GrantListener listener) { grant_listener_ = std::move(listener); }
-
-  // Applies a committed command. Unknown commands are ignored (forward
-  // compatibility); duplicate acquires are idempotent.
-  void Apply(LogIndex index, const std::string& command);
+  // Applies a committed command and returns the grants it made, in grant
+  // order. Unknown commands are ignored (forward compatibility); duplicate
+  // acquires are idempotent and grant nothing.
+  std::vector<Grant> Apply(LogIndex index, const std::string& command);
 
   // --- Command encoding -------------------------------------------------
   static std::string EncodeAcquire(ExecutionId exec, LockMode mode, const Key& key);
@@ -50,8 +52,7 @@ class LockStateMachine {
 
   // --- Snapshotting (log compaction) --------------------------------------
   // Serializes the complete lock state (holders and wait queues). Restoring
-  // replaces the machine's state; no grant notifications fire (grants are
-  // edge-triggered and listeners deduplicate). Keys must not contain
+  // replaces the machine's state and grants nothing. Keys must not contain
   // whitespace — the same constraint the text command encoding has.
   std::string EncodeSnapshot() const;
   void RestoreSnapshot(const std::string& data);
@@ -79,15 +80,16 @@ class LockStateMachine {
     bool Free() const { return writer == 0 && readers.empty(); }
   };
 
-  void ApplyAcquire(ExecutionId exec, LockMode mode, const Key& key);
-  void ApplyRelease(ExecutionId exec);
+  // Each appends the grants it makes to `grants`.
+  void ApplyAcquire(ExecutionId exec, LockMode mode, const Key& key, std::vector<Grant>* grants);
+  void ApplyRelease(ExecutionId exec, std::vector<Grant>* grants);
   // Grants queued waiters on `key` while compatible.
-  void DrainQueue(const Key& key, KeyLock& lock);
-  void Grant(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock);
+  void DrainQueue(const Key& key, KeyLock& lock, std::vector<Grant>* grants);
+  void Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock,
+            std::vector<Grant>* grants);
 
   std::map<Key, KeyLock> locks_;
   std::map<ExecutionId, std::set<Key>> held_;
-  GrantListener grant_listener_;
   LogIndex last_applied_ = 0;
 };
 

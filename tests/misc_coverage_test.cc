@@ -1,6 +1,6 @@
 // Coverage for small public surfaces not exercised elsewhere: event-queue
-// introspection, absolute scheduling, logging levels, message size
-// estimates, stats rendering, external-service replay latency, and
+// introspection, absolute scheduling, logging levels, message wire
+// sizes, stats rendering, external-service replay latency, and
 // expression pretty-printing.
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "src/common/stats.h"
 #include "src/func/builder.h"
 #include "src/func/external.h"
+#include "src/lvi/codec.h"
 #include "src/lvi/lvi_server.h"
 #include "src/sim/simulator.h"
 
@@ -60,13 +61,15 @@ TEST(MessageSizeTest, ApproxSizesScaleWithContent) {
     big.items.push_back(LviItem{"some:rather:long:key:" + std::to_string(i), 1,
                                 LockMode::kRead});
   }
-  EXPECT_GT(big.ApproxSizeBytes(), small.ApproxSizeBytes() + 400);
+  WireScratch wire;
+  const size_t small_size = wire.SizeOf(small);
+  EXPECT_GT(wire.SizeOf(big), small_size + 400);
   WriteFollowup followup;
   followup.writes.push_back({"k", Value(std::string(1000, 'x'))});
-  EXPECT_GT(followup.ApproxSizeBytes(), 1000u);
+  EXPECT_GT(wire.SizeOf(followup), 1000u);
   LviResponse response;
   response.fresh_items.push_back({"k", Value(std::string(500, 'y')), 1});
-  EXPECT_GT(response.ApproxSizeBytes(), 500u);
+  EXPECT_GT(wire.SizeOf(response), 500u);
 }
 
 TEST(StatsRenderingTest, SummaryAndHistogramToString) {

@@ -437,12 +437,12 @@ TEST(LockStateMachineSnapshotTest, RoundTripPreservesLocksAndQueues) {
   EXPECT_EQ(restored.WaitingCount("beta"), 2u);
   EXPECT_EQ(restored.last_applied(), 5u);
   // Queue order and modes survive: releasing the readers grants the writer.
-  std::vector<ExecutionId> grants;
-  restored.set_grant_listener([&](ExecutionId exec, const Key&) { grants.push_back(exec); });
-  restored.Apply(6, LockStateMachine::EncodeRelease(11));
-  restored.Apply(7, LockStateMachine::EncodeRelease(12));
+  EXPECT_TRUE(restored.Apply(6, LockStateMachine::EncodeRelease(11)).empty());
+  const std::vector<LockStateMachine::Grant> grants =
+      restored.Apply(7, LockStateMachine::EncodeRelease(12));
   ASSERT_EQ(grants.size(), 1u);
-  EXPECT_EQ(grants[0], 13u);
+  EXPECT_EQ(grants[0].exec, 13u);
+  EXPECT_EQ(grants[0].key, "beta");
   EXPECT_TRUE(restored.IsWriteHeldBy("beta", 13));
 }
 
@@ -551,17 +551,17 @@ TEST(RaftLogTest, EntriesAfterRespectsBatch) {
 
 TEST(LockStateMachineTest, AcquireReleaseCycle) {
   LockStateMachine sm;
-  std::vector<std::pair<ExecutionId, Key>> grants;
-  sm.set_grant_listener([&](ExecutionId exec, const Key& key) { grants.emplace_back(exec, key); });
-  sm.Apply(1, LockStateMachine::EncodeAcquire(10, LockMode::kWrite, "k"));
+  std::vector<LockStateMachine::Grant> grants =
+      sm.Apply(1, LockStateMachine::EncodeAcquire(10, LockMode::kWrite, "k"));
   EXPECT_TRUE(sm.IsWriteHeldBy("k", 10));
   ASSERT_EQ(grants.size(), 1u);
-  sm.Apply(2, LockStateMachine::EncodeAcquire(11, LockMode::kWrite, "k"));
-  EXPECT_EQ(grants.size(), 1u);  // Queued.
-  EXPECT_EQ(sm.WaitingCount("k"), 1u);
-  sm.Apply(3, LockStateMachine::EncodeRelease(10));
-  ASSERT_EQ(grants.size(), 2u);
-  EXPECT_EQ(grants[1].first, 11u);
+  EXPECT_EQ(grants[0].exec, 10u);
+  EXPECT_TRUE(sm.Apply(2, LockStateMachine::EncodeAcquire(11, LockMode::kWrite, "k")).empty());
+  EXPECT_EQ(sm.WaitingCount("k"), 1u);  // Queued.
+  grants = sm.Apply(3, LockStateMachine::EncodeRelease(10));
+  ASSERT_EQ(grants.size(), 1u);
+  EXPECT_EQ(grants[0].exec, 11u);
+  EXPECT_EQ(grants[0].key, "k");
   EXPECT_TRUE(sm.IsWriteHeldBy("k", 11));
 }
 
@@ -581,12 +581,9 @@ TEST(LockStateMachineTest, ReadersShareWritersQueue) {
 
 TEST(LockStateMachineTest, DuplicateCommandsIdempotent) {
   LockStateMachine sm;
-  int grants = 0;
-  sm.set_grant_listener([&](ExecutionId, const Key&) { ++grants; });
   const std::string acquire = LockStateMachine::EncodeAcquire(1, LockMode::kWrite, "k");
-  sm.Apply(1, acquire);
-  sm.Apply(2, acquire);  // Replay: re-notifies, does not double-hold.
-  EXPECT_EQ(grants, 2);
+  EXPECT_EQ(sm.Apply(1, acquire).size(), 1u);
+  EXPECT_TRUE(sm.Apply(2, acquire).empty());  // Duplicate: grants nothing, holds once.
   EXPECT_EQ(sm.HeldKeyCount(1), 1u);
   sm.Apply(3, LockStateMachine::EncodeRelease(1));
   sm.Apply(4, LockStateMachine::EncodeRelease(1));  // Idempotent.

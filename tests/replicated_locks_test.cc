@@ -1,11 +1,13 @@
 // Tests for the replicated (Raft-backed) lock service of §5.6: the original
 // single-group configuration, the multi-Raft sharded-group configuration,
 // the acquire/release liveness machinery (resubmits and retried releases
-// across leaderless spells), and a deployment-level sharded fault sweep with
-// a linearizability check.
+// across leaderless spells), the grant bookkeeping (each committed grant
+// acted on once), and a deployment-level sharded fault sweep with a
+// linearizability check.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/check/linearizability.h"
@@ -318,6 +320,183 @@ TEST(ShardedReplicatedLocksTest, AllReadAcquisitionCommitsOncePerKey) {
         << "key " << key;
   }
 }
+
+// --- Grants acted on once per committed log entry --------------------------
+
+// Parameter: the number of Raft lock groups.
+class ReplicatedGrantBookkeepingTest : public ::testing::TestWithParam<int> {
+ protected:
+  // Two keys in every group, named after `exec`, sorted (the interface
+  // contract).
+  static std::vector<Key> KeysInEveryGroup(const ReplicatedLockService& service,
+                                           ExecutionId exec) {
+    std::vector<Key> keys;
+    uint64_t candidate = 0;
+    for (int g = 0; g < service.shards(); ++g) {
+      for (int n = 0; n < 2; ++n) {
+        Key key;
+        do {
+          key = "e" + std::to_string(exec) + "-" + std::to_string(candidate++);
+        } while (service.router().ShardOf(key) != g);
+        keys.push_back(std::move(key));
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  static std::vector<LogIndex> LogLengths(ReplicatedLockService& service) {
+    std::vector<LogIndex> lengths;
+    for (int g = 0; g < service.shards(); ++g) {
+      lengths.push_back(service.cluster(g).leader()->log().last_index());
+    }
+    return lengths;
+  }
+};
+
+TEST_P(ReplicatedGrantBookkeepingTest, EachCycleAppendsItsAcquiresAndOneReleasePerGroup) {
+  // An execution that releases as soon as it is granted (what the LVI server
+  // does for a read-only request) must cost each group its acquire commands
+  // plus one release, whichever replica applies last; afterwards the service
+  // keeps nothing about the execution.
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "serial");
+    Simulator sim(331);
+    ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, batched,
+                                  GetParam());
+    ASSERT_TRUE(service.Bootstrap());
+    sim.RunFor(Millis(300));
+    const std::vector<LogIndex> before = LogLengths(service);
+    const int cycles = 12;
+    int granted = 0;
+    for (int i = 0; i < cycles; ++i) {
+      const ExecutionId exec = 100 + static_cast<ExecutionId>(i);
+      const std::vector<Key> keys = KeysInEveryGroup(service, exec);
+      service.AcquireAll(exec, keys, std::vector<LockMode>(keys.size(), LockMode::kWrite),
+                         [&, exec] {
+                           ++granted;
+                           service.ReleaseAll(exec);
+                         });
+      sim.RunFor(Millis(100));
+    }
+    sim.RunFor(Millis(500));
+    EXPECT_EQ(granted, cycles);
+    // Two keys per group: two acquire commands serial, one batch batched.
+    const LogIndex per_cycle = (batched ? 1 : 2) + 1;
+    const std::vector<LogIndex> after = LogLengths(service);
+    for (int g = 0; g < service.shards(); ++g) {
+      EXPECT_EQ(after[static_cast<size_t>(g)] - before[static_cast<size_t>(g)],
+                per_cycle * cycles)
+          << "group " << g;
+      EXPECT_EQ(service.LeaderState(g)->TotalHeldKeys(), 0u) << "group " << g;
+    }
+    EXPECT_EQ(service.compensating_releases(), 0u);
+    EXPECT_TRUE(service.idle());
+  }
+}
+
+TEST_P(ReplicatedGrantBookkeepingTest, RestartReplayAppendsNothing) {
+  // A restarted replica replays every grant of the released executions; the
+  // service acted on them already and must not answer the replay with
+  // releases.
+  Simulator sim(337);
+  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{},
+                                /*batched=*/false, GetParam());
+  ASSERT_TRUE(service.Bootstrap());
+  sim.RunFor(Millis(300));
+  const int executions = 8;
+  for (int i = 0; i < executions; ++i) {
+    const ExecutionId exec = 200 + static_cast<ExecutionId>(i);
+    const std::vector<Key> keys = KeysInEveryGroup(service, exec);
+    service.AcquireAll(exec, keys, std::vector<LockMode>(keys.size(), LockMode::kWrite),
+                       [&service, exec] { service.ReleaseAll(exec); });
+    sim.RunFor(Millis(100));
+  }
+  sim.RunFor(Millis(500));
+  ASSERT_TRUE(service.idle());
+  const std::vector<LogIndex> before = LogLengths(service);
+  for (int g = 0; g < service.shards(); ++g) {
+    RaftCluster& cluster = service.cluster(g);
+    const NodeId follower = (cluster.LeaderId() + 1) % cluster.size();
+    cluster.CrashNode(follower);
+    sim.RunFor(Millis(200));
+    cluster.RestartNode(follower);
+  }
+  sim.RunFor(Seconds(1));
+  for (int g = 0; g < service.shards(); ++g) {
+    RaftCluster& cluster = service.cluster(g);
+    const NodeId leader = cluster.LeaderId();
+    cluster.CrashNode(leader);
+    sim.RunFor(Seconds(2));
+    cluster.RestartNode(leader);
+  }
+  sim.RunFor(Seconds(2));
+  for (int g = 0; g < service.shards(); ++g) {
+    RaftCluster& cluster = service.cluster(g);
+    ASSERT_NE(cluster.leader(), nullptr) << "group " << g;
+    EXPECT_EQ(cluster.leader()->log().last_index(), before[static_cast<size_t>(g)])
+        << "group " << g;
+    for (NodeId id = 0; id < cluster.size(); ++id) {
+      EXPECT_EQ(cluster.node(id)->last_applied(), before[static_cast<size_t>(g)])
+          << "group " << g << " node " << id;
+    }
+  }
+  EXPECT_EQ(service.compensating_releases(), 0u);
+  EXPECT_TRUE(service.idle());
+}
+
+TEST_P(ReplicatedGrantBookkeepingTest, LateGrantToReleasedWaiterIsCompensatedOnce) {
+  // Execution 2 queues behind execution 1's write lock, then releases while
+  // still queued: its release commits first and frees nothing, so the grant
+  // it gets when execution 1 releases is stray. Exactly one compensating
+  // release frees the key for the next writer.
+  Simulator sim(347);
+  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{},
+                                /*batched=*/false, GetParam());
+  ASSERT_TRUE(service.Bootstrap());
+  sim.RunFor(Millis(300));
+  const Key key = "k";
+  const int group = service.router().ShardOf(key);
+  bool granted1 = false;
+  bool granted2 = false;
+  service.AcquireAll(1, {key}, {LockMode::kWrite}, [&] { granted1 = true; });
+  sim.RunFor(Millis(100));
+  ASSERT_TRUE(granted1);
+  service.AcquireAll(2, {key}, {LockMode::kWrite}, [&] { granted2 = true; });
+  sim.RunFor(Millis(100));
+  ASSERT_EQ(service.LeaderState(group)->WaitingCount(key), 1u);
+  service.ReleaseAll(2);
+  sim.RunFor(Millis(100));
+  EXPECT_EQ(service.compensating_releases(), 0u);
+  service.ReleaseAll(1);
+  sim.RunFor(Millis(200));
+  EXPECT_FALSE(granted2);
+  EXPECT_EQ(service.compensating_releases(), 1u);
+  RaftCluster& cluster = service.cluster(group);
+  for (NodeId id = 0; id < cluster.size(); ++id) {
+    EXPECT_EQ(cluster.node(id)->last_applied(), cluster.leader()->log().last_index());
+  }
+  for (int g = 0; g < service.shards(); ++g) {
+    const LockStateMachine* state = service.LeaderState(g);
+    ASSERT_NE(state, nullptr) << "group " << g;
+    EXPECT_EQ(state->TotalHeldKeys(), 0u) << "group " << g;
+  }
+  bool granted3 = false;
+  service.AcquireAll(3, {key}, {LockMode::kWrite}, [&] { granted3 = true; });
+  sim.RunFor(Millis(100));
+  EXPECT_TRUE(granted3);
+  EXPECT_TRUE(service.LeaderState(group)->IsWriteHeldBy(key, 3));
+  service.ReleaseAll(3);
+  sim.RunFor(Millis(100));
+  EXPECT_EQ(service.compensating_releases(), 1u);
+  EXPECT_EQ(cluster.metric_scope(), service.shards() == 1 ? std::string("raft")
+                                                         : "raft.shard" + std::to_string(group));
+  EXPECT_EQ(sim.metrics().CounterValue(cluster.metric_scope() + ".compensating_releases"), 1u);
+  EXPECT_TRUE(service.idle());
+}
+
+INSTANTIATE_TEST_SUITE_P(Groups, ReplicatedGrantBookkeepingTest, ::testing::Values(1, 4),
+                         ShardsName);
 
 // --- Deployment-level fault sweep at one and four lock groups -------------
 

@@ -367,13 +367,15 @@ void CheckCurves(const JsonValue& curves, const std::string& path) {
       // be, a point must run at least one group, answer percentages must be
       // percentages, and the observed history must have checked out
       // linearizable — a non-linearizable point is a correctness failure,
-      // not a measurement.
+      // not a measurement. A point without a leader kill must need no
+      // compensating release: the lock service acts on each committed grant
+      // once, so only a fault can land a grant after its release.
       const JsonValue* groups = point.Find("raft_groups");
       if (groups != nullptr) {
         if (!groups->is(JsonValue::Type::kNumber) || groups->number < 1) {
           Report(pwhere, "field 'raft_groups' must be a number >= 1");
         }
-        for (const char* field : {"leader_kills", "replies_pct"}) {
+        for (const char* field : {"leader_kills", "replies_pct", "compensating_releases"}) {
           const JsonValue* v = Require(point, pwhere, field, JsonValue::Type::kNumber);
           if (v != nullptr && v->number < 0) {
             Report(pwhere, std::string("field '") + field + "' must be >= 0");
@@ -383,6 +385,13 @@ void CheckCurves(const JsonValue& curves, const std::string& path) {
         if (replies != nullptr && replies->is(JsonValue::Type::kNumber) &&
             replies->number > 100.0 + 1e-9) {
           Report(pwhere, "field 'replies_pct' must be <= 100");
+        }
+        const JsonValue* kills = point.Find("leader_kills");
+        const JsonValue* compensations = point.Find("compensating_releases");
+        if (kills != nullptr && kills->is(JsonValue::Type::kNumber) && kills->number == 0 &&
+            compensations != nullptr && compensations->is(JsonValue::Type::kNumber) &&
+            compensations->number > 0) {
+          Report(pwhere, "fault-free replicated point reports compensating releases");
         }
         const JsonValue* linearizable = point.Find("linearizable");
         if (linearizable == nullptr || !linearizable->is(JsonValue::Type::kBool)) {
