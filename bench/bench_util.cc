@@ -268,6 +268,10 @@ std::string BenchReport::ToJson() const {
         w.Bool(p.linearizable);
         w.Key("compensating_releases");
         w.Uint(p.compensating_releases);
+        w.Key("raft_nodes");
+        w.Int(p.raft_nodes);
+        w.Key("appends_per_commit");
+        w.Double(p.appends_per_commit, 3);
       }
       if (p.session_point) {
         // Consistency-spectrum point: present only for session/preview

@@ -114,6 +114,8 @@ struct ThroughputPoint {
   // Releases the lock service submitted for stray grants (grants that
   // committed after their execution released); 0 on a fault-free point.
   uint64_t compensating_releases = 0;
+  int raft_nodes = 0;               // Nodes per Raft group.
+  double appends_per_commit = 0.0;  // AppendEntries sent per committed entry.
   // --- Consistency spectrum (bench/consistency_spectrum session curves) -----
   // Whether the point measured the preview/final session path; the fields
   // below form an optional JSON group keyed on this flag (omitted when

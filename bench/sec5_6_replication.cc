@@ -7,6 +7,7 @@
 // (b) the linear 3 + 2.3*L growth, and (c) the end-to-end effect on an LVI
 // request's server-side processing with L locks.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -116,6 +117,24 @@ double MeasureServerSide(int num_locks, bool replicated) {
   return samples.MedianMs();
 }
 
+// AppendEntries messages sent per committed entry, summed over the
+// service's lock groups (a group's commits are its highest commit index).
+double AppendsPerCommit(Simulator& sim, ReplicatedLockService& service) {
+  uint64_t appends = 0;
+  uint64_t commits = 0;
+  for (int g = 0; g < service.shards(); ++g) {
+    RaftCluster& cluster = service.cluster(g);
+    appends += sim.metrics().CounterValue(cluster.mesh().fabric().metrics_prefix() +
+                                          ".kind.raft_append.sent");
+    LogIndex committed = 0;
+    for (NodeId id = 0; id < cluster.size(); ++id) {
+      committed = std::max(committed, cluster.node(id)->commit_index());
+    }
+    commits += committed;
+  }
+  return commits == 0 ? 0.0 : static_cast<double>(appends) / static_cast<double>(commits);
+}
+
 // Multi-Raft scale-out: open-loop single-lock write cycles (unique keys, so
 // no lock contention — the bottleneck is the groups' proposal capacity)
 // against 1, 2 or 4 Raft lock groups. Each op costs two commits (acquire +
@@ -214,6 +233,8 @@ ThroughputPoint MeasureShardThroughput(int groups) {
   // the whole correctness story for this curve.
   point.linearizable = holds_on_grant;
   point.compensating_releases = service.compensating_releases();
+  point.raft_nodes = service.cluster().size();
+  point.appends_per_commit = AppendsPerCommit(sim, service);
   return point;
 }
 
@@ -305,6 +326,8 @@ ThroughputPoint MeasureFailover(int groups) {
   point.leader_kills = kills;
   point.replies_pct = 100.0 * static_cast<double>(history.size()) / total_ops;
   point.compensating_releases = radical.replicated_locks()->compensating_releases();
+  point.raft_nodes = radical.replicated_locks()->cluster().size();
+  point.appends_per_commit = AppendsPerCommit(sim, *radical.replicated_locks());
   const LinearizabilityResult check = CheckHistory(history, initials);
   point.linearizable = check.linearizable;
   if (!check.linearizable) {

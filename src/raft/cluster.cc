@@ -9,15 +9,16 @@ namespace radical {
 RaftCluster::RaftCluster(Simulator* sim, int node_count, RaftOptions options,
                          ApplyFactory apply_factory, LocalMeshOptions mesh_options,
                          const std::string& metric_scope)
-    : sim_(sim), options_(options), apply_factory_(std::move(apply_factory)) {
+    : sim_(sim), apply_factory_(std::move(apply_factory)) {
   mesh_ = std::make_unique<LocalMesh>(sim, node_count, mesh_options);
   for (NodeId id = 0; id < node_count; ++id) {
     RaftNode::ApplyFn apply = apply_factory_ ? apply_factory_(id) : RaftNode::ApplyFn{};
     nodes_.push_back(
-        std::make_unique<RaftNode>(id, node_count, mesh_.get(), options_, std::move(apply)));
+        std::make_unique<RaftNode>(id, node_count, mesh_.get(), options, std::move(apply)));
   }
   for (auto& node : nodes_) {
     node->SetPeerResolver([this](NodeId id) { return nodes_[static_cast<size_t>(id)].get(); });
+    node->SetLeaderListener([this] { OnLeaderElected(); });
   }
   // Per-node health gauges, read off the node at snapshot time.
   obs::MetricsRegistry& reg = sim->metrics();
@@ -82,31 +83,48 @@ void RaftCluster::TrySubmit(std::string command, RaftNode::ProposeCallback done,
     return;
   }
   RaftNode* lead = leader();
-  if (lead == nullptr) {
-    // No leader yet: back off one election timeout and retry.
-    sim_->Schedule(options_.election_timeout_min,
-                   [this, command = std::move(command), done = std::move(done), deadline_at]() mutable {
-                     TrySubmit(std::move(command), std::move(done), deadline_at);
-                   });
+  if (lead == nullptr || !waiting_.empty()) {
+    // No leader: wait for the next election (OnLeaderElected), behind any
+    // submission already waiting, or fail at the deadline.
+    const auto it = waiting_.insert(waiting_.end(),
+                                    Waiting{std::move(command), std::move(done), deadline_at});
+    it->expiry = sim_->ScheduleAt(deadline_at, [this, it] {
+      RaftNode::ProposeCallback expired = std::move(it->done);
+      waiting_.erase(it);
+      if (expired) {
+        expired(0);
+      }
+    });
     return;
   }
   std::string command_copy = command;
   lead->Propose(std::move(command_copy),
-                [this, command = std::move(command), done = std::move(done),
+                [this, command = std::move(command), on_commit = std::move(done),
                  deadline_at](LogIndex index) mutable {
                   if (index != 0) {
-                    if (done) {
-                      done(index);
+                    if (on_commit) {
+                      on_commit(index);
                     }
                     return;
                   }
-                  // Leadership changed under us: retry.
-                  sim_->Schedule(options_.heartbeat_interval,
-                                 [this, command = std::move(command), done = std::move(done),
-                                  deadline_at]() mutable {
-                                   TrySubmit(std::move(command), std::move(done), deadline_at);
-                                 });
+                  // Leadership changed under us: go to the current leader, or
+                  // wait for the next one.
+                  TrySubmit(std::move(command), std::move(on_commit), deadline_at);
                 });
+}
+
+void RaftCluster::OnLeaderElected() {
+  if (waiting_.empty()) {
+    return;
+  }
+  sim_->Schedule(0, [this] {
+    std::list<Waiting> ready = std::move(waiting_);
+    waiting_.clear();
+    for (Waiting& w : ready) {
+      sim_->Cancel(w.expiry);
+      TrySubmit(std::move(w.command), std::move(w.done), w.deadline_at);
+    }
+  });
 }
 
 void RaftCluster::CrashNode(NodeId id) { nodes_[static_cast<size_t>(id)]->Crash(); }

@@ -174,6 +174,9 @@ void RaftNode::BecomeLeader() {
     election_timer_ = kInvalidEventId;
   }
   SendHeartbeats();
+  if (on_leader_) {
+    on_leader_();
+  }
 }
 
 void RaftNode::SendHeartbeats() {
@@ -195,41 +198,43 @@ void RaftNode::ReplicateTo(NodeId peer) {
   if (!alive_ || role_ != RaftRole::kLeader) {
     return;
   }
-  if (next_index_[static_cast<size_t>(peer)] <= log_.snapshot_index()) {
+  const auto p = static_cast<size_t>(peer);
+  if (next_index_[p] <= log_.snapshot_index()) {
     // The entries this follower needs were compacted away: ship the whole
     // state-machine snapshot instead.
     SendSnapshotTo(peer);
     return;
   }
-  const LogIndex prev = next_index_[static_cast<size_t>(peer)] - 1;
+  const LogIndex prev = next_index_[p] - 1;
   AppendEntriesArgs args{.term = current_term_,
                          .leader = id_,
                          .prev_index = prev,
                          .prev_term = log_.TermAt(prev),
                          .entries = log_.EntriesAfter(prev, options_.max_entries_per_append),
                          .leader_commit = commit_index_};
-  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftAppend,
-                            AppendWireSize(args), [this, peer, args] {
+  // Pipelined replication (Raft dissertation §10.2.1): the next append
+  // starts after these entries without waiting for this one's reply. A lost
+  // append fails the next one's consistency check, and the rejection moves
+  // next_index back.
+  next_index_[p] = prev + args.entries.size() + 1;
+  const size_t size = AppendWireSize(args);
+  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftAppend, size,
+                            [this, peer, append = std::move(args)]() mutable {
     RaftNode* node = peers_(peer);
-    if (node == nullptr || !node->alive_) {
-      return;
+    if (node != nullptr && node->alive_) {
+      node->ReceiveAppend(std::move(append));
     }
-    // The follower fsyncs new entries to its WAL before acknowledging.
-    const SimDuration handle_delay =
-        options_.process_delay + (args.entries.empty() ? 0 : options_.fsync_delay);
-    mesh_->simulator()->Schedule(handle_delay, [this, peer, args] {
-      RaftNode* target = peers_(peer);
-      if (target == nullptr || !target->alive_) {
-        return;
-      }
-      const AppendEntriesReply reply = target->HandleAppendEntries(args);
-      mesh_->endpoint(peer).Send(mesh_->endpoint(id_), net::MessageKind::kRaftAppendReply,
-                                 kAppendReplyWireSize, [this, reply] {
-        if (alive_) {
-          HandleAppendReply(reply);
-        }
-      });
-    });
+  });
+}
+
+void RaftNode::ReceiveAppend(AppendEntriesArgs args) {
+  // The follower fsyncs new entries to its WAL before acknowledging.
+  const SimDuration work =
+      options_.process_delay + (args.entries.empty() ? 0 : options_.fsync_delay);
+  mesh_->simulator()->ScheduleAt(InboxSlot(work), [this, append = std::move(args)] {
+    if (alive_) {
+      ReplyTo(append.leader, HandleAppendEntries(append));
+    }
   });
 }
 
@@ -239,27 +244,45 @@ void RaftNode::SendSnapshotTo(NodeId peer) {
                            .last_included_index = log_.snapshot_index(),
                            .last_included_term = log_.snapshot_term(),
                            .data = snapshot_data_};
-  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftSnapshot,
-                            SnapshotWireSize(args), [this, peer, args] {
+  // Pipelined like an append: a lost snapshot is re-sent when the next
+  // append's rejection moves next_index back below the snapshot.
+  next_index_[static_cast<size_t>(peer)] = args.last_included_index + 1;
+  const size_t size = SnapshotWireSize(args);
+  mesh_->endpoint(id_).Send(mesh_->endpoint(peer), net::MessageKind::kRaftSnapshot, size,
+                            [this, peer, snapshot = std::move(args)]() mutable {
     RaftNode* node = peers_(peer);
-    if (node == nullptr || !node->alive_) {
-      return;
+    if (node != nullptr && node->alive_) {
+      node->ReceiveSnapshot(std::move(snapshot));
     }
-    // Installing a snapshot is a disk write on the follower.
-    mesh_->simulator()->Schedule(options_.process_delay + options_.fsync_delay,
-                                 [this, peer, args] {
-      RaftNode* target = peers_(peer);
-      if (target == nullptr || !target->alive_) {
-        return;
-      }
-      const AppendEntriesReply reply = target->HandleInstallSnapshot(args);
-      mesh_->endpoint(peer).Send(mesh_->endpoint(id_), net::MessageKind::kRaftAppendReply,
-                                 kAppendReplyWireSize, [this, reply] {
-        if (alive_) {
-          HandleAppendReply(reply);
-        }
-      });
-    });
+  });
+}
+
+void RaftNode::ReceiveSnapshot(InstallSnapshotArgs args) {
+  // Installing a snapshot is a disk write on the follower.
+  const SimDuration work = options_.process_delay + options_.fsync_delay;
+  mesh_->simulator()->ScheduleAt(InboxSlot(work), [this, snapshot = std::move(args)] {
+    if (alive_) {
+      ReplyTo(snapshot.leader, HandleInstallSnapshot(snapshot));
+    }
+  });
+}
+
+SimTime RaftNode::InboxSlot(SimDuration work) {
+  // A follower handles its leader's appends in arrival order (links are
+  // FIFO). Without this, a heartbeat, which skips the fsync, would overtake
+  // an append still waiting on its fsync, fail the consistency check and
+  // force a resend.
+  inbox_free_at_ = std::max(mesh_->simulator()->Now() + work, inbox_free_at_);
+  return inbox_free_at_;
+}
+
+void RaftNode::ReplyTo(NodeId leader, const AppendEntriesReply& reply) {
+  mesh_->endpoint(id_).Send(mesh_->endpoint(leader), net::MessageKind::kRaftAppendReply,
+                            kAppendReplyWireSize, [this, leader, reply] {
+    RaftNode* node = peers_(leader);
+    if (node != nullptr && node->alive_) {
+      node->HandleAppendReply(reply);
+    }
   });
 }
 
@@ -399,10 +422,13 @@ void RaftNode::HandleAppendReply(const AppendEntriesReply& reply) {
   }
   const auto peer = static_cast<size_t>(reply.from);
   if (reply.success) {
+    // Replies to pipelined appends can arrive after later appends went out:
+    // a success never moves next_index backwards.
     match_index_[peer] = std::max(match_index_[peer], reply.match_index);
-    next_index_[peer] = match_index_[peer] + 1;
+    next_index_[peer] = std::max(next_index_[peer], match_index_[peer] + 1);
     AdvanceCommit();
-    // More to ship? Keep the pipe full without waiting for the next beat.
+    // More to ship (an append carries at most max_entries_per_append)? Keep
+    // the pipe full without waiting for the next beat.
     if (next_index_[peer] <= log_.last_index()) {
       ReplicateTo(reply.from);
     }
@@ -411,33 +437,43 @@ void RaftNode::HandleAppendReply(const AppendEntriesReply& reply) {
     // jump straight past the follower's divergent term — if we hold entries
     // of conflict_term, resume after our last one; otherwise start at the
     // follower's first index of that term. Without a hint, the classic
-    // one-entry decrement.
+    // one-entry decrement. Never below match_index + 1: those entries are
+    // known to be on the follower.
     const LogIndex old_next = next_index_[peer];
+    LogIndex next = old_next > 1 ? old_next - 1 : 1;
     if (reply.conflict_index > 0) {
-      LogIndex next = reply.conflict_index;
+      LogIndex hint = reply.conflict_index;
       if (reply.conflict_term != 0) {
         const LogIndex ours = log_.LastIndexOfTerm(reply.conflict_term, old_next - 1);
         if (ours > 0) {
-          next = ours + 1;
+          hint = ours + 1;
         }
       }
       // Guarantee progress: never move forward past the classic backoff.
-      const LogIndex cap = old_next > 1 ? old_next - 1 : 1;
-      next_index_[peer] = std::max<LogIndex>(1, std::min(next, cap));
-    } else if (next_index_[peer] > 1) {
-      --next_index_[peer];
+      next = std::max<LogIndex>(1, std::min(hint, next));
     }
+    next_index_[peer] = std::max(next, match_index_[peer] + 1);
     ReplicateTo(reply.from);
   }
 }
 
 void RaftNode::AdvanceCommit() {
   // Largest N with a majority of matchIndex >= N and log[N].term == current.
-  std::vector<LogIndex> matches = match_index_;
-  matches[static_cast<size_t>(id_)] = log_.last_index();
-  std::sort(matches.begin(), matches.end());
-  // The (cluster_size - majority)-th smallest is replicated on a majority.
-  const LogIndex candidate = matches[static_cast<size_t>(cluster_size_ - majority())];
+  // Groups have a handful of nodes, so count per candidate instead of
+  // copying and sorting the match indices.
+  auto match = [this](size_t i) {
+    return i == static_cast<size_t>(id_) ? log_.last_index() : match_index_[i];
+  };
+  LogIndex candidate = 0;
+  for (size_t i = 0; i < match_index_.size(); ++i) {
+    int replicated = 0;
+    for (size_t j = 0; j < match_index_.size(); ++j) {
+      replicated += match(j) >= match(i) ? 1 : 0;
+    }
+    if (replicated >= majority()) {
+      candidate = std::max(candidate, match(i));
+    }
+  }
   if (candidate > commit_index_ && log_.TermAt(candidate) == current_term_) {
     commit_index_ = candidate;
     ApplyCommitted();

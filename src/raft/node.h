@@ -7,6 +7,13 @@
 // conflict rollback, commit only for current-term entries via majority
 // match, and persistent (term, votedFor, log) state that survives crashes.
 //
+// Replication is pipelined (Raft dissertation §10.2.1, etcd-raft's replicate
+// state): the leader advances a follower's next_index past the entries it
+// sends without waiting for the reply, so each proposal ships only its own
+// entry and a heartbeat to an up-to-date follower is an empty append. A lost
+// append is repaired by the next append's consistency check and the conflict
+// hint. Followers handle appends in arrival order.
+//
 // Latency model: every RPC hop pays the mesh's AZ-to-AZ delay; followers
 // fsync appended entries to their WAL before acknowledging (etcd behaviour),
 // so one commit costs roughly one AZ round trip plus an fsync — which is
@@ -114,6 +121,10 @@ class RaftNode {
   using PeerFn = std::function<RaftNode*(NodeId)>;
   void SetPeerResolver(PeerFn peers) { peers_ = std::move(peers); }
 
+  // Called each time this node wins an election (set once by RaftCluster,
+  // which then hands the new leader the submissions that waited for one).
+  void SetLeaderListener(std::function<void()> on_leader) { on_leader_ = std::move(on_leader); }
+
   // Joins the cluster: arms the election timer.
   void Start();
 
@@ -170,6 +181,12 @@ class RaftNode {
   void SendHeartbeats();
   void ReplicateTo(NodeId peer);
   void SendSnapshotTo(NodeId peer);
+  // Follower side of an append or snapshot: handled in arrival order, then
+  // answered to the leader.
+  void ReceiveAppend(AppendEntriesArgs args);
+  void ReceiveSnapshot(InstallSnapshotArgs args);
+  SimTime InboxSlot(SimDuration work);
+  void ReplyTo(NodeId leader, const AppendEntriesReply& reply);
   void MaybeCompact();
   void AdvanceCommit();
   void ApplyCommitted();
@@ -185,6 +202,7 @@ class RaftNode {
   SnapshotFn snapshot_;
   RestoreFn restore_;
   PeerFn peers_;
+  std::function<void()> on_leader_;
   Rng rng_;
 
   // Persistent state (survives Crash/Restart).
@@ -204,6 +222,11 @@ class RaftNode {
   std::set<NodeId> votes_granted_;
   // Proposal-capacity model: the leader is busy appending until this time.
   SimTime proposal_busy_until_ = 0;
+  // When the follower finishes handling the last append or snapshot that
+  // arrived (they are handled one at a time, in arrival order).
+  SimTime inbox_free_at_ = 0;
+  // Leader: per follower, the next entry to send (advanced when sent) and
+  // the highest entry known to be on it (advanced by success replies).
   std::vector<LogIndex> next_index_;
   std::vector<LogIndex> match_index_;
   std::map<LogIndex, ProposeCallback> pending_proposals_;

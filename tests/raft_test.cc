@@ -321,6 +321,135 @@ TEST(RaftTest, FastBackoffCatchesUpLongDivergenceQuickly) {
   EXPECT_EQ(applied.by_node[laggard].size(), static_cast<size_t>(entries));
 }
 
+// --- Pipelined replication and waiting for a leader ---------------------------
+
+// AppendEntries messages the group has sent so far, as the mesh fabric
+// counts them.
+uint64_t AppendsSent(Simulator& sim, RaftCluster& cluster) {
+  return sim.metrics().CounterValue(cluster.mesh().fabric().metrics_prefix() +
+                                    ".kind.raft_append.sent");
+}
+
+// Regression for the append storm: next_index used to move only when a reply
+// arrived, so every proposal and heartbeat resent everything unacknowledged
+// (about 45 appends per peer per commit here). Pipelined, each proposal
+// ships its own entry once, plus a heartbeat per peer every 20 ms.
+TEST(RaftTest, SteadyStateSendsAboutOneAppendPerPeerPerCommit) {
+  Simulator sim(71);
+  Applied applied;
+  RaftCluster cluster(&sim, 3, RaftOptions{}, applied.Factory());
+  ASSERT_GE(cluster.StartAndElect(), 0);
+  sim.RunFor(Millis(50));
+  const uint64_t before = AppendsSent(sim, cluster);
+  const int proposals = 200;
+  int committed = 0;
+  for (int i = 0; i < proposals; ++i) {
+    sim.Schedule(Millis(i), [&, i] {
+      cluster.SubmitToLeader("p" + std::to_string(i), [&](LogIndex index) {
+        committed += index != 0 ? 1 : 0;
+      });
+    });
+  }
+  sim.RunFor(Millis(proposals + 10));
+  ASSERT_EQ(committed, proposals);
+  const double per_peer_per_commit =
+      static_cast<double>(AppendsSent(sim, cluster) - before) / (proposals * 2);
+  EXPECT_LE(per_peer_per_commit, 2.0);
+}
+
+// With next_index advanced on send, a lost append leaves a gap the follower
+// detects on the next append; the rejection and its conflict hint resend
+// from the gap, so every proposal still commits and the logs converge.
+TEST(RaftTest, PipelinedReplicationRepairsLostAppends) {
+  Simulator sim(73);
+  Applied applied;
+  RaftCluster cluster(&sim, 3, RaftOptions{}, applied.Factory());
+  ASSERT_GE(cluster.StartAndElect(), 0);
+  net::DropRule lossy;
+  lossy.kind = net::MessageKind::kRaftAppend;
+  lossy.probability = 0.2;
+  cluster.mesh().fabric().AddDropRule(lossy);
+  const int proposals = 200;
+  int committed = 0;
+  for (int i = 0; i < proposals; ++i) {
+    sim.Schedule(Millis(i), [&, i] {
+      cluster.SubmitToLeader("p" + std::to_string(i), [&](LogIndex index) {
+        committed += index != 0 ? 1 : 0;
+      });
+    });
+  }
+  sim.RunFor(Seconds(2));
+  EXPECT_EQ(committed, proposals);
+  EXPECT_GT(cluster.mesh().messages_dropped(), 0u);
+  const NodeId leader = cluster.LeaderId();
+  ASSERT_GE(leader, 0);
+  for (NodeId id = 0; id < cluster.size(); ++id) {
+    EXPECT_EQ(cluster.node(id)->log().last_index(), cluster.node(leader)->log().last_index())
+        << "node " << id;
+    EXPECT_EQ(applied.by_node[id].size(), static_cast<size_t>(proposals)) << "node " << id;
+    EXPECT_EQ(applied.by_node[id], applied.by_node[leader]) << "node " << id;
+  }
+}
+
+// Regression: a submission made while no node leads used to poll for a
+// leader every election_timeout_min (100 ms), so it could commit up to
+// 100 ms after the election. It now waits for the election and goes to the
+// new leader at once: one commit round after BecomeLeader.
+TEST(RaftTest, LeaderlessSubmissionCommitsRightAfterElection) {
+  Simulator sim(79);
+  Applied applied;
+  RaftCluster cluster(&sim, 3, RaftOptions{}, applied.Factory());
+  const NodeId old_leader = cluster.StartAndElect();
+  ASSERT_GE(old_leader, 0);
+  sim.RunFor(Millis(50));
+  cluster.CrashNode(old_leader);
+  SimTime committed_at = -1;
+  cluster.SubmitToLeader("after-crash", [&](LogIndex index) {
+    if (index != 0) {
+      committed_at = sim.Now();
+    }
+  });
+  EXPECT_EQ(cluster.waiting_submissions(), 1u);
+  while (cluster.LeaderId() < 0 && sim.Step()) {
+  }
+  ASSERT_GE(cluster.LeaderId(), 0);
+  const SimTime elected_at = sim.Now();
+  sim.RunFor(Millis(200));
+  ASSERT_GE(committed_at, elected_at);
+  EXPECT_LE(committed_at - elected_at, Millis(5));
+  EXPECT_EQ(cluster.waiting_submissions(), 0u);
+}
+
+// A submission that waits for a leader that never comes fails with done(0)
+// exactly at its deadline, and the cluster keeps nothing of it.
+TEST(RaftTest, LeaderlessSubmissionFailsAtItsDeadline) {
+  Simulator sim(83);
+  Applied applied;
+  RaftCluster cluster(&sim, 3, RaftOptions{}, applied.Factory());
+  const NodeId leader = cluster.StartAndElect();
+  ASSERT_GE(leader, 0);
+  sim.RunFor(Millis(50));
+  cluster.CrashNode(leader);
+  cluster.CrashNode((leader + 1) % 3);
+  const SimTime submitted_at = sim.Now();
+  int calls = 0;
+  SimTime failed_at = -1;
+  LogIndex result = 99;
+  cluster.SubmitToLeader(
+      "no-quorum",
+      [&](LogIndex index) {
+        ++calls;
+        result = index;
+        failed_at = sim.Now();
+      },
+      Millis(300));
+  sim.RunFor(Seconds(1));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(result, 0u);
+  EXPECT_EQ(failed_at, submitted_at + Millis(300));
+  EXPECT_EQ(cluster.waiting_submissions(), 0u);
+}
+
 // --- Snapshotting / log compaction -------------------------------------------------
 
 // A snapshottable counter state machine for compaction tests.

@@ -369,13 +369,18 @@ void CheckCurves(const JsonValue& curves, const std::string& path) {
       // linearizable — a non-linearizable point is a correctness failure,
       // not a measurement. A point without a leader kill must need no
       // compensating release: the lock service acts on each committed grant
-      // once, so only a fault can land a grant after its release.
+      // once, so only a fault can land a grant after its release. Nor may
+      // it send more than two AppendEntries per follower per commit: the
+      // leader pipelines, so each entry ships once plus heartbeats, and a
+      // count above that is the append storm of resending unacknowledged
+      // entries.
       const JsonValue* groups = point.Find("raft_groups");
       if (groups != nullptr) {
         if (!groups->is(JsonValue::Type::kNumber) || groups->number < 1) {
           Report(pwhere, "field 'raft_groups' must be a number >= 1");
         }
-        for (const char* field : {"leader_kills", "replies_pct", "compensating_releases"}) {
+        for (const char* field : {"leader_kills", "replies_pct", "compensating_releases",
+                                  "raft_nodes", "appends_per_commit"}) {
           const JsonValue* v = Require(point, pwhere, field, JsonValue::Type::kNumber);
           if (v != nullptr && v->number < 0) {
             Report(pwhere, std::string("field '") + field + "' must be >= 0");
@@ -392,6 +397,15 @@ void CheckCurves(const JsonValue& curves, const std::string& path) {
             compensations != nullptr && compensations->is(JsonValue::Type::kNumber) &&
             compensations->number > 0) {
           Report(pwhere, "fault-free replicated point reports compensating releases");
+        }
+        const JsonValue* nodes = point.Find("raft_nodes");
+        const JsonValue* appends = point.Find("appends_per_commit");
+        if (kills != nullptr && kills->is(JsonValue::Type::kNumber) && kills->number == 0 &&
+            nodes != nullptr && nodes->is(JsonValue::Type::kNumber) && appends != nullptr &&
+            appends->is(JsonValue::Type::kNumber) &&
+            appends->number > 2.0 * (nodes->number - 1)) {
+          Report(pwhere, "fault-free replicated point sends more than 2 appends per follower "
+                         "per commit");
         }
         const JsonValue* linearizable = point.Find("linearizable");
         if (linearizable == nullptr || !linearizable->is(JsonValue::Type::kBool)) {
