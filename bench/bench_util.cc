@@ -98,6 +98,7 @@ ExperimentResult RunApp(const AppSpec& app, DeployKind kind, const RunOptions& r
     result.validation_success_rate = radical->server().ValidationSuccessRate();
     result.backup_execs = radical->server().validations_failed();
     result.reexecutions = radical->server().reexecutions();
+    result.primary_reruns = radical->server().counters().Get("primary_reruns");
     if (radical->local_locks() != nullptr) {
       result.lock_waits = radical->local_locks()->total_waits();
     }
@@ -192,6 +193,8 @@ std::string BenchReport::ToJson() const {
              6);
     w.Key("reexecutions");
     w.Uint(result.reexecutions);
+    w.Key("primary_reruns");
+    w.Uint(result.primary_reruns);
     w.Key("lock_waits");
     w.Uint(result.lock_waits);
     w.Key("speculations");

@@ -38,6 +38,9 @@ struct ExperimentResult {
   // Failed validations, each answered by a backup execution at the primary.
   uint64_t backup_execs = 0;
   uint64_t reexecutions = 0;
+  // Runs at the primary whose locks did not cover the keys they touched,
+  // each rerun under the locks of what it touched.
+  uint64_t primary_reruns = 0;
   uint64_t lock_waits = 0;  // Acquisitions that queued at the lock table.
   uint64_t speculations = 0;
   uint64_t wan_bytes = 0;

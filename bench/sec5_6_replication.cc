@@ -166,19 +166,23 @@ ThroughputPoint MeasureShardThroughput(int groups) {
   // actual ShardOf (rather than trusting sequential names to hash evenly —
   // FNV-1a's high bits barely move across short same-prefix keys) keeps the
   // per-group load balanced, which is the quantity this curve varies: the
-  // groups' aggregate proposal pipeline, not the router's hash spread.
+  // groups' aggregate proposal pipeline, not the router's hash spread. The
+  // candidate names are scanned once, each kept in its group's bucket until
+  // every bucket is full; op i takes the next key of bucket i % groups.
+  const size_t per_group = static_cast<size_t>((total + groups - 1) / groups);
+  std::vector<std::vector<Key>> buckets(static_cast<size_t>(groups));
+  for (int full = 0, candidate = 0; per_group > 0 && full < groups; ++candidate) {
+    Key key = "op" + std::to_string(candidate);
+    std::vector<Key>& bucket = buckets[static_cast<size_t>(service.router().ShardOf(key))];
+    if (bucket.size() < per_group) {
+      bucket.push_back(std::move(key));
+      full += bucket.size() == per_group ? 1 : 0;
+    }
+  }
   std::vector<Key> op_keys;
   op_keys.reserve(static_cast<size_t>(total));
-  {
-    uint64_t candidate = 0;
-    for (int i = 0; i < total; ++i) {
-      const int want = i % groups;
-      Key key;
-      do {
-        key = "op" + std::to_string(candidate++);
-      } while (service.router().ShardOf(key) != want);
-      op_keys.push_back(std::move(key));
-    }
+  for (int i = 0; i < total; ++i) {
+    op_keys.push_back(buckets[static_cast<size_t>(i % groups)][static_cast<size_t>(i / groups)]);
   }
   struct Op {
     SimTime start = 0;

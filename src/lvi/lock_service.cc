@@ -134,6 +134,7 @@ void ReplicatedLockService::BuildGroup(int g, int node_count, const RaftOptions&
   group.acquire_resubmits = metrics.counter("acquire_resubmits");
   group.release_retries = metrics.counter("release_retries");
   group.compensating_releases = metrics.counter("compensating_releases");
+  group.acquires_after_release = metrics.counter("acquires_after_release");
   // Snapshot hooks resolve the machine at call time, so they stay valid
   // across node restarts (which recreate the machines).
   for (NodeId id = 0; id < node_count; ++id) {
@@ -178,6 +179,17 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
   assert(keys.size() == modes.size());
   if (keys.empty()) {
     sim_->Schedule(0, std::move(granted));
+    return;
+  }
+  const auto rit = releasing_.find(exec);
+  if (rit != releasing_.end()) {
+    // Wait until this exec's releases have committed, so none of them can
+    // land behind the new acquire (ResumeAfterRelease starts it).
+    auto acquire = [this, exec, keys = std::move(keys), modes = std::move(modes),
+                    granted = std::move(granted)] { AcquireAll(exec, keys, modes, granted); };
+    if (after_release_.insert_or_assign(exec, std::move(acquire)).second) {
+      groups_[static_cast<size_t>(*rit->second.begin())].acquires_after_release->Increment();
+    }
     return;
   }
   const auto pit = pending_.find(exec);
@@ -339,6 +351,7 @@ void ReplicatedLockService::ReleaseAll(ExecutionId exec) {
     }
     pending_.erase(pit);
   }
+  after_release_.erase(exec);
   if (shards.empty()) {
     shards.insert(0);  // Stray release: route to group 0 (harmless no-op).
   }
@@ -360,6 +373,7 @@ void ReplicatedLockService::SubmitRelease(ExecutionId exec, int shard) {
           rit->second.erase(shard);
           if (rit->second.empty()) {
             releasing_.erase(rit);
+            ResumeAfterRelease(exec);
           }
           return;
         }
@@ -374,6 +388,24 @@ void ReplicatedLockService::SubmitRelease(ExecutionId exec, int shard) {
           }
         });
       });
+}
+
+void ReplicatedLockService::ResumeAfterRelease(ExecutionId exec) {
+  if (after_release_.count(exec) == 0) {
+    return;
+  }
+  // Schedule rather than recurse: commits are reported inside Raft's apply
+  // path. A ReleaseAll before the event drops the acquisition, and a new
+  // release in flight keeps it parked until that one commits too.
+  sim_->Schedule(0, [this, exec] {
+    const auto it = after_release_.find(exec);
+    if (it == after_release_.end() || releasing_.count(exec) > 0) {
+      return;
+    }
+    const std::function<void()> acquire = std::move(it->second);
+    after_release_.erase(it);
+    acquire();
+  });
 }
 
 }  // namespace radical

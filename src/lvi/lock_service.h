@@ -131,10 +131,15 @@ class ReplicatedLockService : public LockService {
   // execution released (it was queued on the key, or a resubmitted acquire
   // landed late in the log).
   uint64_t compensating_releases() const { return Sum(&LockGroup::compensating_releases); }
+  // Acquisitions that waited for the same execution's releases in flight to
+  // commit before starting.
+  uint64_t acquires_after_release() const { return Sum(&LockGroup::acquires_after_release); }
 
   // No acquisition, holding or release in flight: the service keeps no
   // per-execution state (tests).
-  bool idle() const { return pending_.empty() && held_.empty() && releasing_.empty(); }
+  bool idle() const {
+    return pending_.empty() && held_.empty() && releasing_.empty() && after_release_.empty();
+  }
 
  private:
   struct LockGroup {
@@ -145,6 +150,7 @@ class ReplicatedLockService : public LockService {
     obs::Counter* acquire_resubmits = nullptr;
     obs::Counter* release_retries = nullptr;
     obs::Counter* compensating_releases = nullptr;
+    obs::Counter* acquires_after_release = nullptr;
   };
 
   struct PendingAcquire {
@@ -172,6 +178,9 @@ class ReplicatedLockService : public LockService {
   void OnGrant(int shard, ExecutionId exec, const Key& key);
   // Submits (and retries until committed) `exec`'s release in `shard`.
   void SubmitRelease(ExecutionId exec, int shard);
+  // Starts `exec`'s parked acquisition, if any, once no release of it is in
+  // flight.
+  void ResumeAfterRelease(ExecutionId exec);
   uint64_t Sum(obs::Counter* LockGroup::*counter) const;
 
   Simulator* sim_;
@@ -185,6 +194,11 @@ class ReplicatedLockService : public LockService {
   std::unordered_map<ExecutionId, std::set<Key>> held_;
   // Shards with a release submitted but not yet committed, per exec.
   std::unordered_map<ExecutionId, std::set<int>> releasing_;
+  // Acquisitions made while the exec's releases were in flight, each as the
+  // AcquireAll call to make once they commit. RaftCluster resubmits a release
+  // whose leader lost its term, so one release can commit twice; a copy
+  // landing after a fresh acquire would free its locks.
+  std::unordered_map<ExecutionId, std::function<void()>> after_release_;
 };
 
 }  // namespace radical

@@ -356,16 +356,8 @@ std::vector<FreshItem> LviServer::PublishWrites(std::vector<Key> written) {
 }
 
 void LviServer::RespondLvi(ExecutionId exec_id, LviResponse response) {
-  RespondFn respond;
-  const auto it = inflight_lvi_.find(exec_id);
-  if (it != inflight_lvi_.end()) {
-    respond = std::move(it->second);
-    inflight_lvi_.erase(it);
-  }
   CacheLviReply(exec_id, response);
-  if (respond) {
-    respond(std::move(response));
-  }
+  RespondLviUncached(exec_id, std::move(response));
 }
 
 void LviServer::RespondDirect(ExecutionId exec_id, DirectResponse response) {
@@ -438,35 +430,22 @@ void LviServer::HandleLviRequest(LviRequest request, RespondFn respond) {
     }
     EmitSpan("server.admission", request.exec_id, arrival);
     const SimTime lock_start = sim_->Now();
-    // (4) Acquire a read or write lock per item, in the request's
-    // (lexicographic) key order. A retried execution that already holds some
-    // or all of its locks (they survive crashes on disk, §4) is granted the
-    // held ones immediately; a duplicate acquisition still queued merges
-    // into the original.
-    std::vector<Key> keys;
-    std::vector<LockMode> modes;
-    keys.reserve(request.items.size());
-    modes.reserve(request.items.size());
-    for (const LviItem& item : request.items) {
-      keys.push_back(item.key);
-      modes.push_back(item.mode);
-    }
+    // (4) Acquire a read or write lock per item, in (shard, key) order. A
+    // retried execution that already holds some or all of its locks (they
+    // survive crashes on disk, §4) is granted the held ones immediately; a
+    // duplicate acquisition still queued merges into the original.
     const ExecutionId id = request.exec_id;
-    locks_->AcquireAll(id, std::move(keys), std::move(modes),
-                       [this, epoch, lock_start, request = std::move(request)]() mutable {
-                         if (!StillAlive(epoch)) {
-                           metrics_.Increment("stale_epoch_dropped");
-                           return;
-                         }
-                         EmitSpan("server.lock_wait", request.exec_id, lock_start);
-                         if (options_.batch_window > 0) {
-                           EnqueueForValidation(std::move(request));
-                           return;
-                         }
-                         std::vector<LviRequest> group;
-                         group.push_back(std::move(request));
-                         Validate(std::move(group));
-                       });
+    const RwSet locks = LocksOf(request);
+    AcquireThen(id, locks, [this, lock_start, request = std::move(request)]() mutable {
+      EmitSpan("server.lock_wait", request.exec_id, lock_start);
+      if (options_.batch_window > 0) {
+        EnqueueForValidation(std::move(request));
+        return;
+      }
+      std::vector<LviRequest> group;
+      group.push_back(std::move(request));
+      Validate(std::move(group));
+    });
   });
 }
 
@@ -912,94 +891,108 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
       return;
     }
     PrimaryRun run(PrimaryRun::kDirect, request.exec_id, fn, std::move(request.inputs));
-    // Analyzable functions predict their read/write set against the primary
-    // and take the locks first, so a direct execution serializes against
-    // other executions' pending write intents instead of writing underneath
-    // them (the prediction cost is folded into process_delay). Unanalyzable
-    // functions run lock-free — they never coexist with an intent of their
-    // own, and the baseline deployment has no intents at all.
+    // Lock the read/write set an analyzable function predicts against the
+    // primary (the cost is folded into process_delay), so the run serializes
+    // against pending write intents. An unanalyzable function, or a failed
+    // prediction, starts with none: its first run finds what it touches.
     if (fn->analyzable) {
       RwPrediction prediction = PredictRwSet(*fn, run.inputs, store_, *interpreter_);
       if (prediction.ok()) {
-        std::vector<Key> keys = prediction.rw.AllKeysSorted();
-        std::vector<LockMode> modes;
-        modes.reserve(keys.size());
-        for (const Key& key : keys) {
-          modes.push_back(prediction.rw.ModeFor(key));
-        }
         run.locks = std::move(prediction.rw);
-        const ExecutionId id = run.exec_id;
-        locks_->AcquireAll(id, std::move(keys), std::move(modes),
-                           [this, epoch, run = std::move(run)]() mutable {
-                             if (!StillAlive(epoch)) {
-                               metrics_.Increment("stale_epoch_dropped");
-                               return;
-                             }
-                             RunAtPrimary(std::move(run));
-                           });
-        return;
+      } else {
+        metrics_.Increment("direct_predict_failed");
       }
-      metrics_.Increment("direct_predict_failed");
     }
-    run.holds_locks = false;
-    RunAtPrimary(std::move(run));
+    const ExecutionId id = run.exec_id;
+    const RwSet locks = run.locks;
+    AcquireThen(id, locks,
+                [this, run = std::move(run)]() mutable { RunAtPrimary(std::move(run)); });
   });
+}
+
+void LviServer::AcquireThen(ExecutionId exec_id, const RwSet& locks,
+                            std::function<void()> granted) {
+  std::vector<Key> keys = locks.AllKeysSorted();
+  std::vector<LockMode> modes;
+  modes.reserve(keys.size());
+  for (const Key& key : keys) {
+    modes.push_back(locks.ModeFor(key));
+  }
+  const uint64_t epoch = epoch_;
+  locks_->AcquireAll(exec_id, std::move(keys), std::move(modes),
+                     [this, epoch, granted = std::move(granted)] {
+                       if (!StillAlive(epoch)) {
+                         metrics_.Increment("stale_epoch_dropped");
+                         return;
+                       }
+                       granted();
+                     });
 }
 
 void LviServer::RunAtPrimary(PrimaryRun run) {
   const uint64_t epoch = epoch_;
   const SimTime start = sim_->Now();
   // (1) Invoke the function near storage.
-  sim_->Schedule(options_.backup_invoke_overhead, [this, epoch, start,
-                                                   run = std::make_unique<PrimaryRun>(
-                                                       std::move(run))]() mutable {
+  sim_->Schedule(options_.backup_invoke_overhead,
+                 [this, epoch, start, run = std::make_shared<PrimaryRun>(std::move(run))] {
+                   if (!StillAlive(epoch)) {
+                     metrics_.Increment("stale_epoch_dropped");
+                     return;
+                   }
+                   ReadPoint(run, start);
+                 });
+}
+
+void LviServer::ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start) {
+  // (2) The read point: the function reads the primary under the locks it
+  // holds; its writes wait in a buffer.
+  WriteBuffer buffer(store_);
+  const ExecEnv env{run->exec_id, externals_};
+  ExecResult exec = interpreter_->Execute(run->fn->original, run->inputs, &buffer,
+                                          options_.exec_limits, &env);
+  assert(exec.ok() && "execution at the primary failed");
+  if (!LocksCover(run->locks, exec)) {
+    // (3) The run touched a key its locks do not cover (its key set outgrew
+    // the prediction, or nothing was predicted): release, lock the union of
+    // the old set and what it touched, and run again at the grant. A
+    // re-execution's locks were validated, so its intent's locks stay put.
+    assert(run->kind != PrimaryRun::kReExecution && "re-execution outgrew validated locks");
+    metrics_.Increment("primary_reruns");
+    if (!run->locks.reads.empty() || !run->locks.writes.empty()) {
+      locks_->ReleaseAll(run->exec_id);  // A run that predicted nothing holds none.
+    }
+    run->locks.reads.insert(exec.reads.begin(), exec.reads.end());
+    run->locks.writes.insert(exec.writes.begin(), exec.writes.end());
+    AcquireThen(run->exec_id, run->locks, [this, run, start] { ReadPoint(run, start); });
+    return;
+  }
+  run->writes = buffer.DrainWrites();
+  run->result = std::move(exec.return_value);
+  // A buffered write costs what its write to the primary will.
+  const SimDuration elapsed =
+      exec.elapsed +
+      store_->options().write_latency * static_cast<SimDuration>(exec.writes.size());
+  // (4) A read-only run linearizes at this snapshot read and commits now. A
+  // writer holds every lock through its compute, until its writes land (§3.6).
+  const bool read_only = run->writes.empty();
+  if (read_only) {
+    Commit(*run);
+  }
+  const uint64_t epoch = epoch_;
+  sim_->Schedule(elapsed, [this, epoch, start, read_only, run] {
     if (!StillAlive(epoch)) {
       metrics_.Increment("stale_epoch_dropped");
       return;
     }
-    // (2) The read point: the function reads the primary under the locks it
-    // holds; its writes wait in a buffer.
-    WriteBuffer buffer(store_);
-    const ExecEnv env{run->exec_id, externals_};
-    ExecResult exec = interpreter_->Execute(run->fn->original, run->inputs, &buffer,
-                                            options_.exec_limits, &env);
-    assert(exec.ok() && "execution at the primary failed");
-    run->writes = buffer.DrainWrites();
-    run->result = std::move(exec.return_value);
-    // A buffered write costs what its write to the primary will.
-    const SimDuration elapsed =
-        exec.elapsed +
-        store_->options().write_latency * static_cast<SimDuration>(exec.writes.size());
-    // (3) A read-only execution linearizes at the snapshot read it just
-    // took, so it commits — and releases its locks — now. So does a writer
-    // that touched a key its locks do not cover (a lock-free run covers
-    // none; a fresh key set can outgrow the predicted one the locks were
-    // taken for): nothing keeps other writers off that key, so it must read
-    // and write at one instant, as the primary's own operations do.
-    // (4) Any other writer computes for `elapsed` first, holding every lock
-    // until its writes are applied (§3.6).
-    const bool committed = run->writes.empty() || !LocksCover(run->locks, exec);
-    if (committed) {
-      if (!run->writes.empty()) {
-        metrics_.Increment("writes_beyond_locks");
-      }
+    if (!read_only) {
       Commit(*run);
     }
-    sim_->Schedule(elapsed, [this, epoch, start, committed, run = std::move(run)]() mutable {
-      if (!StillAlive(epoch)) {
-        metrics_.Increment("stale_epoch_dropped");
-        return;
-      }
-      if (!committed) {
-        Commit(*run);
-      }
-      if (run->kind == PrimaryRun::kBackup) {
-        EmitSpan("server.backup_exec", run->exec_id, start);
-        RespondLvi(run->exec_id, std::move(run->lvi_reply));
-      } else {
-        RespondDirect(run->exec_id, std::move(run->direct_reply));
-      }
-    });
+    if (run->kind == PrimaryRun::kBackup) {
+      EmitSpan("server.backup_exec", run->exec_id, start);
+      RespondLvi(run->exec_id, std::move(run->lvi_reply));
+    } else {
+      RespondDirect(run->exec_id, std::move(run->direct_reply));
+    }
   });
 }
 
@@ -1041,9 +1034,7 @@ void LviServer::Commit(PrimaryRun& run) {
     executions_.erase(it);
     intents_.Remove(exec_id);
   }
-  if (run.holds_locks) {
-    locks_->ReleaseAll(exec_id);
-  }
+  locks_->ReleaseAll(exec_id);
 }
 
 }  // namespace radical

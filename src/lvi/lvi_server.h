@@ -14,12 +14,11 @@
 // re-execution, and a direct request — runs through one funnel,
 // RunAtPrimary, with one timing model: after the invoke overhead the
 // function reads the primary under the locks it holds (the read point) and
-// buffers its writes. A read-only execution linearizes at that snapshot
-// read and releases its locks there; a writer holds every lock through its
-// compute and applies, publishes and records its writes at the end of it,
-// then releases (§3.6). A writer that touched a key its locks do not cover
-// (its key set grew since the locks were predicted) commits at its read
-// point instead. The reply leaves when the compute ends either way.
+// buffers its writes. A run that touched a key its locks do not cover locks
+// what it touched and runs again (OLLP, as in Calvin). A covered read-only
+// run linearizes at its snapshot read and releases its locks there; a
+// writer holds every lock through its compute, applies, publishes and
+// records its writes at the end of it, then releases (§3.6).
 //
 // Scaling (beyond the paper's singleton t3.2xlarge): the hot path shards.
 // With `shards = N`, the lock table, serving capacity and metrics split into
@@ -293,10 +292,9 @@ class LviServer {
     // Backup only: the items validation found stale, repaired in the reply.
     std::vector<Key> stale_keys;
     // The locks the run holds, by mode: read-locked keys in `reads`,
-    // write-locked keys in `writes`. Empty for a lock-free direct execution.
+    // write-locked keys in `writes`. A rerun adds the keys its last run
+    // touched.
     RwSet locks;
-    // False only for a direct execution that runs lock-free.
-    bool holds_locks = true;
     // Set at the read point: the buffered writes and the return value.
     std::vector<BufferedWrite> writes;
     Value result;
@@ -305,16 +303,18 @@ class LviServer {
     LviResponse lvi_reply;
     DirectResponse direct_reply;
   };
-  // The one execution funnel at the primary. After the invoke overhead the
-  // function reads the primary under the locks it holds (the read point),
-  // writing into a buffer. A read-only run commits there and releases its
-  // locks; so does a run that touched a key its locks do not cover (its
-  // key set grew since the locks were taken), committing its writes at that
-  // one instant. Any other writer commits after its elapsed compute time,
-  // holding every lock until its writes are applied. Either way the reply
-  // leaves when the compute ends: an LviResponse for a backup, a
-  // DirectResponse otherwise.
+  // The one execution funnel at the primary: the invoke overhead, then
+  // ReadPoint. The reply is an LviResponse for a backup, else a
+  // DirectResponse.
   void RunAtPrimary(PrimaryRun run);
+  // Runs the function against the primary under its locks, writes
+  // buffered. An uncovered run reruns under the union of its locks and what
+  // it touched; a covered one commits now if read-only, else after its
+  // compute. The reply leaves `elapsed` after the last read point.
+  void ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start);
+  // Acquires `locks` in (shard, key) order; `granted` runs once all are
+  // held, unless the server crashed meanwhile.
+  void AcquireThen(ExecutionId exec_id, const RwSet& locks, std::function<void()> granted);
   // The commit point of a run: applies and publishes the writes, records
   // the reply (reply cache and, for a writer, the idempotency key), retires
   // a re-execution's intent, and releases the locks.

@@ -2,17 +2,28 @@
 // followup legs, plus one mid-run server crash/recover — the scenario the
 // request-lifecycle retry machinery (RetryPolicy) exists for. Every Invoke
 // must be answered exactly once, the history must stay linearizable, and the
-// retry/fallback/crash-epoch paths must all actually fire.
+// retry/fallback/crash-epoch paths must all actually fire. A second register
+// is named by an opaque digest and read through an unanalyzable function,
+// which runs at the primary and locks what its first run touched.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/check/linearizability.h"
 #include "src/func/builder.h"
+#include "src/func/interpreter.h"
 #include "src/radical/deployment.h"
 #include "tests/deployment_profile.h"
 
 namespace radical {
 namespace {
+
+// The key Read(IntToStr(Host("expensive_digest", {input}))) reads.
+Key DigestKey(const std::string& input) {
+  const HostFunction* digest = HostRegistry::Standard().Find("expensive_digest");
+  return std::to_string(digest->fn({Value(input)}).AsInt());
+}
 
 class FaultSweepTest : public ProfiledTest {
  protected:
@@ -35,7 +46,13 @@ class FaultSweepTest : public ProfiledTest {
         Compute(Millis(5)),
         Return(In("v")),
     }));
+    radical_->RegisterFunction(Fn("opaque_read", {"name"}, {
+        Read("v", IntToStr(Host("expensive_digest", {In("name")}))),
+        Compute(Millis(5)),
+        Return(V("v")),
+    }));
     radical_->Seed("k", Value("v0"));
+    radical_->Seed(opaque_key_, Value("v0"));
     radical_->WarmCaches();
   }
 
@@ -46,6 +63,8 @@ class FaultSweepTest : public ProfiledTest {
     net_.fabric().AddDropRule(rule);
   }
 
+  // The register opaque_read("r") reads.
+  const Key opaque_key_ = DigestKey("r");
   Simulator sim_;
   Network net_;
   std::unique_ptr<ProfiledDeployment> radical_;
@@ -57,27 +76,40 @@ PROFILE_TEST(FaultSweepTest, EveryInvokeRepliesAndStaysLinearizable) {
   AddLoss(net::MessageKind::kWriteFollowup, 0.1);
 
   HistoryRecorder history;
-  Rng rng(424242);
   int unique = 0;
-  const int total_ops = 60;
-  for (int i = 0; i < total_ops; ++i) {
-    const Region region = DeploymentRegions()[rng.NextBelow(DeploymentRegions().size())];
-    const bool is_write = rng.NextBool(0.5);
-    const SimDuration at = static_cast<SimDuration>(rng.NextBelow(Seconds(6)));
-    sim_.Schedule(at, [&, region, is_write] {
-      const SimTime invoke = sim_.Now();
-      if (is_write) {
-        const Value value("w" + std::to_string(unique++));
-        radical_->Invoke(region, "reg_write", {Value("k"), value}, [&, value, invoke](Value) {
-          history.Record(HistoryOp{true, "k", value, invoke, sim_.Now()});
-        });
-      } else {
-        radical_->Invoke(region, "reg_read", {Value("k")}, [&, invoke](Value result) {
-          history.Record(HistoryOp{false, "k", std::move(result), invoke, sim_.Now()});
-        });
-      }
-    });
-  }
+  // Ops on register `key` drawn from `rng`; reads of the opaque register go
+  // through opaque_read.
+  auto schedule_ops = [&](Rng& rng, const Key& key, int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const Region region = DeploymentRegions()[rng.NextBelow(DeploymentRegions().size())];
+      const bool is_write = rng.NextBool(0.5);
+      const SimDuration at = static_cast<SimDuration>(rng.NextBelow(Seconds(6)));
+      sim_.Schedule(at, [&, region, is_write, key] {
+        const SimTime invoke = sim_.Now();
+        if (is_write) {
+          const Value value("w" + std::to_string(unique++));
+          radical_->Invoke(region, "reg_write", {Value(key), value},
+                           [&, key, value, invoke](Value) {
+                             history.Record(HistoryOp{true, key, value, invoke, sim_.Now()});
+                           });
+          return;
+        }
+        auto done = [&, key, invoke](Value result) {
+          history.Record(HistoryOp{false, key, std::move(result), invoke, sim_.Now()});
+        };
+        if (key == opaque_key_) {
+          radical_->Invoke(region, "opaque_read", {Value("r")}, std::move(done));
+        } else {
+          radical_->Invoke(region, "reg_read", {Value(key)}, std::move(done));
+        }
+      });
+    }
+  };
+  Rng rng(424242);
+  schedule_ops(rng, "k", 60);
+  Rng opaque_rng(434343);
+  schedule_ops(opaque_rng, opaque_key_, 30);
+  const int total_ops = 90;
 
   // Crash while a freshly admitted request's pipeline is in flight (the 20th
   // fresh accept just landed; its admission continuation is still pending),
@@ -118,8 +150,13 @@ PROFILE_TEST(FaultSweepTest, EveryInvokeRepliesAndStaysLinearizable) {
   EXPECT_GT(radical_->server().counters().Get("stale_epoch_dropped"), 0u);
   EXPECT_GT(radical_->server().counters().Get("dropped_while_down"), 0u);
 
+  // Opaque reads run at the primary and rerun under the lock their first
+  // run found.
+  EXPECT_GT(radical_->server().counters().Get("primary_reruns"), 0u);
+
   // Consistency survived all of it.
-  const LinearizabilityResult result = CheckHistory(history, {{"k", Value("v0")}});
+  const LinearizabilityResult result =
+      CheckHistory(history, {{"k", Value("v0")}, {opaque_key_, Value("v0")}});
   EXPECT_TRUE(result.linearizable) << result.violation;
   EXPECT_TRUE(radical_->server().idle());
 }

@@ -528,13 +528,14 @@ TEST_F(LviServerTest, BackupsWritingAKeyTheyOnlyReadLockedLoseNoUpdate) {
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_FALSE(replies[0].validated);
   EXPECT_FALSE(replies[1].validated);
-  // A read lock is shared, so neither backup could keep the other off k:
-  // each committed at its read point, and the increments stack.
+  // A read lock does not cover a write, so each backup reran under a write
+  // lock on k: the first once the second released its read lock to rerun,
+  // the second after the first committed. The increments stack.
   EXPECT_EQ(replies[0].backup_result, Value(int64_t{0}));
   EXPECT_EQ(replies[1].backup_result, Value(int64_t{1}));
   EXPECT_EQ(store_.Peek("k")->value, Value(int64_t{2}));
   EXPECT_EQ(store_.VersionOf("k"), 3);
-  EXPECT_EQ(server_->counters().Get("writes_beyond_locks"), 2u);
+  EXPECT_EQ(server_->counters().Get("primary_reruns"), 2u);
   EXPECT_EQ(locks_.table().active_lock_count(), 0u);
   EXPECT_TRUE(server_->idle());
 }
@@ -578,7 +579,7 @@ TEST_F(LviServerTest, IdempotencyKeyLetsOneBackupApplyAcrossACrashAndAnEvictedRe
   EXPECT_TRUE(server.idle());
 }
 
-TEST(LviServerReplicatedTest, UnanalyzableDirectExecutionTakesNoLocksAndSendsNoRelease) {
+TEST(LviServerReplicatedTest, UnanalyzableDirectExecutionLocksWhatItsFirstRunTouched) {
   Simulator sim(5);
   VersionedStore store;
   Analyzer analyzer(&HostRegistry::Standard());
@@ -610,16 +611,23 @@ TEST(LviServerReplicatedTest, UnanalyzableDirectExecutionTakesNoLocksAndSendsNoR
     sim.RunFor(Seconds(1));
     return response.has_value();
   };
+  const Key key = std::to_string(
+      HostRegistry::Standard().Find("expensive_digest")->fn({Value(int64_t{7})}).AsInt());
   const LogIndex before = locks.LeaderState()->last_applied();
   ASSERT_TRUE(run_direct("opaque_set", {Value(int64_t{7}), Value("x")}));
-  // No acquire, and no release: the lock group's log did not move.
-  EXPECT_EQ(locks.LeaderState()->last_applied(), before);
-  // An analyzable direct execution does go through the group: acquire and
-  // release.
+  // The first run held no locks and found the key; the rerun wrote it under
+  // a write lock. The group logged one acquire and one release.
+  EXPECT_EQ(server.counters().Get("primary_reruns"), 1u);
+  EXPECT_EQ(locks.LeaderState()->last_applied(), before + 2);
+  EXPECT_EQ(store.Peek(key)->value, Value("x"));
+  // An analyzable direct execution predicts its set and runs once.
   ASSERT_TRUE(run_direct("reg_set", {Value("k"), Value("y")}));
-  EXPECT_GT(locks.LeaderState()->last_applied(), before);
+  EXPECT_EQ(server.counters().Get("primary_reruns"), 1u);
+  EXPECT_EQ(locks.LeaderState()->last_applied(), before + 4);
   EXPECT_EQ(locks.LeaderState()->TotalHeldKeys(), 0u);
+  EXPECT_TRUE(locks.idle());
 }
+
 
 // A writer retried after its cached reply was evicted, while its intent is
 // still pending, re-attaches to that intent (retry_intent_hit) instead of

@@ -495,6 +495,59 @@ TEST_P(ReplicatedGrantBookkeepingTest, LateGrantToReleasedWaiterIsCompensatedOnc
   EXPECT_TRUE(service.idle());
 }
 
+TEST_P(ReplicatedGrantBookkeepingTest, ReacquireAfterALostTermReleaseKeepsTheFreshLocks) {
+  // An execution releases everything and at once acquires a larger set, as
+  // the LVI server's rerun does, and every group's leader dies before the
+  // release commits. RaftCluster resubmits the release to the next leader,
+  // and the copy the dead leader already sent can commit too; the fresh
+  // acquisition waits until the release has committed, so neither copy
+  // lands behind it.
+  Simulator sim(353);
+  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{},
+                                /*batched=*/false, GetParam());
+  ASSERT_TRUE(service.Bootstrap());
+  sim.RunFor(Millis(300));
+  const ExecutionId exec = 7;
+  const std::vector<Key> first = KeysInEveryGroup(service, exec);
+  bool granted = false;
+  service.AcquireAll(exec, first, std::vector<LockMode>(first.size(), LockMode::kWrite),
+                     [&] { granted = true; });
+  sim.RunFor(Millis(100));
+  ASSERT_TRUE(granted);
+  std::vector<Key> both = KeysInEveryGroup(service, 900);
+  both.insert(both.end(), first.begin(), first.end());
+  std::sort(both.begin(), both.end());
+  service.ReleaseAll(exec);
+  std::vector<NodeId> dead;
+  for (int g = 0; g < service.shards(); ++g) {
+    dead.push_back(service.cluster(g).LeaderId());
+    service.cluster(g).CrashNode(dead.back());
+  }
+  bool regranted = false;
+  service.AcquireAll(exec, both, std::vector<LockMode>(both.size(), LockMode::kWrite),
+                     [&] { regranted = true; });
+  EXPECT_EQ(service.acquires_after_release(), 1u);
+  sim.RunFor(Seconds(3));
+  ASSERT_TRUE(regranted);
+  for (int g = 0; g < service.shards(); ++g) {
+    service.cluster(g).RestartNode(dead[static_cast<size_t>(g)]);
+  }
+  sim.RunFor(Seconds(1));
+  for (const Key& key : both) {
+    const int group = service.router().ShardOf(key);
+    ASSERT_NE(service.LeaderState(group), nullptr) << "group " << group;
+    EXPECT_NE(service.cluster(group).LeaderId(), dead[static_cast<size_t>(group)]);
+    EXPECT_TRUE(service.LeaderState(group)->IsWriteHeldBy(key, exec)) << "key " << key;
+  }
+  service.ReleaseAll(exec);
+  sim.RunFor(Millis(500));
+  for (int g = 0; g < service.shards(); ++g) {
+    EXPECT_EQ(service.LeaderState(g)->TotalHeldKeys(), 0u) << "group " << g;
+  }
+  EXPECT_EQ(service.compensating_releases(), 0u);
+  EXPECT_TRUE(service.idle());
+}
+
 INSTANTIATE_TEST_SUITE_P(Groups, ReplicatedGrantBookkeepingTest, ::testing::Values(1, 4),
                          ShardsName);
 

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/func/builder.h"
+#include "src/func/interpreter.h"
 #include "src/radical/deployment.h"
 #include "tests/deployment_profile.h"
 
@@ -18,6 +20,12 @@ NetworkOptions NoJitter() {
   NetworkOptions options;
   options.jitter_stddev_frac = 0.0;
   return options;
+}
+
+// The key Read(IntToStr(Host("expensive_digest", {input}))) reads.
+Key DigestKey(const std::string& input) {
+  const HostFunction* digest = HostRegistry::Standard().Find("expensive_digest");
+  return std::to_string(digest->fn({Value(input)}).AsInt());
 }
 
 class RuntimeEdgeTest : public ProfiledTest {
@@ -49,6 +57,33 @@ class RuntimeEdgeTest : public ProfiledTest {
     radical_->WarmCaches();
   }
 
+  // post(user, text) appends to each follower's timeline. The follower list
+  // feeds the timeline keys, so a PoP predicts them from its cache. Every
+  // cache holds followers:a = [b], but the primary's is [b, c]: c followed a
+  // after the caches were warmed, and no push told them.
+  void RegisterTimeline(SimDuration append_compute) {
+    radical_->RegisterFunction(Fn("post", {"user", "text"}, {
+        Read("followers", Cat({C("followers:"), In("user")})),
+        ForEach("f", V("followers"), {
+            Read("tl", Cat({C("timeline:"), V("f")})),
+            Write(Cat({C("timeline:"), V("f")}), Append(V("tl"), In("text"))),
+        }),
+        Compute(Millis(80)),
+        Return(In("text")),
+    }));
+    radical_->RegisterFunction(Fn("append", {"k", "text"}, {
+        Read("tl", In("k")),
+        Write(In("k"), Append(V("tl"), In("text"))),
+        Compute(append_compute),
+        Return(In("text")),
+    }));
+    radical_->Seed("followers:a", Value(ValueList{Value("b")}));
+    radical_->Seed("timeline:b", Value(ValueList{}));
+    radical_->Seed("timeline:c", Value(ValueList{}));
+    radical_->WarmCaches();
+    radical_->primary().Put("followers:a", Value(ValueList{Value("b"), Value("c")}), nullptr);
+  }
+
   Simulator sim_;
   Network net_;
   std::unique_ptr<ProfiledDeployment> radical_;
@@ -72,29 +107,7 @@ PROFILE_TEST(RuntimeEdgeTest, ReadLocksReleaseEarlySoWritersAreNotBlockedByLongR
 }
 
 PROFILE_TEST(RuntimeEdgeTest, BackupWritingBeyondItsLocksLosesNoConcurrentUpdate) {
-  // post(user, text) appends to each follower's timeline. The follower list
-  // feeds the timeline keys, so a PoP predicts them from its cache.
-  radical_->RegisterFunction(Fn("post", {"user", "text"}, {
-      Read("followers", Cat({C("followers:"), In("user")})),
-      ForEach("f", V("followers"), {
-          Read("tl", Cat({C("timeline:"), V("f")})),
-          Write(Cat({C("timeline:"), V("f")}), Append(V("tl"), In("text"))),
-      }),
-      Compute(Millis(80)),
-      Return(In("text")),
-  }));
-  radical_->RegisterFunction(Fn("append", {"k", "text"}, {
-      Read("tl", In("k")),
-      Write(In("k"), Append(V("tl"), In("text"))),
-      Compute(Millis(5)),
-      Return(In("text")),
-  }));
-  radical_->Seed("followers:a", Value(ValueList{Value("b")}));
-  radical_->Seed("timeline:b", Value(ValueList{}));
-  radical_->Seed("timeline:c", Value(ValueList{}));
-  radical_->WarmCaches();
-  // c follows a after the caches were warmed, and no push tells them.
-  radical_->primary().Put("followers:a", Value(ValueList{Value("b"), Value("c")}), nullptr);
+  RegisterTimeline(Millis(5));
   // CA locks {followers:a, timeline:b}; validation fails on followers:a, and
   // the backup's fresh run also reads and writes timeline:c, unlocked.
   Value posted;
@@ -111,11 +124,65 @@ PROFILE_TEST(RuntimeEdgeTest, BackupWritingBeyondItsLocksLosesNoConcurrentUpdate
   sim_.Run();
   EXPECT_EQ(posted, Value("hello"));
   EXPECT_EQ(appended, Value("bye"));
-  EXPECT_EQ(radical_->server().counters().Get("writes_beyond_locks"), 1u);
-  // Both updates land, the post first: it committed at its read point.
+  EXPECT_EQ(radical_->server().counters().Get("primary_reruns"), 1u);
+  // Both updates land, the post first: its rerun took timeline:c's write
+  // lock at its read point, before the append asked for it.
   EXPECT_EQ(radical_->primary().Peek("timeline:b")->value, Value(ValueList{Value("hello")}));
   EXPECT_EQ(radical_->primary().Peek("timeline:c")->value,
             Value(ValueList{Value("hello"), Value("bye")}));
+  EXPECT_TRUE(radical_->server().idle());
+}
+
+PROFILE_TEST(RuntimeEdgeTest, BackupWritingBeyondItsLocksWaitsForAnUnappliedIntent) {
+  RegisterTimeline(Millis(400));
+  // VA's append validates and holds timeline:c's write lock while its
+  // 400 ms speculation runs; its write reaches the primary only with the
+  // followup.
+  Value appended;
+  radical_->Invoke(Region::kVA, "append", {Value("timeline:c"), Value("bye")},
+                   [&](Value v) { appended = std::move(v); });
+  while (radical_->server().validations_succeeded() == 0 && sim_.Step()) {
+  }
+  // CA's post backup reads and writes timeline:c beyond its locks long
+  // before that followup arrives.
+  Value posted;
+  radical_->Invoke(Region::kCA, "post", {Value("a"), Value("hello")},
+                   [&](Value v) { posted = std::move(v); });
+  sim_.Run();
+  EXPECT_EQ(posted, Value("hello"));
+  EXPECT_EQ(appended, Value("bye"));
+  EXPECT_EQ(radical_->server().validations_failed(), 1u);
+  EXPECT_EQ(radical_->server().counters().Get("primary_reruns"), 1u);
+  // The post's rerun waited for the append's intent, so "hello" survives.
+  EXPECT_EQ(radical_->primary().Peek("timeline:c")->value,
+            Value(ValueList{Value("bye"), Value("hello")}));
+  EXPECT_EQ(radical_->primary().Peek("timeline:b")->value, Value(ValueList{Value("hello")}));
+  EXPECT_TRUE(radical_->server().idle());
+}
+
+PROFILE_TEST(RuntimeEdgeTest, UnanalyzableReadSeesAnAcknowledgedWrite) {
+  // The read key goes through a digest the analyzer cannot see through, so
+  // the function runs at the primary with no predicted locks.
+  radical_->RegisterFunction(Fn("opaque_get", {"u"}, {
+      Read("v", IntToStr(Host("expensive_digest", {In("u")}))),
+      Return(V("v")),
+  }));
+  ASSERT_FALSE(radical_->registry().Find("opaque_get")->analyzable);
+  const Key key = DigestKey("u");
+  radical_->Seed(key, Value("old"));
+  radical_->WarmCaches();
+  // JP's client is answered before the write's followup reaches the
+  // primary; a read that starts after that answer must see the write.
+  std::optional<Value> read;
+  radical_->Invoke(Region::kJP, "fast_write", {Value(key), Value("new")}, [&](Value) {
+    radical_->Invoke(Region::kVA, "opaque_get", {Value("u")},
+                     [&](Value v) { read = std::move(v); });
+  });
+  sim_.Run();
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(*read, Value("new"));
+  EXPECT_EQ(radical_->primary().Peek(key)->value, Value("new"));
+  EXPECT_EQ(radical_->server().counters().Get("primary_reruns"), 1u);
   EXPECT_TRUE(radical_->server().idle());
 }
 

@@ -536,8 +536,9 @@ void CheckBenchReport(const JsonValue& root, const std::string& path) {
     const JsonValue* protocol = Require(exp, where, "protocol", JsonValue::Type::kObject);
     if (protocol != nullptr) {
       for (const char* field : {"validation_success_rate", "validation_ok_pct",
-                                "backup_execs_per_req", "reexecutions", "lock_waits",
-                                "speculations", "wan_bytes", "lvi_requests"}) {
+                                "backup_execs_per_req", "reexecutions", "primary_reruns",
+                                "lock_waits", "speculations", "wan_bytes",
+                                "lvi_requests"}) {
         Require(*protocol, where + ".protocol", field, JsonValue::Type::kNumber);
       }
       const JsonValue* ok_pct = protocol->Find("validation_ok_pct");
