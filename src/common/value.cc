@@ -106,6 +106,8 @@ std::string Value::ToString() const {
   return os.str();
 }
 
+void PrintTo(const Value& value, std::ostream* os) { *os << value.ToString(); }
+
 uint64_t Value::StableHash() const {
   if (is_unit()) {
     return 0x5bd1e995;

@@ -11,6 +11,7 @@
 #define RADICAL_SRC_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <variant>
@@ -60,6 +61,9 @@ class Value {
   // cheap; Values are logically immutable so sharing is safe.
   std::variant<std::monostate, int64_t, std::string, std::shared_ptr<ValueList>> rep_;
 };
+
+// Test printer: a failing EXPECT_EQ on values shows ToString(), not raw bytes.
+void PrintTo(const Value& value, std::ostream* os);
 
 }  // namespace radical
 

@@ -55,20 +55,6 @@ std::optional<Item> VersionedStore::Peek(const Key& key) const {
   return it->second;
 }
 
-bool VersionedStore::ConditionalPut(const Key& key, const Value& value, Version expected,
-                                    SimDuration* latency) {
-  ++writes_;
-  Account(latency, options_.write_latency);
-  const Version current = VersionOf(key);
-  if (current != expected) {
-    return false;
-  }
-  Item& item = items_[key];
-  item.value = value;
-  ++item.version;
-  return true;
-}
-
 void VersionedStore::ApplyValidatedWrite(const Key& key, const Value& value,
                                          Version validated_version, SimDuration* latency) {
   ++writes_;

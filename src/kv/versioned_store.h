@@ -55,15 +55,10 @@ class VersionedStore : public Storage {
   // Zero-latency peek (for tests and cache refresh payload assembly).
   std::optional<Item> Peek(const Key& key) const;
 
-  // Writes only if the current version matches `expected` (kMissingVersion
-  // to require absence). Returns true on success. Used by protocol-level
-  // compare-and-set (e.g. intent status transitions in a replicated server).
-  bool ConditionalPut(const Key& key, const Value& value, Version expected, SimDuration* latency);
-
-  // Applies a write produced by an execution whose validation pinned the
-  // item at `validated_version`: the new version is validated_version + 1.
-  // Asserts that the version did not move past that (the write lock
-  // guarantees it cannot).
+  // Applies a write of an execution that pinned the item at
+  // `validated_version` when its write lock was granted: the new version is
+  // validated_version + 1. Asserts that the version did not move past that
+  // (the write lock guarantees it cannot).
   void ApplyValidatedWrite(const Key& key, const Value& value, Version validated_version,
                            SimDuration* latency);
 

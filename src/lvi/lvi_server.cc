@@ -45,6 +45,22 @@ bool LocksCover(const RwSet& locks, const ExecResult& exec) {
   return true;
 }
 
+// Answers and frees `exec_id`'s in-flight respond slot in `slots`, if any.
+// Reject and shed verdicts answer the LVI slot this way, uncached.
+template <typename Respond, typename Response>
+void AnswerSlot(std::unordered_map<ExecutionId, Respond>& slots, ExecutionId exec_id,
+                Response response) {
+  const auto it = slots.find(exec_id);
+  if (it == slots.end()) {
+    return;
+  }
+  Respond respond = std::move(it->second);
+  slots.erase(it);
+  if (respond) {
+    respond(std::move(response));
+  }
+}
+
 }  // namespace
 
 const char* ResponseStatusName(ResponseStatus status) {
@@ -73,6 +89,8 @@ LviServer::LviServer(Simulator* sim, VersionedStore* store, const FunctionRegist
       router_(options.shards),
       batches_(static_cast<size_t>(options.shards)),
       metrics_(&sim->metrics(), sim->metrics().UniqueScopeName("lvi_server")),
+      lvi_replies_(options.reply_cache_capacity, metrics_),
+      direct_replies_(options.reply_cache_capacity, metrics_),
       busy_until_(static_cast<size_t>(options.shards), 0) {
   if (options_.serving_capacity_rps > kMaxServingCapacityRps) {
     RLOG(kWarn) << "lvi_server: serving_capacity_rps=" << options_.serving_capacity_rps
@@ -121,6 +139,9 @@ void LviServer::Crash() {
   // store). The in-flight respond slots are connections: they reset.
   for (auto& [exec_id, state] : executions_) {
     (void)exec_id;
+    if (state.phase.Is(IntentPhase::kApplying)) {
+      continue;  // Its writes landed; Recover() releases its locks.
+    }
     if (state.intent_timer != kInvalidEventId) {
       sim_->Cancel(state.intent_timer);
       state.intent_timer = kInvalidEventId;
@@ -147,33 +168,29 @@ void LviServer::Recover() {
   // The capacity model's busy periods belong to the previous life.
   std::fill(busy_until_.begin(), busy_until_.end(), 0);
   metrics_.Increment("recoveries");
-  // Intents the followup completed, whose cleanup event died with the crash,
-  // still hold locks: release them and retire the intents (the writes
-  // themselves were applied before the intent turned kDone, so nothing is
-  // lost).
-  std::vector<ExecutionId> done;
-  intents_.ForEach([&done](ExecutionId id, IntentStatus status) {
-    if (status == IntentStatus::kDone) {
-      done.push_back(id);
+  // Intents the followup won, whose lock release died with the crash, still
+  // hold locks: retire them (their writes landed when the followup arrived,
+  // so nothing is lost).
+  std::vector<ExecutionId> applied;
+  for (const auto& [exec_id, state] : executions_) {
+    if (state.phase.Is(IntentPhase::kApplying)) {
+      applied.push_back(exec_id);
     }
-  });
-  std::sort(done.begin(), done.end());  // Deterministic order.
-  for (const ExecutionId id : done) {
-    locks_->ReleaseAll(id);
-    intents_.Remove(id);
-    executions_.erase(id);
+  }
+  std::sort(applied.begin(), applied.end());  // Deterministic order.
+  for (const ExecutionId id : applied) {
+    RetireIntent(id);
     metrics_.Increment("recover_cleanup");
   }
   // Re-arm a timer for every intent still unresolved: their followups may
   // have been lost while the server was down, and deterministic re-execution
   // is how such writes reach the primary (§3.4). A re-execution the crash
-  // cut off before its writes landed goes back to pending and runs again.
+  // cut off before its writes landed is armed again and runs again.
   for (auto& [exec_id, state] : executions_) {
     const ExecutionId id = exec_id;
-    intents_.Reopen(id);
     state.phase.Move(IntentPhase::kArmed);  // orphaned -> armed.
     state.intent_timer =
-        sim_->Schedule(options_.intent_timeout, [this, id] { FireIntentTimer(id); });
+        sim_->Schedule(options_.intent_timeout, [this, id] { ResolveIntentByReExecution(id); });
   }
 }
 
@@ -279,18 +296,6 @@ void LviServer::RejectLvi(ExecutionId exec_id, RespondFn respond, ResponseStatus
   AnswerAfterProcessing(std::move(respond), std::move(response));
 }
 
-void LviServer::RespondLviUncached(ExecutionId exec_id, LviResponse response) {
-  RespondFn respond;
-  const auto it = inflight_lvi_.find(exec_id);
-  if (it != inflight_lvi_.end()) {
-    respond = std::move(it->second);
-    inflight_lvi_.erase(it);
-  }
-  if (respond) {
-    respond(std::move(response));
-  }
-}
-
 void LviServer::ShedMidPipeline(const LviRequest& request, const char* stage) {
   metrics_.Increment("shed_total");
   metrics_.Increment(std::string("shed_") + stage);
@@ -300,37 +305,7 @@ void LviServer::ShedMidPipeline(const LviRequest& request, const char* stage) {
   response.exec_id = request.exec_id;
   response.validated = false;
   response.status = ResponseStatus::kShed;
-  RespondLviUncached(request.exec_id, std::move(response));
-}
-
-void LviServer::CacheLviReply(ExecutionId exec_id, LviResponse response) {
-  const auto it = lvi_replies_.find(exec_id);
-  if (it != lvi_replies_.end()) {
-    it->second = std::move(response);
-    return;
-  }
-  lvi_replies_.emplace(exec_id, std::move(response));
-  lvi_reply_order_.push_back(exec_id);
-  if (lvi_reply_order_.size() > options_.reply_cache_capacity) {
-    lvi_replies_.erase(lvi_reply_order_.front());
-    lvi_reply_order_.pop_front();
-    metrics_.Increment("reply_cache_evicted");
-  }
-}
-
-void LviServer::CacheDirectReply(ExecutionId exec_id, DirectResponse response) {
-  const auto it = direct_replies_.find(exec_id);
-  if (it != direct_replies_.end()) {
-    it->second = std::move(response);
-    return;
-  }
-  direct_replies_.emplace(exec_id, std::move(response));
-  direct_reply_order_.push_back(exec_id);
-  if (direct_reply_order_.size() > options_.reply_cache_capacity) {
-    direct_replies_.erase(direct_reply_order_.front());
-    direct_reply_order_.pop_front();
-    metrics_.Increment("reply_cache_evicted");
-  }
+  AnswerSlot(inflight_lvi_, request.exec_id, std::move(response));
 }
 
 std::vector<FreshItem> LviServer::FreshItems(std::vector<Key> keys) const {
@@ -347,30 +322,14 @@ std::vector<FreshItem> LviServer::FreshItems(std::vector<Key> keys) const {
   return items;
 }
 
-std::vector<FreshItem> LviServer::PublishWrites(std::vector<Key> written) {
-  std::vector<FreshItem> items = FreshItems(std::move(written));
-  if (push_ && !items.empty()) {
-    push_(CachePush{items});
-  }
-  return items;
-}
-
 void LviServer::RespondLvi(ExecutionId exec_id, LviResponse response) {
-  CacheLviReply(exec_id, response);
-  RespondLviUncached(exec_id, std::move(response));
+  lvi_replies_.Put(exec_id, response);
+  AnswerSlot(inflight_lvi_, exec_id, std::move(response));
 }
 
 void LviServer::RespondDirect(ExecutionId exec_id, DirectResponse response) {
-  DirectRespondFn respond;
-  const auto it = inflight_direct_.find(exec_id);
-  if (it != inflight_direct_.end()) {
-    respond = std::move(it->second);
-    inflight_direct_.erase(it);
-  }
-  CacheDirectReply(exec_id, response);
-  if (respond) {
-    respond(std::move(response));
-  }
+  direct_replies_.Put(exec_id, response);
+  AnswerSlot(inflight_direct_, exec_id, std::move(response));
 }
 
 void LviServer::HandleLviRequest(LviRequest request, RespondFn respond) {
@@ -391,17 +350,17 @@ void LviServer::HandleLviRequest(LviRequest request, RespondFn respond) {
   // Duplicate of a request already answered (the response was lost): replay
   // the cached reply. If no intent record exists, any locks the execution
   // still holds belong to a pipeline that died in a crash — reclaim them.
-  const auto hit = lvi_replies_.find(exec_id);
-  if (hit != lvi_replies_.end()) {
+  const LviResponse* hit = lvi_replies_.Find(exec_id);
+  if (hit != nullptr) {
     metrics_.Increment("duplicate_replayed");
-    if (!intents_.Exists(exec_id)) {
+    if (PhaseOf(exec_id) == IntentPhase::kFinished) {
       locks_->ReleaseAll(exec_id);
     }
     // Cache hits are a lookup, not an execution: answer after the parse/
     // dispatch cost only. Charging a full AdmissionDelay service slot here
     // (as this path used to) let duplicate retries consume real capacity
     // and amplify the very overload that caused them.
-    AnswerAfterProcessing(std::move(respond), hit->second);
+    AnswerAfterProcessing(std::move(respond), *hit);
     return;
   }
   const int home = HomeShard(request);
@@ -487,8 +446,7 @@ void LviServer::Validate(std::vector<LviRequest> members) {
   // of each member, and each writer's validated versions.
   struct Verdict {
     std::vector<size_t> stale;
-    std::vector<Key> write_keys;
-    std::vector<Version> validated_versions;
+    Pins pins;
   };
   std::vector<Verdict> verdicts(live.size());
   for (size_t m = 0; m < live.size(); ++m) {
@@ -513,8 +471,8 @@ void LviServer::Validate(std::vector<LviRequest> members) {
         verdict.stale.push_back(i);
       }
       if (item.mode == LockMode::kWrite) {
-        verdict.write_keys.push_back(item.key);
-        verdict.validated_versions.push_back(primary);
+        verdict.pins.keys.push_back(item.key);
+        verdict.pins.versions.push_back(primary);
       }
     }
   }
@@ -539,7 +497,7 @@ void LviServer::Validate(std::vector<LviRequest> members) {
       }
       metrics_.Increment("validate_success");
       BumpShard(HomeShard(member), "validate_success");
-      if (verdict.write_keys.empty()) {
+      if (verdict.pins.keys.empty()) {
         // Read-only: validation is the linearization point; nothing further
         // will arrive for this execution, so the read locks release now.
         const ExecutionId exec_id = member.exec_id;
@@ -572,18 +530,16 @@ void LviServer::Validate(std::vector<LviRequest> members) {
         return;
       }
       for (auto& [request, verdict] : writers) {
-        CommitIntent(std::move(request), std::move(verdict.write_keys),
-                     std::move(verdict.validated_versions), intent_start);
+        CommitIntent(std::move(request), std::move(verdict.pins), intent_start);
       }
     });
   });
 }
 
-void LviServer::CommitIntent(LviRequest request, std::vector<Key> write_keys,
-                             std::vector<Version> validated_versions, SimTime intent_start) {
+void LviServer::CommitIntent(LviRequest request, Pins pins, SimTime intent_start) {
   const ExecutionId exec_id = request.exec_id;
   EmitSpan("server.intent_write", exec_id, intent_start);
-  if (!intents_.Create(exec_id)) {
+  if (executions_.count(exec_id) > 0) {
     // A retried request of an execution whose intent already exists (its
     // cached reply was evicted): the existing intent — with its timer and
     // execution record — is authoritative; just re-answer.
@@ -597,10 +553,10 @@ void LviServer::CommitIntent(LviRequest request, std::vector<Key> write_keys,
   BumpShard(HomeShard(request), "intents_created");
   ExecState state;
   state.request = std::move(request);
-  state.write_keys = std::move(write_keys);
-  state.validated_versions = std::move(validated_versions);
+  state.pins = std::move(pins);
   state.intent_timer =
-      sim_->Schedule(options_.intent_timeout, [this, exec_id] { FireIntentTimer(exec_id); });
+      sim_->Schedule(options_.intent_timeout,
+                     [this, exec_id] { ResolveIntentByReExecution(exec_id); });
   executions_.emplace(exec_id, std::move(state));
   LviResponse response;
   response.exec_id = exec_id;
@@ -684,7 +640,8 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
       return;
     }
     const ExecutionId exec_id = followup.exec_id;
-    if (!intents_.TryComplete(exec_id)) {
+    const ExecState* state = ClaimIntent(exec_id, IntentPhase::kApplying);
+    if (state == nullptr) {
       // The intent was already handled (re-execution beat us, or this is a
       // duplicate): discard (§3.6, "validation succeeds but the followup is
       // late"). The writes are durable either way: ack success.
@@ -694,84 +651,55 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
       }
       return;
     }
-    const auto it = executions_.find(exec_id);
-    assert(it != executions_.end());
-    ExecState state = std::move(it->second);
-    executions_.erase(it);
-    if (state.intent_timer != kInvalidEventId) {
-      sim_->Cancel(state.intent_timer);
-    }
-    state.phase.Move(IntentPhase::kApplying);  // The followup won the race.
+    // The followup won the race.
     metrics_.Increment("followup_applied");
-    BumpShard(HomeShard(state.request), "followup_applied");
-    ApplyAndFinish(std::move(state), followup.writes, std::move(ack));
-  });
-}
-
-void LviServer::ApplyAndFinish(ExecState state, const std::vector<BufferedWrite>& writes,
-                               AckFn ack) {
-  // (9) Apply the updates under the versions pinned at validation; the write
-  // locks guarantee nothing moved underneath.
-  SimDuration apply_latency = 0;
-  for (const BufferedWrite& write : writes) {
-    const auto pos = std::lower_bound(state.write_keys.begin(), state.write_keys.end(), write.key);
-    assert(pos != state.write_keys.end() && *pos == write.key &&
-           "followup write outside the declared write set");
-    const size_t idx = static_cast<size_t>(pos - state.write_keys.begin());
-    store_->ApplyValidatedWrite(write.key, write.value, state.validated_versions[idx],
-                                &apply_latency);
-  }
-  const ExecutionId exec_id = state.request.exec_id;
-  std::vector<Key> written;
-  written.reserve(writes.size());
-  for (const BufferedWrite& write : writes) {
-    written.push_back(write.key);
-  }
-  PublishWrites(std::move(written));
-  const uint64_t epoch = epoch_;
-  sim_->Schedule(apply_latency, [this, epoch, exec_id, phase = state.phase,
-                                 ack = std::move(ack)]() mutable {
-    // applying -> finished, on both branches below: the writes are durable
-    // at this point; only the lock release / ack differ by epoch.
-    phase.Move(IntentPhase::kFinished);
-    if (!StillAlive(epoch)) {
-      // The writes above are already durable (the intent is kDone; recovery
-      // releases the locks). Nack so a two-RTT sender retransmits and learns
-      // of the success from the late-followup path.
-      metrics_.Increment("stale_epoch_dropped");
-      if (ack) {
-        ack(false);
+    BumpShard(HomeShard(state->request), "followup_applied");
+    // (9) Apply the updates under the versions pinned at validation; the
+    // write locks guarantee nothing moved underneath.
+    SimDuration apply_latency = 0;
+    Commit(exec_id, followup.writes, state->pins, &apply_latency);
+    sim_->Schedule(apply_latency, [this, epoch, exec_id, ack = std::move(ack)] {
+      if (!StillAlive(epoch)) {
+        // The writes are durable; the record stays applying and recovery
+        // releases its locks. Nack so a two-RTT sender retransmits and learns
+        // of the success from the late-followup path.
+        metrics_.Increment("stale_epoch_dropped");
+        if (ack) {
+          ack(false);
+        }
+        return;
       }
-      return;
-    }
-    // (10) Release the locks and retire the intent.
-    locks_->ReleaseAll(exec_id);
-    intents_.Remove(exec_id);
-    if (ack) {
-      ack(true);
-    }
+      // (10) Release the locks and retire the intent.
+      RetireIntent(exec_id);
+      if (ack) {
+        ack(true);
+      }
+    });
   });
 }
 
-void LviServer::FireIntentTimer(ExecutionId exec_id) {
-  if (!alive_) {
-    return;  // Fired while down (cancelled timers never fire; guard anyway).
+LviServer::ExecState* LviServer::ClaimIntent(ExecutionId exec_id, IntentPhase winner) {
+  const auto it = executions_.find(exec_id);
+  if (it == executions_.end() || !it->second.phase.Is(IntentPhase::kArmed)) {
+    return nullptr;
   }
-  ResolveIntentByReExecution(exec_id);
+  ExecState& state = it->second;
+  state.phase.Move(winner);
+  if (state.intent_timer != kInvalidEventId) {
+    sim_->Cancel(state.intent_timer);
+    state.intent_timer = kInvalidEventId;
+  }
+  return &state;
 }
 
 void LviServer::ResolveIntentByReExecution(ExecutionId exec_id) {
-  if (!intents_.TryResolve(exec_id)) {
-    return;  // The followup won the race.
+  // The timer, or the direct fallback, against the followup. The execution
+  // record stays in executions_ until the writes land, so a crash before
+  // then re-arms the intent instead of losing them (Recover).
+  const ExecState* state = ClaimIntent(exec_id, IntentPhase::kReExecuting);
+  if (state == nullptr) {
+    return;  // The followup won the race, or the server is down.
   }
-  // The execution record stays in executions_ until the writes land, so a
-  // crash before then re-arms the intent instead of losing them (Recover).
-  ExecState& state = executions_.at(exec_id);
-  if (state.intent_timer != kInvalidEventId) {
-    sim_->Cancel(state.intent_timer);  // Resolved by the direct path, not the timer.
-    state.intent_timer = kInvalidEventId;
-  }
-  state.phase.Move(IntentPhase::kReExecuting);  // The timer/fallback won.
   metrics_.Increment("reexecute");
   // Deterministic re-execution (§3.4): same inputs, and the locks held since
   // the LVI request guarantee the same storage state, so the writes are
@@ -780,10 +708,10 @@ void LviServer::ResolveIntentByReExecution(ExecutionId exec_id) {
   // services replay instead of re-charging (§3.5). The result is recorded as
   // a direct reply: a client that gave up on the LVI path and degraded to
   // InvokeDirect replays this run instead of executing a second time.
-  PrimaryRun run(PrimaryRun::kReExecution, exec_id, registry_->Find(state.request.function),
-                 state.request.inputs);
+  PrimaryRun run(PrimaryRun::kReExecution, exec_id, registry_->Find(state->request.function),
+                 state->request.inputs);
   assert(run.fn != nullptr);
-  run.locks = LocksOf(state.request);
+  run.locks = LocksOf(state->request);
   RunAtPrimary(std::move(run));
 }
 
@@ -799,17 +727,18 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
     inf->second = std::move(respond);
     return;
   }
-  const auto hit = direct_replies_.find(exec_id);
-  if (hit != direct_replies_.end()) {
+  const DirectResponse* hit = direct_replies_.Find(exec_id);
+  if (hit != nullptr) {
     metrics_.Increment("duplicate_replayed");
-    AnswerAfterProcessing(std::move(respond), hit->second);
+    AnswerAfterProcessing(std::move(respond), *hit);
     return;
   }
   // Degraded-mode fallback of an execution whose LVI attempt got as far as a
   // write intent: the intent is authoritative. Resolve it by deterministic
   // re-execution now — never run the function a second time next to it.
   // The parked respond slot is answered when the re-execution finishes.
-  if (intents_.IsPending(exec_id) || intents_.IsResolving(exec_id)) {
+  const IntentPhase phase = PhaseOf(exec_id);
+  if (phase == IntentPhase::kArmed || phase == IntentPhase::kReExecuting) {
     metrics_.Increment("direct_resolved_intent");
     const uint64_t epoch = epoch_;
     inflight_direct_[exec_id] = std::move(respond);
@@ -818,18 +747,19 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
         metrics_.Increment("stale_epoch_dropped");
         return;
       }
-      if (intents_.IsPending(exec_id)) {
+      const IntentPhase now = PhaseOf(exec_id);
+      if (now == IntentPhase::kArmed) {
         ResolveIntentByReExecution(exec_id);
         return;
       }
-      if (intents_.IsResolving(exec_id)) {
+      if (now == IntentPhase::kReExecuting) {
         return;  // Already re-executing (the timer won the race).
       }
       // The re-execution finished between admission and now: its reply is
       // in the direct cache.
-      const auto done = direct_replies_.find(exec_id);
-      if (done != direct_replies_.end()) {
-        RespondDirect(exec_id, done->second);
+      const DirectResponse* done = direct_replies_.Find(exec_id);
+      if (done != nullptr) {
+        RespondDirect(exec_id, *done);
         return;
       }
       // Unreachable in practice (the cache outlives the race window); drop
@@ -858,13 +788,13 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
   }
   // Fallback of an execution whose LVI attempt failed validation: the backup
   // execution already ran; adapt its cached reply instead of re-executing.
-  const auto lvi_hit = lvi_replies_.find(exec_id);
-  if (lvi_hit != lvi_replies_.end() && !lvi_hit->second.validated) {
+  const LviResponse* lvi_hit = lvi_replies_.Find(exec_id);
+  if (lvi_hit != nullptr && !lvi_hit->validated) {
     metrics_.Increment("direct_from_lvi_cache");
     DirectResponse response;
     response.exec_id = exec_id;
-    response.result = lvi_hit->second.backup_result;
-    response.fresh_items = lvi_hit->second.fresh_items;
+    response.result = lvi_hit->backup_result;
+    response.fresh_items = lvi_hit->fresh_items;
     AnswerAfterProcessing(std::move(respond), std::move(response));
     return;
   }
@@ -967,6 +897,12 @@ void LviServer::ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start) {
     return;
   }
   run->writes = buffer.DrainWrites();
+  // The run holds the write lock of each key it wrote until its commit, so
+  // the versions read here are the ones its writes land on.
+  for (const BufferedWrite& write : run->writes) {
+    run->pins.keys.push_back(write.key);
+    run->pins.versions.push_back(store_->VersionOf(write.key));
+  }
   run->result = std::move(exec.return_value);
   // A buffered write costs what its write to the primary will.
   const SimDuration elapsed =
@@ -976,7 +912,7 @@ void LviServer::ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start) {
   // writer holds every lock through its compute, until its writes land (§3.6).
   const bool read_only = run->writes.empty();
   if (read_only) {
-    Commit(*run);
+    FinishRun(*run);
   }
   const uint64_t epoch = epoch_;
   sim_->Schedule(elapsed, [this, epoch, start, read_only, run] {
@@ -985,7 +921,7 @@ void LviServer::ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start) {
       return;
     }
     if (!read_only) {
-      Commit(*run);
+      FinishRun(*run);
     }
     if (run->kind == PrimaryRun::kBackup) {
       EmitSpan("server.backup_exec", run->exec_id, start);
@@ -996,20 +932,9 @@ void LviServer::ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start) {
   });
 }
 
-void LviServer::Commit(PrimaryRun& run) {
+void LviServer::FinishRun(PrimaryRun& run) {
   const ExecutionId exec_id = run.exec_id;
-  // The idempotency key (replicated deployments, §5.6) is recorded with the
-  // writes: at most one run of an execution at the primary applies any.
-  std::vector<Key> written;
-  if (run.writes.empty() || !replicated_ || idempotency_.RecordOnce(exec_id)) {
-    for (const BufferedWrite& write : run.writes) {
-      store_->Put(write.key, write.value, nullptr);
-      written.push_back(write.key);
-    }
-  } else {
-    metrics_.Increment("at_most_once_refused");
-  }
-  std::vector<FreshItem> pushed = PublishWrites(written);
+  std::vector<FreshItem> written = Commit(exec_id, run.writes, run.pins, nullptr);
   // The reply is durable from here, with the writes: a retry replays it
   // instead of re-executing, even if this server life ends before it leaves.
   if (run.kind == PrimaryRun::kBackup) {
@@ -1017,23 +942,66 @@ void LviServer::Commit(PrimaryRun& run) {
     run.lvi_reply.validated = false;
     run.lvi_reply.backup_result = std::move(run.result);
     // Cache repairs: every stale item plus everything the execution wrote.
-    written.insert(written.end(), run.stale_keys.begin(), run.stale_keys.end());
-    run.lvi_reply.fresh_items = FreshItems(std::move(written));
-    CacheLviReply(exec_id, run.lvi_reply);
+    std::vector<Key> repaired = std::move(run.stale_keys);
+    for (const FreshItem& item : written) {
+      repaired.push_back(item.key);
+    }
+    run.lvi_reply.fresh_items = FreshItems(std::move(repaired));
+    lvi_replies_.Put(exec_id, run.lvi_reply);
   } else {
     run.direct_reply.exec_id = exec_id;
     run.direct_reply.result = std::move(run.result);
-    run.direct_reply.fresh_items = std::move(pushed);
-    CacheDirectReply(exec_id, run.direct_reply);
+    run.direct_reply.fresh_items = std::move(written);
+    direct_replies_.Put(exec_id, run.direct_reply);
   }
   if (run.kind == PrimaryRun::kReExecution) {
-    // The intent retires with its writes.
-    const auto it = executions_.find(exec_id);
-    assert(it != executions_.end());
-    it->second.phase.Move(IntentPhase::kFinished);
-    executions_.erase(it);
-    intents_.Remove(exec_id);
+    RetireIntent(exec_id);  // The intent retires with its writes.
+  } else {
+    locks_->ReleaseAll(exec_id);
   }
+}
+
+std::vector<FreshItem> LviServer::Commit(ExecutionId exec_id,
+                                         const std::vector<BufferedWrite>& writes,
+                                         const Pins& pins, SimDuration* latency) {
+  if (writes.empty()) {
+    return {};
+  }
+  // The idempotency key (replicated deployments, §5.6) is recorded with the
+  // writes: at most one execution of a request applies any.
+  if (replicated_ && !applied_.insert(exec_id).second) {
+    metrics_.Increment("at_most_once_refused");
+    return {};
+  }
+  std::vector<Key> written;
+  written.reserve(writes.size());
+  for (const BufferedWrite& write : writes) {
+    store_->ApplyValidatedWrite(write.key, write.value, pins.Of(write.key), latency);
+    written.push_back(write.key);
+  }
+  std::vector<FreshItem> items = FreshItems(std::move(written));
+  if (push_) {
+    push_(CachePush{items});
+  }
+  return items;
+}
+
+Version LviServer::Pins::Of(const Key& key) const {
+  const auto pos = std::lower_bound(keys.begin(), keys.end(), key);
+  assert(pos != keys.end() && *pos == key && "write outside the locked write set");
+  return versions[static_cast<size_t>(pos - keys.begin())];
+}
+
+IntentPhase LviServer::PhaseOf(ExecutionId exec_id) const {
+  const auto it = executions_.find(exec_id);
+  return it == executions_.end() ? IntentPhase::kFinished : it->second.phase.state();
+}
+
+void LviServer::RetireIntent(ExecutionId exec_id) {
+  const auto it = executions_.find(exec_id);
+  assert(it != executions_.end());
+  it->second.phase.Move(IntentPhase::kFinished);
+  executions_.erase(it);
   locks_->ReleaseAll(exec_id);
 }
 

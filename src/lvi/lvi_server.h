@@ -47,6 +47,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -54,7 +55,6 @@
 #include "src/analysis/rw_set.h"
 #include "src/common/sm.h"
 #include "src/common/stats.h"
-#include "src/kv/intent_table.h"
 #include "src/kv/versioned_store.h"
 #include "src/lvi/lock_service.h"
 #include "src/lvi/messages.h"
@@ -115,16 +115,16 @@ struct LviServerOptions {
 // intent waits for its followup with a live timer; a crash orphans it (the
 // timer is volatile, the intent is durable) and recovery re-arms it; exactly
 // one resolver — the followup (apply) or the timer / direct fallback
-// (deterministic re-execution) — carries it to finished. The IntentTable's
-// TryComplete CAS picks the winner; the state machine makes the rest of the
-// path a declared graph, so a double-resolve or a resurrect-after-finish
-// aborts loudly instead of corrupting locks or the primary.
+// (deterministic re-execution) — carries it to finished. The move out of
+// armed is the claim that picks the winner; the loser finds the intent no
+// longer armed. The graph makes a double-resolve or a resurrect-after-finish
+// abort loudly instead of corrupting locks or the primary.
 enum class IntentPhase : uint32_t {
   kArmed = 0,    // Intent durable, timer armed, waiting for the followup.
   kOrphaned,     // Server down: the timer died, the intent survives on disk.
-  kApplying,     // Followup won the race: speculative writes being applied.
+  kApplying,     // Followup won the race: its writes landed, its locks not yet released.
   kReExecuting,  // Timer or direct fallback won: re-executing until its writes land.
-  kFinished,     // Locks released, intent retired. Terminal.
+  kFinished,     // Locks released, intent retired. Terminal; also a missing record.
 };
 
 inline constexpr SmStateSpec kIntentPhaseSpec[] = {
@@ -133,6 +133,8 @@ inline constexpr SmStateSpec kIntentPhaseSpec[] = {
     // orphaned -> orphaned: a second Crash() while already down is a no-op
     // sweep over the same executions (idempotent double-crash).
     {"orphaned", SmMask(IntentPhase::kArmed) | SmMask(IntentPhase::kOrphaned)},
+    // applying survives a crash untouched: its writes are durable, and
+    // recovery only releases its locks.
     {"applying", SmMask(IntentPhase::kFinished)},
     // reexecuting -> orphaned: a crash between the re-execution's read point
     // and its writes; recovery re-arms the intent and it runs again.
@@ -235,16 +237,60 @@ class LviServer {
   bool idle() const { return executions_.empty(); }
 
  private:
+  // The versions an execution's written keys had when its write locks were
+  // granted: at validation for an intent, at the read point for a run.
+  // Commit applies each write at its pinned version.
+  struct Pins {
+    std::vector<Key> keys;          // Sorted.
+    std::vector<Version> versions;  // Parallel to keys.
+    Version Of(const Key& key) const;
+  };
+
+  // The one record of a write intent, from its creation until its locks are
+  // released (or, after a crash, until recovery releases them).
   struct ExecState {
     LviRequest request;
-    std::vector<Key> write_keys;              // Sorted.
-    std::vector<Version> validated_versions;  // Parallel to write_keys.
+    Pins pins;
     EventId intent_timer = kInvalidEventId;
     // Where this intent is in its lifecycle; every phase change is a
-    // checked Move against kIntentPhaseSpec. A followup moves the state out
-    // of executions_ (the machine travels into its completion closure); a
-    // re-execution leaves it there until its writes land.
+    // checked Move against kIntentPhaseSpec.
     Sm<IntentPhase> phase{kIntentPhaseSpec, IntentPhase::kArmed};
+  };
+  // The phase of `exec_id`'s intent; kFinished when it has no record (never
+  // created, or retired).
+  IntentPhase PhaseOf(ExecutionId exec_id) const;
+  // Moves the intent to finished, drops its record and releases its locks.
+  void RetireIntent(ExecutionId exec_id);
+
+  // A bounded reply cache, oldest entry evicted first. Modeled as durable:
+  // it lives next to the idempotency keys in the primary store (§3.4/§5.6),
+  // so it survives Crash().
+  template <typename Reply>
+  class ReplyCache {
+   public:
+    ReplyCache(size_t capacity, obs::MetricsScope metrics)
+        : capacity_(capacity), metrics_(std::move(metrics)) {}
+    const Reply* Find(ExecutionId exec_id) const {
+      const auto it = replies_.find(exec_id);
+      return it == replies_.end() ? nullptr : &it->second;
+    }
+    void Put(ExecutionId exec_id, Reply reply) {
+      if (!replies_.insert_or_assign(exec_id, std::move(reply)).second) {
+        return;  // Overwrote a cached reply; its age stays.
+      }
+      order_.push_back(exec_id);
+      if (order_.size() > capacity_) {
+        replies_.erase(order_.front());
+        order_.pop_front();
+        metrics_.Increment("reply_cache_evicted");
+      }
+    }
+
+   private:
+    size_t capacity_;
+    obs::MetricsScope metrics_;
+    std::unordered_map<ExecutionId, Reply> replies_;
+    std::deque<ExecutionId> order_;
   };
 
   // True when the server is up and still in the epoch a continuation was
@@ -260,23 +306,23 @@ class LviServer {
   void Validate(std::vector<LviRequest> members);
   void OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices);
   // Tail of the success path, once the intent write's latency has elapsed:
-  // create the intent record (idempotently), stash the execution state, arm
-  // the timer, reply. `intent_start` is when that write began (span).
-  void CommitIntent(LviRequest request, std::vector<Key> write_keys,
-                    std::vector<Version> validated_versions, SimTime intent_start);
+  // create the intent record (idempotently), arm the timer, reply.
+  // `intent_start` is when that write began (span).
+  void CommitIntent(LviRequest request, Pins pins, SimTime intent_start);
   // Batching (batch_window > 0): lock-granted requests park on their home
   // shard's pending list; the first member arms a flush.
   void EnqueueForValidation(LviRequest request);
   void FlushBatch(int shard);
-  void FireIntentTimer(ExecutionId exec_id);
-  // Shared by the intent timer and the direct path: claims a pending intent
+  // The race between the followup and re-execution: moves `exec_id`'s
+  // intent out of armed to `winner` and cancels its timer. Returns null when
+  // the intent is not armed (the other resolver won, there is none, or the
+  // server is down and it is orphaned).
+  ExecState* ClaimIntent(ExecutionId exec_id, IntentPhase winner);
+  // Shared by the intent timer and the direct path: claims an armed intent
   // and deterministically re-executes it from its stored request through
   // RunAtPrimary. Its reply is a DirectResponse, cached for (and sent to) a
   // direct request of the same execution.
   void ResolveIntentByReExecution(ExecutionId exec_id);
-  // Applies `writes` under the validated versions in `state` and finishes
-  // the execution (release locks, complete + remove intent).
-  void ApplyAndFinish(ExecState state, const std::vector<BufferedWrite>& writes, AckFn ack);
 
   // One execution of a function at the primary: a backup after a failed
   // validation, a deterministic re-execution, or a direct execution.
@@ -295,8 +341,10 @@ class LviServer {
     // write-locked keys in `writes`. A rerun adds the keys its last run
     // touched.
     RwSet locks;
-    // Set at the read point: the buffered writes and the return value.
+    // Set at the read point: the buffered writes, their keys' versions
+    // there, and the return value.
     std::vector<BufferedWrite> writes;
+    Pins pins;
     Value result;
     // Set at the commit, and already in the reply cache: the backup's
     // LviResponse, or the DirectResponse of the other kinds.
@@ -315,25 +363,26 @@ class LviServer {
   // Acquires `locks` in (shard, key) order; `granted` runs once all are
   // held, unless the server crashed meanwhile.
   void AcquireThen(ExecutionId exec_id, const RwSet& locks, std::function<void()> granted);
-  // The commit point of a run: applies and publishes the writes, records
-  // the reply (reply cache and, for a writer, the idempotency key), retires
-  // a re-execution's intent, and releases the locks.
-  void Commit(PrimaryRun& run);
+  // The commit point of a run: commits its writes, records the reply in
+  // the reply cache, retires a re-execution's intent, and releases the
+  // locks.
+  void FinishRun(PrimaryRun& run);
+  // The one site where writes land at the primary, for a followup and for
+  // every run: applies each write at the version `pins` holds for its key
+  // (adding the write cost to `latency`, if given), records the idempotency
+  // key with them, and hands the written items to the push listener.
+  // Returns those items; none when the idempotency key refused the writes.
+  std::vector<FreshItem> Commit(ExecutionId exec_id, const std::vector<BufferedWrite>& writes,
+                                const Pins& pins, SimDuration* latency);
 
   // Fresh copies of `keys` from the primary, sorted and deduplicated; keys
   // the primary does not hold are skipped.
   std::vector<FreshItem> FreshItems(std::vector<Key> keys) const;
-  // Durable-write funnel, called wherever an execution's writes land at the
-  // primary (followup apply, Commit): hands the written items to the push
-  // listener, if any, and returns them.
-  std::vector<FreshItem> PublishWrites(std::vector<Key> written);
 
   // Completion funnel: caches the reply (idempotency) and answers the
   // freshest in-flight respond slot for the exec, if any.
   void RespondLvi(ExecutionId exec_id, LviResponse response);
   void RespondDirect(ExecutionId exec_id, DirectResponse response);
-  void CacheLviReply(ExecutionId exec_id, LviResponse response);
-  void CacheDirectReply(ExecutionId exec_id, DirectResponse response);
 
   // Records one server-track span ending now (no-op without a collector).
   void EmitSpan(const char* name, ExecutionId exec_id, SimTime start);
@@ -351,9 +400,6 @@ class LviServer {
   // --- Sharding ---------------------------------------------------------------
   // Key-range router shared with the deployment's lock service.
   ShardRouter router_;
-  // Write intents. Execution ids are globally unique, so one table serves
-  // every shard.
-  IntentTable intents_;
   // Per-shard metric scopes "<scope>.shard<i>"; empty when shards == 1 so
   // the default configuration creates no extra instruments.
   std::vector<obs::MetricsScope> shard_metrics_;
@@ -365,20 +411,22 @@ class LviServer {
     bool flush_armed = false;
   };
   std::vector<PendingBatch> batches_;
-  IdempotencyTable idempotency_;
+  // Idempotency keys (replicated deployments, §5.6): the executions whose
+  // writes reached the primary. At most one execution of a request applies
+  // any.
+  std::unordered_set<ExecutionId> applied_;
+  // Write intents, durable (they live in the primary store with the
+  // execution's inputs). Execution ids are globally unique, so one map
+  // serves every shard.
   std::unordered_map<ExecutionId, ExecState> executions_;
   // In-flight respond slots: a retried request lands here while the original
   // attempt's pipeline is still running, so exactly one reply fires (through
   // the freshest callback) when it completes. Volatile — cleared on Crash().
   std::unordered_map<ExecutionId, RespondFn> inflight_lvi_;
   std::unordered_map<ExecutionId, DirectRespondFn> inflight_direct_;
-  // Durable reply caches (bounded, FIFO eviction): modeled as stored next to
-  // the idempotency keys in the primary store, so they survive Crash().
-  std::unordered_map<ExecutionId, LviResponse> lvi_replies_;
-  std::deque<ExecutionId> lvi_reply_order_;
-  std::unordered_map<ExecutionId, DirectResponse> direct_replies_;
-  std::deque<ExecutionId> direct_reply_order_;
   obs::MetricsScope metrics_;
+  ReplyCache<LviResponse> lvi_replies_;
+  ReplyCache<DirectResponse> direct_replies_;
   obs::SpanCollector* spans_ = nullptr;
   PushFn push_;
   // Capacity model, per shard: the instant shard i frees up (>= now when
@@ -413,8 +461,6 @@ class LviServer {
   // unless the server crashes first: rejections and cached-reply replays.
   template <typename Respond, typename Response>
   void AnswerAfterProcessing(Respond respond, Response response);
-  // RespondLvi minus the reply-cache write, for reject/shed verdicts.
-  void RespondLviUncached(ExecutionId exec_id, LviResponse response);
   // Tracks the shard's queue depth on the registry gauges ("queue_depth" +
   // high-water "queue_depth_peak"); only touched when the capacity model is
   // on, so default configurations register no extra instruments.

@@ -89,6 +89,11 @@ TEST(ValueTest, ToStringRendersNested) {
   EXPECT_EQ(Value().ToString(), "unit");
 }
 
+TEST(ValueTest, GtestPrintsTheRenderedValue) {
+  EXPECT_EQ(::testing::PrintToString(Value("old")), "\"old\"");
+  EXPECT_EQ(::testing::PrintToString(Value(ValueList{Value(int64_t{1})})), "[1]");
+}
+
 TEST(ValueTest, ApproxSizeCountsPayload) {
   EXPECT_EQ(Value("abcd").ApproxSizeBytes(), 4u);
   EXPECT_EQ(Value(static_cast<int64_t>(1)).ApproxSizeBytes(), 8u);

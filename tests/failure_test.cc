@@ -381,8 +381,8 @@ PROFILE_TEST(FailureTest, ReExecutionCutOffBeforeItsWriteRunsOnceAfterRecovery) 
   EXPECT_EQ(radical_->primary().VersionOf("k"), 1);  // Nothing applied.
   EXPECT_GT(HeldLocks(), 0u);
   sim_.RunFor(Seconds(1));
-  // The cut-off re-execution's intent goes back to pending; a fresh timer
-  // re-executes it.
+  // The crash orphaned the cut-off re-execution's intent; recovery re-arms
+  // it and a fresh timer re-executes it.
   radical_->server().Recover();
   sim_.Run();
   EXPECT_EQ(radical_->server().reexecutions(), 2u);

@@ -1,10 +1,8 @@
-// Unit tests for the storage substrate: primary store, cache, write buffer,
-// intent & idempotency tables.
+// Unit tests for the storage substrate: primary store, cache, write buffer.
 
 #include <gtest/gtest.h>
 
 #include "src/kv/cache_store.h"
-#include "src/kv/intent_table.h"
 #include "src/kv/versioned_store.h"
 #include "src/kv/write_buffer.h"
 
@@ -50,21 +48,6 @@ TEST(VersionedStoreTest, BatchVersionsSingleRound) {
   const std::vector<Version> versions = store.BatchVersions({"a", "b", "missing"}, &lat);
   EXPECT_EQ(versions, (std::vector<Version>{1, 1, kMissingVersion}));
   EXPECT_EQ(lat, store.options().read_latency);  // One batch, one read cost.
-}
-
-TEST(VersionedStoreTest, ConditionalPut) {
-  VersionedStore store;
-  store.Seed("k", Value("v1"));
-  EXPECT_FALSE(store.ConditionalPut("k", Value("bad"), 7, nullptr));
-  EXPECT_EQ(store.Peek("k")->value, Value("v1"));
-  EXPECT_TRUE(store.ConditionalPut("k", Value("v2"), 1, nullptr));
-  EXPECT_EQ(store.VersionOf("k"), 2);
-}
-
-TEST(VersionedStoreTest, ConditionalPutOnAbsentKey) {
-  VersionedStore store;
-  EXPECT_TRUE(store.ConditionalPut("new", Value("v"), kMissingVersion, nullptr));
-  EXPECT_FALSE(store.ConditionalPut("new2", Value("v"), 3, nullptr));
 }
 
 TEST(VersionedStoreTest, ApplyValidatedWriteSetsExactVersion) {
@@ -201,81 +184,6 @@ TEST(WriteBufferTest, DiscardDropsEverything) {
   EXPECT_TRUE(buffer.empty());
   SimDuration lat = 0;
   EXPECT_FALSE(buffer.Get("k", &lat).has_value());
-}
-
-// --- IntentTable --------------------------------------------------------------------
-
-TEST(IntentTableTest, LifecyclePendingToDoneToRemoved) {
-  IntentTable intents;
-  EXPECT_TRUE(intents.Create(1));
-  EXPECT_TRUE(intents.IsPending(1));
-  EXPECT_TRUE(intents.TryComplete(1));
-  EXPECT_FALSE(intents.IsPending(1));
-  EXPECT_TRUE(intents.Remove(1));
-  EXPECT_FALSE(intents.Exists(1));
-}
-
-TEST(IntentTableTest, CompleteRaceHasSingleWinner) {
-  IntentTable intents;
-  intents.Create(1);
-  EXPECT_TRUE(intents.TryComplete(1));   // Followup wins...
-  EXPECT_FALSE(intents.TryComplete(1));  // ...the timer's attempt loses.
-}
-
-TEST(IntentTableTest, DuplicateCreateRejected) {
-  IntentTable intents;
-  EXPECT_TRUE(intents.Create(1));
-  EXPECT_FALSE(intents.Create(1));
-}
-
-TEST(IntentTableTest, RemoveRequiresDone) {
-  IntentTable intents;
-  intents.Create(1);
-  EXPECT_FALSE(intents.Remove(1));  // Still pending.
-  EXPECT_FALSE(intents.Remove(99));  // Never existed.
-}
-
-TEST(IntentTableTest, ResolvingIsNeitherPendingNorDoneUntilRemoved) {
-  IntentTable intents;
-  intents.Create(1);
-  EXPECT_TRUE(intents.TryResolve(1));    // Re-execution claims it...
-  EXPECT_FALSE(intents.TryComplete(1));  // ...so the followup is late...
-  EXPECT_FALSE(intents.TryResolve(1));   // ...and so is a second resolver.
-  EXPECT_TRUE(intents.IsResolving(1));
-  EXPECT_FALSE(intents.IsPending(1));
-  bool seen_done = false;
-  intents.ForEach([&](ExecutionId, IntentStatus status) {
-    seen_done = seen_done || status == IntentStatus::kDone;
-  });
-  EXPECT_FALSE(seen_done);  // Recovery does not mistake it for applied.
-  EXPECT_TRUE(intents.Remove(1));  // Its writes landed.
-  EXPECT_FALSE(intents.Exists(1));
-}
-
-TEST(IntentTableTest, ReopenReturnsACutOffResolutionToPending) {
-  IntentTable intents;
-  intents.Create(1);
-  intents.Reopen(1);  // No-op on a pending intent.
-  EXPECT_TRUE(intents.IsPending(1));
-  ASSERT_TRUE(intents.TryResolve(1));
-  intents.Reopen(1);  // A crash cut the re-execution off before its writes.
-  EXPECT_TRUE(intents.IsPending(1));
-  EXPECT_TRUE(intents.TryResolve(1));
-}
-
-TEST(IntentTableTest, CompleteUnknownFails) {
-  IntentTable intents;
-  EXPECT_FALSE(intents.TryComplete(42));
-}
-
-// --- IdempotencyTable ------------------------------------------------------------------
-
-TEST(IdempotencyTableTest, AtMostOnce) {
-  IdempotencyTable idem;
-  EXPECT_TRUE(idem.RecordOnce(5));
-  EXPECT_FALSE(idem.RecordOnce(5));
-  EXPECT_TRUE(idem.Seen(5));
-  EXPECT_FALSE(idem.Seen(6));
 }
 
 }  // namespace

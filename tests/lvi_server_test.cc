@@ -321,6 +321,63 @@ TEST_F(LviServerTest, FollowupWhileDownIsNackedDeterministically) {
   EXPECT_EQ(server_->counters().Get("dropped_while_down"), 1u);
 }
 
+TEST_F(LviServerTest, CrashDuringFollowupApplyReleasesItsLocksOnRecover) {
+  store_.Seed("k", Value("v0"));  // Version 1.
+  LviRequest a = MakeRequest("reg_set", {Value("k"), Value("a")},
+                             {{"k", 1, LockMode::kWrite}});
+  const ExecutionId exec_a = a.exec_id;
+  server_->HandleLviRequest(std::move(a), [](LviResponse) {});
+  sim_.RunFor(Millis(50));  // Validated; the intent holds k's write lock.
+  // A second writer queues behind that lock.
+  LviRequest b = MakeRequest("reg_set", {Value("k"), Value("b")},
+                             {{"k", 1, LockMode::kWrite}});
+  const LviRequest b_retry = b;
+  server_->HandleLviRequest(std::move(b), [](LviResponse) {});
+  sim_.RunFor(Millis(50));
+  ASSERT_TRUE(locks_.table().IsWriteHeldBy("k", exec_a));
+  // The followup's writes land on arrival; its locks go apply_latency later.
+  // Crash in between.
+  WriteFollowup followup;
+  followup.exec_id = exec_a;
+  followup.writes = {{"k", Value("a")}};
+  const WriteFollowup retransmit = followup;
+  std::optional<bool> acked;
+  server_->HandleFollowup(std::move(followup), [&](bool applied) { acked = applied; });
+  while (server_->counters().Get("followup_applied") == 0 && sim_.Step()) {
+  }
+  ASSERT_EQ(store_.VersionOf("k"), 2);
+  server_->Crash();
+  sim_.RunFor(Millis(50));
+  ASSERT_TRUE(acked.has_value());
+  EXPECT_FALSE(*acked);  // Cut off before the release: nacked.
+  EXPECT_TRUE(locks_.table().IsWriteHeldBy("k", exec_a));
+  server_->Recover();
+  EXPECT_EQ(server_->counters().Get("recover_cleanup"), 1u);
+  EXPECT_FALSE(locks_.table().IsWriteHeldBy("k", exec_a));
+  // The retransmitted followup is late: the write is applied once.
+  acked.reset();
+  server_->HandleFollowup(retransmit, [&](bool applied) { acked = applied; });
+  sim_.Run();
+  EXPECT_TRUE(acked.value_or(false));
+  EXPECT_EQ(server_->late_followups_discarded(), 1u);
+  EXPECT_EQ(server_->reexecutions(), 0u);
+  EXPECT_EQ(store_.Peek("k")->value, Value("a"));
+  EXPECT_EQ(store_.VersionOf("k"), 2);
+  // The queued writer was granted the lock; its retry (the crash reset its
+  // connection) finds its cache stale and commits through the backup.
+  EXPECT_TRUE(locks_.table().IsWriteHeldBy("k", b_retry.exec_id));
+  std::optional<LviResponse> reply;
+  server_->HandleLviRequest(b_retry, [&](LviResponse r) { reply = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(reply->validated);
+  EXPECT_EQ(reply->backup_result, Value("b"));
+  EXPECT_EQ(store_.Peek("k")->value, Value("b"));
+  EXPECT_EQ(store_.VersionOf("k"), 3);
+  EXPECT_EQ(locks_.table().active_lock_count(), 0u);
+  EXPECT_TRUE(server_->idle());
+}
+
 TEST_F(LviServerTest, RecoverResetsCapacityBusyPeriod) {
   // Regression: busy_until_ survived Crash()/Recover(), so the first
   // arrivals after recovery queued behind a busy period of a server life
