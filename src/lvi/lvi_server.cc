@@ -152,6 +152,12 @@ void LviServer::Crash() {
   }
   inflight_lvi_.clear();
   inflight_direct_.clear();
+  // Parked followups are in memory too: their pipelines died with the crash.
+  // A retried request arms an intent, and the timer re-executes it.
+  if (!parked_.empty()) {
+    metrics_.Increment("followup_dropped_invalid", parked_.size());
+    parked_.clear();
+  }
   // Batch members not yet validated are in-memory only: their connections
   // reset with the crash. Their locks survive on disk, so a retried request
   // is granted them immediately and re-enqueues.
@@ -305,7 +311,7 @@ void LviServer::ShedMidPipeline(const LviRequest& request, const char* stage) {
   response.exec_id = request.exec_id;
   response.validated = false;
   response.status = ResponseStatus::kShed;
-  AnswerSlot(inflight_lvi_, request.exec_id, std::move(response));
+  AnswerLvi(request.exec_id, std::move(response));
 }
 
 std::vector<FreshItem> LviServer::FreshItems(std::vector<Key> keys) const {
@@ -324,7 +330,18 @@ std::vector<FreshItem> LviServer::FreshItems(std::vector<Key> keys) const {
 
 void LviServer::RespondLvi(ExecutionId exec_id, LviResponse response) {
   lvi_replies_.Put(exec_id, response);
+  AnswerLvi(exec_id, std::move(response));
+}
+
+void LviServer::AnswerLvi(ExecutionId exec_id, LviResponse response) {
+  DropParked(exec_id);
   AnswerSlot(inflight_lvi_, exec_id, std::move(response));
+}
+
+void LviServer::DropParked(ExecutionId exec_id) {
+  if (parked_.erase(exec_id) > 0) {
+    metrics_.Increment("followup_dropped_invalid");
+  }
 }
 
 void LviServer::RespondDirect(ExecutionId exec_id, DirectResponse response) {
@@ -539,14 +556,26 @@ void LviServer::Validate(std::vector<LviRequest> members) {
 void LviServer::CommitIntent(LviRequest request, Pins pins, SimTime intent_start) {
   const ExecutionId exec_id = request.exec_id;
   EmitSpan("server.intent_write", exec_id, intent_start);
+  LviResponse response;
+  response.exec_id = exec_id;
+  response.validated = true;
   if (executions_.count(exec_id) > 0) {
     // A retried request of an execution whose intent already exists (its
     // cached reply was evicted): the existing intent — with its timer and
     // execution record — is authoritative; just re-answer.
     metrics_.Increment("retry_intent_hit");
-    LviResponse response;
-    response.exec_id = exec_id;
-    response.validated = true;
+    RespondLvi(exec_id, std::move(response));
+    return;
+  }
+  const auto parked = parked_.find(exec_id);
+  if (parked != parked_.end()) {
+    // The followup is already here: this round's write is its writes, not
+    // an intent. They land at the validated versions, the locks release,
+    // and no timer is armed.
+    const std::vector<BufferedWrite> writes = std::move(parked->second);
+    parked_.erase(parked);
+    ApplyFollowup(request, writes, pins, nullptr);
+    locks_->ReleaseAll(exec_id);
     RespondLvi(exec_id, std::move(response));
     return;
   }
@@ -558,9 +587,6 @@ void LviServer::CommitIntent(LviRequest request, Pins pins, SimTime intent_start
       sim_->Schedule(options_.intent_timeout,
                      [this, exec_id] { ResolveIntentByReExecution(exec_id); });
   executions_.emplace(exec_id, std::move(state));
-  LviResponse response;
-  response.exec_id = exec_id;
-  response.validated = true;
   RespondLvi(exec_id, std::move(response));
 }
 
@@ -599,6 +625,8 @@ void LviServer::FlushBatch(int shard) {
 void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices) {
   metrics_.Increment("validate_fail");
   BumpShard(HomeShard(request), "validate_fail");
+  // The speculation an early followup carries did not validate.
+  DropParked(request.exec_id);
   // (6b) Run the backup copy of the function against the primary, under the
   // locks already held; (7b) its reply carries the result and repairs.
   PrimaryRun run(PrimaryRun::kBackup, request.exec_id, registry_->Find(request.function),
@@ -624,11 +652,22 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
     return;
   }
   metrics_.Increment("followups_received");
-  // The followup is admitted on its execution's home shard; an unknown
-  // execution (late or duplicate followup) lands on shard 0 and is
-  // discarded there.
   const auto known = executions_.find(followup.exec_id);
-  const int shard = known == executions_.end() ? 0 : HomeShard(known->second.request);
+  if (!ack && known == executions_.end() && inflight_lvi_.count(followup.exec_id) == 0) {
+    // No intent to apply against and no pipeline to park under (the intent
+    // already resolved, or the request was lost or rejected): discard at the
+    // door, without taking a service slot.
+    metrics_.Increment("followup_late");
+    return;
+  }
+  // The followup is admitted on its execution's home shard; before its
+  // intent exists, on the shard of its first write.
+  int shard = 0;
+  if (known != executions_.end()) {
+    shard = HomeShard(known->second.request);
+  } else if (!followup.writes.empty()) {
+    shard = router_.ShardOf(followup.writes.front().key);
+  }
   const uint64_t epoch = epoch_;
   sim_->Schedule(AdmissionDelay(shard),
                  [this, epoch, followup = std::move(followup), ack = std::move(ack)]() mutable {
@@ -642,8 +681,16 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
     const ExecutionId exec_id = followup.exec_id;
     const ExecState* state = ClaimIntent(exec_id, IntentPhase::kApplying);
     if (state == nullptr) {
+      if (!ack && executions_.count(exec_id) == 0 && inflight_lvi_.count(exec_id) > 0 &&
+          parked_.emplace(exec_id, std::move(followup.writes)).second) {
+        // Sent when the speculation ended, it overtook its validation: wait
+        // with the execution for the pipeline's verdict (CommitIntent).
+        metrics_.Increment("followup_parked");
+        return;
+      }
       // The intent was already handled (re-execution beat us, or this is a
-      // duplicate): discard (§3.6, "validation succeeds but the followup is
+      // duplicate), or no pipeline of this execution is running to park it
+      // under: discard (§3.6, "validation succeeds but the followup is
       // late"). The writes are durable either way: ack success.
       metrics_.Increment("followup_late");
       if (ack) {
@@ -652,12 +699,8 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
       return;
     }
     // The followup won the race.
-    metrics_.Increment("followup_applied");
-    BumpShard(HomeShard(state->request), "followup_applied");
-    // (9) Apply the updates under the versions pinned at validation; the
-    // write locks guarantee nothing moved underneath.
     SimDuration apply_latency = 0;
-    Commit(exec_id, followup.writes, state->pins, &apply_latency);
+    ApplyFollowup(state->request, followup.writes, state->pins, &apply_latency);
     sim_->Schedule(apply_latency, [this, epoch, exec_id, ack = std::move(ack)] {
       if (!StillAlive(epoch)) {
         // The writes are durable; the record stays applying and recovery
@@ -676,6 +719,15 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
       }
     });
   });
+}
+
+void LviServer::ApplyFollowup(const LviRequest& request, const std::vector<BufferedWrite>& writes,
+                              const Pins& pins, SimDuration* latency) {
+  metrics_.Increment("followup_applied");
+  BumpShard(HomeShard(request), "followup_applied");
+  // (9) Apply the updates under the versions pinned at validation; the
+  // write locks guarantee nothing moved underneath.
+  Commit(request.exec_id, writes, pins, latency);
 }
 
 LviServer::ExecState* LviServer::ClaimIntent(ExecutionId exec_id, IntentPhase winner) {
@@ -923,11 +975,12 @@ void LviServer::ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start) {
     if (!read_only) {
       FinishRun(*run);
     }
+    // FinishRun already cached the reply; only the slot is left to answer.
     if (run->kind == PrimaryRun::kBackup) {
       EmitSpan("server.backup_exec", run->exec_id, start);
-      RespondLvi(run->exec_id, std::move(run->lvi_reply));
+      AnswerLvi(run->exec_id, std::move(run->lvi_reply));
     } else {
-      RespondDirect(run->exec_id, std::move(run->direct_reply));
+      AnswerSlot(inflight_direct_, run->exec_id, std::move(run->direct_reply));
     }
   });
 }

@@ -8,7 +8,11 @@
 // values for the near-user cache. Write followups apply speculative writes
 // and release locks; if a followup never arrives, the intent timer triggers
 // deterministic re-execution (§3.4). Late followups lose the intent race and
-// are discarded (§3.6, case 3).
+// are discarded (§3.6, case 3). The runtime sends the followup as soon as
+// its speculation ends, so it usually arrives while its LVI request is still
+// in the pipeline: it is parked with the execution, and a successful
+// validation commits it in the intent-write round instead of arming an
+// intent; any other ending of the pipeline drops it.
 //
 // Every execution of a function at the primary — the backup, the
 // re-execution, and a direct request — runs through one funnel,
@@ -178,12 +182,16 @@ class LviServer {
   // durable state — it never double-locks or double-executes.
   void HandleLviRequest(LviRequest request, RespondFn respond);
 
-  // Handles a write followup. Normally no response is sent (the client was
-  // already answered before the followup left the near-user location); the
-  // optional `ack` exists for the two-round-trip ablation, firing once the
-  // writes are applied (or the followup is discarded as late: ack(true),
-  // the intent already made the writes durable). A followup arriving while
-  // the server is down acks false so the sender can retransmit.
+  // Handles a write followup. No response is sent (the client's answer
+  // comes with the LVI response); the optional `ack` exists for the
+  // two-round-trip ablation, firing once the writes are applied (or the
+  // followup is discarded as late: ack(true), the intent already made the
+  // writes durable). A followup arriving while the server is down acks false
+  // so the sender can retransmit. A followup without `ack` that finds its
+  // execution's LVI pipeline still running and no intent yet is parked
+  // ("followup_parked") until that pipeline ends: a successful validation
+  // commits it; a failed one, a shed, a crash or any LVI response before
+  // that drops it ("followup_dropped_invalid").
   void HandleFollowup(WriteFollowup followup, AckFn ack = {});
 
   // Executes a function directly in the near-storage location: the fallback
@@ -234,7 +242,7 @@ class LviServer {
   // server-track span keyed by execution id. Must outlive the server.
   void set_span_collector(obs::SpanCollector* spans) { spans_ = spans; }
   // True if no execution state is pending (tests: nothing leaked).
-  bool idle() const { return executions_.empty(); }
+  bool idle() const { return executions_.empty() && parked_.empty(); }
 
  private:
   // The versions an execution's written keys had when its write locks were
@@ -306,13 +314,21 @@ class LviServer {
   void Validate(std::vector<LviRequest> members);
   void OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices);
   // Tail of the success path, once the intent write's latency has elapsed:
-  // create the intent record (idempotently), arm the timer, reply.
-  // `intent_start` is when that write began (span).
+  // commit a parked followup's writes in that write and release the locks,
+  // or else create the intent record (idempotently) and arm its timer; then
+  // reply. `intent_start` is when that write began (span).
   void CommitIntent(LviRequest request, Pins pins, SimTime intent_start);
   // Batching (batch_window > 0): lock-granted requests park on their home
   // shard's pending list; the first member arms a flush.
   void EnqueueForValidation(LviRequest request);
   void FlushBatch(int shard);
+  // The apply half of a followup, shared by one that found its armed intent
+  // and one parked until its validation: commits `writes` at the versions
+  // `pins` holds (adding the write cost to `latency`, if given).
+  void ApplyFollowup(const LviRequest& request, const std::vector<BufferedWrite>& writes,
+                     const Pins& pins, SimDuration* latency);
+  // Drops `exec_id`'s parked followup, if any, unapplied.
+  void DropParked(ExecutionId exec_id);
   // The race between the followup and re-execution: moves `exec_id`'s
   // intent out of armed to `winner` and cancels its timer. Returns null when
   // the intent is not armed (the other resolver won, there is none, or the
@@ -382,6 +398,9 @@ class LviServer {
   // Completion funnel: caches the reply (idempotency) and answers the
   // freshest in-flight respond slot for the exec, if any.
   void RespondLvi(ExecutionId exec_id, LviResponse response);
+  // Answers the exec's in-flight LVI slot, if any, without caching; the LVI
+  // pipeline has ended, so a followup still parked there is dropped.
+  void AnswerLvi(ExecutionId exec_id, LviResponse response);
   void RespondDirect(ExecutionId exec_id, DirectResponse response);
 
   // Records one server-track span ending now (no-op without a collector).
@@ -419,6 +438,10 @@ class LviServer {
   // execution's inputs). Execution ids are globally unique, so one map
   // serves every shard.
   std::unordered_map<ExecutionId, ExecState> executions_;
+  // Followups that arrived before their execution's validation, by exec:
+  // the writes wait here until the pipeline validates (and commits them) or
+  // ends otherwise (and drops them). Volatile — cleared on Crash().
+  std::unordered_map<ExecutionId, std::vector<BufferedWrite>> parked_;
   // In-flight respond slots: a retried request lands here while the original
   // attempt's pipeline is still running, so exactly one reply fires (through
   // the freshest callback) when it completes. Volatile — cleared on Crash().

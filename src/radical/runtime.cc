@@ -319,12 +319,47 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
     RequestTrace::StampOnce(&state->trace.spec_finished, sim_->Now());
     state->spec_result = result;
     MaybeDeliverPreview(state);
+    if (state->phase.Is(RequestPhase::kLvi)) {
+      SendEarlyFollowup(state);
+    }
     // §3.2: "Radical delays responding to the client until it receives a
     // response from the near-storage location and f finishes executing".
     if (state->phase.Is(RequestPhase::kAwaitSpec)) {
       state->phase.Move(RequestPhase::kCommitting);
       CompleteValidated(state);
     }
+  });
+}
+
+void Runtime::SendEarlyFollowup(const std::shared_ptr<RequestState>& state) {
+  // (8a) Ship the speculation's writes now, behind the LVI request on the
+  // same FIFO link: the server parks them until validation and commits them
+  // there, so the writer's locks are not held across the reply's round
+  // trip. Only while an attempt is on its way (a retry waiting out a
+  // backpressure hint has none, so no pipeline would hold the followup) and
+  // the fault state lets the send through: followup_sent then means the
+  // server may hold it.
+  const bool attempt_in_flight = !state->retry.enabled || state->timer != kInvalidEventId;
+  if (!config_.single_request_commit || !attempt_in_flight ||
+      !self_.CanReach(state->server_ep)) {
+    return;
+  }
+  std::vector<BufferedWrite> writes = state->buffer->DrainWrites();
+  if (!writes.empty()) {
+    SendFollowup(state, std::move(writes));
+  }
+}
+
+void Runtime::SendFollowup(const std::shared_ptr<RequestState>& state,
+                           std::vector<BufferedWrite> writes) {
+  state->followup_sent = true;
+  WriteFollowup followup;
+  followup.exec_id = state->exec_id;
+  followup.writes = std::move(writes);
+  const size_t followup_size = wire_scratch_.SizeOf(followup);
+  self_.Send(state->server_ep, net::MessageKind::kWriteFollowup, followup_size,
+             [this, followup = std::move(followup)]() mutable {
+    server_->HandleFollowup(std::move(followup));
   });
 }
 
@@ -507,6 +542,17 @@ bool Runtime::AttemptsExhausted(const RequestState& state, AttemptPath path) con
 }
 
 void Runtime::ExhaustAttempts(const std::shared_ptr<RequestState>& state, AttemptPath path) {
+  if (path == AttemptPath::kLvi && state->followup_sent) {
+    // The early followup may have committed at a validation whose reply was
+    // lost: only an LVI reply says whether the speculation stands, and a
+    // direct run would execute the function a second time. The LVI path
+    // takes the direct path's place instead: a fresh backoff schedule that
+    // never runs out.
+    metrics_.Increment("lvi_retry_after_followup");
+    state->attempts[static_cast<int>(path)] = 0;
+    SendAttempt(state, path);
+    return;
+  }
   if (path == AttemptPath::kLvi) {
     // Degrade to the direct path, which retries without bound. Discard the
     // speculation — the direct response is authoritative and never commits
@@ -545,7 +591,10 @@ bool Runtime::AcceptResponse(const std::shared_ptr<RequestState>& state, Attempt
   CancelTimeout(state);
   if (status != ResponseStatus::kOk) {
     // Backpressure, not an answer: the server refused admission (kOverloaded)
-    // or shed the request against its deadline (kShed). Nothing executed.
+    // or shed the request against its deadline (kShed). Nothing executed,
+    // and no pipeline holds the early followup: it was dropped or discarded,
+    // so a later validation sends it again.
+    state->followup_sent = false;
     const bool overloaded = status == ResponseStatus::kOverloaded;
     metrics_.Increment(overloaded ? "rejected_by_server" : "shed_by_server");
     ResolveAttempt(state, path, overloaded ? "rejected" : "shed");
@@ -695,21 +744,19 @@ void Runtime::CommitSpeculation(const std::shared_ptr<RequestState>& state, Valu
       Reply(state, std::move(result));
       return;
     }
+    if (config_.single_request_commit) {
+      // (7a) Reply. Unless it left when the speculation ended, (8a) ship the
+      // followup now — the write intent guarantees the updates reach the
+      // primary even if this message is lost.
+      Reply(state, std::move(result));
+      if (!state->followup_sent) {
+        SendFollowup(state, std::move(writes));
+      }
+      return;
+    }
     WriteFollowup followup;
     followup.exec_id = state->exec_id;
     followup.writes = std::move(writes);
-    if (config_.single_request_commit) {
-      // (7a) Reply, then (8a) ship the followup *after* returning to the
-      // client — the write intent guarantees the updates reach the primary
-      // even if this message is lost.
-      Reply(state, std::move(result));
-      const size_t followup_size = wire_scratch_.SizeOf(followup);
-      self_.Send(state->server_ep, net::MessageKind::kWriteFollowup, followup_size,
-                 [this, followup = std::move(followup)]() mutable {
-        server_->HandleFollowup(std::move(followup));
-      });
-      return;
-    }
     // Two-round-trip ablation: wait for the server to apply the writes
     // before answering — what the LVI protocol exists to avoid. The followup
     // is kept for retransmission: a lost followup (or ack) no longer hangs

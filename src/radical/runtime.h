@@ -6,9 +6,10 @@
 // request — with the cache's version per item — to the near-storage
 // location. The client is answered when both the speculative execution and
 // the LVI response have arrived: with the speculative result if validation
-// succeeded (the write followup ships the buffered writes *after* the
-// reply), or with the backup execution's result if it failed (in which case
-// the response's fresh items repair the cache).
+// succeeded, or with the backup execution's result if it failed (in which
+// case the response's fresh items repair the cache). The write followup
+// ships the buffered writes as soon as the speculation ends — usually ahead
+// of the LVI response, so the server can commit them at validation.
 //
 // Cache misses put version -1 in the request and skip speculation;
 // unanalyzable functions skip the protocol entirely and execute in the
@@ -186,6 +187,8 @@ class Runtime {
     size_t direct_request_size = 0;
     WriteFollowup followup;  // Two-RTT ablation only.
     size_t followup_size = 0;
+    // One-RTT: the followup is on its way (at most one is sent per request).
+    bool followup_sent = false;
     Value pending_result;    // Two-RTT: the result held back until the ack.
     int attempts[3] = {};    // Per AttemptPath.
     EventId timer = kInvalidEventId;           // Current attempt's timeout.
@@ -266,8 +269,15 @@ class Runtime {
   // cache and replies with the backup result.
   void CompleteValidated(const std::shared_ptr<RequestState>& state);
   void CompleteFailed(const std::shared_ptr<RequestState>& state);
-  // Installs speculative writes into the cache and ships the followup.
+  // Installs speculative writes into the cache and ships the followup,
+  // unless it already left.
   void CommitSpeculation(const std::shared_ptr<RequestState>& state, Value result);
+  // One-RTT: sends the speculation's writes the moment it ends in kLvi, ahead
+  // of the LVI response.
+  void SendEarlyFollowup(const std::shared_ptr<RequestState>& state);
+  // Puts the one-RTT followup on the wire and marks it sent.
+  void SendFollowup(const std::shared_ptr<RequestState>& state,
+                    std::vector<BufferedWrite> writes);
   void Reply(const std::shared_ptr<RequestState>& state, Value result);
   // Single exit point for every completion (ok or not): moves the phase to
   // kDone, then counters, trace, spans and the client's callback.

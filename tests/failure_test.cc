@@ -126,20 +126,21 @@ PROFILE_TEST(FailureTest, WaitingWriterUnblocksAfterReExecution) {
 }
 
 PROFILE_TEST(FailureTest, SlowFollowupLosesIntentRaceAndIsDiscarded) {
-  // Partition the CA->VA link right after the LVI response returns, so the
-  // followup is dropped in flight; heal after the timer fires and resend
-  // manually — the server must discard it (§3.6 case 3).
+  // The followup leaves when the speculation ends, and this speculation
+  // computes for longer than the intent timer runs: the timer claims the
+  // intent first, and the followup that arrives during the re-execution
+  // must be discarded (§3.6 case 3).
   RadicalConfig config;
   config.server.intent_timeout = Millis(100);  // Timer beats the followup.
   ProfiledDeployment fast_timer(profile(), &sim_, &net_, config, {Region::kJP});
   fast_timer.RegisterFunction(
-      Fn("reg_write", {"k", "v"}, {Write(In("k"), In("v")), Compute(Millis(25)),
+      Fn("reg_write", {"k", "v"}, {Write(In("k"), In("v")), Compute(Millis(200)),
                                    Return(In("v"))}));
   fast_timer.Seed("k", Value("v0"));
   fast_timer.WarmCaches();
-  // JP's followup takes ~73 ms one way; with a 100 ms timer armed at
-  // validation time (which happens ~75 ms before the response reaches JP),
-  // the timer fires before the followup arrives.
+  // The LVI request and the followup take the same ~73 ms JP->VA trip, so
+  // the followup lands ~200 ms after the intent is armed, ~100 ms after its
+  // timer fired.
   bool done = false;
   fast_timer.Invoke(Region::kJP, "reg_write", {Value("k"), Value("v1")},
                     [&](Value) { done = true; });
@@ -268,9 +269,16 @@ PROFILE_TEST(FailureTest, PendingIntentSurvivesServerCrashAndResolvesAfterRecove
   // A write validates and the client is answered; the server crashes before
   // the followup lands (the followup is dropped while it is down). The
   // durable intent — re-armed at recovery — re-executes the function, so the
-  // acknowledged write still reaches the primary exactly once.
+  // acknowledged write still reaches the primary exactly once. The
+  // speculation outlasts the ~88 ms DE<->VA round trip, so the followup
+  // leaves with the reply, not ahead of it.
+  radical_->RegisterFunction(Fn("slow_write", {"k", "v"}, {
+      Write(In("k"), In("v")),
+      Compute(Millis(150)),
+      Return(In("v")),
+  }));
   bool replied = false;
-  radical_->Invoke(Region::kDE, "reg_write", {Value("k"), Value("v-crash")},
+  radical_->Invoke(Region::kDE, "slow_write", {Value("k"), Value("v-crash")},
                    [&](Value) { replied = true; });
   // Run until the client has its answer but the followup is still in flight
   // (the one-way DE->VA trip takes ~44 ms).
@@ -286,6 +294,96 @@ PROFILE_TEST(FailureTest, PendingIntentSurvivesServerCrashAndResolvesAfterRecove
   EXPECT_EQ(radical_->server().reexecutions(), 1u);
   EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v-crash"));
   EXPECT_EQ(radical_->primary().VersionOf("k"), 2);
+  EXPECT_TRUE(radical_->server().idle());
+}
+
+// fast_write's speculation takes no virtual time, so its followup leaves
+// right behind the LVI request and reaches the server before validation.
+void RegisterFastWrite(ProfiledDeployment* radical) {
+  radical->RegisterFunction(Fn("fast_write", {"k", "v"}, {
+      Write(In("k"), In("v")),
+      Return(In("v")),
+  }));
+}
+
+PROFILE_TEST(FailureTest, CrashWithParkedFollowupReExecutesTheIntentOnce) {
+  // The server crashes between the validation and the intent-write round
+  // that would have applied the parked followup: the parked writes are
+  // volatile and die with it, and the round leaves no trace. The client's
+  // retry validates and arms an intent, the followup is not sent again, and
+  // the intent timer lands the write exactly once.
+  RegisterFastWrite(radical_.get());
+  Value result;
+  radical_->Invoke(Region::kDE, "fast_write", {Value("k"), Value("v1")},
+                   [&](Value v) { result = std::move(v); });
+  while (radical_->server().validations_succeeded() == 0 && sim_.Step()) {
+  }
+  ASSERT_EQ(radical_->server().counters().Get("followup_parked"), 1u);
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 1);  // Not yet applied.
+  radical_->server().Crash();
+  EXPECT_EQ(radical_->server().counters().Get("followup_dropped_invalid"), 1u);
+  sim_.RunFor(Millis(100));
+  radical_->server().Recover();
+  sim_.Run();
+  EXPECT_EQ(result, Value("v1"));
+  EXPECT_EQ(radical_->server().counters().Get("followup_applied"), 0u);
+  EXPECT_EQ(radical_->server().reexecutions(), 1u);
+  EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 2);  // Applied exactly once.
+  EXPECT_EQ(HeldLocks(), 0u);
+  EXPECT_TRUE(radical_->server().idle());
+}
+
+PROFILE_TEST(FailureTest, LostLviRequestWithDeliveredFollowupAppliesThroughTheIntentTimer) {
+  // The first LVI request is lost, so the followup behind it finds no
+  // pipeline to park under and is discarded. The retried request validates
+  // and arms an intent whose timer lands the write exactly once.
+  net::DropRule lost_request;
+  lost_request.kind = net::MessageKind::kLviRequest;
+  lost_request.from = radical_->runtime(Region::kDE).endpoint().id();
+  lost_request.max_drops = 1;
+  const int rule = net_.fabric().AddDropRule(lost_request);
+  Value result;
+  radical_->Invoke(Region::kDE, "reg_write", {Value("k"), Value("v1")},
+                   [&](Value v) { result = std::move(v); });
+  sim_.Run();
+  EXPECT_EQ(net_.fabric().RuleDrops(rule), 1u);
+  EXPECT_EQ(result, Value("v1"));
+  EXPECT_EQ(radical_->runtime(Region::kDE).counters().Get("retries"), 1u);
+  EXPECT_EQ(radical_->server().counters().Get("followup_parked"), 0u);
+  EXPECT_EQ(radical_->server().late_followups_discarded(), 1u);
+  EXPECT_EQ(radical_->server().reexecutions(), 1u);
+  EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 2);  // Applied exactly once.
+  EXPECT_EQ(HeldLocks(), 0u);
+  EXPECT_TRUE(radical_->server().idle());
+}
+
+PROFILE_TEST(FailureTest, LostRepliesAfterAnEarlyFollowupKeepTheRequestOnTheLviPath) {
+  // The parked followup commits at validation, then every reply of the
+  // whole LVI attempt budget is lost. A direct run now would execute the
+  // function a second time, so the request retries the LVI path on a fresh
+  // schedule instead, and the replayed validated reply completes it.
+  RegisterFastWrite(radical_.get());
+  net::DropRule lost_reply;
+  lost_reply.kind = net::MessageKind::kLviResponse;
+  lost_reply.to = radical_->runtime(Region::kDE).endpoint().id();
+  lost_reply.max_drops = static_cast<uint64_t>(radical_->config().retry.max_lvi_attempts);
+  const int rule = net_.fabric().AddDropRule(lost_reply);
+  Value result;
+  radical_->Invoke(Region::kDE, "fast_write", {Value("k"), Value("v1")},
+                   [&](Value v) { result = std::move(v); });
+  sim_.Run();
+  EXPECT_EQ(net_.fabric().RuleDrops(rule), lost_reply.max_drops);
+  EXPECT_EQ(result, Value("v1"));
+  const obs::MetricsScope counters = radical_->runtime(Region::kDE).counters();
+  EXPECT_EQ(counters.Get("lvi_retry_after_followup"), 1u);
+  EXPECT_EQ(counters.Get("fallback_direct"), 0u);
+  EXPECT_EQ(counters.Get("validated_speculative"), 1u);
+  EXPECT_EQ(radical_->server().counters().Get("followup_applied"), 1u);
+  EXPECT_EQ(radical_->server().reexecutions(), 0u);
+  EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 2);  // Executed exactly once.
   EXPECT_TRUE(radical_->server().idle());
 }
 

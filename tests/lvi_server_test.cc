@@ -171,6 +171,77 @@ TEST_F(LviServerTest, LateFollowupIsDiscarded) {
   EXPECT_EQ(store_.VersionOf("k"), 2);  // Applied exactly once.
 }
 
+TEST_F(LviServerTest, EarlyFollowupCommitsInTheIntentWriteRound) {
+  // The followup leaves when the speculation ends, right behind its LVI
+  // request: it waits for the validation, and the intent-write round writes
+  // its updates instead of an intent. No intent, no timer; the locks are
+  // free when the reply leaves.
+  store_.Seed("k", Value("old"));
+  LviRequest request = MakeRequest("reg_set", {Value("k"), Value("new")},
+                                   {{"k", 1, LockMode::kWrite}});
+  const ExecutionId exec_id = request.exec_id;
+  std::optional<LviResponse> response;
+  std::optional<Item> at_reply;
+  bool held_at_reply = true;
+  bool idle_at_reply = false;
+  server_->HandleLviRequest(std::move(request), [&](LviResponse r) {
+    response = std::move(r);
+    at_reply = store_.Peek("k");
+    held_at_reply = locks_.table().IsWriteHeldBy("k", exec_id);
+    idle_at_reply = server_->idle();
+  });
+  WriteFollowup followup;
+  followup.exec_id = exec_id;
+  followup.writes = {{"k", Value("new")}};
+  server_->HandleFollowup(std::move(followup));
+  sim_.Run();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_TRUE(response->validated);
+  ASSERT_TRUE(at_reply.has_value());
+  EXPECT_EQ(at_reply->value, Value("new"));
+  EXPECT_EQ(at_reply->version, 2);
+  EXPECT_FALSE(held_at_reply);
+  EXPECT_TRUE(idle_at_reply);
+  EXPECT_EQ(server_->counters().Get("followup_parked"), 1u);
+  EXPECT_EQ(server_->counters().Get("followup_applied"), 1u);
+  EXPECT_EQ(server_->late_followups_discarded(), 0u);
+  EXPECT_EQ(server_->reexecutions(), 0u);
+  EXPECT_EQ(store_.VersionOf("k"), 2);  // Applied exactly once.
+}
+
+TEST_F(LviServerTest, FailedValidationDropsItsEarlyFollowup) {
+  // Whether the followup arrives before the verdict or during the backup the
+  // failed validation starts, its speculation never lands: only the
+  // backup's write does, and nothing stays parked.
+  const SimDuration arrivals[] = {0, Millis(5)};
+  for (size_t i = 0; i < 2; ++i) {
+    const Key key = "k" + std::to_string(i);
+    store_.Seed(key, Value("old"));
+    store_.Put(key, Value("moved"), nullptr);  // Version 2; the cache saw 1.
+    LviRequest request = MakeRequest("reg_set", {Value(key), Value("backup")},
+                                     {{key, 1, LockMode::kWrite}});
+    const ExecutionId exec_id = request.exec_id;
+    std::optional<LviResponse> response;
+    server_->HandleLviRequest(std::move(request),
+                              [&](LviResponse r) { response = std::move(r); });
+    sim_.Schedule(arrivals[i], [this, exec_id, key] {
+      WriteFollowup followup;
+      followup.exec_id = exec_id;
+      followup.writes = {{key, Value("speculated")}};
+      server_->HandleFollowup(std::move(followup));
+    });
+    sim_.Run();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_FALSE(response->validated);
+    EXPECT_EQ(store_.Peek(key)->value, Value("backup"));
+    EXPECT_EQ(store_.VersionOf(key), 3);
+    EXPECT_EQ(server_->counters().Get("followup_parked"), i + 1);
+    EXPECT_EQ(server_->counters().Get("followup_dropped_invalid"), i + 1);
+    EXPECT_EQ(server_->counters().Get("followup_applied"), 0u);
+    EXPECT_TRUE(server_->idle());
+  }
+}
+
 TEST_F(LviServerTest, ConcurrentWritersSerializeThroughLocks) {
   store_.Seed("k", Value("v0"));
   // Writer A validates and holds the write lock.

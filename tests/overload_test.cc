@@ -167,6 +167,42 @@ TEST_F(OverloadTest, BoundedAdmissionQueueRejectsEarlyWithRetryAfter) {
             static_cast<uint64_t>(rejected));
 }
 
+// A write rejected for overload has no pipeline at the server to hold its
+// followup. Whether its speculation ends before the rejection comes back
+// (reg_write: the followup is sent and discarded) or while the retry waits
+// out the backpressure hint (slow_write: the followup stays home), the
+// followup leaves again with the validated reply, so the write lands
+// without waiting for the intent timer.
+TEST_F(OverloadTest, WriteRejectedForOverloadShipsItsFollowupAfterTheRetryValidates) {
+  RadicalConfig config;
+  config.server.serving_capacity_rps = 10;  // 100 ms per request.
+  config.server.admission_queue_limit = 1;
+  Build(config);
+  radical_->RegisterFunction(Fn("slow_write", {"k", "v"}, {
+      Write(In("k"), In("v")),
+      Compute(Millis(200)),
+      Return(In("v")),
+  }));
+  Version version = 1;
+  for (const char* function : {"reg_write", "slow_write"}) {
+    // VA's read occupies the server when CA's write arrives ~30 ms later,
+    // so the write is rejected, and its retry waits out the 1.2 s attempt
+    // timeout.
+    radical_->Invoke(Region::kVA, "reg_read", {Value("k")}, [](Value) {});
+    Value result;
+    radical_->Invoke(Region::kCA, function, {Value("k"), Value(function)},
+                     [&](Value v) { result = std::move(v); });
+    sim_.Run();
+    ++version;
+    EXPECT_EQ(result, Value(function));
+    EXPECT_EQ(radical_->primary().VersionOf("k"), version) << function;
+    EXPECT_EQ(radical_->server().reexecutions(), 0u) << function;
+    EXPECT_TRUE(radical_->server().idle()) << function;
+  }
+  EXPECT_EQ(Counters(Region::kCA).Get("rejected_by_server"), 2u);
+  EXPECT_EQ(radical_->server().counters().Get("followup_applied"), 2u);
+}
+
 // Tentpole: every deadlined request completes by its deadline — early
 // (server sheds work it cannot finish in time, the client maps the shed to
 // kRejected) or exactly at it (the client-side watchdog) — and shedding

@@ -17,6 +17,11 @@
 # CHECK_WERROR=1 tools/check.sh  builds with -Werror (own build directory,
 # default build-werror) so any warning fails the build.
 #
+# CHECK_ASSERTS=1 tools/check.sh  builds RelWithDebInfo as -O2 -g without
+# -DNDEBUG (own build directory, default build-asserts) and runs the same
+# suite, so every assert in src/ is checked; every other mode compiles them
+# out.
+#
 # CHECK_BENCH_SMOKE=1 tools/check.sh  additionally runs the benches briefly
 # (RADICAL_BENCH_SMOKE=1 shrinks the load inside bench_util) and validates
 # the machine-readable BENCH_radical.json and Chrome trace-event exports
@@ -61,6 +66,10 @@ if [ "${CHECK_SANITIZE:-0}" = "1" ]; then
   SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   cmake -B "$BUILD_DIR" -S "$SOURCE_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="$SAN_FLAGS" -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS"
+elif [ "${CHECK_ASSERTS:-0}" = "1" ]; then
+  BUILD_DIR="${1:-build-asserts}"
+  cmake -B "$BUILD_DIR" -S "$SOURCE_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 elif [ "${CHECK_WERROR:-0}" = "1" ]; then
   BUILD_DIR="${1:-build-werror}"
   cmake -B "$BUILD_DIR" -S "$SOURCE_DIR" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
