@@ -228,8 +228,6 @@ std::string BenchReport::ToJson() const {
       w.BeginObject();
       w.Key("shards");
       w.Int(p.shards);
-      w.Key("batch_window_us");
-      w.Int(p.batch_window_us);
       w.Key("clients");
       w.Int(p.clients);
       w.Key("offered_rps");

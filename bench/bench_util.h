@@ -85,7 +85,6 @@ bool BenchSmokeMode();
 // server configuration it was taken at, the load offered, and what came back.
 struct ThroughputPoint {
   int shards = 1;
-  int64_t batch_window_us = 0;
   int clients = 0;            // Total logical clients (closed loop) or 0.
   double offered_rps = 0.0;   // Arrival rate presented to the server.
   double throughput_rps = 0.0;  // Completions per second over the run.

@@ -8,17 +8,17 @@
 //
 // The scaling sections then measure the remedy this repo adds on top of the
 // paper: sharding the server's admission/lock/intent hot path (LviServer
-// `shards`) plus admission-window request batching (`batch_window`). Both a
-// closed-loop sweep (fixed client population per configuration) and an
-// open-loop sweep (fixed arrival rate, no flow control — the honest
-// saturation measurement) export a throughput-vs-shards curve into
-// BENCH_radical.json (schema_version 2, "curves").
+// `shards`); every shard validates each request the moment its locks are
+// granted, as the paper's singleton does. Both a closed-loop sweep (fixed
+// client population per configuration) and an open-loop sweep (fixed
+// arrival rate, no flow control — the honest saturation measurement) export
+// a throughput-vs-shards curve into BENCH_radical.json (schema_version 2,
+// "curves").
 //
-//   throughput_server [--shards=N] [--batch-window-us=U] [--clients=C]
+//   throughput_server [--shards=N] [--clients=C]
 //
 // --shards pins the sweep to one shard count (default sweeps 1,2,4,8),
-// --batch-window-us sets the admission window for sharded points (default
-// 200), --clients the closed-loop clients per region (default 16).
+// --clients the closed-loop clients per region (default 16).
 
 #include <cstdio>
 #include <cstdlib>
@@ -146,7 +146,6 @@ void RunLinkQueueing() {
 
 struct ScalingFlags {
   std::vector<int> shard_counts = {1, 2, 4, 8};
-  int64_t batch_window_us = 200;
   int clients_per_region = 16;
 };
 
@@ -177,11 +176,10 @@ RequestSpec ScalingRequest(Rng& rng) {
   return RequestSpec{function, {Value(ScalingKey(rng.Next()))}};
 }
 
-RadicalConfig ScalingConfig(int shards, int64_t batch_window_us) {
+RadicalConfig ScalingConfig(int shards) {
   RadicalConfig config;
   config.server.serving_capacity_rps = 600;  // Per shard: admission scales out.
   config.server.shards = shards;
-  config.server.batch_window = shards > 1 ? Micros(batch_window_us) : 0;
   return config;
 }
 
@@ -196,11 +194,10 @@ void SeedScalingKeys(RadicalDeployment* radical) {
 // so every configuration is offered the same load *per shard*. Throughput
 // then scales with the shard count while per-request latency stays flat —
 // the signature of a hot path that actually partitioned.
-ThroughputPoint MeasureClosedLoop(int shards, int64_t batch_window_us, int clients_per_region) {
+ThroughputPoint MeasureClosedLoop(int shards, int clients_per_region) {
   Simulator sim(9100 + static_cast<uint64_t>(shards));
   Network net(&sim, LatencyMatrix::PaperDefault());
-  RadicalDeployment radical(&sim, &net, ScalingConfig(shards, batch_window_us),
-                            DeploymentRegions());
+  RadicalDeployment radical(&sim, &net, ScalingConfig(shards), DeploymentRegions());
   radical.RegisterFunction(ScalingWriteFunction());
   radical.RegisterFunction(ScalingReadFunction());
   SeedScalingKeys(&radical);
@@ -217,7 +214,6 @@ ThroughputPoint MeasureClosedLoop(int shards, int64_t batch_window_us, int clien
   const double duration_s = static_cast<double>(sim.Now()) / 1e6;
   ThroughputPoint point;
   point.shards = shards;
-  point.batch_window_us = shards > 1 ? batch_window_us : 0;
   point.clients = clients_per_region * shards * static_cast<int>(DeploymentRegions().size());
   point.throughput_rps =
       duration_s > 0 ? static_cast<double>(generator.total_requests()) / duration_s : 0.0;
@@ -240,11 +236,10 @@ ThroughputPoint MeasureClosedLoop(int shards, int64_t batch_window_us, int clien
 // Requests go through the Client facade with retries and tracing off: a
 // retry would double-count offered load, and per-request traces are pure
 // overhead here.
-ThroughputPoint MeasureOpenLoop(int shards, int64_t batch_window_us) {
+ThroughputPoint MeasureOpenLoop(int shards) {
   Simulator sim(9300 + static_cast<uint64_t>(shards));
   Network net(&sim, LatencyMatrix::PaperDefault());
-  RadicalDeployment radical(&sim, &net, ScalingConfig(shards, batch_window_us),
-                            DeploymentRegions());
+  RadicalDeployment radical(&sim, &net, ScalingConfig(shards), DeploymentRegions());
   radical.RegisterFunction(ScalingWriteFunction());
   radical.RegisterFunction(ScalingReadFunction());
   SeedScalingKeys(&radical);
@@ -281,7 +276,6 @@ ThroughputPoint MeasureOpenLoop(int shards, int64_t batch_window_us) {
   const double duration_s = static_cast<double>(sim.Now()) / 1e6;
   ThroughputPoint point;
   point.shards = shards;
-  point.batch_window_us = shards > 1 ? batch_window_us : 0;
   point.clients = 0;
   point.offered_rps = offered_rps;
   point.throughput_rps = duration_s > 0 ? static_cast<double>(completed) / duration_s : 0.0;
@@ -365,7 +359,6 @@ ThroughputPoint MeasureOverload(double multiplier, bool control) {
   const double duration_s = static_cast<double>(sim.Now()) / 1e6;
   ThroughputPoint point;
   point.shards = 1;
-  point.batch_window_us = 0;
   point.clients = 0;
   point.offered_rps = offered_rps;
   point.overload_control = control;
@@ -428,45 +421,41 @@ void RunOverload(BenchReport* report) {
 
 void RunScaling(const ScalingFlags& flags, BenchReport* report) {
   std::printf("\nSharded-server scaling: %llu req/s serving capacity per shard, "
-              "batch window %lld us, uniform 90/10 read/rmw over %d keys\n"
+              "uniform 90/10 read/rmw over %d keys\n"
               "(closed loop, weak scaling: %d clients/region per shard)\n\n",
-              600ull, static_cast<long long>(flags.batch_window_us), kScalingKeys,
-              flags.clients_per_region);
-  const std::vector<int> widths = {7, 16, 9, 12, 12, 12, 8, 8, 10, 10, 10};
-  PrintTableHeader({"shards", "window us", "clients", "offered", "tput req/s", "good req/s",
-                    "aborts", "reexec", "p50 ms", "p90 ms", "p99 ms"},
+              600ull, kScalingKeys, flags.clients_per_region);
+  const std::vector<int> widths = {7, 9, 12, 12, 12, 8, 8, 10, 10, 10};
+  PrintTableHeader({"shards", "clients", "offered", "tput req/s", "good req/s", "aborts",
+                    "reexec", "p50 ms", "p90 ms", "p99 ms"},
                    widths);
   ThroughputCurve closed{"closed_loop_scaling", {}};
   for (const int shards : flags.shard_counts) {
-    const ThroughputPoint p =
-        MeasureClosedLoop(shards, flags.batch_window_us, flags.clients_per_region);
+    const ThroughputPoint p = MeasureClosedLoop(shards, flags.clients_per_region);
     closed.points.push_back(p);
-    PrintTableRow({std::to_string(p.shards), std::to_string(p.batch_window_us),
-                   std::to_string(p.clients), Ms(p.offered_rps, 0), Ms(p.throughput_rps, 0),
-                   Ms(p.goodput_rps, 0), std::to_string(p.aborts),
+    PrintTableRow({std::to_string(p.shards), std::to_string(p.clients), Ms(p.offered_rps, 0),
+                   Ms(p.throughput_rps, 0), Ms(p.goodput_rps, 0), std::to_string(p.aborts),
                    std::to_string(p.reexecutions), Ms(p.p50_ms), Ms(p.p90_ms), Ms(p.p99_ms)},
                   widths);
   }
   PrintRule(widths);
   std::printf("\nOpen loop (fixed arrival rate at 1.2x aggregate capacity, retries off):\n\n");
-  PrintTableHeader({"shards", "window us", "clients", "offered", "tput req/s", "good req/s",
-                    "aborts", "reexec", "p50 ms", "p90 ms", "p99 ms"},
+  PrintTableHeader({"shards", "clients", "offered", "tput req/s", "good req/s", "aborts",
+                    "reexec", "p50 ms", "p90 ms", "p99 ms"},
                    widths);
   ThroughputCurve open{"open_loop_scaling", {}};
   for (const int shards : flags.shard_counts) {
-    const ThroughputPoint p = MeasureOpenLoop(shards, flags.batch_window_us);
+    const ThroughputPoint p = MeasureOpenLoop(shards);
     open.points.push_back(p);
-    PrintTableRow({std::to_string(p.shards), std::to_string(p.batch_window_us), "-",
-                   Ms(p.offered_rps, 0), Ms(p.throughput_rps, 0), Ms(p.goodput_rps, 0),
-                   std::to_string(p.aborts), std::to_string(p.reexecutions), Ms(p.p50_ms),
-                   Ms(p.p90_ms), Ms(p.p99_ms)},
+    PrintTableRow({std::to_string(p.shards), "-", Ms(p.offered_rps, 0), Ms(p.throughput_rps, 0),
+                   Ms(p.goodput_rps, 0), std::to_string(p.aborts),
+                   std::to_string(p.reexecutions), Ms(p.p50_ms), Ms(p.p90_ms), Ms(p.p99_ms)},
                   widths);
   }
   PrintRule(widths);
   std::printf(
       "\nSaturation throughput scales with the shard count: each shard owns an\n"
-      "independent admission queue, lock table, and intent table, and the batch\n"
-      "window folds concurrent validations into one storage round.\n");
+      "independent admission queue and lock table, and validates each request\n"
+      "the moment its locks are granted.\n");
   report->AddCurve(std::move(closed));
   report->AddCurve(std::move(open));
 }
@@ -480,8 +469,6 @@ ScalingFlags ParseFlags(int argc, char** argv) {
       if (shards >= 1) {
         flags.shard_counts = {shards};
       }
-    } else if (std::strncmp(arg, "--batch-window-us=", 18) == 0) {
-      flags.batch_window_us = std::atoll(arg + 18);
     } else if (std::strncmp(arg, "--clients=", 10) == 0) {
       const int clients = std::atoi(arg + 10);
       if (clients >= 1) {

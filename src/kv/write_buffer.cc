@@ -14,13 +14,13 @@ std::optional<Item> WriteBuffer::Get(const Key& key, SimDuration* latency) {
 }
 
 void WriteBuffer::Put(const Key& key, const Value& value, SimDuration* latency) {
-  // Buffered writes cost a cache write only when drained; the speculative
+  // Buffered writes cost a cache write only when installed; the speculative
   // path pays local-memory cost, modeled as free.
   (void)latency;
   writes_[key] = value;
 }
 
-std::vector<BufferedWrite> WriteBuffer::DrainWrites() const {
+std::vector<BufferedWrite> WriteBuffer::Writes() const {
   std::vector<BufferedWrite> out;
   out.reserve(writes_.size());
   for (const auto& [key, value] : writes_) {

@@ -4,9 +4,10 @@
 // writes must not touch the cache (the speculation may be invalidated by the
 // LVI validate step) yet must be visible to its own later reads. The
 // WriteBuffer overlays a base Storage: reads check the buffer first, writes
-// land only in the buffer. After LVI success the runtime drains the buffer
-// into the cache (with the versions the primary will assign) and ships the
-// same writes in the write followup; on failure the buffer is discarded.
+// land only in the buffer. The runtime ships the buffered writes in the
+// write followup when the speculation ends and, after LVI success, installs
+// the same writes in the cache (with the versions the primary will assign);
+// on failure the buffer is discarded.
 
 #ifndef RADICAL_SRC_KV_WRITE_BUFFER_H_
 #define RADICAL_SRC_KV_WRITE_BUFFER_H_
@@ -37,9 +38,9 @@ class WriteBuffer : public Storage {
   size_t write_count() const { return writes_.size(); }
   bool empty() const { return writes_.empty(); }
 
-  // The final value per key (later writes overwrite earlier ones), in key
-  // order, as sent in the write followup.
-  std::vector<BufferedWrite> DrainWrites() const;
+  // A copy of the final value per key (later writes overwrite earlier ones),
+  // in key order, as sent in the write followup. The buffer keeps them.
+  std::vector<BufferedWrite> Writes() const;
 
   void Discard() { writes_.clear(); }
 

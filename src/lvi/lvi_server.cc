@@ -19,6 +19,10 @@ namespace {
 // truncate service_time to 0 and silently model an *unlimited* server.
 constexpr uint64_t kMaxServingCapacityRps = 1'000'000;
 
+// Replicated deployments only (§5.6): the cost of writing and updating a
+// function invocation's idempotency key, which the paper measures at 3 ms.
+constexpr SimDuration kIdempotencyWrite = Millis(3);
+
 // The locks an LVI request takes: a write lock per write item, a read lock
 // per other item.
 RwSet LocksOf(const LviRequest& request) {
@@ -87,7 +91,6 @@ LviServer::LviServer(Simulator* sim, VersionedStore* store, const FunctionRegist
       replicated_(replicated),
       externals_(externals),
       router_(options.shards),
-      batches_(static_cast<size_t>(options.shards)),
       metrics_(&sim->metrics(), sim->metrics().UniqueScopeName("lvi_server")),
       lvi_replies_(options.reply_cache_capacity, metrics_),
       direct_replies_(options.reply_cache_capacity, metrics_),
@@ -157,13 +160,6 @@ void LviServer::Crash() {
   if (!parked_.empty()) {
     metrics_.Increment("followup_dropped_invalid", parked_.size());
     parked_.clear();
-  }
-  // Batch members not yet validated are in-memory only: their connections
-  // reset with the crash. Their locks survive on disk, so a retried request
-  // is granted them immediately and re-enqueues.
-  for (PendingBatch& batch : batches_) {
-    batch.members.clear();
-    batch.flush_armed = false;
   }
 }
 
@@ -414,69 +410,48 @@ void LviServer::HandleLviRequest(LviRequest request, RespondFn respond) {
     const RwSet locks = LocksOf(request);
     AcquireThen(id, locks, [this, lock_start, request = std::move(request)]() mutable {
       EmitSpan("server.lock_wait", request.exec_id, lock_start);
-      if (options_.batch_window > 0) {
-        EnqueueForValidation(std::move(request));
-        return;
-      }
-      std::vector<LviRequest> group;
-      group.push_back(std::move(request));
-      Validate(std::move(group));
+      Validate(std::move(request));
     });
   });
 }
 
-void LviServer::Validate(std::vector<LviRequest> members) {
+void LviServer::Validate(LviRequest request) {
   // Deadline re-check at the validation stage: admission's projection can be
   // overtaken by lock waits, so work whose deadline has already passed is
   // dropped here rather than carried through the version read, the intent
-  // write, and a backup execution nobody will read. Shedding one member
-  // never poisons its batchmates.
-  std::vector<LviRequest> live;
-  live.reserve(members.size());
-  for (LviRequest& member : members) {
-    if (member.deadline != 0 && sim_->Now() >= member.deadline) {
-      ShedMidPipeline(member, "validation");
-    } else {
-      live.push_back(std::move(member));
-    }
-  }
-  if (live.empty()) {
+  // write, and a backup execution nobody will read.
+  if (request.deadline != 0 && sim_->Now() >= request.deadline) {
+    ShedMidPipeline(request, "validation");
     return;
   }
-  // (5) One batched read of the primary's versions covers every member's
-  // items.
-  std::vector<Key> keys;
-  for (const LviRequest& member : live) {
-    for (const LviItem& item : member.items) {
-      keys.push_back(item.key);
-    }
+  if (request.session_id != 0) {
+    metrics_.Increment("session_requests");
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  // (5) One BatchVersions round reads the primary's versions of the
+  // request's items; versions[i] is items[i]'s.
+  std::vector<Key> keys;
+  keys.reserve(request.items.size());
+  for (const LviItem& item : request.items) {
+    keys.push_back(item.key);
+  }
   SimDuration read_latency = 0;
   std::vector<Version> versions = store_->BatchVersions(keys, &read_latency);
-  auto version_of = [&keys, &versions](const Key& key) {
-    return versions[static_cast<size_t>(std::lower_bound(keys.begin(), keys.end(), key) -
-                                        keys.begin())];
-  };
-  // Per-member verdicts against the shared version snapshot: the stale items
-  // of each member, and each writer's validated versions.
-  struct Verdict {
+  const uint64_t epoch = epoch_;
+  const SimTime validate_start = sim_->Now();
+  sim_->Schedule(read_latency, [this, epoch, validate_start, request = std::move(request),
+                                versions = std::move(versions)]() mutable {
+    if (!StillAlive(epoch)) {
+      metrics_.Increment("stale_epoch_dropped");
+      return;
+    }
+    // The stale items, and a writer's validated versions.
     std::vector<size_t> stale;
     Pins pins;
-  };
-  std::vector<Verdict> verdicts(live.size());
-  for (size_t m = 0; m < live.size(); ++m) {
-    const LviRequest& member = live[m];
-    Verdict& verdict = verdicts[m];
-    if (member.session_id != 0) {
-      metrics_.Increment("session_requests");
-    }
-    for (size_t i = 0; i < member.items.size(); ++i) {
-      const LviItem& item = member.items[i];
-      const Version primary = version_of(item.key);
+    for (size_t i = 0; i < request.items.size(); ++i) {
+      const LviItem& item = request.items[i];
+      const Version primary = versions[i];
       if (item.cached_version != primary) {
-        verdict.stale.push_back(i);
+        stale.push_back(i);
       } else if (item.session_floor > 0 && primary < item.session_floor) {
         // Validating here would hand the session an older state than it has
         // already observed (monotonic-read violation). Floor 0 means the
@@ -485,70 +460,48 @@ void LviServer::Validate(std::vector<LviRequest> members) {
         // speculating, so this only fires if the primary itself regressed
         // below the session's floor.
         metrics_.Increment("session_floor_stale");
-        verdict.stale.push_back(i);
+        stale.push_back(i);
       }
       if (item.mode == LockMode::kWrite) {
-        verdict.pins.keys.push_back(item.key);
-        verdict.pins.versions.push_back(primary);
+        pins.keys.push_back(item.key);
+        pins.versions.push_back(primary);
       }
     }
-  }
-  const uint64_t epoch = epoch_;
-  const SimTime validate_start = sim_->Now();
-  sim_->Schedule(read_latency, [this, epoch, validate_start, members = std::move(live),
-                                verdicts = std::move(verdicts)]() mutable {
-    if (!StillAlive(epoch)) {
-      metrics_.Increment("stale_epoch_dropped");
+    EmitSpan("server.validate", request.exec_id, validate_start);
+    if (!stale.empty()) {
+      OnValidationFailure(std::move(request), stale);
       return;
     }
-    std::vector<std::pair<LviRequest, Verdict>> writers;
-    for (size_t m = 0; m < members.size(); ++m) {
-      LviRequest& member = members[m];
-      Verdict& verdict = verdicts[m];
-      EmitSpan("server.validate", member.exec_id, validate_start);
-      if (!verdict.stale.empty()) {
-        // A stale member peels off through the normal backup-execution path;
-        // the rest of the group never notices.
-        OnValidationFailure(std::move(member), verdict.stale);
-        continue;
-      }
-      metrics_.Increment("validate_success");
-      BumpShard(HomeShard(member), "validate_success");
-      if (verdict.pins.keys.empty()) {
-        // Read-only: validation is the linearization point; nothing further
-        // will arrive for this execution, so the read locks release now.
-        const ExecutionId exec_id = member.exec_id;
-        locks_->ReleaseAll(exec_id);
-        LviResponse response;
-        response.exec_id = exec_id;
-        response.validated = true;
-        RespondLvi(exec_id, std::move(response));
-        continue;
-      }
-      writers.emplace_back(std::move(member), std::move(verdict));
-    }
-    if (writers.empty()) {
+    metrics_.Increment("validate_success");
+    BumpShard(HomeShard(request), "validate_success");
+    if (pins.keys.empty()) {
+      // Read-only: validation is the linearization point; nothing further
+      // will arrive for this execution, so the read locks release now.
+      const ExecutionId exec_id = request.exec_id;
+      locks_->ReleaseAll(exec_id);
+      LviResponse response;
+      response.exec_id = exec_id;
+      response.validated = true;
+      RespondLvi(exec_id, std::move(response));
       return;
     }
     // (6a) One intent-write round (one primary-store write; plus the
-    // idempotency key in the replicated configuration) creates every valid
-    // writer's intent; each then starts its timer and replies. Locks stay
-    // held until the followup or re-execution. The round takes effect when
-    // its latency elapses, so a crash mid-round leaves no durable trace.
+    // idempotency key in the replicated configuration) creates the intent;
+    // it then starts its timer and replies. Locks stay held until the
+    // followup or re-execution. The round takes effect when its latency
+    // elapses, so a crash mid-round leaves no durable trace.
     SimDuration intent_latency = store_->options().write_latency;
     if (replicated_) {
-      intent_latency += options_.idempotency_write;
+      intent_latency += kIdempotencyWrite;
     }
     const SimTime intent_start = sim_->Now();
-    sim_->Schedule(intent_latency, [this, epoch, intent_start,
-                                    writers = std::move(writers)]() mutable {
+    sim_->Schedule(intent_latency, [this, epoch, intent_start, request = std::move(request),
+                                    pins = std::move(pins)]() mutable {
       if (!StillAlive(epoch)) {
         metrics_.Increment("stale_epoch_dropped");
         return;
       }
-      for (auto& [request, verdict] : writers) {
-        CommitIntent(std::move(request), std::move(verdict.pins), intent_start);
-      }
+      CommitIntent(std::move(request), std::move(pins), intent_start);
     });
   });
 }
@@ -588,38 +541,6 @@ void LviServer::CommitIntent(LviRequest request, Pins pins, SimTime intent_start
                      [this, exec_id] { ResolveIntentByReExecution(exec_id); });
   executions_.emplace(exec_id, std::move(state));
   RespondLvi(exec_id, std::move(response));
-}
-
-void LviServer::EnqueueForValidation(LviRequest request) {
-  const int shard = HomeShard(request);
-  PendingBatch& batch = batches_[static_cast<size_t>(shard)];
-  batch.members.push_back(std::move(request));
-  if (batch.flush_armed) {
-    return;
-  }
-  batch.flush_armed = true;
-  const uint64_t epoch = epoch_;
-  sim_->Schedule(options_.batch_window, [this, epoch, shard] {
-    if (!StillAlive(epoch)) {
-      metrics_.Increment("stale_epoch_dropped");
-      return;
-    }
-    FlushBatch(shard);
-  });
-}
-
-void LviServer::FlushBatch(int shard) {
-  PendingBatch& slot = batches_[static_cast<size_t>(shard)];
-  std::vector<LviRequest> members = std::move(slot.members);
-  slot.members.clear();
-  slot.flush_armed = false;
-  if (members.empty()) {
-    return;
-  }
-  metrics_.Increment("batches");
-  metrics_.Increment("batch_members", members.size());
-  BumpShard(shard, "batches");
-  Validate(std::move(members));
 }
 
 void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices) {
@@ -948,7 +869,7 @@ void LviServer::ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start) {
     AcquireThen(run->exec_id, run->locks, [this, run, start] { ReadPoint(run, start); });
     return;
   }
-  run->writes = buffer.DrainWrites();
+  run->writes = buffer.Writes();
   // The run holds the write lock of each key it wrote until its commit, so
   // the versions read here are the ones its writes land on.
   for (const BufferedWrite& write : run->writes) {

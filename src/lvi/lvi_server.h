@@ -29,16 +29,9 @@
 // N independent key-range shards (ShardRouter hash-range partitions; the
 // deployment pairs the server with a LocalLockService built on the same
 // router). Each request has a home shard — the shard of its first item —
-// which owns its admission slot and its per-shard counters. With
-// `batch_window > 0`, an admission-window batcher additionally coalesces
-// concurrent LVI requests on the same shard: members that cleared their
-// locks within one window validate through a single BatchVersions round over
-// the union of their keys, and the valid writers create their intents in one
-// intent-write round instead of one write each. Verdicts stay per-member — a
-// stale member aborts through the normal backup execution path without
-// poisoning its batchmates. The paper's singleton server runs the same code:
-// one shard, and every request validates as a group of one the moment its
-// locks are granted.
+// which owns its admission slot and its per-shard counters. Every shard
+// validates each request on its own the moment its locks are granted, as the
+// paper's singleton does: the singleton is the same code with one shard.
 //
 // The server is transport-agnostic: callers hand it a request plus a respond
 // callback, and the Radical runtime wraps both sides with network sends.
@@ -78,9 +71,6 @@ struct LviServerOptions {
   // Write-intent timer: longer than the expected execution latency of the
   // function plus the followup's network trip (§3.4).
   SimDuration intent_timeout = Millis(1500);
-  // Replicated mode only (§5.6): cost of writing + updating the idempotency
-  // key for a function invocation (the paper measures 3 ms).
-  SimDuration idempotency_write = Millis(3);
   // Serving capacity in requests/second; 0 = unlimited. The paper's server
   // is a singleton t3.2xlarge and "the only bottleneck Radical introduces"
   // (§5.3): with a finite capacity, arrivals queue M/D/1-style and response
@@ -106,11 +96,10 @@ struct LviServerOptions {
   // shard (multi-Raft), so the hot path and its lock groups share one
   // ShardRouter.
   int shards = 1;
-  // Admission-window batching: LVI requests on the same home shard that
-  // clear their locks within this window validate and write their intents as
-  // one group (one BatchVersions + one intent-write round). 0 validates each
-  // request as soon as its locks are granted (a group of one).
-  SimDuration batch_window = 0;
+  // Interpreter limits of every execution of a function: the runs at the
+  // primary here, and, through RadicalConfig::server, the runtime's
+  // speculation and the ideal deployment's runs. One field, so a speculation
+  // and its deterministic re-execution charge the same per_step_cost.
   ExecLimits exec_limits;
 };
 
@@ -306,22 +295,17 @@ class LviServer {
   // life, after a recover) bail out through this check.
   bool StillAlive(uint64_t epoch) const { return alive_ && epoch == epoch_; }
 
-  // (5) + (6a) for a group of lock-granted requests: members whose deadline
-  // has passed are shed, the rest share one BatchVersions read over the
-  // union of their items and get one verdict each; the valid writers then
-  // share one intent-write round. Unbatched, every request is a group of
-  // one, validated straight from its lock grant.
-  void Validate(std::vector<LviRequest> members);
+  // (5) + (6a) for a request whose locks were just granted: it is shed if
+  // its deadline has passed; else one BatchVersions round reads the
+  // primary's versions of its items, and a valid writer then writes its
+  // intent in one more round.
+  void Validate(LviRequest request);
   void OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices);
   // Tail of the success path, once the intent write's latency has elapsed:
   // commit a parked followup's writes in that write and release the locks,
   // or else create the intent record (idempotently) and arm its timer; then
   // reply. `intent_start` is when that write began (span).
   void CommitIntent(LviRequest request, Pins pins, SimTime intent_start);
-  // Batching (batch_window > 0): lock-granted requests park on their home
-  // shard's pending list; the first member arms a flush.
-  void EnqueueForValidation(LviRequest request);
-  void FlushBatch(int shard);
   // The apply half of a followup, shared by one that found its armed intent
   // and one parked until its validation: commits `writes` at the versions
   // `pins` holds (adding the write cost to `latency`, if given).
@@ -422,14 +406,6 @@ class LviServer {
   // Per-shard metric scopes "<scope>.shard<i>"; empty when shards == 1 so
   // the default configuration creates no extra instruments.
   std::vector<obs::MetricsScope> shard_metrics_;
-  // Admission-window batcher state, one slot per shard. Volatile (cleared by
-  // Crash) — members not yet validated are just requests whose connections
-  // reset; their locks survive and their retries re-attach.
-  struct PendingBatch {
-    std::vector<LviRequest> members;
-    bool flush_armed = false;
-  };
-  std::vector<PendingBatch> batches_;
   // Idempotency keys (replicated deployments, §5.6): the executions whose
   // writes reached the primary. At most one execution of a request applies
   // any.

@@ -9,7 +9,6 @@
 #ifndef RADICAL_SRC_RADICAL_CONFIG_H_
 #define RADICAL_SRC_RADICAL_CONFIG_H_
 
-#include "src/func/interpreter.h"
 #include "src/kv/cache_store.h"
 #include "src/kv/versioned_store.h"
 #include "src/lvi/lvi_server.h"
@@ -53,8 +52,7 @@ struct RadicalConfig {
 
   VersionedStoreOptions primary_store;
   CacheStoreOptions cache;
-  LviServerOptions server;
-  ExecLimits exec_limits;
+  LviServerOptions server;  // Its exec_limits bind every execution.
   RetryPolicy retry;
 
   // --- Ablation switches (bench/ablation_design) ----------------------------

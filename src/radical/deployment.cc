@@ -14,7 +14,6 @@ namespace {
 LviServerOptions ServerOptionsFor(const RadicalConfig& config) {
   LviServerOptions options = config.server;
   options.backup_invoke_overhead = config.lambda_invoke + config.blob_load;
-  options.exec_limits = config.exec_limits;
   return options;
 }
 
@@ -219,7 +218,7 @@ void LocalIdealDeployment::Invoke(Region origin, const std::string& function,
                    const ExecEnv env{sim_->NextId(), &externals_};
                    const ExecResult exec = interpreter_.Execute(fn->original, inputs,
                                                                 &store(origin),
-                                                                config_.exec_limits, &env);
+                                                                config_.server.exec_limits, &env);
                    assert(exec.ok() && "ideal execution failed");
                    sim_->Schedule(exec.elapsed, [done = std::move(done),
                                                  result = exec.return_value]() mutable {

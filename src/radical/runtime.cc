@@ -305,8 +305,8 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
   }
   state->buffer = std::make_unique<WriteBuffer>(&cache_);
   const ExecEnv env{state->exec_id, externals_};
-  const ExecResult exec = interpreter_->Execute(fn->original, state->inputs,
-                                                state->buffer.get(), config_.exec_limits, &env);
+  const ExecResult exec = interpreter_->Execute(fn->original, state->inputs, state->buffer.get(),
+                                                config_.server.exec_limits, &env);
   assert(exec.ok() && "speculative execution failed");
   state->speculation = Speculation::kRunning;
   state->trace.speculated = true;
@@ -344,7 +344,7 @@ void Runtime::SendEarlyFollowup(const std::shared_ptr<RequestState>& state) {
       !self_.CanReach(state->server_ep)) {
     return;
   }
-  std::vector<BufferedWrite> writes = state->buffer->DrainWrites();
+  std::vector<BufferedWrite> writes = state->buffer->Writes();
   if (!writes.empty()) {
     SendFollowup(state, std::move(writes));
   }
@@ -695,7 +695,7 @@ void Runtime::CompleteValidated(const std::shared_ptr<RequestState>& state) {
   state->buffer = std::make_unique<WriteBuffer>(&cache_);
   const ExecEnv env{state->exec_id, externals_};
   const ExecResult exec = interpreter_->Execute(fn->original, state->inputs, state->buffer.get(),
-                                                config_.exec_limits, &env);
+                                                config_.server.exec_limits, &env);
   assert(exec.ok());
   sim_->Schedule(exec.elapsed, [this, state, result = exec.return_value] {
     if (DeadRequest(*state)) {
@@ -706,7 +706,7 @@ void Runtime::CompleteValidated(const std::shared_ptr<RequestState>& state) {
 }
 
 void Runtime::CommitSpeculation(const std::shared_ptr<RequestState>& state, Value result) {
-  const std::vector<BufferedWrite> writes = state->buffer->DrainWrites();
+  const std::vector<BufferedWrite> writes = state->buffer->Writes();
   // Install the speculative writes into the cache at validated version + 1
   // — the exact version the primary will assign when the followup applies —
   // and bump the version along with the update (§3.1).

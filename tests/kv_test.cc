@@ -169,11 +169,12 @@ TEST(WriteBufferTest, DrainCollapsesMultipleWrites) {
   buffer.Put("k", Value("v1"), nullptr);
   buffer.Put("k", Value("v2"), nullptr);
   buffer.Put("a", Value("x"), nullptr);
-  const std::vector<BufferedWrite> writes = buffer.DrainWrites();
+  const std::vector<BufferedWrite> writes = buffer.Writes();
   ASSERT_EQ(writes.size(), 2u);
   EXPECT_EQ(writes[0].key, "a");  // Key order.
   EXPECT_EQ(writes[1].key, "k");
   EXPECT_EQ(writes[1].value, Value("v2"));  // Last write wins.
+  EXPECT_EQ(buffer.write_count(), 2u);      // Writes() copies; the buffer keeps them.
 }
 
 TEST(WriteBufferTest, DiscardDropsEverything) {

@@ -109,6 +109,47 @@ TEST_F(LviServerTest, MissingItemSentinelValidatesOnlyIfAbsent) {
   EXPECT_FALSE(r2->validated);
 }
 
+TEST_F(LviServerTest, EachItemValidatesAgainstItsOwnPrimaryVersion) {
+  registry_.Register(Fn("copy", {"src", "dst"}, {
+      Read("v", In("src")),
+      Write(In("dst"), V("v")),
+      Return(V("v")),
+  }));
+  store_.Seed("a", Value("x"));  // Version 1.
+  store_.Seed("b", Value("y"));
+  store_.Seed("b", Value("y"));  // Version 2.
+  // Both cached versions are current: the request validates, and the write
+  // lands at b's own version.
+  std::optional<LviResponse> fresh;
+  LviRequest request = MakeRequest("copy", {Value("a"), Value("b")},
+                                   {{"a", 1, LockMode::kRead}, {"b", 2, LockMode::kWrite}});
+  const ExecutionId exec_id = request.exec_id;
+  server_->HandleLviRequest(std::move(request), [&](LviResponse r) { fresh = std::move(r); });
+  sim_.RunFor(Millis(50));
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_TRUE(fresh->validated);
+  WriteFollowup followup;
+  followup.exec_id = exec_id;
+  followup.writes = {{"b", Value("x")}};
+  server_->HandleFollowup(std::move(followup));
+  sim_.RunFor(Millis(50));
+  EXPECT_EQ(store_.VersionOf("b"), 3);
+  // Only b is stale (its cache claims a's version): the backup repairs b.
+  std::optional<LviResponse> stale;
+  server_->HandleLviRequest(MakeRequest("copy", {Value("a"), Value("b")},
+                                        {{"a", 1, LockMode::kRead}, {"b", 1, LockMode::kWrite}}),
+                            [&](LviResponse r) { stale = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(stale.has_value());
+  EXPECT_FALSE(stale->validated);
+  ASSERT_EQ(stale->fresh_items.size(), 1u);
+  EXPECT_EQ(stale->fresh_items[0].key, "b");
+  EXPECT_EQ(stale->fresh_items[0].version, 4);
+  EXPECT_EQ(server_->validations_succeeded(), 1u);
+  EXPECT_EQ(server_->validations_failed(), 1u);
+  EXPECT_TRUE(server_->idle());
+}
+
 TEST_F(LviServerTest, WriteIntentHoldsLocksUntilFollowup) {
   store_.Seed("k", Value("old"));
   std::optional<LviResponse> response;
@@ -298,7 +339,7 @@ TEST_F(LviServerTest, ValidationLatencyComponentsAreCharged) {
                                         {{"k", 1, LockMode::kWrite}}),
                             [&](LviResponse) { responded_at = sim_.Now(); });
   sim_.RunFor(Millis(100));
-  // process + batch read + intent write.
+  // process + version read + intent write.
   const SimDuration expected = options_.process_delay + store_.options().read_latency +
                                store_.options().write_latency;
   EXPECT_GE(responded_at - start, expected);
@@ -759,19 +800,17 @@ TEST(LviServerReplicatedTest, UnanalyzableDirectExecutionLocksWhatItsFirstRunTou
 
 // A writer retried after its cached reply was evicted, while its intent is
 // still pending, re-attaches to that intent (retry_intent_hit) instead of
-// creating a second one — on the group-of-one and the batched pipeline.
-class RetryIntentHitTest : public LviServerTest,
-                           public ::testing::WithParamInterface<SimDuration> {
+// creating a second one.
+class RetryIntentHitTest : public LviServerTest {
  protected:
   RetryIntentHitTest() {
     options_.reply_cache_capacity = 1;
-    options_.batch_window = GetParam();
     server_ = std::make_unique<LviServer>(&sim_, &store_, &registry_, &interp_, &locks_,
                                           options_);
   }
 };
 
-TEST_P(RetryIntentHitTest, RetryAfterReplyEvictionReusesThePendingIntent) {
+TEST_F(RetryIntentHitTest, RetryAfterReplyEvictionReusesThePendingIntent) {
   store_.Seed("k", Value("v0"));
   store_.Seed("other", Value("o"));
   LviRequest request = MakeRequest("reg_set", {Value("k"), Value("v1")},
@@ -803,9 +842,6 @@ TEST_P(RetryIntentHitTest, RetryAfterReplyEvictionReusesThePendingIntent) {
   EXPECT_EQ(store_.VersionOf("k"), 2);  // Applied exactly once.
   EXPECT_TRUE(server_->idle());
 }
-
-INSTANTIATE_TEST_SUITE_P(BatchWindow, RetryIntentHitTest,
-                         ::testing::Values(SimDuration{0}, Millis(1)));
 
 }  // namespace
 }  // namespace radical

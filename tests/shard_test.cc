@@ -1,8 +1,6 @@
 // Sharding tests: the ShardRouter key-range map, deadlock-free cross-shard
-// lock acquisition, admission-window batching (including abort isolation —
-// one member's validation failure must not poison its batchmates), a
-// fault-sweep linearizability check of the batched path, and the guarantee
-// that the defaults (shards = 1, batch_window = 0) create no shard-scoped
+// lock acquisition, a fault-sweep linearizability check of the sharded path,
+// and the guarantee that the default (shards = 1) creates no shard-scoped
 // instruments.
 
 #include <gtest/gtest.h>
@@ -16,7 +14,7 @@
 #include "src/check/linearizability.h"
 #include "src/common/rng.h"
 #include "src/func/builder.h"
-#include "src/lvi/lvi_server.h"
+#include "src/lvi/lock_service.h"
 #include "src/lvi/shard_router.h"
 #include "src/radical/deployment.h"
 
@@ -169,127 +167,12 @@ TEST(ShardedLockServiceTest, OppositeKeyOrdersDoNotDeadlock) {
   EXPECT_EQ(granted, 2);
 }
 
-// --- Admission-window batching ----------------------------------------------
-
-class BatchServerTest : public ::testing::Test {
- protected:
-  BatchServerTest()
-      : analyzer_(&HostRegistry::Standard()),
-        interp_(&HostRegistry::Standard()),
-        registry_(&analyzer_),
-        locks_(&sim_, 2) {
-    options_.intent_timeout = Millis(500);
-    options_.shards = 2;
-    options_.batch_window = Millis(1);
-    server_ = std::make_unique<LviServer>(&sim_, &store_, &registry_, &interp_, &locks_,
-                                          options_);
-    registry_.Register(Fn("reg_set", {"k", "v"}, {
-        Write(In("k"), In("v")),
-        Return(In("v")),
-    }));
-  }
-
-  LviRequest MakeRequest(const std::string& function, std::vector<Value> inputs,
-                         std::vector<LviItem> items) {
-    LviRequest request;
-    request.exec_id = sim_.NextId();
-    request.origin = Region::kCA;
-    request.function = function;
-    request.inputs = std::move(inputs);
-    request.items = std::move(items);
-    return request;
-  }
-
-  // Two distinct keys on the same shard, so concurrent requests coalesce
-  // into one batch without serializing on a lock.
-  std::pair<Key, Key> SameShardKeyPair() const {
-    const ShardRouter router(options_.shards);
-    std::vector<std::vector<Key>> by_shard(static_cast<size_t>(options_.shards));
-    for (int i = 0;; ++i) {
-      const Key key = "batch/" + std::to_string(i);
-      auto& bucket = by_shard[static_cast<size_t>(router.ShardOf(key))];
-      bucket.push_back(key);
-      if (bucket.size() == 2) {
-        return {bucket[0], bucket[1]};
-      }
-    }
-  }
-
-  Simulator sim_;
-  VersionedStore store_;
-  Analyzer analyzer_;
-  Interpreter interp_;
-  FunctionRegistry registry_;
-  LocalLockService locks_;
-  LviServerOptions options_;
-  std::unique_ptr<LviServer> server_;
-};
-
-TEST_F(BatchServerTest, AbortedMemberDoesNotPoisonBatchmates) {
-  const auto [fresh_key, stale_key] = SameShardKeyPair();
-  store_.Seed(fresh_key, Value("old"));  // Version 1; cache agrees.
-  store_.Seed(stale_key, Value("old"));  // Version 1; cache will claim 0.
-
-  std::optional<LviResponse> fresh_response;
-  std::optional<LviResponse> stale_response;
-  server_->HandleLviRequest(MakeRequest("reg_set", {Value(fresh_key), Value("fresh-new")},
-                                        {{fresh_key, 1, LockMode::kWrite}}),
-                            [&](LviResponse r) { fresh_response = std::move(r); });
-  server_->HandleLviRequest(MakeRequest("reg_set", {Value(stale_key), Value("stale-new")},
-                                        {{stale_key, 0, LockMode::kWrite}}),
-                            [&](LviResponse r) { stale_response = std::move(r); });
-  sim_.Run();
-
-  // Both requests rode one flush; only the stale member aborted.
-  EXPECT_EQ(server_->counters().Get("batches"), 1u);
-  EXPECT_EQ(server_->counters().Get("batch_members"), 2u);
-  EXPECT_EQ(server_->validations_failed(), 1u);
-  EXPECT_EQ(server_->validations_succeeded(), 1u);
-
-  ASSERT_TRUE(fresh_response.has_value());
-  EXPECT_TRUE(fresh_response->validated);
-  ASSERT_TRUE(stale_response.has_value());
-  EXPECT_FALSE(stale_response->validated);
-  // The abort ran the backup: its write committed at the primary, and the
-  // repaired version came back for the cache.
-  EXPECT_EQ(stale_response->backup_result, Value("stale-new"));
-  EXPECT_EQ(store_.Peek(stale_key)->value, Value("stale-new"));
-
-  // The validated member's followup never arrives (no runtime here), so the
-  // intent timer re-executes it deterministically — the write still lands.
-  EXPECT_EQ(store_.Peek(fresh_key)->value, Value("fresh-new"));
-  EXPECT_EQ(server_->reexecutions(), 1u);
-  EXPECT_TRUE(server_->idle());
-}
-
-TEST_F(BatchServerTest, RequestsOutsideTheWindowFormSeparateBatches) {
-  const auto [key_a, key_b] = SameShardKeyPair();
-  store_.Seed(key_a, Value("a0"));
-  store_.Seed(key_b, Value("b0"));
-
-  int replies = 0;
-  server_->HandleLviRequest(MakeRequest("reg_set", {Value(key_a), Value("a1")},
-                                        {{key_a, 1, LockMode::kWrite}}),
-                            [&](LviResponse) { ++replies; });
-  sim_.Schedule(Millis(10), [&] {
-    server_->HandleLviRequest(MakeRequest("reg_set", {Value(key_b), Value("b1")},
-                                          {{key_b, 1, LockMode::kWrite}}),
-                              [&](LviResponse) { ++replies; });
-  });
-  sim_.Run();
-  EXPECT_EQ(replies, 2);
-  EXPECT_EQ(server_->counters().Get("batches"), 2u);
-  EXPECT_EQ(server_->counters().Get("batch_members"), 2u);
-  EXPECT_EQ(server_->validations_failed(), 0u);
-  EXPECT_TRUE(server_->idle());
-}
-
 // --- Defaults create no shard instruments ------------------------------------
 
 TEST(ShardDefaultsTest, SingletonServerRegistersNoShardScopedMetrics) {
   Simulator sim;
   Network net(&sim, LatencyMatrix::PaperDefault());
-  RadicalConfig config;  // shards = 1, batch_window = 0.
+  RadicalConfig config;  // shards = 1.
   RadicalDeployment radical(&sim, &net, config, DeploymentRegions());
   radical.RegisterFunction(Fn("reg_set", {"k", "v"}, {
       Write(In("k"), In("v")),
@@ -303,20 +186,18 @@ TEST(ShardDefaultsTest, SingletonServerRegistersNoShardScopedMetrics) {
   sim.Run();
   ASSERT_EQ(replies, 1);
   // The gate: at the defaults the sharded machinery must be fully dormant —
-  // no ".shard" scopes in either snapshot surface, no batch counters.
+  // no ".shard" scopes in either snapshot surface.
   EXPECT_EQ(sim.metrics().SnapshotText().find(".shard"), std::string::npos);
   EXPECT_EQ(sim.metrics().SnapshotJson().find(".shard"), std::string::npos);
-  EXPECT_EQ(radical.server().counters().Get("batches"), 0u);
 }
 
-// --- Fault sweep over the sharded + batched path ------------------------------
+// --- Fault sweep over the sharded path ----------------------------------------
 
 class ShardedFaultSweepTest : public ::testing::Test {
  protected:
   ShardedFaultSweepTest() : sim_(777), net_(&sim_, LatencyMatrix::PaperDefault()) {
     RadicalConfig config;
     config.server.shards = 4;
-    config.server.batch_window = Micros(500);
     config.server.intent_timeout = Millis(500);
     config.retry.request_timeout = Millis(300);
     config.retry.max_lvi_attempts = 2;
@@ -347,7 +228,7 @@ class ShardedFaultSweepTest : public ::testing::Test {
   std::unique_ptr<RadicalDeployment> radical_;
 };
 
-TEST_F(ShardedFaultSweepTest, BatchedPathStaysLinearizableUnderLossAndCrash) {
+TEST_F(ShardedFaultSweepTest, ShardedPathStaysLinearizableUnderLossAndCrash) {
   AddLoss(net::MessageKind::kLviRequest, 0.1);
   AddLoss(net::MessageKind::kLviResponse, 0.1);
   AddLoss(net::MessageKind::kWriteFollowup, 0.1);
@@ -375,8 +256,8 @@ TEST_F(ShardedFaultSweepTest, BatchedPathStaysLinearizableUnderLossAndCrash) {
     });
   }
 
-  // Crash mid-run: the batcher's pending members are volatile and vanish;
-  // their clients must recover through retries like any lost request.
+  // Crash mid-run: the pipelines in flight are volatile and vanish; their
+  // clients must recover through retries like any lost request.
   while (radical_->server().counters().Get("lvi_requests") < 20 && sim_.Step()) {
   }
   ASSERT_GE(radical_->server().counters().Get("lvi_requests"), 20u);
@@ -405,12 +286,22 @@ TEST_F(ShardedFaultSweepTest, BatchedPathStaysLinearizableUnderLossAndCrash) {
   EXPECT_GT(timeouts, 0u);
   EXPECT_GT(retries, 0u);
 
-  // The batched admission path actually ran (every LVI request traverses it
-  // when batch_window > 0), and per-shard instruments exist.
-  EXPECT_GT(radical_->server().counters().Get("batches"), 0u);
-  EXPECT_GE(radical_->server().counters().Get("batch_members"),
-            radical_->server().counters().Get("batches"));
+  // The sharded path actually ran: per-shard instruments exist, and every
+  // admitted LVI request was counted on its home shard, the shard that owns
+  // "k", and nowhere else.
   EXPECT_NE(sim_.metrics().SnapshotText().find(".shard"), std::string::npos);
+  const obs::MetricsScope server = radical_->server().counters();
+  const int home = ShardRouter(4).ShardOf("k");
+  uint64_t per_shard = 0;
+  for (int shard = 0; shard < 4; ++shard) {
+    const uint64_t admitted =
+        obs::MetricsScope(&sim_.metrics(), server.prefix() + ".shard" + std::to_string(shard))
+            .Get("lvi_requests");
+    EXPECT_EQ(admitted > 0, shard == home) << "shard " << shard;
+    per_shard += admitted;
+  }
+  EXPECT_EQ(per_shard, server.Get("lvi_requests"));
+  EXPECT_GE(per_shard, 20u);
 
   const LinearizabilityResult result = CheckHistory(history, {{"k", Value("v0")}});
   EXPECT_TRUE(result.linearizable) << result.violation;

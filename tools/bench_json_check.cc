@@ -314,8 +314,8 @@ void CheckCurves(const JsonValue& curves, const std::string& path) {
         Report(pwhere, "entry is not an object");
         continue;
       }
-      for (const char* field : {"shards", "batch_window_us", "clients", "offered_rps",
-                                "throughput_rps", "p50_ms", "p90_ms", "p99_ms"}) {
+      for (const char* field : {"shards", "clients", "offered_rps", "throughput_rps", "p50_ms",
+                                "p90_ms", "p99_ms"}) {
         Require(point, pwhere, field, JsonValue::Type::kNumber);
       }
       // Goodput accounting joined the point schema with the open-loop
