@@ -274,6 +274,16 @@ std::string BenchReport::ToJson() const {
         w.Key("appends_per_commit");
         w.Double(p.appends_per_commit, 3);
       }
+      if (p.locks > 0) {
+        // Replicated-acquire point: present only for the serial-vs-batched
+        // curve, keyed on locks (tools/bench_json_check validates the group).
+        w.Key("locks");
+        w.Int(p.locks);
+        w.Key("serial_ms");
+        w.Double(p.serial_ms, 3);
+        w.Key("batched_ms");
+        w.Double(p.batched_ms, 3);
+      }
       if (p.session_point) {
         // Consistency-spectrum point: present only for session/preview
         // curves, keyed on session_point (tools/bench_json_check validates

@@ -118,6 +118,14 @@ struct ThroughputPoint {
   uint64_t compensating_releases = 0;
   int raft_nodes = 0;               // Nodes per Raft group.
   double appends_per_commit = 0.0;  // AppendEntries sent per committed entry.
+  // --- Replicated acquisition cost (bench/sec5_6_replication) --------------
+  // Locks one execution acquires (0 = not an acquire point; the group below
+  // is then omitted from the JSON). Medians of the acquisition latency when
+  // each lock is its own commit (the paper's serial implementation) and when
+  // the keys go as one run in one commit (the deployed path).
+  int locks = 0;
+  double serial_ms = 0.0;
+  double batched_ms = 0.0;
   // --- Consistency spectrum (bench/consistency_spectrum session curves) -----
   // Whether the point measured the preview/final session path; the fields
   // below form an optional JSON group keyed on this flag (omitted when

@@ -1,14 +1,19 @@
 // §5.6: impact of replicating the LVI server. Locks move into a 3-node
-// etcd-style Raft cluster across availability zones; acquisitions happen in
-// series, so an LVI request with L locks pays roughly (idempotency-key write)
-// + 2.3*L ms extra.
+// etcd-style Raft cluster across availability zones. The paper's
+// implementation acquires the locks in series, one commit each, so an LVI
+// request with L locks pays roughly (idempotency-key write) + 2.3*L ms extra;
+// it leaves batching as future work. The deployed ReplicatedLockService
+// batches: one commit per lock group a request touches.
 //
 // Reproduces: (a) the per-lock acquisition latency through Raft (~2.3 ms),
-// (b) the linear 3 + 2.3*L growth, and (c) the end-to-end effect on an LVI
-// request's server-side processing with L locks.
+// by chaining single-key acquisitions as the paper's implementation does,
+// (b) its linear 2.3*L growth against the batched path's one commit, and
+// (c) the effect on an LVI request's server-side processing with L locks on
+// the deployed path, next to the paper's 3 + 2.3*L model.
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 
 #include "bench/bench_util.h"
 #include "src/check/linearizability.h"
@@ -18,16 +23,20 @@
 namespace radical {
 namespace {
 
-// Median latency of acquiring L locks through the Raft cluster — in series
-// (the paper's implementation) or batched into one commit (the optimization
-// the paper leaves as future work).
-double MeasureAcquire(int num_locks, bool batched = false) {
-  Simulator sim(600 + static_cast<uint64_t>(num_locks) + (batched ? 7777 : 0));
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, batched);
+// Median latency of one execution acquiring L locks through the Raft
+// cluster. `serial` reproduces the paper's implementation: L single-key
+// acquisitions, each issued once the previous one is granted, so every lock
+// costs one commit. Otherwise the L keys go to the service in one call,
+// which commits them as one run (the deployed path). Both run on the same
+// seed, so at L = 1, where they issue the same command, they agree exactly.
+double MeasureAcquire(int num_locks, bool serial) {
+  Simulator sim(600 + static_cast<uint64_t>(num_locks));
+  ReplicatedLockService service(&sim, 3);
   if (!service.Bootstrap()) {
     return -1;
   }
   sim.RunFor(Millis(200));
+  const size_t step = serial ? 1 : static_cast<size_t>(num_locks);
   LatencySampler samples;
   for (int round = 0; round < 50; ++round) {
     std::vector<Key> keys;
@@ -39,10 +48,21 @@ double MeasureAcquire(int num_locks, bool batched = false) {
     const SimTime start = sim.Now();
     bool done = false;
     const ExecutionId exec = 1000 + static_cast<ExecutionId>(round);
-    service.AcquireAll(exec, keys, modes, [&] {
-      samples.Add(sim.Now() - start);
-      done = true;
-    });
+    // Acquires keys [from, from + step), then the next step once granted.
+    std::function<void(size_t)> acquire = [&](size_t from) {
+      if (from == keys.size()) {
+        samples.Add(sim.Now() - start);
+        done = true;
+        return;
+      }
+      const size_t to = from + step;
+      const auto begin = static_cast<std::ptrdiff_t>(from);
+      const auto end = static_cast<std::ptrdiff_t>(to);
+      service.AcquireAll(exec, {keys.begin() + begin, keys.begin() + end},
+                         {modes.begin() + begin, modes.begin() + end},
+                         [&acquire, to] { acquire(to); });
+    };
+    acquire(0);
     sim.RunFor(Millis(500));
     if (!done) {
       return -1;
@@ -150,7 +170,7 @@ ThroughputPoint MeasureShardThroughput(int groups) {
   Simulator sim(900 + static_cast<uint64_t>(groups));
   RaftOptions raft;
   raft.proposal_capacity_rps = 1200;
-  ReplicatedLockService service(&sim, 3, raft, LocalMeshOptions{}, /*batched=*/false, groups);
+  ReplicatedLockService service(&sim, 3, raft, LocalMeshOptions{}, groups);
   ThroughputPoint point;
   point.shards = groups;
   point.raft_groups = groups;
@@ -340,30 +360,40 @@ ThroughputPoint MeasureFailover(int groups) {
   return point;
 }
 
-void Run() {
+void Run(BenchReport* report) {
   std::printf("Section 5.6: impact of replicating the LVI server (3-node Raft lock store)\n\n");
-  std::printf("Per-acquisition latency through Raft (paper: ~2.3 ms per lock, serial):\n");
+  std::printf("Per-acquisition latency through Raft (paper: ~2.3 ms per lock, serial;\n");
+  std::printf("measured by chaining single-key acquisitions):\n");
   const std::vector<int> widths = {7, 13, 15, 17};
   PrintTableHeader({"locks", "acquire ms", "ms per lock", "paper 2.3*L ms"}, widths);
   for (const int locks : {1, 2, 4, 8}) {
-    const double ms = MeasureAcquire(locks);
+    const double ms = MeasureAcquire(locks, /*serial=*/true);
     PrintTableRow({std::to_string(locks), Ms(ms), Ms(ms / locks, 2),
                    Ms(2.3 * locks, 1)},
                   widths);
   }
   PrintRule(widths);
 
-  std::printf("\nBatched acquisition (one Raft commit per request — the future-work\n");
-  std::printf("optimization the paper anticipates):\n");
+  std::printf("\nSerial vs batched acquisition (the paper's one commit per lock vs the\n");
+  std::printf("deployed one commit per lock group, the future-work optimization the\n");
+  std::printf("paper anticipates):\n");
   const std::vector<int> widths_b = {7, 12, 12, 13};
   PrintTableHeader({"locks", "serial ms", "batched ms", "batch saves"}, widths_b);
+  ThroughputCurve acquire_curve;
+  acquire_curve.name = "replicated_acquire";
   for (const int locks : {1, 2, 4, 8}) {
-    const double serial = MeasureAcquire(locks, /*batched=*/false);
-    const double batched = MeasureAcquire(locks, /*batched=*/true);
+    const double serial = MeasureAcquire(locks, /*serial=*/true);
+    const double batched = MeasureAcquire(locks, /*serial=*/false);
     PrintTableRow({std::to_string(locks), Ms(serial), Ms(batched), Ms(serial - batched)},
                   widths_b);
+    ThroughputPoint point;
+    point.locks = locks;
+    point.serial_ms = serial;
+    point.batched_ms = batched;
+    acquire_curve.points.push_back(point);
   }
   PrintRule(widths_b);
+  report->AddCurve(acquire_curve);
 
   std::printf("\nServer-side LVI request latency, singleton vs replicated (write path):\n");
   const std::vector<int> widths2 = {7, 13, 14, 12, 19};
@@ -378,9 +408,12 @@ void Run() {
   }
   PrintRule(widths2);
   std::printf(
-      "\nShape: added latency grows linearly in the lock count at ~2.3 ms per lock\n"
-      "plus ~3 ms for the idempotency key, matching the paper's 3 + 2.3*L model;\n"
-      "the minimum beneficial execution time rises to ~16 + 2.3*L ms (~20 ms).\n");
+      "\nShape: the deployed server commits a request's locks in one Raft commit\n"
+      "per lock group (one group here), so the added latency is flat at ~3 ms for\n"
+      "the idempotency key plus ~2.3 ms, whatever the lock count. The paper's\n"
+      "serial implementation adds 3 + 2.3*L ms (right column; the serial column\n"
+      "above measures its 2.3*L), so the minimum beneficial execution time of\n"
+      "~16 + 2.3*L ms becomes ~16 + 2.3 ms per lock group touched.\n");
 }
 
 // Multi-Raft curves: throughput vs lock-group count, and the leader
@@ -435,8 +468,8 @@ bool RunMultiRaft(BenchReport* report) {
 }  // namespace radical
 
 int main() {
-  radical::Run();
   radical::BenchReport report("sec5_6_replication");
+  radical::Run(&report);
   const bool ok = radical::RunMultiRaft(&report);
   report.Write();
   return ok ? 0 : 1;

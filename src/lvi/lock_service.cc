@@ -87,10 +87,8 @@ uint64_t LocalLockService::total_waits() const {
 
 ReplicatedLockService::ReplicatedLockService(Simulator* sim, int node_count,
                                              RaftOptions raft_options,
-                                             LocalMeshOptions mesh_options, bool batched,
-                                             int shards)
+                                             LocalMeshOptions mesh_options, int shards)
     : sim_(sim),
-      batched_(batched),
       raft_options_(raft_options),
       router_(std::max(1, shards)),
       groups_(static_cast<size_t>(router_.shards())) {
@@ -233,9 +231,6 @@ void ReplicatedLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
 }
 
 size_t ReplicatedLockService::RunEnd(const PendingAcquire& acq) const {
-  if (!batched_) {
-    return acq.next + 1;
-  }
   size_t end = acq.next;
   while (end < acq.keys.size() && acq.shard_of[end] == acq.shard_of[acq.next]) {
     ++end;
@@ -264,20 +259,14 @@ void ReplicatedLockService::SubmitNext(ExecutionId exec) {
   }
   const PendingAcquire& acq = it->second;
   const int shard = acq.shard_of[acq.next];
-  // Serial (§5.6): one key per commit, the next submitted only once this one
-  // is granted. Batched: one commit carries the run's whole key set; the
-  // state machine grants what is free and queues the rest atomically. Runs
-  // are taken in ascending shard order, chaining on grants (OnGrant).
-  std::string command;
-  if (batched_) {
-    const auto from = static_cast<std::ptrdiff_t>(acq.next);
-    const auto to = static_cast<std::ptrdiff_t>(RunEnd(acq));
-    command = LockStateMachine::EncodeBatchAcquire(
-        exec, std::vector<Key>(acq.keys.begin() + from, acq.keys.begin() + to),
-        std::vector<LockMode>(acq.modes.begin() + from, acq.modes.begin() + to));
-  } else {
-    command = LockStateMachine::EncodeAcquire(exec, acq.modes[acq.next], acq.keys[acq.next]);
-  }
+  // One commit carries the run's whole key set; the state machine grants
+  // what is free and queues the rest atomically. Runs are taken in ascending
+  // shard order, chaining on grants (OnGrant).
+  const auto from = static_cast<std::ptrdiff_t>(acq.next);
+  const auto to = static_cast<std::ptrdiff_t>(RunEnd(acq));
+  std::string command = LockStateMachine::EncodeAcquire(
+      exec, std::vector<Key>(acq.keys.begin() + from, acq.keys.begin() + to),
+      std::vector<LockMode>(acq.modes.begin() + from, acq.modes.begin() + to));
   cluster(shard).SubmitToLeader(std::move(command), [this, exec, shard](LogIndex index) {
     if (index == 0) {
       OnAcquireSubmitFailed(exec, shard);

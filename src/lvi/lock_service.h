@@ -14,14 +14,19 @@
 //    tables' zero-delay grant events, so sharding adds no virtual time to an
 //    uncontended acquire.
 //  - ReplicatedLockService (§5.6): the highly available variant stores locks
-//    in a 3-node etcd (Raft) cluster across availability zones. Each lock
-//    acquisition is one Raft commit (~2.3 ms) and the implementation
-//    acquires locks in series, so an LVI request with L locks pays ~2.3·L ms
-//    extra — the constant the paper reports. With `shards` > 1 it runs one
+//    in a 3-node etcd (Raft) cluster across availability zones. The paper
+//    commits each lock on its own, in series (~2.3 ms per lock, so ~2.3·L ms
+//    for L locks), and leaves batching as future work. This service batches:
+//    an execution's keys in one group go to that group as one acquire
+//    command, so a request pays one commit (~2.3 ms) per lock group it
+//    touches, whatever its lock count. With `shards` > 1 it runs one
 //    independent Raft group per key-range shard (multi-Raft): requests are
 //    re-ordered into the same (shard, key) total order the in-memory service
-//    uses, so deadlock freedom carries over, while unrelated shards commit
-//    in parallel.
+//    uses and the groups are taken in ascending order, one run at a time.
+//    Within a group a run applies atomically in log order, so a group's
+//    waits follow its log and cross-group waits follow the group order:
+//    deadlock freedom carries over, while unrelated shards commit in
+//    parallel.
 
 #ifndef RADICAL_SRC_LVI_LOCK_SERVICE_H_
 #define RADICAL_SRC_LVI_LOCK_SERVICE_H_
@@ -93,14 +98,10 @@ class LocalLockService : public LockService {
 class ReplicatedLockService : public LockService {
  public:
   // `node_count` is 3 in the paper's deployment (one per availability zone).
-  // `batched` enables the §5.6 batching optimization: one Raft commit per
-  // contiguous same-shard key run instead of one per lock (the paper
-  // acquires in series and notes batching as future work). `shards` > 1
-  // partitions the key space across that many independent Raft groups
-  // (each `node_count` wide) keyed by ShardRouter.
+  // `shards` > 1 partitions the key space across that many independent Raft
+  // groups (each `node_count` wide) keyed by ShardRouter.
   ReplicatedLockService(Simulator* sim, int node_count, RaftOptions raft_options = {},
-                        LocalMeshOptions mesh_options = {}, bool batched = false,
-                        int shards = 1);
+                        LocalMeshOptions mesh_options = {}, int shards = 1);
   ~ReplicatedLockService() override;
 
   // Elects the initial leader of every group; call once before issuing
@@ -165,8 +166,7 @@ class ReplicatedLockService : public LockService {
 
   void BuildGroup(int g, int node_count, const RaftOptions& raft_options,
                   const LocalMeshOptions& mesh_options);
-  // End of the run starting at `acq.next`: the one key when serial (§5.6),
-  // the contiguous same-shard keys when batched.
+  // End of the run starting at `acq.next`: the contiguous same-shard keys.
   size_t RunEnd(const PendingAcquire& acq) const;
   // Moves `acq.next` past the runs `exec` already holds; true once every
   // key is held.
@@ -184,7 +184,6 @@ class ReplicatedLockService : public LockService {
   uint64_t Sum(obs::Counter* LockGroup::*counter) const;
 
   Simulator* sim_;
-  bool batched_;
   RaftOptions raft_options_;
   ShardRouter router_;
   std::vector<LockGroup> groups_;

@@ -10,11 +10,11 @@ namespace radical {
 namespace {
 
 // The near-storage location invokes backup copies the same way the near-user
-// location invokes functions: Lambda instantiation plus blob load.
-LviServerOptions ServerOptionsFor(const RadicalConfig& config) {
-  LviServerOptions options = config.server;
-  options.backup_invoke_overhead = config.lambda_invoke + config.blob_load;
-  return options;
+// location invokes functions: Lambda instantiation plus blob load. Written
+// into the deployment's config, so config().server is what the server runs.
+RadicalConfig WithBackupInvokeOverhead(RadicalConfig config) {
+  config.server.backup_invoke_overhead = config.lambda_invoke + config.blob_load;
+  return config;
 }
 
 }  // namespace
@@ -22,7 +22,7 @@ LviServerOptions ServerOptionsFor(const RadicalConfig& config) {
 RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalConfig config,
                                      std::vector<Region> regions, int replicated_locks)
     : sim_(sim),
-      config_(std::move(config)),
+      config_(WithBackupInvokeOverhead(std::move(config))),
       analyzer_(&HostRegistry::Standard()),
       interpreter_(&HostRegistry::Standard()),
       registry_(&analyzer_),
@@ -32,8 +32,7 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
     // Multi-Raft: one Raft lock group per key-range shard, so the server's
     // hot path and the lock groups share one ShardRouter partition.
     replicated_locks_ = std::make_unique<ReplicatedLockService>(
-        sim, replicated_locks, RaftOptions{}, LocalMeshOptions{}, /*batched=*/false,
-        config_.server.shards);
+        sim, replicated_locks, RaftOptions{}, LocalMeshOptions{}, config_.server.shards);
     const bool elected = replicated_locks_->Bootstrap();
     assert(elected && "replicated lock service failed to elect a leader");
     (void)elected;
@@ -43,7 +42,7 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
     locks = local_locks_.get();
   }
   server_ = std::make_unique<LviServer>(sim, &primary_, &registry_, &interpreter_, locks,
-                                        ServerOptionsFor(config_),
+                                        config_.server,
                                         /*replicated=*/replicated_locks > 0, &externals_);
   // One shared server address on the fabric; every runtime's LVI traffic
   // converges on it, so per-link stats show the real fan-in. A sharded
@@ -136,14 +135,14 @@ PrimaryBaselineDeployment::PrimaryBaselineDeployment(Simulator* sim, Network* ne
                                                      RadicalConfig config)
     : sim_(sim),
       network_(network),
-      config_(std::move(config)),
+      config_(WithBackupInvokeOverhead(std::move(config))),
       analyzer_(&HostRegistry::Standard()),
       interpreter_(&HostRegistry::Standard()),
       registry_(&analyzer_),
       primary_(config_.primary_store) {
   locks_ = std::make_unique<LocalLockService>(sim);
   server_ = std::make_unique<LviServer>(sim, &primary_, &registry_, &interpreter_, locks_.get(),
-                                        ServerOptionsFor(config_), /*replicated=*/false,
+                                        config_.server, /*replicated=*/false,
                                         &externals_);
   obs::MetricsRegistry& reg = sim->metrics();
   primary_.RegisterMetrics(&reg, reg.UniqueScopeName("store.primary"));

@@ -747,9 +747,12 @@ void Runtime::CommitSpeculation(const std::shared_ptr<RequestState>& state, Valu
     if (config_.single_request_commit) {
       // (7a) Reply. Unless it left when the speculation ended, (8a) ship the
       // followup now — the write intent guarantees the updates reach the
-      // primary even if this message is lost.
+      // primary even if this message is lost. A retried request sends it
+      // again: the early one may have trailed a lost attempt and been
+      // discarded with no pipeline to join, leaving the answered attempt's
+      // intent to the intent timer. A duplicate is discarded.
       Reply(state, std::move(result));
-      if (!state->followup_sent) {
+      if (!state->followup_sent || state->trace.retries > 0) {
         SendFollowup(state, std::move(writes));
       }
       return;

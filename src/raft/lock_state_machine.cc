@@ -4,15 +4,8 @@
 
 namespace radical {
 
-std::string LockStateMachine::EncodeAcquire(ExecutionId exec, LockMode mode, const Key& key) {
-  std::ostringstream os;
-  os << "acquire " << exec << " " << (mode == LockMode::kWrite ? "w" : "r") << " " << key;
-  return os.str();
-}
-
-std::string LockStateMachine::EncodeBatchAcquire(ExecutionId exec,
-                                                 const std::vector<Key>& keys,
-                                                 const std::vector<LockMode>& modes) {
+std::string LockStateMachine::EncodeAcquire(ExecutionId exec, const std::vector<Key>& keys,
+                                            const std::vector<LockMode>& modes) {
   std::ostringstream os;
   os << "batch " << exec << " " << keys.size();
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -88,15 +81,7 @@ std::vector<LockStateMachine::Grant> LockStateMachine::Apply(LogIndex index,
   std::istringstream is(command);
   std::string op;
   is >> op;
-  if (op == "acquire") {
-    ExecutionId exec = 0;
-    std::string mode_str;
-    std::string key;
-    is >> exec >> mode_str >> key;
-    if (exec != 0 && !key.empty()) {
-      ApplyAcquire(exec, mode_str == "w" ? LockMode::kWrite : LockMode::kRead, key, &grants);
-    }
-  } else if (op == "batch") {
+  if (op == "batch") {
     ExecutionId exec = 0;
     size_t n = 0;
     is >> exec >> n;

@@ -7,11 +7,12 @@
 // when a release unblocks queued waiters. Every replica computes the same
 // grants for the same log index, so the service acts on one replica's.
 //
-// An `acquire` command takes one key ("our implementation of the replicated
-// server acquires all locks in series", §5.6); a `batch` command takes a
-// same-group run of keys in one commit (the batching the paper leaves as
-// future work). The multi-key in-memory table of the singleton server lives
-// in src/lvi/lock_table.h.
+// An acquire command carries a run of (mode, key) pairs: all of one
+// execution's keys in this lock group, taken in one commit. The paper's
+// implementation commits one key at a time ("acquires all locks in series",
+// §5.6) and leaves batching as future work; a one-key run is that command.
+// The multi-key in-memory table of the singleton server lives in
+// src/lvi/lock_table.h.
 
 #ifndef RADICAL_SRC_RAFT_LOCK_STATE_MACHINE_H_
 #define RADICAL_SRC_RAFT_LOCK_STATE_MACHINE_H_
@@ -42,12 +43,11 @@ class LockStateMachine {
   std::vector<Grant> Apply(LogIndex index, const std::string& command);
 
   // --- Command encoding -------------------------------------------------
-  static std::string EncodeAcquire(ExecutionId exec, LockMode mode, const Key& key);
-  // Batched acquisition (§5.6's proposed optimization): all of an LVI
-  // request's locks in one Raft commit. Keys must be sorted; the batch is
-  // applied atomically — available keys are granted, the rest queue.
-  static std::string EncodeBatchAcquire(ExecutionId exec, const std::vector<Key>& keys,
-                                        const std::vector<LockMode>& modes);
+  // Acquires `keys` (sorted, with parallel `modes`) for `exec`. The run
+  // applies atomically: free keys are granted, the rest queue. Encoded as
+  // "batch <exec> <n> (<r|w> <key>)*".
+  static std::string EncodeAcquire(ExecutionId exec, const std::vector<Key>& keys,
+                                   const std::vector<LockMode>& modes);
   static std::string EncodeRelease(ExecutionId exec);
 
   // --- Snapshotting (log compaction) --------------------------------------

@@ -1,6 +1,8 @@
 // Tests for the paper's extension features: external services with
 // at-most-once semantics (§3.5), persistent caches (§3.2), developer-provided
-// f^rw (§7), and batched replicated lock acquisition (§5.6 future work).
+// f^rw (§7), and the full deployment on replicated locks (§5.6). Batched
+// replicated lock acquisition (§5.6 future work), the lock service's only
+// path, is tested in replicated_locks_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -266,85 +268,6 @@ TEST(ManualFrwTest, ManualRwSetEnablesFastPathForUnanalyzableFunction) {
   // Note: this manual f^rw re-runs the expensive digest (50 ms) on the
   // critical path — exactly the §3.3/§7 latency caveat.
   EXPECT_LT(ToMillis(latency), 280.0);
-}
-
-// --- Batched replicated lock acquisition (§5.6 future work) ---------------------------
-
-class BatchedLocksTest : public ::testing::Test {
- protected:
-  BatchedLocksTest()
-      : sim_(1111), service_(&sim_, 3, RaftOptions{}, LocalMeshOptions{}, /*batched=*/true) {
-    bootstrapped_ = service_.Bootstrap();
-    sim_.RunFor(Millis(100));
-  }
-
-  SimDuration Acquire(ExecutionId exec, int num_locks) {
-    std::vector<Key> keys;
-    std::vector<LockMode> modes;
-    for (int i = 0; i < num_locks; ++i) {
-      keys.push_back("e" + std::to_string(exec) + "-k" + std::to_string(i));
-      modes.push_back(LockMode::kWrite);
-    }
-    const SimTime start = sim_.Now();
-    SimTime done = -1;
-    service_.AcquireAll(exec, keys, modes, [&] { done = sim_.Now(); });
-    sim_.RunFor(Millis(300));
-    EXPECT_GE(done, 0) << "acquisition never granted";
-    return done - start;
-  }
-
-  Simulator sim_;
-  ReplicatedLockService service_;
-  bool bootstrapped_ = false;
-};
-
-TEST_F(BatchedLocksTest, BatchGrantsAllKeysInOneCommit) {
-  ASSERT_TRUE(bootstrapped_);
-  const SimDuration one = Acquire(1, 1);
-  const SimDuration eight = Acquire(2, 8);
-  // One commit regardless of lock count: eight locks cost about the same as
-  // one (vs ~8x for the serial §5.6 implementation).
-  EXPECT_LT(static_cast<double>(eight), static_cast<double>(one) * 2.0);
-  const LockStateMachine* state = service_.LeaderState();
-  ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->HeldKeyCount(2), 8u);
-}
-
-TEST_F(BatchedLocksTest, BatchedContentionStillQueuesFairly) {
-  ASSERT_TRUE(bootstrapped_);
-  bool granted1 = false;
-  bool granted2 = false;
-  service_.AcquireAll(10, {"shared"}, {LockMode::kWrite}, [&] { granted1 = true; });
-  sim_.RunFor(Millis(100));
-  ASSERT_TRUE(granted1);
-  service_.AcquireAll(11, {"other", "shared"}, {LockMode::kWrite, LockMode::kWrite},
-                      [&] { granted2 = true; });
-  sim_.RunFor(Millis(100));
-  EXPECT_FALSE(granted2);  // Holds "other", queued on "shared".
-  const LockStateMachine* state = service_.LeaderState();
-  EXPECT_TRUE(state->IsWriteHeldBy("other", 11));
-  service_.ReleaseAll(10);
-  sim_.RunFor(Millis(100));
-  EXPECT_TRUE(granted2);
-}
-
-TEST_F(BatchedLocksTest, NoDeadlockAcrossOverlappingBatches) {
-  ASSERT_TRUE(bootstrapped_);
-  // Overlapping key sets issued concurrently: atomic batch application
-  // makes waits-for edges point only to earlier commits, so all complete.
-  int granted = 0;
-  const std::vector<std::vector<Key>> sets = {
-      {"a", "b"}, {"b", "c"}, {"a", "c"}, {"a", "b", "c"}, {"c"}};
-  for (size_t i = 0; i < sets.size(); ++i) {
-    const ExecutionId exec = 100 + i;
-    std::vector<LockMode> modes(sets[i].size(), LockMode::kWrite);
-    service_.AcquireAll(exec, sets[i], modes, [&granted, exec, this] {
-      ++granted;
-      sim_.Schedule(Millis(5), [this, exec] { service_.ReleaseAll(exec); });
-    });
-  }
-  sim_.RunFor(Seconds(5));
-  EXPECT_EQ(granted, 5);
 }
 
 // --- Full deployment on replicated locks (§5.6 configuration) -------------------

@@ -310,8 +310,9 @@ PROFILE_TEST(FailureTest, CrashWithParkedFollowupReExecutesTheIntentOnce) {
   // The server crashes between the validation and the intent-write round
   // that would have applied the parked followup: the parked writes are
   // volatile and die with it, and the round leaves no trace. The client's
-  // retry validates and arms an intent, the followup is not sent again, and
-  // the intent timer lands the write exactly once.
+  // retry validates and arms an intent; the followup the retried request
+  // sends again is lost too, and the intent timer lands the write exactly
+  // once.
   RegisterFastWrite(radical_.get());
   Value result;
   radical_->Invoke(Region::kDE, "fast_write", {Value("k"), Value("v1")},
@@ -323,9 +324,11 @@ PROFILE_TEST(FailureTest, CrashWithParkedFollowupReExecutesTheIntentOnce) {
   radical_->server().Crash();
   EXPECT_EQ(radical_->server().counters().Get("followup_dropped_invalid"), 1u);
   sim_.RunFor(Millis(100));
+  const int rule = DropFollowupsFrom(Region::kDE);
   radical_->server().Recover();
   sim_.Run();
   EXPECT_EQ(result, Value("v1"));
+  EXPECT_EQ(net_.fabric().RuleDrops(rule), 1u);  // The resent followup.
   EXPECT_EQ(radical_->server().counters().Get("followup_applied"), 0u);
   EXPECT_EQ(radical_->server().reexecutions(), 1u);
   EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
@@ -334,10 +337,12 @@ PROFILE_TEST(FailureTest, CrashWithParkedFollowupReExecutesTheIntentOnce) {
   EXPECT_TRUE(radical_->server().idle());
 }
 
-PROFILE_TEST(FailureTest, LostLviRequestWithDeliveredFollowupAppliesThroughTheIntentTimer) {
+PROFILE_TEST(FailureTest, LostLviRequestWithDeliveredFollowupAppliesThroughTheResentFollowup) {
   // The first LVI request is lost, so the followup behind it finds no
   // pipeline to park under and is discarded. The retried request validates
-  // and arms an intent whose timer lands the write exactly once.
+  // and arms an intent; the runtime, seeing a retried request, sends the
+  // followup again at commit, and it lands the write exactly once without
+  // waiting for the intent timer.
   net::DropRule lost_request;
   lost_request.kind = net::MessageKind::kLviRequest;
   lost_request.from = radical_->runtime(Region::kDE).endpoint().id();
@@ -352,7 +357,8 @@ PROFILE_TEST(FailureTest, LostLviRequestWithDeliveredFollowupAppliesThroughTheIn
   EXPECT_EQ(radical_->runtime(Region::kDE).counters().Get("retries"), 1u);
   EXPECT_EQ(radical_->server().counters().Get("followup_parked"), 0u);
   EXPECT_EQ(radical_->server().late_followups_discarded(), 1u);
-  EXPECT_EQ(radical_->server().reexecutions(), 1u);
+  EXPECT_EQ(radical_->server().counters().Get("followup_applied"), 1u);
+  EXPECT_EQ(radical_->server().reexecutions(), 0u);
   EXPECT_EQ(radical_->primary().Peek("k")->value, Value("v1"));
   EXPECT_EQ(radical_->primary().VersionOf("k"), 2);  // Applied exactly once.
   EXPECT_EQ(HeldLocks(), 0u);
@@ -551,6 +557,20 @@ PROFILE_TEST(FailureTest, TwoRttFollowupNackedWhileDownInsteadOfHanging) {
   EXPECT_EQ(two_rtt.primary().Peek("k")->value, Value("v1"));
   EXPECT_EQ(two_rtt.primary().VersionOf("k"), 2);
   EXPECT_TRUE(two_rtt.server().idle());
+}
+
+TEST(DeploymentConfigTest, ConfigHoldsTheBackupInvokeOverheadTheServerRuns) {
+  // The near-storage location invokes a backup as the near-user location
+  // invokes a function: Lambda instantiation plus blob load. The deployment
+  // writes that into its config, so tests timing a backup from
+  // config().server read the value the server waits.
+  Simulator sim(7);
+  Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
+  RadicalConfig config;
+  config.lambda_invoke = Millis(20);
+  config.blob_load = Millis(3);
+  RadicalDeployment radical(&sim, &net, config, {Region::kCA});
+  EXPECT_EQ(radical.config().server.backup_invoke_overhead, Millis(23));
 }
 
 }  // namespace

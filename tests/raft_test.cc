@@ -551,11 +551,11 @@ TEST(RaftSnapshotTest, LaggardCatchesUpViaInstallSnapshot) {
 
 TEST(LockStateMachineSnapshotTest, RoundTripPreservesLocksAndQueues) {
   LockStateMachine sm;
-  sm.Apply(1, LockStateMachine::EncodeAcquire(10, LockMode::kWrite, "alpha"));
-  sm.Apply(2, LockStateMachine::EncodeAcquire(11, LockMode::kRead, "beta"));
-  sm.Apply(3, LockStateMachine::EncodeAcquire(12, LockMode::kRead, "beta"));
-  sm.Apply(4, LockStateMachine::EncodeAcquire(13, LockMode::kWrite, "beta"));  // Queued.
-  sm.Apply(5, LockStateMachine::EncodeAcquire(14, LockMode::kRead, "beta"));   // Behind writer.
+  sm.Apply(1, LockStateMachine::EncodeAcquire(10, {"alpha"}, {LockMode::kWrite}));
+  sm.Apply(2, LockStateMachine::EncodeAcquire(11, {"beta"}, {LockMode::kRead}));
+  sm.Apply(3, LockStateMachine::EncodeAcquire(12, {"beta"}, {LockMode::kRead}));
+  sm.Apply(4, LockStateMachine::EncodeAcquire(13, {"beta"}, {LockMode::kWrite}));  // Queued.
+  sm.Apply(5, LockStateMachine::EncodeAcquire(14, {"beta"}, {LockMode::kRead}));   // Behind writer.
   const std::string snapshot = sm.EncodeSnapshot();
 
   LockStateMachine restored;
@@ -681,11 +681,11 @@ TEST(RaftLogTest, EntriesAfterRespectsBatch) {
 TEST(LockStateMachineTest, AcquireReleaseCycle) {
   LockStateMachine sm;
   std::vector<LockStateMachine::Grant> grants =
-      sm.Apply(1, LockStateMachine::EncodeAcquire(10, LockMode::kWrite, "k"));
+      sm.Apply(1, LockStateMachine::EncodeAcquire(10, {"k"}, {LockMode::kWrite}));
   EXPECT_TRUE(sm.IsWriteHeldBy("k", 10));
   ASSERT_EQ(grants.size(), 1u);
   EXPECT_EQ(grants[0].exec, 10u);
-  EXPECT_TRUE(sm.Apply(2, LockStateMachine::EncodeAcquire(11, LockMode::kWrite, "k")).empty());
+  EXPECT_TRUE(sm.Apply(2, LockStateMachine::EncodeAcquire(11, {"k"}, {LockMode::kWrite})).empty());
   EXPECT_EQ(sm.WaitingCount("k"), 1u);  // Queued.
   grants = sm.Apply(3, LockStateMachine::EncodeRelease(10));
   ASSERT_EQ(grants.size(), 1u);
@@ -696,11 +696,11 @@ TEST(LockStateMachineTest, AcquireReleaseCycle) {
 
 TEST(LockStateMachineTest, ReadersShareWritersQueue) {
   LockStateMachine sm;
-  sm.Apply(1, LockStateMachine::EncodeAcquire(1, LockMode::kRead, "k"));
-  sm.Apply(2, LockStateMachine::EncodeAcquire(2, LockMode::kRead, "k"));
+  sm.Apply(1, LockStateMachine::EncodeAcquire(1, {"k"}, {LockMode::kRead}));
+  sm.Apply(2, LockStateMachine::EncodeAcquire(2, {"k"}, {LockMode::kRead}));
   EXPECT_TRUE(sm.IsReadHeldBy("k", 1));
   EXPECT_TRUE(sm.IsReadHeldBy("k", 2));
-  sm.Apply(3, LockStateMachine::EncodeAcquire(3, LockMode::kWrite, "k"));
+  sm.Apply(3, LockStateMachine::EncodeAcquire(3, {"k"}, {LockMode::kWrite}));
   EXPECT_EQ(sm.WaitingCount("k"), 1u);
   sm.Apply(4, LockStateMachine::EncodeRelease(1));
   EXPECT_EQ(sm.WaitingCount("k"), 1u);  // Still one reader left.
@@ -708,9 +708,38 @@ TEST(LockStateMachineTest, ReadersShareWritersQueue) {
   EXPECT_TRUE(sm.IsWriteHeldBy("k", 3));
 }
 
+TEST(LockStateMachineTest, RunAppliesAtomicallyGrantingFreeKeysAndQueuingTheRest) {
+  LockStateMachine sm;
+  sm.Apply(1, LockStateMachine::EncodeAcquire(1, {"b"}, {LockMode::kWrite}));
+  // One command, three keys: the free ones are granted in key order at this
+  // index, the held one queues.
+  std::vector<LockStateMachine::Grant> grants = sm.Apply(
+      2, LockStateMachine::EncodeAcquire(
+             2, {"a", "b", "c"}, {LockMode::kWrite, LockMode::kRead, LockMode::kWrite}));
+  ASSERT_EQ(grants.size(), 2u);
+  EXPECT_EQ(grants[0].key, "a");
+  EXPECT_EQ(grants[1].key, "c");
+  EXPECT_EQ(sm.HeldKeyCount(2), 2u);
+  EXPECT_EQ(sm.WaitingCount("b"), 1u);
+  grants = sm.Apply(3, LockStateMachine::EncodeRelease(1));
+  ASSERT_EQ(grants.size(), 1u);
+  EXPECT_EQ(grants[0].exec, 2u);
+  EXPECT_TRUE(sm.IsReadHeldBy("b", 2));
+  EXPECT_EQ(sm.HeldKeyCount(2), 3u);
+}
+
+TEST(LockStateMachineTest, AcquireWireFormatIsARunOfModeKeyPairs) {
+  EXPECT_EQ(LockStateMachine::EncodeAcquire(7, {"a", "b"}, {LockMode::kWrite, LockMode::kRead}),
+            "batch 7 2 w a r b");
+  // A one-key run is as long as the paper's one-lock-per-commit command
+  // ("acquire 7 w key"), so single-lock commits cost the same bytes.
+  EXPECT_EQ(LockStateMachine::EncodeAcquire(7, {"key"}, {LockMode::kWrite}).size(),
+            std::string("acquire 7 w key").size());
+}
+
 TEST(LockStateMachineTest, DuplicateCommandsIdempotent) {
   LockStateMachine sm;
-  const std::string acquire = LockStateMachine::EncodeAcquire(1, LockMode::kWrite, "k");
+  const std::string acquire = LockStateMachine::EncodeAcquire(1, {"k"}, {LockMode::kWrite});
   EXPECT_EQ(sm.Apply(1, acquire).size(), 1u);
   EXPECT_TRUE(sm.Apply(2, acquire).empty());  // Duplicate: grants nothing, holds once.
   EXPECT_EQ(sm.HeldKeyCount(1), 1u);

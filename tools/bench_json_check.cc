@@ -414,6 +414,27 @@ void CheckCurves(const JsonValue& curves, const std::string& path) {
           Report(pwhere, "replicated point's history was not linearizable");
         }
       }
+      // Replicated acquisition cost (bench/sec5_6_replication's serial vs
+      // batched table) is keyed on 'locks': when present both medians must
+      // be, each positive (a failed acquisition reports -1), and taking the
+      // keys as one run may not cost more than one commit per lock.
+      const JsonValue* locks = point.Find("locks");
+      if (locks != nullptr) {
+        if (!locks->is(JsonValue::Type::kNumber) || locks->number < 1) {
+          Report(pwhere, "field 'locks' must be a number >= 1");
+        }
+        const JsonValue* serial = Require(point, pwhere, "serial_ms", JsonValue::Type::kNumber);
+        const JsonValue* batched =
+            Require(point, pwhere, "batched_ms", JsonValue::Type::kNumber);
+        for (const JsonValue* v : {serial, batched}) {
+          if (v != nullptr && v->number <= 0) {
+            Report(pwhere, "acquire medians must be > 0");
+          }
+        }
+        if (serial != nullptr && batched != nullptr && batched->number > serial->number) {
+          Report(pwhere, "batched_ms exceeds serial_ms");
+        }
+      }
       // Consistency-spectrum accounting (bench/consistency_spectrum session
       // curves) is keyed on 'session_point': when present the whole group
       // must be, the preview gap cannot be negative (a preview never lands

@@ -28,12 +28,13 @@
 # against their schemas with tools/bench_json_check.
 #
 # CHECK_REPLICATED=1 tools/check.sh  additionally runs
-# bench/sec5_6_replication in smoke mode — which includes the multi-Raft
-# lock-group throughput curve and the leader kill/rejoin linearizability
-# sweep (the bench exits nonzero on lost replies or a non-linearizable
-# history) — and schema-checks the exported replicated-point fields with
-# tools/bench_json_check, asserting both multi-Raft curves made it into the
-# report.
+# bench/sec5_6_replication in smoke mode — which includes the serial vs
+# batched acquire table, the multi-Raft lock-group throughput curve and the
+# leader kill/rejoin linearizability sweep (the bench exits nonzero on lost
+# replies or a non-linearizable history) — and schema-checks the exported
+# replicated-point fields with tools/bench_json_check (which fails an
+# acquire point whose batched_ms exceeds its serial_ms), asserting all three
+# curves made it into the report.
 #
 # CHECK_SESSION=1 tools/check.sh  additionally runs bench/consistency_spectrum
 # in smoke mode — which exits nonzero on a missing final, a preview arriving
@@ -124,7 +125,7 @@ if [ "${CHECK_REPLICATED:-0}" = "1" ]; then
     "$BUILD_DIR/bench/sec5_6_replication" > "$REPL_DIR/sec5_6_replication.out"
   cat "$REPL_DIR/sec5_6_replication.out"
   "$BUILD_DIR/tools/bench_json_check" "$REPL_DIR/BENCH_radical.json"
-  for curve in replicated_shards replicated_failover; do
+  for curve in replicated_acquire replicated_shards replicated_failover; do
     if ! grep -q "\"$curve\"" "$REPL_DIR/BENCH_radical.json"; then
       echo "check.sh: missing replicated curve '$curve' in BENCH_radical.json" >&2
       exit 1
