@@ -227,22 +227,30 @@ SimTime ReadRequestDeadline(WireReader& r) {
   return 0;
 }
 
-// The session group (session id + the items' floor versions, in item order)
-// stacks as a *second* optional trailing group after the deadline. Presence
-// is still detected by bytes-remaining, which makes the stacking rule
-// load-bearing: whenever the session group is written, the deadline is
-// written too (even when zero), so the decoder's read order is unambiguous —
-// first optional signed = deadline, anything after it = session group. A
-// sessionless request therefore encodes byte-identically to the pre-session
-// wire format.
+// Two more optional groups stack after the deadline, in this order: the
+// acknowledgement (the sender's life, then exec_id - ack.below, so an
+// acknowledgement up to the sender's oldest open request costs a byte; no
+// acknowledgement, below == 0, is written as exec_id), and the session group
+// (session id + the items' floor versions, in item order). Presence is still
+// detected by bytes-remaining, which makes the stacking rule load-bearing:
+// whenever a group is written, every group before it is written too (zeros
+// when absent), so the decoder's read order is unambiguous. A request with
+// neither group therefore encodes byte-identically to the deadline-only wire
+// format.
 
-void WriteRequestSessionTrailer(WireWriter& w, SimTime deadline, uint64_t session_id,
-                                const std::vector<LviItem>* items) {
-  if (session_id == 0) {
+void WriteRequestTrailer(WireWriter& w, ExecutionId exec_id, SimTime deadline, const Ack& ack,
+                         uint64_t session_id, const std::vector<LviItem>* items) {
+  const bool has_ack = ack.life != 0 || ack.below != 0;
+  if (!has_ack && session_id == 0) {
     WriteRequestDeadline(w, deadline);
     return;
   }
   w.WriteSigned(deadline);  // Explicit, even when 0: anchors the read order.
+  w.WriteVarint(ack.life);
+  w.WriteVarint(exec_id - ack.below);
+  if (session_id == 0) {
+    return;
+  }
   w.WriteVarint(session_id);
   if (items == nullptr) {
     w.WriteVarint(0);  // Direct requests carry no floor (already linearizable).
@@ -254,10 +262,16 @@ void WriteRequestSessionTrailer(WireWriter& w, SimTime deadline, uint64_t sessio
   }
 }
 
-void ReadRequestSessionTrailer(WireReader& r, SimTime* deadline, uint64_t* session_id,
-                               std::vector<LviItem>* items) {
+void ReadRequestTrailer(WireReader& r, ExecutionId exec_id, SimTime* deadline, Ack* ack,
+                        uint64_t* session_id, std::vector<LviItem>* items) {
   *deadline = ReadRequestDeadline(r);
+  *ack = Ack{};
   *session_id = 0;
+  if (!r.ok() || r.AtEnd()) {
+    return;
+  }
+  ack->life = r.ReadVarint();
+  ack->below = exec_id - r.ReadVarint();
   if (!r.ok() || r.AtEnd()) {
     return;
   }
@@ -313,7 +327,8 @@ void EncodeLviRequestTo(const LviRequest& request, WireBuffer* out) {
     w.WriteSigned(item.cached_version);
     w.WriteByte(item.mode == LockMode::kWrite ? 1 : 0);
   }
-  WriteRequestSessionTrailer(w, request.deadline, request.session_id, &request.items);
+  WriteRequestTrailer(w, request.exec_id, request.deadline, request.ack, request.session_id,
+                      &request.items);
 }
 
 WireBuffer EncodeLviRequest(const LviRequest& request) {
@@ -347,7 +362,8 @@ Result<LviRequest> DecodeLviRequest(const WireBuffer& buffer) {
     item.mode = r.ReadByte() == 1 ? LockMode::kWrite : LockMode::kRead;
     request.items.push_back(std::move(item));
   }
-  ReadRequestSessionTrailer(r, &request.deadline, &request.session_id, &request.items);
+  ReadRequestTrailer(r, request.exec_id, &request.deadline, &request.ack, &request.session_id,
+                     &request.items);
   if (!r.AtEnd()) {
     return Status::Error(r.ok() ? "trailing bytes in LVI request" : r.error());
   }
@@ -445,7 +461,8 @@ void EncodeDirectRequestTo(const DirectRequest& request, WireBuffer* out) {
   for (const Value& input : request.inputs) {
     w.WriteValue(input);
   }
-  WriteRequestSessionTrailer(w, request.deadline, request.session_id, nullptr);
+  WriteRequestTrailer(w, request.exec_id, request.deadline, request.ack, request.session_id,
+                      nullptr);
 }
 
 WireBuffer EncodeDirectRequest(const DirectRequest& request) {
@@ -471,7 +488,8 @@ Result<DirectRequest> DecodeDirectRequest(const WireBuffer& buffer) {
   for (uint64_t i = 0; i < num_inputs && r.ok(); ++i) {
     request.inputs.push_back(r.ReadValue());
   }
-  ReadRequestSessionTrailer(r, &request.deadline, &request.session_id, nullptr);
+  ReadRequestTrailer(r, request.exec_id, &request.deadline, &request.ack, &request.session_id,
+                     nullptr);
   if (!r.AtEnd()) {
     return Status::Error(r.ok() ? "trailing bytes in direct request" : r.error());
   }

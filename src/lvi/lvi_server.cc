@@ -92,9 +92,15 @@ LviServer::LviServer(Simulator* sim, VersionedStore* store, const FunctionRegist
       externals_(externals),
       router_(options.shards),
       metrics_(&sim->metrics(), sim->metrics().UniqueScopeName("lvi_server")),
-      lvi_replies_(options.reply_cache_capacity, metrics_),
-      direct_replies_(options.reply_cache_capacity, metrics_),
       busy_until_(static_cast<size_t>(options.shards), 0) {
+  metrics_.AddCallbackGauge("size.lvi_replies",
+                            [this] { return static_cast<int64_t>(lvi_replies_.size()); });
+  metrics_.AddCallbackGauge("size.direct_replies",
+                            [this] { return static_cast<int64_t>(direct_replies_.size()); });
+  metrics_.AddCallbackGauge("size.applied", [this] { return static_cast<int64_t>(applied_.size()); });
+  metrics_.AddCallbackGauge("size.executions",
+                            [this] { return static_cast<int64_t>(executions_.size()); });
+  metrics_.AddCallbackGauge("size.parked", [this] { return static_cast<int64_t>(parked_.size()); });
   if (options_.serving_capacity_rps > kMaxServingCapacityRps) {
     RLOG(kWarn) << "lvi_server: serving_capacity_rps=" << options_.serving_capacity_rps
                 << " exceeds the simulator tick rate (" << kMaxServingCapacityRps
@@ -324,9 +330,9 @@ std::vector<FreshItem> LviServer::FreshItems(std::vector<Key> keys) const {
   return items;
 }
 
-void LviServer::RespondLvi(ExecutionId exec_id, LviResponse response) {
-  lvi_replies_.Put(exec_id, response);
-  AnswerLvi(exec_id, std::move(response));
+void LviServer::RespondLvi(const LviRequest& request, LviResponse response) {
+  lvi_replies_.Put(OriginOf(request), request.exec_id, response);
+  AnswerLvi(request.exec_id, std::move(response));
 }
 
 void LviServer::AnswerLvi(ExecutionId exec_id, LviResponse response) {
@@ -340,9 +346,25 @@ void LviServer::DropParked(ExecutionId exec_id) {
   }
 }
 
-void LviServer::RespondDirect(ExecutionId exec_id, DirectResponse response) {
-  direct_replies_.Put(exec_id, response);
-  AnswerSlot(inflight_direct_, exec_id, std::move(response));
+bool LviServer::Acknowledge(ExecutionId exec_id, Origin origin, ExecutionId below) {
+  if (origin == kNoOrigin) {
+    return true;
+  }
+  ExecutionId& floor = acked_below_[origin];
+  if (below > floor) {
+    floor = below;
+    lvi_replies_.EraseBelow(origin, floor);
+    direct_replies_.EraseBelow(origin, floor);
+    applied_.EraseBelow(origin, floor);
+  }
+  if (exec_id < floor) {
+    // Its origin has its final answer: a retry reordered behind the
+    // acknowledgement, whose reply and idempotency key are gone. Running it
+    // could apply a writer twice.
+    metrics_.Increment("at_most_once_refused");
+    return false;
+  }
+  return true;
 }
 
 void LviServer::HandleLviRequest(LviRequest request, RespondFn respond) {
@@ -351,6 +373,9 @@ void LviServer::HandleLviRequest(LviRequest request, RespondFn respond) {
     return;
   }
   const ExecutionId exec_id = request.exec_id;
+  if (!Acknowledge(exec_id, OriginOf(request), request.ack.below)) {
+    return;
+  }
   // Duplicate of a request whose pipeline is still running (the response, or
   // the original request's slow leg, is in flight): park the fresh respond
   // callback; exactly one reply fires when the pipeline completes.
@@ -482,7 +507,7 @@ void LviServer::Validate(LviRequest request) {
       LviResponse response;
       response.exec_id = exec_id;
       response.validated = true;
-      RespondLvi(exec_id, std::move(response));
+      RespondLvi(request, std::move(response));
       return;
     }
     // (6a) One intent-write round (one primary-store write; plus the
@@ -490,34 +515,34 @@ void LviServer::Validate(LviRequest request) {
     // it then starts its timer and replies. Locks stay held until the
     // followup or re-execution. The round takes effect when its latency
     // elapses, so a crash mid-round leaves no durable trace.
-    SimDuration intent_latency = store_->options().write_latency;
-    if (replicated_) {
-      intent_latency += kIdempotencyWrite;
-    }
-    const SimTime intent_start = sim_->Now();
-    sim_->Schedule(intent_latency, [this, epoch, intent_start, request = std::move(request),
-                                    pins = std::move(pins)]() mutable {
+    sim_->Schedule(IntentWriteLatency(), [this, epoch, request = std::move(request),
+                                          pins = std::move(pins)]() mutable {
       if (!StillAlive(epoch)) {
         metrics_.Increment("stale_epoch_dropped");
         return;
       }
-      CommitIntent(std::move(request), std::move(pins), intent_start);
+      CommitIntent(std::move(request), std::move(pins));
     });
   });
 }
 
-void LviServer::CommitIntent(LviRequest request, Pins pins, SimTime intent_start) {
+SimDuration LviServer::IntentWriteLatency() const {
+  return store_->options().write_latency + (replicated_ ? kIdempotencyWrite : 0);
+}
+
+void LviServer::CommitIntent(LviRequest request, Pins pins) {
   const ExecutionId exec_id = request.exec_id;
-  EmitSpan("server.intent_write", exec_id, intent_start);
+  EmitSpan("server.intent_write", exec_id, sim_->Now() - IntentWriteLatency());
   LviResponse response;
   response.exec_id = exec_id;
   response.validated = true;
   if (executions_.count(exec_id) > 0) {
-    // A retried request of an execution whose intent already exists (its
-    // cached reply was evicted): the existing intent — with its timer and
-    // execution record — is authoritative; just re-answer.
+    // A retried request of an execution whose intent already exists (a
+    // replay carrying no acknowledgement, after its origin acknowledged it
+    // and its cached reply was dropped): the existing intent — with its timer
+    // and execution record — is authoritative; just re-answer.
     metrics_.Increment("retry_intent_hit");
-    RespondLvi(exec_id, std::move(response));
+    RespondLvi(request, std::move(response));
     return;
   }
   const auto parked = parked_.find(exec_id);
@@ -529,7 +554,7 @@ void LviServer::CommitIntent(LviRequest request, Pins pins, SimTime intent_start
     parked_.erase(parked);
     ApplyFollowup(request, writes, pins, nullptr);
     locks_->ReleaseAll(exec_id);
-    RespondLvi(exec_id, std::move(response));
+    RespondLvi(request, std::move(response));
     return;
   }
   BumpShard(HomeShard(request), "intents_created");
@@ -539,8 +564,8 @@ void LviServer::CommitIntent(LviRequest request, Pins pins, SimTime intent_start
   state.intent_timer =
       sim_->Schedule(options_.intent_timeout,
                      [this, exec_id] { ResolveIntentByReExecution(exec_id); });
-  executions_.emplace(exec_id, std::move(state));
-  RespondLvi(exec_id, std::move(response));
+  const auto created = executions_.emplace(exec_id, std::move(state)).first;
+  RespondLvi(created->second.request, std::move(response));
 }
 
 void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices) {
@@ -550,8 +575,8 @@ void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t
   DropParked(request.exec_id);
   // (6b) Run the backup copy of the function against the primary, under the
   // locks already held; (7b) its reply carries the result and repairs.
-  PrimaryRun run(PrimaryRun::kBackup, request.exec_id, registry_->Find(request.function),
-                 std::move(request.inputs));
+  PrimaryRun run(PrimaryRun::kBackup, request.exec_id, OriginOf(request),
+                 registry_->Find(request.function), std::move(request.inputs));
   assert(run.fn != nullptr && "function not registered at the near-storage location");
   for (const size_t i : stale_indices) {
     run.stale_keys.push_back(request.items[i].key);
@@ -648,7 +673,7 @@ void LviServer::ApplyFollowup(const LviRequest& request, const std::vector<Buffe
   BumpShard(HomeShard(request), "followup_applied");
   // (9) Apply the updates under the versions pinned at validation; the
   // write locks guarantee nothing moved underneath.
-  Commit(request.exec_id, writes, pins, latency);
+  Commit(request.exec_id, OriginOf(request), writes, pins, latency);
 }
 
 LviServer::ExecState* LviServer::ClaimIntent(ExecutionId exec_id, IntentPhase winner) {
@@ -681,8 +706,8 @@ void LviServer::ResolveIntentByReExecution(ExecutionId exec_id) {
   // services replay instead of re-charging (§3.5). The result is recorded as
   // a direct reply: a client that gave up on the LVI path and degraded to
   // InvokeDirect replays this run instead of executing a second time.
-  PrimaryRun run(PrimaryRun::kReExecution, exec_id, registry_->Find(state->request.function),
-                 state->request.inputs);
+  PrimaryRun run(PrimaryRun::kReExecution, exec_id, OriginOf(state->request),
+                 registry_->Find(state->request.function), state->request.inputs);
   assert(run.fn != nullptr);
   run.locks = LocksOf(state->request);
   RunAtPrimary(std::move(run));
@@ -694,6 +719,9 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
     return;
   }
   const ExecutionId exec_id = request.exec_id;
+  if (!Acknowledge(exec_id, OriginOf(request), request.ack.below)) {
+    return;
+  }
   const auto inf = inflight_direct_.find(exec_id);
   if (inf != inflight_direct_.end()) {
     metrics_.Increment("duplicate_in_flight");
@@ -732,7 +760,7 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
       // in the direct cache.
       const DirectResponse* done = direct_replies_.Find(exec_id);
       if (done != nullptr) {
-        RespondDirect(exec_id, *done);
+        AnswerSlot(inflight_direct_, exec_id, *done);
         return;
       }
       // Unreachable in practice (the cache outlives the race window); drop
@@ -793,7 +821,8 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
       metrics_.Increment("stale_epoch_dropped");
       return;
     }
-    PrimaryRun run(PrimaryRun::kDirect, request.exec_id, fn, std::move(request.inputs));
+    PrimaryRun run(PrimaryRun::kDirect, request.exec_id, OriginOf(request), fn,
+                   std::move(request.inputs));
     // Lock the read/write set an analyzable function predicts against the
     // primary (the cost is folded into process_delay), so the run serializes
     // against pending write intents. An unanalyzable function, or a failed
@@ -908,7 +937,7 @@ void LviServer::ReadPoint(std::shared_ptr<PrimaryRun> run, SimTime start) {
 
 void LviServer::FinishRun(PrimaryRun& run) {
   const ExecutionId exec_id = run.exec_id;
-  std::vector<FreshItem> written = Commit(exec_id, run.writes, run.pins, nullptr);
+  std::vector<FreshItem> written = Commit(exec_id, run.origin, run.writes, run.pins, nullptr);
   // The reply is durable from here, with the writes: a retry replays it
   // instead of re-executing, even if this server life ends before it leaves.
   if (run.kind == PrimaryRun::kBackup) {
@@ -921,12 +950,12 @@ void LviServer::FinishRun(PrimaryRun& run) {
       repaired.push_back(item.key);
     }
     run.lvi_reply.fresh_items = FreshItems(std::move(repaired));
-    lvi_replies_.Put(exec_id, run.lvi_reply);
+    lvi_replies_.Put(run.origin, exec_id, run.lvi_reply);
   } else {
     run.direct_reply.exec_id = exec_id;
     run.direct_reply.result = std::move(run.result);
     run.direct_reply.fresh_items = std::move(written);
-    direct_replies_.Put(exec_id, run.direct_reply);
+    direct_replies_.Put(run.origin, exec_id, run.direct_reply);
   }
   if (run.kind == PrimaryRun::kReExecution) {
     RetireIntent(exec_id);  // The intent retires with its writes.
@@ -935,7 +964,7 @@ void LviServer::FinishRun(PrimaryRun& run) {
   }
 }
 
-std::vector<FreshItem> LviServer::Commit(ExecutionId exec_id,
+std::vector<FreshItem> LviServer::Commit(ExecutionId exec_id, Origin origin,
                                          const std::vector<BufferedWrite>& writes,
                                          const Pins& pins, SimDuration* latency) {
   if (writes.empty()) {
@@ -943,7 +972,7 @@ std::vector<FreshItem> LviServer::Commit(ExecutionId exec_id,
   }
   // The idempotency key (replicated deployments, §5.6) is recorded with the
   // writes: at most one execution of a request applies any.
-  if (replicated_ && !applied_.insert(exec_id).second) {
+  if (replicated_ && !applied_.Put(origin, exec_id, true)) {
     metrics_.Increment("at_most_once_refused");
     return {};
   }

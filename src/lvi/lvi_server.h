@@ -39,12 +39,12 @@
 #ifndef RADICAL_SRC_LVI_LVI_SERVER_H_
 #define RADICAL_SRC_LVI_LVI_SERVER_H_
 
-#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -85,10 +85,6 @@ struct LviServerOptions {
   // queued — bounding both queue depth and tail latency. Only meaningful
   // when serving_capacity_rps > 0.
   size_t admission_queue_limit = 0;
-  // Bound on the per-kind reply caches that make retried requests
-  // idempotent; oldest entries are evicted FIFO. Modeled as durable (they
-  // live with the idempotency keys in the primary store, §3.4/§5.6).
-  size_t reply_cache_capacity = 1 << 16;
   // Hot-path shard count: lock tables, admission slots and metrics split
   // into this many key-range shards (1 = the paper's singleton). Each shard
   // gets the full serving_capacity_rps — the model for "one server process
@@ -168,7 +164,10 @@ class LviServer {
   // response is ready to be sent back. Idempotent per exec_id: a retried
   // request replays the cached response, re-attaches to the in-flight
   // pipeline, or (after a crash) restarts admission against the surviving
-  // durable state — it never double-locks or double-executes.
+  // durable state — it never double-locks or double-executes. The request's
+  // acknowledgement (Ack) is applied first; an attempt whose id its origin
+  // has already acknowledged is late and dropped unanswered
+  // ("at_most_once_refused").
   void HandleLviRequest(LviRequest request, RespondFn respond);
 
   // Handles a write followup. No response is sent (the client's answer
@@ -185,6 +184,7 @@ class LviServer {
 
   // Executes a function directly in the near-storage location: the fallback
   // for unanalyzable functions, and the primary-datacenter baseline's path.
+  // Acknowledgements and late attempts as for HandleLviRequest.
   void HandleDirect(DirectRequest request, DirectRespondFn respond);
 
   // --- Failure injection ------------------------------------------------------
@@ -211,7 +211,10 @@ class LviServer {
   // --- Statistics -----------------------------------------------------------
   // The server's counters live in the simulator's MetricsRegistry under
   // "lvi_server." (unique per instance); this is the server's registry
-  // slice. Returned by value — MetricsScope is a copyable view.
+  // slice. Returned by value — MetricsScope is a copyable view. The sizes of
+  // the server's tables are callback gauges there, read at snapshot time:
+  // size.lvi_replies, size.direct_replies, size.applied (idempotency keys),
+  // size.executions (write intents) and size.parked (early followups).
   obs::MetricsScope counters() const { return metrics_; }
   uint64_t validations_succeeded() const { return metrics_.Get("validate_success"); }
   uint64_t validations_failed() const { return metrics_.Get("validate_fail"); }
@@ -259,36 +262,68 @@ class LviServer {
   // Moves the intent to finished, drops its record and releases its locks.
   void RetireIntent(ExecutionId exec_id);
 
-  // A bounded reply cache, oldest entry evicted first. Modeled as durable:
-  // it lives next to the idempotency keys in the primary store (§3.4/§5.6),
-  // so it survives Crash().
-  template <typename Reply>
-  class ReplyCache {
+  // Who acknowledges an execution: the runtime life that issued it, packed
+  // as 1 + life * kNumRegions + region. kNoOrigin files a request that
+  // carries no acknowledgement (a failover replay, or a hand-built one); no
+  // acknowledgement ever erases its entries.
+  using Origin = uint64_t;
+  static constexpr Origin kNoOrigin = 0;
+  template <typename Request>
+  static Origin OriginOf(const Request& request) {
+    if (request.ack.below == 0) {
+      return kNoOrigin;
+    }
+    return 1 + request.ack.life * static_cast<Origin>(kNumRegions) +
+           static_cast<Origin>(request.origin);
+  }
+
+  // What the server keeps per execution until its origin acknowledges it (a
+  // reply, or an idempotency key), filed per origin in exec-id order so an
+  // acknowledgement erases its origin's acknowledged range in one sweep.
+  // Server state is thus bounded by the work in flight (RIFL's completion
+  // records). Modeled as durable: it lives next to the idempotency keys in
+  // the primary store (§3.4/§5.6), so it survives Crash().
+  template <typename Entry>
+  class AckedTable {
    public:
-    ReplyCache(size_t capacity, obs::MetricsScope metrics)
-        : capacity_(capacity), metrics_(std::move(metrics)) {}
-    const Reply* Find(ExecutionId exec_id) const {
-      const auto it = replies_.find(exec_id);
-      return it == replies_.end() ? nullptr : &it->second;
+    const Entry* Find(ExecutionId exec_id) const {
+      const auto it = entries_.find(exec_id);
+      return it == entries_.end() ? nullptr : &it->second;
     }
-    void Put(ExecutionId exec_id, Reply reply) {
-      if (!replies_.insert_or_assign(exec_id, std::move(reply)).second) {
-        return;  // Overwrote a cached reply; its age stays.
+    // Files `entry` under `origin`. An existing entry is overwritten and
+    // stays filed where it was; returns false in that case.
+    bool Put(Origin origin, ExecutionId exec_id, Entry entry) {
+      if (!entries_.insert_or_assign(exec_id, std::move(entry)).second) {
+        return false;
       }
-      order_.push_back(exec_id);
-      if (order_.size() > capacity_) {
-        replies_.erase(order_.front());
-        order_.pop_front();
-        metrics_.Increment("reply_cache_evicted");
-      }
+      by_origin_[origin].insert(exec_id);
+      return true;
     }
+    // Erases `origin`'s entries below `below`.
+    void EraseBelow(Origin origin, ExecutionId below) {
+      const auto filed = by_origin_.find(origin);
+      if (filed == by_origin_.end()) {
+        return;
+      }
+      std::set<ExecutionId>& ids = filed->second;
+      const auto end = ids.lower_bound(below);
+      for (auto it = ids.begin(); it != end; ++it) {
+        entries_.erase(*it);
+      }
+      ids.erase(ids.begin(), end);
+    }
+    size_t size() const { return entries_.size(); }
 
    private:
-    size_t capacity_;
-    obs::MetricsScope metrics_;
-    std::unordered_map<ExecutionId, Reply> replies_;
-    std::deque<ExecutionId> order_;
+    std::unordered_map<ExecutionId, Entry> entries_;
+    std::map<Origin, std::set<ExecutionId>> by_origin_;
   };
+
+  // Applies the acknowledgement a request carries: raises its origin's
+  // floor and erases what the server kept below it. Returns false, counting
+  // the refusal, when the request's own id is below that floor: a late
+  // attempt, which without this check could run a writer twice.
+  bool Acknowledge(ExecutionId exec_id, Origin origin, ExecutionId below);
 
   // True when the server is up and still in the epoch a continuation was
   // scheduled in; continuations from before a crash (or from the previous
@@ -304,8 +339,11 @@ class LviServer {
   // Tail of the success path, once the intent write's latency has elapsed:
   // commit a parked followup's writes in that write and release the locks,
   // or else create the intent record (idempotently) and arm its timer; then
-  // reply. `intent_start` is when that write began (span).
-  void CommitIntent(LviRequest request, Pins pins, SimTime intent_start);
+  // reply.
+  void CommitIntent(LviRequest request, Pins pins);
+  // The intent-write round: one primary-store write, plus the idempotency
+  // key in the replicated configuration.
+  SimDuration IntentWriteLatency() const;
   // The apply half of a followup, shared by one that found its armed intent
   // and one parked until its validation: commits `writes` at the versions
   // `pins` holds (adding the write cost to `latency`, if given).
@@ -328,11 +366,12 @@ class LviServer {
   // validation, a deterministic re-execution, or a direct execution.
   struct PrimaryRun {
     enum Kind { kBackup, kReExecution, kDirect };
-    PrimaryRun(Kind run_kind, ExecutionId id, const AnalyzedFunction* function,
+    PrimaryRun(Kind run_kind, ExecutionId id, Origin run_origin, const AnalyzedFunction* function,
                std::vector<Value> args)
-        : kind(run_kind), exec_id(id), fn(function), inputs(std::move(args)) {}
+        : kind(run_kind), exec_id(id), origin(run_origin), fn(function), inputs(std::move(args)) {}
     Kind kind;
     ExecutionId exec_id;
+    Origin origin;  // Where its reply and idempotency key are filed.
     const AnalyzedFunction* fn;
     std::vector<Value> inputs;
     // Backup only: the items validation found stale, repaired in the reply.
@@ -370,22 +409,24 @@ class LviServer {
   // The one site where writes land at the primary, for a followup and for
   // every run: applies each write at the version `pins` holds for its key
   // (adding the write cost to `latency`, if given), records the idempotency
-  // key with them, and hands the written items to the push listener.
-  // Returns those items; none when the idempotency key refused the writes.
-  std::vector<FreshItem> Commit(ExecutionId exec_id, const std::vector<BufferedWrite>& writes,
-                                const Pins& pins, SimDuration* latency);
+  // key with them (filed under `origin`), and hands the written items to the
+  // push listener. Returns those items; none when the idempotency key
+  // refused the writes.
+  std::vector<FreshItem> Commit(ExecutionId exec_id, Origin origin,
+                                const std::vector<BufferedWrite>& writes, const Pins& pins,
+                                SimDuration* latency);
 
   // Fresh copies of `keys` from the primary, sorted and deduplicated; keys
   // the primary does not hold are skipped.
   std::vector<FreshItem> FreshItems(std::vector<Key> keys) const;
 
-  // Completion funnel: caches the reply (idempotency) and answers the
-  // freshest in-flight respond slot for the exec, if any.
-  void RespondLvi(ExecutionId exec_id, LviResponse response);
+  // Completion funnel: caches the reply (idempotency) under the request's
+  // origin and answers the freshest in-flight respond slot for the exec, if
+  // any.
+  void RespondLvi(const LviRequest& request, LviResponse response);
   // Answers the exec's in-flight LVI slot, if any, without caching; the LVI
   // pipeline has ended, so a followup still parked there is dropped.
   void AnswerLvi(ExecutionId exec_id, LviResponse response);
-  void RespondDirect(ExecutionId exec_id, DirectResponse response);
 
   // Records one server-track span ending now (no-op without a collector).
   void EmitSpan(const char* name, ExecutionId exec_id, SimTime start);
@@ -407,9 +448,9 @@ class LviServer {
   // the default configuration creates no extra instruments.
   std::vector<obs::MetricsScope> shard_metrics_;
   // Idempotency keys (replicated deployments, §5.6): the executions whose
-  // writes reached the primary. At most one execution of a request applies
-  // any.
-  std::unordered_set<ExecutionId> applied_;
+  // writes reached the primary, kept until acknowledged. At most one
+  // execution of a request applies any.
+  AckedTable<bool> applied_;
   // Write intents, durable (they live in the primary store with the
   // execution's inputs). Execution ids are globally unique, so one map
   // serves every shard.
@@ -424,8 +465,11 @@ class LviServer {
   std::unordered_map<ExecutionId, RespondFn> inflight_lvi_;
   std::unordered_map<ExecutionId, DirectRespondFn> inflight_direct_;
   obs::MetricsScope metrics_;
-  ReplyCache<LviResponse> lvi_replies_;
-  ReplyCache<DirectResponse> direct_replies_;
+  AckedTable<LviResponse> lvi_replies_;
+  AckedTable<DirectResponse> direct_replies_;
+  // Per origin, the highest acknowledgement seen: its ids below it are
+  // final, and an attempt for one is late. Durable, with the tables.
+  std::map<Origin, ExecutionId> acked_below_;
   obs::SpanCollector* spans_ = nullptr;
   PushFn push_;
   // Capacity model, per shard: the instant shard i frees up (>= now when

@@ -37,6 +37,19 @@ enum class ResponseStatus : uint8_t {
 
 const char* ResponseStatusName(ResponseStatus status);
 
+// A sender's acknowledgement, carried by every LVI and direct request a
+// runtime sends (an optional trailing wire group): every execution id the
+// sender issued in this life below `below` is final, so the server may drop
+// what it keeps for them (RIFL's "first incomplete sequence number"). `life`
+// counts the sender's crashes; a restarted runtime is a new origin, whose
+// acknowledgements never reach the ids of its previous life. below == 0
+// acknowledges nothing: a failover replay carries no acknowledgement, and
+// the server files it under no origin.
+struct Ack {
+  uint64_t life = 0;
+  ExecutionId below = 0;
+};
+
 // One entry of the request's item list.
 struct LviItem {
   Key key;
@@ -65,6 +78,7 @@ struct LviRequest {
   // the sessionless encoding). 0 = no session. When nonzero, the items'
   // session_floor versions travel with it.
   uint64_t session_id = 0;
+  Ack ack;
 };
 
 // Fresh copy shipped back for a stale or backup-written item.
@@ -109,6 +123,7 @@ struct DirectRequest {
   // identifies session traffic (metrics) and failover replays, which reuse
   // the original exec_id on this path for exactly-once resolution.
   uint64_t session_id = 0;
+  Ack ack;
 };
 
 struct DirectResponse {

@@ -159,6 +159,9 @@ void PrimaryBaselineDeployment::Invoke(Region origin, const std::string& functio
   request.origin = origin;
   request.function = function;
   request.inputs = std::move(inputs);
+  std::set<ExecutionId>& open = open_ids_[origin];
+  open.insert(request.exec_id);
+  request.ack = Ack{0, *open.begin()};
   const size_t request_size = wire_scratch_.SizeOf(request);
   network_->endpoint(origin).Send(
       network_->endpoint(kPrimaryRegion), net::MessageKind::kDirectRequest, request_size,
@@ -170,8 +173,9 @@ void PrimaryBaselineDeployment::Invoke(Region origin, const std::string& functio
               network_->endpoint(kPrimaryRegion)
                   .Send(network_->endpoint(origin), net::MessageKind::kDirectResponse,
                         response_size,
-                        [done = std::move(done),
+                        [this, origin, exec_id = response.exec_id, done = std::move(done),
                          result = std::move(response.result)]() mutable {
+                          open_ids_[origin].erase(exec_id);
                           done(std::move(result));
                         });
             });

@@ -17,6 +17,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,10 @@ class PrimaryBaselineDeployment : public AppService {
   VersionedStore primary_;
   std::unique_ptr<LocalLockService> locks_;
   std::unique_ptr<LviServer> server_;
+  // Per client region, the ids still waiting for their response. The
+  // smallest is each new request's acknowledgement, so the server keeps a
+  // reply only while it is in flight.
+  std::map<Region, std::set<ExecutionId>> open_ids_;
   // Reusable codec scratch for measuring request/response wire sizes.
   WireScratch wire_scratch_;
 };

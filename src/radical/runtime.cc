@@ -44,6 +44,14 @@ void Runtime::set_shard_endpoints(std::vector<net::Endpoint> endpoints) {
   shard_router_ = ShardRouter(static_cast<int>(shard_endpoints_.size()));
 }
 
+Ack Runtime::AckFor(const RequestState& state) const {
+  if (state.replay_exec_id != 0) {
+    return Ack{};
+  }
+  assert(!open_ids_.empty() && "a request's own id is open while it sends");
+  return Ack{epoch_, *open_ids_.begin()};
+}
+
 void Runtime::RouteToServer(RequestState* state, const Key* first_key) const {
   const int shard = first_key == nullptr ? 0 : shard_router_.ShardOf(*first_key);
   state->server_ep = shard_endpoints_[static_cast<size_t>(shard)];
@@ -55,6 +63,7 @@ void Runtime::Crash() {
   }
   alive_ = false;
   ++epoch_;
+  open_ids_.clear();
   metrics_.Increment("crashes");
   // The process died: the cache's contents are gone (a restarted PoP warms
   // from scratch) and every in-flight request's pending events now carry a
@@ -171,6 +180,11 @@ void Runtime::Submit(Request request, RequestOptions options, OutcomeFn done) {
     // idempotency machinery resolves it exactly once; everything else draws
     // a fresh id here (allocation order is part of the schedule).
     state->exec_id = state->replay_exec_id != 0 ? state->replay_exec_id : sim_->NextId();
+    if (state->replay_exec_id == 0 && !state->phase.Is(RequestPhase::kDone)) {
+      // Open from the moment it exists: a request sent while this one runs
+      // f^rw must not acknowledge it.
+      open_ids_.insert(state->exec_id);
+    }
     if (state->session != nullptr && state->session->on_exec_assigned) {
       state->session->on_exec_assigned(state->session_seq, state->exec_id);
     }
@@ -227,6 +241,7 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
   request.function = state->function;
   request.inputs = state->inputs;
   request.deadline = state->deadline;
+  request.ack = AckFor(*state);
   // Speculation is pointless only when a key the function *reads* is absent
   // from the cache (validation is then guaranteed to fail, §3.2). A missing
   // blind-write key is normal — functions create keys (new posts, bookings,
@@ -837,6 +852,7 @@ void Runtime::InvokeDirect(std::shared_ptr<RequestState> state) {
   state->direct_request.inputs = state->inputs;
   state->direct_request.deadline = state->deadline;
   state->direct_request.session_id = state->session != nullptr ? state->session->id : 0;
+  state->direct_request.ack = AckFor(*state);
   state->trace.direct = true;
   state->direct_request_size = wire_scratch_.SizeOf(state->direct_request);
   SendAttempt(state, AttemptPath::kDirect);
@@ -862,6 +878,7 @@ void Runtime::FinishReply(const std::shared_ptr<RequestState>& state, Outcome ou
   // The client is answered exactly once: a second completion is the illegal
   // edge done -> done and aborts.
   state->phase.Move(RequestPhase::kDone);
+  open_ids_.erase(state->exec_id);  // Final: the next request acknowledges it.
   if (state->deadline_event != kInvalidEventId) {
     sim_->Cancel(state->deadline_event);
     state->deadline_event = kInvalidEventId;

@@ -20,6 +20,7 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -285,6 +286,10 @@ class Runtime {
   // Picks the server channel for `state`: the shard owning `first_key`
   // (nullptr = shard 0).
   void RouteToServer(RequestState* state, const Key* first_key) const;
+  // The acknowledgement a request's message carries. A failover replay
+  // reuses an id another life issued: it carries none, and the server files
+  // it under no origin.
+  Ack AckFor(const RequestState& state) const;
 
   Simulator* sim_;
   Network* network_;
@@ -319,6 +324,10 @@ class Runtime {
   bool alive_ = true;
   uint64_t epoch_ = 0;
   std::vector<std::function<void()>> crash_listeners_;
+  // The ids this life has drawn and not yet answered its client for; the
+  // smallest is every request's acknowledgement. The epoch is the life: a
+  // crash forgets them, and the next life acknowledges only its own.
+  std::set<ExecutionId> open_ids_;
 };
 
 }  // namespace radical

@@ -31,6 +31,9 @@ RaftCluster::RaftCluster(Simulator* sim, int node_count, RaftOptions options,
                          [n] { return static_cast<int64_t>(n->commit_index()); });
     reg.AddCallbackGauge(base + ".is_leader", [n] { return n->is_leader() ? 1 : 0; });
     reg.AddCallbackGauge(base + ".alive", [n] { return n->alive() ? 1 : 0; });
+    reg.AddCallbackGauge(base + ".log_entries", [n] {
+      return static_cast<int64_t>(n->log().last_index() - n->log().snapshot_index());
+    });
   }
 }
 

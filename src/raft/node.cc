@@ -325,8 +325,7 @@ AppendEntriesReply RaftNode::HandleInstallSnapshot(const InstallSnapshotArgs& ar
 }
 
 void RaftNode::MaybeCompact() {
-  if (options_.compaction_threshold == 0 || !snapshot_ ||
-      last_applied_ - log_.snapshot_index() < options_.compaction_threshold) {
+  if (!snapshot_ || last_applied_ - log_.snapshot_index() < options_.compaction_threshold) {
     return;
   }
   snapshot_data_ = snapshot_();

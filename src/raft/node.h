@@ -47,11 +47,12 @@ struct RaftOptions {
   // Per-RPC handler processing time.
   SimDuration process_delay = Micros(100);
   size_t max_entries_per_append = 64;
-  // Log compaction: once more than this many applied entries sit in the log,
-  // snapshot the state machine and discard them (0 disables; requires
-  // snapshot hooks). Followers that fall behind the compaction point catch
-  // up via InstallSnapshot.
-  size_t compaction_threshold = 0;
+  // Log compaction: once this many applied entries sit in the log, snapshot
+  // the state machine and discard them, so the in-memory log stays bounded
+  // on long runs. Needs snapshot hooks (a node without them keeps its log).
+  // Followers that fall behind the compaction point catch up via
+  // InstallSnapshot.
+  size_t compaction_threshold = 1024;
   // Models the leader's finite proposal-processing rate: each Propose
   // occupies the leader for 1/rate seconds before it is appended, queueing
   // behind earlier proposals (same busy-until model as the LVI server's
@@ -146,7 +147,7 @@ class RaftNode {
   void set_apply(ApplyFn apply) { apply_ = std::move(apply); }
 
   // Snapshot hooks: serialize the state machine / rebuild it from a
-  // serialization. Required when compaction_threshold > 0. The hooks may
+  // serialization. Without them the node never compacts its log. The hooks may
   // capture state that outlives restarts (they are kept across Crash).
   using SnapshotFn = std::function<std::string()>;
   using RestoreFn = std::function<void(const std::string&)>;

@@ -233,6 +233,51 @@ TEST(WireCodecTest, DirectRequestSessionTrailerRoundTrip) {
   EXPECT_EQ(plain->session_id, 0u);
 }
 
+// Acknowledgement group: the sender's life and how far below its own id the
+// acknowledgement reaches. It sits between the deadline and the session
+// group; a request without one keeps the deadline-only encoding.
+TEST(WireCodecTest, AckTrailerRoundTripsAndCostsThreeBytesAtTheRuntimesCommonCase) {
+  const LviRequest plain = SampleRequest();
+  LviRequest acking = plain;
+  acking.ack = Ack{0, acking.exec_id};  // The runtime's only open request.
+  const WireBuffer base = EncodeLviRequest(plain);
+  const WireBuffer extended = EncodeLviRequest(acking);
+  // An explicit zero deadline, the life and a zero distance.
+  EXPECT_EQ(extended.size(), base.size() + 3);
+  ASSERT_TRUE(std::equal(base.begin(), base.end(), extended.begin()));
+
+  LviRequest full = SampleRequest();
+  full.deadline = 1500;
+  full.ack = Ack{2, full.exec_id - 40};
+  full.session_id = 7;
+  full.items[1].session_floor = 3;
+  const Result<LviRequest> decoded = DecodeLviRequest(EncodeLviRequest(full));
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  EXPECT_EQ(decoded->deadline, 1500);
+  EXPECT_EQ(decoded->ack.life, 2u);
+  EXPECT_EQ(decoded->ack.below, full.exec_id - 40);
+  EXPECT_EQ(decoded->session_id, 7u);
+  EXPECT_EQ(decoded->items[1].session_floor, 3);
+
+  // A session without an acknowledgement (a failover replay) keeps below 0.
+  DirectRequest replay;
+  replay.exec_id = 11;
+  replay.function = "f";
+  replay.session_id = 99;
+  const Result<DirectRequest> replayed = DecodeDirectRequest(EncodeDirectRequest(replay));
+  ASSERT_TRUE(replayed.ok()) << replayed.message();
+  EXPECT_EQ(replayed->ack.below, 0u);
+  EXPECT_EQ(replayed->session_id, 99u);
+  DirectRequest direct = replay;
+  direct.session_id = 0;
+  direct.ack = Ack{1, 9};
+  const Result<DirectRequest> acked = DecodeDirectRequest(EncodeDirectRequest(direct));
+  ASSERT_TRUE(acked.ok()) << acked.message();
+  EXPECT_EQ(acked->ack.life, 1u);
+  EXPECT_EQ(acked->ack.below, 9u);
+  EXPECT_EQ(acked->session_id, 0u);
+}
+
 TEST(WireCodecTest, DirectResponseRoundTrip) {
   DirectResponse response;
   response.exec_id = 99;

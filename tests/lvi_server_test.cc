@@ -48,6 +48,20 @@ class LviServerTest : public ::testing::Test {
     return request;
   }
 
+  // A request from CA's runtime (life 0) that acknowledges every earlier id
+  // it issued: it is its origin's only open request.
+  LviRequest AckingRequest(const std::string& function, std::vector<Value> inputs,
+                           std::vector<LviItem> items) {
+    LviRequest request = MakeRequest(function, std::move(inputs), std::move(items));
+    request.ack = Ack{0, request.exec_id};
+    return request;
+  }
+
+  // One of `server`'s size.* gauges (what it keeps until acknowledged).
+  int64_t Kept(const LviServer& server, const std::string& table) {
+    return sim_.metrics().GaugeValue(server.counters().prefix() + ".size." + table);
+  }
+
   Simulator sim_;
   VersionedStore store_;
   Analyzer analyzer_;
@@ -709,13 +723,12 @@ TEST_F(LviServerTest, BackupsWritingAKeyTheyOnlyReadLockedLoseNoUpdate) {
   EXPECT_TRUE(server_->idle());
 }
 
-TEST_F(LviServerTest, IdempotencyKeyLetsOneBackupApplyAcrossACrashAndAnEvictedReply) {
-  options_.reply_cache_capacity = 1;
+TEST_F(LviServerTest, IdempotencyKeyLetsOneBackupApplyAcrossACrashAndAnAcknowledgedReply) {
   LviServer server(&sim_, &store_, &registry_, &interp_, &locks_, options_, /*replicated=*/true);
   store_.Seed("k", Value("v0"));  // Version 1; the writer's cache claims 0.
   store_.Seed("other", Value("o"));
-  const LviRequest request = MakeRequest("reg_set", {Value("k"), Value("v1")},
-                                         {{"k", 0, LockMode::kWrite}});
+  const LviRequest request = AckingRequest("reg_set", {Value("k"), Value("v1")},
+                                           {{"k", 0, LockMode::kWrite}});
   server.HandleLviRequest(request, [](LviResponse) {});
   // Crash between the backup's read point and its write: nothing applied.
   sim_.RunFor(options_.process_delay + store_.options().read_latency +
@@ -733,15 +746,21 @@ TEST_F(LviServerTest, IdempotencyKeyLetsOneBackupApplyAcrossACrashAndAnEvictedRe
   EXPECT_EQ(reply->backup_result, Value("v1"));
   EXPECT_EQ(store_.VersionOf("k"), 2);
   EXPECT_FALSE(locks_.table().IsWriteHeldBy("k", request.exec_id));
-  // Another execution's reply evicts this one's; a further retry reruns the
-  // backup, and the idempotency key refuses its write.
-  server.HandleLviRequest(MakeRequest("reg_get", {Value("other")},
-                                      {{"other", 1, LockMode::kRead}}),
+  EXPECT_EQ(Kept(server, "lvi_replies"), 1);
+  EXPECT_EQ(Kept(server, "applied"), 1);
+  // The origin's next request acknowledges the writer: its reply and its
+  // idempotency key go. A further retry, reordered behind that request, is
+  // refused before it can rerun the backup.
+  server.HandleLviRequest(AckingRequest("reg_get", {Value("other")},
+                                        {{"other", 1, LockMode::kRead}}),
                           [](LviResponse) {});
   sim_.Run();
-  ASSERT_EQ(server.counters().Get("reply_cache_evicted"), 1u);
-  server.HandleLviRequest(request, [](LviResponse) {});
+  ASSERT_EQ(Kept(server, "lvi_replies"), 1);  // The reader's own reply.
+  ASSERT_EQ(Kept(server, "applied"), 0);
+  bool answered = false;
+  server.HandleLviRequest(request, [&](LviResponse) { answered = true; });
   sim_.Run();
+  EXPECT_FALSE(answered);
   EXPECT_EQ(server.counters().Get("at_most_once_refused"), 1u);
   EXPECT_EQ(store_.VersionOf("k"), 2);  // Still applied exactly once.
   EXPECT_EQ(locks_.table().active_lock_count(), 0u);
@@ -798,32 +817,27 @@ TEST(LviServerReplicatedTest, UnanalyzableDirectExecutionLocksWhatItsFirstRunTou
 }
 
 
-// A writer retried after its cached reply was evicted, while its intent is
-// still pending, re-attaches to that intent (retry_intent_hit) instead of
-// creating a second one.
-class RetryIntentHitTest : public LviServerTest {
- protected:
-  RetryIntentHitTest() {
-    options_.reply_cache_capacity = 1;
-    server_ = std::make_unique<LviServer>(&sim_, &store_, &registry_, &interp_, &locks_,
-                                          options_);
-  }
-};
+// A writer replayed without an acknowledgement (the shape of a failover
+// replay) after its origin acknowledged it and its cached reply was dropped,
+// while its intent is still pending, re-attaches to that intent
+// (retry_intent_hit) instead of creating a second one.
+class RetryIntentHitTest : public LviServerTest {};
 
-TEST_F(RetryIntentHitTest, RetryAfterReplyEvictionReusesThePendingIntent) {
+TEST_F(RetryIntentHitTest, ReplayAfterAcknowledgementReusesThePendingIntent) {
   store_.Seed("k", Value("v0"));
   store_.Seed("other", Value("o"));
-  LviRequest request = MakeRequest("reg_set", {Value("k"), Value("v1")},
-                                   {{"k", 1, LockMode::kWrite}});
-  const LviRequest retry = request;
+  LviRequest request = AckingRequest("reg_set", {Value("k"), Value("v1")},
+                                     {{"k", 1, LockMode::kWrite}});
+  LviRequest retry = request;
+  retry.ack = Ack{};
   server_->HandleLviRequest(std::move(request), [](LviResponse) {});
   sim_.RunFor(Millis(50));  // Validated; the intent is pending, no followup.
-  // Another execution's reply evicts the writer's from the one-entry cache.
-  server_->HandleLviRequest(MakeRequest("reg_get", {Value("other")},
-                                        {{"other", 1, LockMode::kRead}}),
+  // The origin's next request acknowledges the writer: its reply goes.
+  server_->HandleLviRequest(AckingRequest("reg_get", {Value("other")},
+                                          {{"other", 1, LockMode::kRead}}),
                             [](LviResponse) {});
   sim_.RunFor(Millis(50));
-  ASSERT_EQ(server_->counters().Get("reply_cache_evicted"), 1u);
+  ASSERT_EQ(Kept(*server_, "lvi_replies"), 1);  // The reader's own reply.
 
   int replies = 0;
   bool validated = false;
@@ -841,6 +855,72 @@ TEST_F(RetryIntentHitTest, RetryAfterReplyEvictionReusesThePendingIntent) {
   EXPECT_EQ(store_.Peek("k")->value, Value("v1"));
   EXPECT_EQ(store_.VersionOf("k"), 2);  // Applied exactly once.
   EXPECT_TRUE(server_->idle());
+}
+
+// At-most-once in the singleton server, which keeps no idempotency keys: a
+// retry of a writer that arrives after its origin acknowledged it (reordered
+// by jitter, or on another shard's channel) is dropped at the door, not run
+// again, though the writer's reply is no longer cached.
+TEST_F(LviServerTest, RetryReorderedBehindItsAcknowledgementIsDroppedNotReExecuted) {
+  store_.Seed("k", Value("v0"));  // Version 1; the writer's cache claims 0.
+  store_.Seed("other", Value("o"));
+  const LviRequest writer = AckingRequest("reg_set", {Value("k"), Value("v1")},
+                                          {{"k", 0, LockMode::kWrite}});
+  std::optional<LviResponse> reply;
+  server_->HandleLviRequest(writer, [&](LviResponse r) { reply = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_FALSE(reply->validated);  // The backup wrote k.
+  ASSERT_EQ(store_.VersionOf("k"), 2);
+  server_->HandleLviRequest(AckingRequest("reg_get", {Value("other")},
+                                          {{"other", 1, LockMode::kRead}}),
+                            [](LviResponse) {});
+  sim_.Run();
+  ASSERT_EQ(Kept(*server_, "lvi_replies"), 1);  // Only the reader's.
+  const uint64_t admitted = server_->counters().Get("lvi_requests");
+
+  // The writer's retry, and a direct fallback of it, arrive late.
+  int answers = 0;
+  server_->HandleLviRequest(writer, [&](LviResponse) { ++answers; });
+  DirectRequest direct;
+  direct.exec_id = writer.exec_id;
+  direct.origin = writer.origin;
+  direct.function = writer.function;
+  direct.inputs = writer.inputs;
+  direct.ack = writer.ack;
+  server_->HandleDirect(direct, [&](DirectResponse) { ++answers; });
+  sim_.Run();
+  EXPECT_EQ(answers, 0);
+  EXPECT_EQ(server_->counters().Get("at_most_once_refused"), 2u);
+  EXPECT_EQ(server_->counters().Get("lvi_requests"), admitted);
+  EXPECT_EQ(server_->counters().Get("direct_requests"), 0u);
+  EXPECT_EQ(store_.VersionOf("k"), 2);  // Applied exactly once.
+  EXPECT_EQ(locks_.table().active_lock_count(), 0u);
+  EXPECT_TRUE(server_->idle());
+}
+
+// A restarted runtime is a new origin: its acknowledgements never reach what
+// the server keeps for the ids of its previous life.
+TEST_F(LviServerTest, AcknowledgementsOfANewLifeLeaveThePreviousLifesReplies) {
+  store_.Seed("k", Value("v"));
+  const LviRequest old_life = AckingRequest("reg_get", {Value("k")}, {{"k", 1, LockMode::kRead}});
+  server_->HandleLviRequest(old_life, [](LviResponse) {});
+  sim_.Run();
+  LviRequest new_life = MakeRequest("reg_get", {Value("k")}, {{"k", 1, LockMode::kRead}});
+  new_life.ack = Ack{1, new_life.exec_id};
+  server_->HandleLviRequest(new_life, [](LviResponse) {});
+  sim_.Run();
+  EXPECT_EQ(Kept(*server_, "lvi_replies"), 2);
+  // A replay of the old id (no acknowledgement) still finds its reply.
+  LviRequest replay = old_life;
+  replay.ack = Ack{};
+  std::optional<LviResponse> replayed;
+  server_->HandleLviRequest(replay, [&](LviResponse r) { replayed = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_TRUE(replayed->validated);
+  EXPECT_EQ(server_->counters().Get("duplicate_replayed"), 1u);
+  EXPECT_EQ(server_->counters().Get("at_most_once_refused"), 0u);
 }
 
 }  // namespace

@@ -884,6 +884,85 @@ TEST_P(ReplicatedCommitCountTest, MultiKeyReadCommitsOneAcquireAndOneReleasePerG
 
 INSTANTIATE_TEST_SUITE_P(Shards, ReplicatedCommitCountTest, ::testing::Values(1, 4), ShardsName);
 
+// --- Bounded state ----------------------------------------------------------
+
+TEST(ReplicatedIdempotencyTest, AcknowledgedWritersLeaveTheIdempotencySet) {
+  // Every writer records its idempotency key with its writes. The runtime's
+  // next request acknowledges it, and the key goes with the cached reply: the
+  // set holds the writers in flight, not every writer of the run.
+  Simulator sim(27);
+  Network net(&sim, LatencyMatrix::PaperDefault(), NoJitter());
+  RadicalDeployment radical(&sim, &net, RadicalConfig{}, {Region::kCA}, /*replicated_locks=*/3);
+  radical.RegisterFunction(Fn("reg_set", {"k", "v"}, {
+      Write(In("k"), In("v")),
+      Return(In("v")),
+  }));
+  radical.Seed("k", Value("v0"));
+  radical.WarmCaches();
+  const std::string kept = radical.server().counters().prefix() + ".size.";
+  constexpr int kWriters = 20;
+  int done = 0;
+  int64_t peak = 0;
+  std::function<void()> write_next = [&] {
+    radical.Invoke(Region::kCA, "reg_set", {Value("k"), Value(int64_t{done})}, [&](Value) {
+      ++done;
+      peak = std::max(peak, sim.metrics().GaugeValue(kept + "applied"));
+      if (done < kWriters) {
+        write_next();
+      }
+    });
+  };
+  write_next();
+  sim.RunFor(Seconds(30));
+  ASSERT_EQ(done, kWriters);
+  EXPECT_EQ(radical.primary().VersionOf("k"), 1 + kWriters);
+  EXPECT_EQ(radical.server().counters().Get("followup_applied"), static_cast<uint64_t>(kWriters));
+  EXPECT_GE(peak, 1);
+  // Only the last writer, which nothing acknowledged, is still kept.
+  EXPECT_EQ(sim.metrics().GaugeValue(kept + "applied"), 1);
+  EXPECT_EQ(sim.metrics().GaugeValue(kept + "lvi_replies"), 1);
+  EXPECT_EQ(radical.server().counters().Get("at_most_once_refused"), 0u);
+  EXPECT_TRUE(radical.server().idle());
+}
+
+TEST(ReplicatedLogCompactionTest, RestartedFollowerCatchesUpThroughInstallSnapshot) {
+  // Every deployed lock group compacts its log. A follower that was down
+  // while the leader compacted past its log rejoins from the snapshot.
+  Simulator sim(41);
+  ReplicatedLockService locks(&sim, 3);
+  ASSERT_TRUE(locks.Bootstrap());
+  RaftCluster& cluster = locks.cluster();
+  sim.RunFor(Millis(100));
+  const NodeId follower = (cluster.LeaderId() + 1) % 3;
+  cluster.CrashNode(follower);
+  // Acquire and release distinct keys until the leader has compacted.
+  const auto threshold = static_cast<ExecutionId>(RaftOptions{}.compaction_threshold);
+  int granted = 0;
+  for (ExecutionId exec = 1; exec <= threshold; ++exec) {
+    locks.AcquireAll(exec, {"k" + std::to_string(exec)}, {LockMode::kWrite}, [&, exec] {
+      ++granted;
+      locks.ReleaseAll(exec);
+    });
+  }
+  sim.RunFor(Seconds(5));
+  ASSERT_EQ(granted, static_cast<int>(threshold));
+  RaftNode* leader = cluster.leader();
+  ASSERT_NE(leader, nullptr);
+  ASSERT_GT(leader->log().snapshot_index(), 0u);
+  EXPECT_LE(leader->log().last_index() - leader->log().snapshot_index(), threshold);
+  ASSERT_EQ(cluster.mesh().fabric().messages_of(net::MessageKind::kRaftSnapshot), 0u);
+
+  cluster.RestartNode(follower);
+  sim.RunFor(Seconds(2));
+  const RaftNode* rejoined = cluster.node(follower);
+  EXPECT_GE(cluster.mesh().fabric().messages_of(net::MessageKind::kRaftSnapshot), 1u);
+  EXPECT_GT(rejoined->log().snapshot_index(), 0u);
+  EXPECT_EQ(rejoined->last_applied(), leader->last_applied());
+  EXPECT_EQ(rejoined->log().last_index(), leader->log().last_index());
+  EXPECT_EQ(locks.LeaderState()->TotalHeldKeys(), 0u);
+  EXPECT_TRUE(locks.idle());
+}
+
 // --- Server shards set the lock-group count ---------------------------------
 
 TEST(ShardedReplicatedDeploymentTest, ServerShardsSetTheLockGroupCount) {

@@ -224,6 +224,62 @@ TEST_F(SessionTest, InFlightRequestReplayedExactlyOnceAcrossCrash) {
   EXPECT_EQ(read_back, Value("v1"));
 }
 
+// A restarted runtime is a new origin and never acknowledges the ids of its
+// previous life. A failover replay of a request the server answered before
+// the crash resolves from the reply cached for it, exactly once, even when
+// it arrives after the restarted runtime's new requests have acknowledged
+// ids past the replayed one.
+TEST_F(SessionTest, FailoverReplayResolvesFromTheCachedReplyAfterTheCrashedRuntimeRestarts) {
+  Session session = radical_->OpenSession(Region::kCA);
+  // The write runs at the primary, but its response never reaches CA.
+  net::DropRule lost_response;
+  lost_response.kind = net::MessageKind::kDirectResponse;
+  lost_response.to = radical_->runtime(Region::kCA).endpoint().id();
+  net_.fabric().AddDropRule(lost_response);
+  // The session fails over to IE (next in the deployment's region order);
+  // its replay's first attempt is lost, so its retry arrives after CA's new
+  // life has acknowledged.
+  net::DropRule lost_replay;
+  lost_replay.kind = net::MessageKind::kDirectRequest;
+  lost_replay.from = radical_->runtime(Region::kIE).endpoint().id();
+  lost_replay.max_drops = 1;
+  net_.fabric().AddDropRule(lost_replay);
+  RequestOptions direct;
+  direct.consistency = ConsistencyMode::kDirect;
+  int finals = 0;
+  std::optional<Value> result;
+  session.Submit(Request{"reg_write", {Value("k"), Value("v1")}}, direct, [&](Outcome outcome) {
+    if (!outcome.preview()) {
+      ++finals;
+      result = outcome.result;
+    }
+  });
+  sim_.RunFor(Millis(500));
+  const obs::MetricsScope server = radical_->server().counters();
+  ASSERT_EQ(server.Get("direct_requests"), 1u);
+  ASSERT_EQ(radical_->primary().VersionOf("k"), 2);
+  radical_->CrashRuntime(Region::kCA);
+  ASSERT_EQ(session.region(), Region::kIE);
+  radical_->RecoverRuntime(Region::kCA);
+  int fresh = 0;
+  for (int i = 0; i < 3; ++i) {
+    radical_->client(Region::kCA).Submit(Request{"reg_read", {Value("k")}}, RequestOptions(),
+                                         [&](Outcome outcome) { fresh += outcome.ok() ? 1 : 0; });
+  }
+  sim_.Run();
+
+  EXPECT_EQ(fresh, 3);
+  EXPECT_EQ(finals, 1);
+  EXPECT_EQ(result, Value("v1"));
+  EXPECT_EQ(session.unacked(), 0u);
+  EXPECT_EQ(Counters(Region::kIE).Get("retries"), 1u);
+  // The replay found the reply; the write ran once.
+  EXPECT_EQ(server.Get("duplicate_replayed"), 1u);
+  EXPECT_EQ(server.Get("direct_requests"), 1u);
+  EXPECT_EQ(server.Get("at_most_once_refused"), 0u);
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 2);
+}
+
 // Submissions against a dead runtime (no session) complete kRejected instead
 // of hanging; a recovered runtime serves again.
 TEST_F(SessionTest, DeadRuntimeRejectsAndRecoveredRuntimeServes) {
