@@ -162,10 +162,16 @@ namespace {
 constexpr uint8_t kMsgLviRequest = 1;
 constexpr uint8_t kMsgLviResponse = 2;
 constexpr uint8_t kMsgFollowup = 3;
-constexpr uint8_t kMsgFunction = 4;
+// Tag 4 carried function images; it stays unassigned.
 constexpr uint8_t kMsgDirectRequest = 5;
 constexpr uint8_t kMsgDirectResponse = 6;
 constexpr uint8_t kMsgCachePush = 7;
+
+// An LVI item's mode byte. A blind write takes a write lock; validation
+// skips its version.
+constexpr uint8_t kModeRead = 0;
+constexpr uint8_t kModeReadWrite = 1;
+constexpr uint8_t kModeBlindWrite = 2;
 
 // Envelope prologue: the version byte precedes every message tag.
 void WriteEnvelope(WireWriter& w, uint8_t msg_tag) {
@@ -325,7 +331,8 @@ void EncodeLviRequestTo(const LviRequest& request, WireBuffer* out) {
   for (const LviItem& item : request.items) {
     w.WriteString(item.key);
     w.WriteSigned(item.cached_version);
-    w.WriteByte(item.mode == LockMode::kWrite ? 1 : 0);
+    w.WriteByte(item.blind ? kModeBlindWrite
+                           : item.mode == LockMode::kWrite ? kModeReadWrite : kModeRead);
   }
   WriteRequestTrailer(w, request.exec_id, request.deadline, request.ack, request.session_id,
                       &request.items);
@@ -359,7 +366,12 @@ Result<LviRequest> DecodeLviRequest(const WireBuffer& buffer) {
     LviItem item;
     item.key = r.ReadString();
     item.cached_version = r.ReadSigned();
-    item.mode = r.ReadByte() == 1 ? LockMode::kWrite : LockMode::kRead;
+    const uint8_t mode = r.ReadByte();
+    if (mode > kModeBlindWrite) {
+      return Status::Error("invalid item mode in LVI request");
+    }
+    item.mode = mode == kModeRead ? LockMode::kRead : LockMode::kWrite;
+    item.blind = mode == kModeBlindWrite;
     request.items.push_back(std::move(item));
   }
   ReadRequestTrailer(r, request.exec_id, &request.deadline, &request.ack, &request.session_id,
@@ -566,150 +578,6 @@ Result<CachePush> DecodeCachePush(const WireBuffer& buffer) {
     return Status::Error(r.ok() ? "trailing bytes in cache push" : r.error());
   }
   return push;
-}
-
-// --- Function images ----------------------------------------------------------------
-
-namespace {
-
-void WriteExpr(WireWriter& w, const ExprPtr& expr);
-
-void WriteExprList(WireWriter& w, const std::vector<ExprPtr>& exprs) {
-  w.WriteVarint(exprs.size());
-  for (const ExprPtr& e : exprs) {
-    WriteExpr(w, e);
-  }
-}
-
-void WriteExpr(WireWriter& w, const ExprPtr& expr) {
-  if (expr == nullptr) {
-    w.WriteByte(0xff);  // Null expression marker.
-    return;
-  }
-  w.WriteByte(static_cast<uint8_t>(expr->kind));
-  w.WriteValue(expr->literal);
-  w.WriteString(expr->name);
-  WriteExprList(w, expr->args);
-}
-
-ExprPtr ReadExpr(WireReader& r, int depth);
-
-std::vector<ExprPtr> ReadExprList(WireReader& r, int depth) {
-  std::vector<ExprPtr> out;
-  const uint64_t count = r.ReadVarint();
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    out.push_back(ReadExpr(r, depth));
-  }
-  return out;
-}
-
-ExprPtr ReadExpr(WireReader& r, int depth) {
-  if (depth > 64) {
-    return nullptr;
-  }
-  const uint8_t kind = r.ReadByte();
-  if (kind == 0xff) {
-    return nullptr;
-  }
-  if (kind > static_cast<uint8_t>(ExprKind::kOpaque)) {
-    return nullptr;  // Reader flags the error via later AtEnd mismatch.
-  }
-  auto expr = std::make_shared<Expr>();
-  expr->kind = static_cast<ExprKind>(kind);
-  expr->literal = r.ReadValue();
-  expr->name = r.ReadString();
-  expr->args = ReadExprList(r, depth + 1);
-  return expr;
-}
-
-void WriteStmtList(WireWriter& w, const StmtList& body);
-
-void WriteStmt(WireWriter& w, const StmtPtr& stmt) {
-  w.WriteByte(static_cast<uint8_t>(stmt->kind));
-  w.WriteSigned(stmt->duration);
-  w.WriteString(stmt->var);
-  w.WriteString(stmt->service);
-  WriteExpr(w, stmt->expr);
-  WriteExpr(w, stmt->value);
-  WriteStmtList(w, stmt->then_body);
-  WriteStmtList(w, stmt->else_body);
-  w.WriteByte(stmt->log_only ? 1 : 0);
-}
-
-void WriteStmtList(WireWriter& w, const StmtList& body) {
-  w.WriteVarint(body.size());
-  for (const StmtPtr& stmt : body) {
-    WriteStmt(w, stmt);
-  }
-}
-
-StmtList ReadStmtList(WireReader& r, int depth);
-
-StmtPtr ReadStmt(WireReader& r, int depth) {
-  const uint8_t kind = r.ReadByte();
-  auto stmt = std::make_shared<Stmt>();
-  if (kind > static_cast<uint8_t>(StmtKind::kExternalCall)) {
-    return nullptr;
-  }
-  stmt->kind = static_cast<StmtKind>(kind);
-  stmt->duration = r.ReadSigned();
-  stmt->var = r.ReadString();
-  stmt->service = r.ReadString();
-  stmt->expr = ReadExpr(r, 0);
-  stmt->value = ReadExpr(r, 0);
-  stmt->then_body = ReadStmtList(r, depth + 1);
-  stmt->else_body = ReadStmtList(r, depth + 1);
-  stmt->log_only = r.ReadByte() == 1;
-  return stmt;
-}
-
-StmtList ReadStmtList(WireReader& r, int depth) {
-  StmtList out;
-  if (depth > 64) {
-    return out;
-  }
-  const uint64_t count = r.ReadVarint();
-  for (uint64_t i = 0; i < count && r.ok(); ++i) {
-    StmtPtr stmt = ReadStmt(r, depth);
-    if (stmt == nullptr) {
-      return out;
-    }
-    out.push_back(std::move(stmt));
-  }
-  return out;
-}
-
-}  // namespace
-
-WireBuffer EncodeFunction(const FunctionDef& fn) {
-  WireBuffer out;
-  WireWriter w(&out);
-  WriteEnvelope(w, kMsgFunction);
-  w.WriteString(fn.name);
-  w.WriteVarint(fn.params.size());
-  for (const std::string& param : fn.params) {
-    w.WriteString(param);
-  }
-  WriteStmtList(w, fn.body);
-  return out;
-}
-
-Result<FunctionDef> DecodeFunction(const WireBuffer& buffer) {
-  WireReader r(buffer);
-  if (Status envelope = ReadEnvelope(r, kMsgFunction, "not a function image"); !envelope.ok()) {
-    return envelope;
-  }
-  FunctionDef fn;
-  fn.name = r.ReadString();
-  const uint64_t num_params = r.ReadVarint();
-  for (uint64_t i = 0; i < num_params && r.ok(); ++i) {
-    fn.params.push_back(r.ReadString());
-  }
-  fn.body = ReadStmtList(r, 0);
-  if (!r.AtEnd()) {
-    return Status::Error(r.ok() ? "trailing bytes in function image" : r.error());
-  }
-  return fn;
 }
 
 }  // namespace radical

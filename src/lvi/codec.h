@@ -1,12 +1,11 @@
-// Binary wire codec for Radical's protocol messages and function images.
+// Binary wire codec for Radical's protocol messages.
 //
 // The near-user and near-storage locations exchange LVI requests, responses,
-// and write followups over the WAN; function registration ships each f (and
-// its derived f^rw) to every location (§3.2). This codec defines the wire
-// format: a compact tagged binary encoding with varint integers and
-// length-prefixed strings, symmetric Encode/Decode pairs, and strict bounds
-// checking on decode (a truncated or corrupted message yields an error, not
-// undefined behaviour).
+// write followups, direct requests and cache pushes over the WAN. This codec
+// defines the wire format: a compact tagged binary encoding with varint
+// integers and length-prefixed strings, symmetric Encode/Decode pairs, and
+// strict bounds checking on decode (a truncated or corrupted message yields
+// an error, not undefined behaviour).
 //
 // The simulator passes message objects by value — the codec exists so that
 // (a) message sizes on the wire are exact rather than approximated, and
@@ -21,17 +20,16 @@
 
 #include "src/common/result.h"
 #include "src/common/value.h"
-#include "src/func/function.h"
 #include "src/lvi/messages.h"
 
 namespace radical {
 
 using WireBuffer = std::vector<uint8_t>;
 
-// Wire-format version. Every envelope (message or function image) starts
-// with this byte, before the message tag; decoders reject a mismatched
-// version with an explicit error instead of misparsing the payload. Bump on
-// any incompatible layout change.
+// Wire-format version. Every message envelope starts with this byte, before
+// the message tag; decoders reject a mismatched version with an explicit
+// error instead of misparsing the payload. Bump on any incompatible layout
+// change.
 inline constexpr uint8_t kWireFormatVersion = 1;
 
 // --- Primitive layer ---------------------------------------------------------
@@ -148,11 +146,6 @@ class WireScratch {
 
   WireBuffer buf_;
 };
-
-// --- Function images (registration, §3.2) ---------------------------------------
-
-WireBuffer EncodeFunction(const FunctionDef& fn);
-Result<FunctionDef> DecodeFunction(const WireBuffer& buffer);
 
 }  // namespace radical
 

@@ -469,12 +469,21 @@ void LviServer::Validate(LviRequest request) {
       metrics_.Increment("stale_epoch_dropped");
       return;
     }
-    // The stale items, and a writer's validated versions.
+    // The stale items, and a writer's pinned versions. Only what f reads is
+    // compared: a blind write cannot change f's result or its writes, so it
+    // is pinned at the primary's version whatever the cache held.
     std::vector<size_t> stale;
     Pins pins;
     for (size_t i = 0; i < request.items.size(); ++i) {
       const LviItem& item = request.items[i];
       const Version primary = versions[i];
+      if (item.mode == LockMode::kWrite) {
+        pins.keys.push_back(item.key);
+        pins.versions.push_back(primary);
+      }
+      if (item.blind) {
+        continue;
+      }
       if (item.cached_version != primary) {
         stale.push_back(i);
       } else if (item.session_floor > 0 && primary < item.session_floor) {
@@ -486,10 +495,6 @@ void LviServer::Validate(LviRequest request) {
         // below the session's floor.
         metrics_.Increment("session_floor_stale");
         stale.push_back(i);
-      }
-      if (item.mode == LockMode::kWrite) {
-        pins.keys.push_back(item.key);
-        pins.versions.push_back(primary);
       }
     }
     EmitSpan("server.validate", request.exec_id, validate_start);
@@ -540,11 +545,15 @@ void LviServer::CommitIntent(LviRequest request, Pins pins) {
     // A retried request of an execution whose intent already exists (a
     // replay carrying no acknowledgement, after its origin acknowledged it
     // and its cached reply was dropped): the existing intent — with its timer
-    // and execution record — is authoritative; just re-answer.
+    // and execution record — is authoritative; just re-answer, with the
+    // blind writes repinned at the record's versions.
     metrics_.Increment("retry_intent_hit");
+    response.fresh_items = Repinned(request, executions_.at(exec_id).pins);
     RespondLvi(request, std::move(response));
     return;
   }
+  response.fresh_items = Repinned(request, pins);
+  metrics_.Increment("blind_repinned", response.fresh_items.size());
   const auto parked = parked_.find(exec_id);
   if (parked != parked_.end()) {
     // The followup is already here: this round's write is its writes, not
@@ -987,6 +996,19 @@ std::vector<FreshItem> LviServer::Commit(ExecutionId exec_id, Origin origin,
     push_(CachePush{items});
   }
   return items;
+}
+
+std::vector<FreshItem> LviServer::Repinned(const LviRequest& request, const Pins& pins) {
+  std::vector<FreshItem> repinned;
+  for (const LviItem& item : request.items) {
+    if (item.blind) {
+      const Version pinned = pins.Of(item.key);
+      if (pinned != item.cached_version) {
+        repinned.push_back(FreshItem{item.key, Value(), pinned});
+      }
+    }
+  }
+  return repinned;
 }
 
 Version LviServer::Pins::Of(const Key& key) const {

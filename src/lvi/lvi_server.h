@@ -2,17 +2,18 @@
 //
 // One server runs alongside the primary copy of the data. For each LVI
 // request it (4) acquires a read/write lock per item, (5) validates the
-// cache's versions against the primary, then either (6a) sets up a write
-// intent with a timer and replies success, or (6b) runs the backup copy of
-// the function against the primary and replies with the result plus fresh
-// values for the near-user cache. Write followups apply speculative writes
-// and release locks; if a followup never arrives, the intent timer triggers
-// deterministic re-execution (§3.4). Late followups lose the intent race and
-// are discarded (§3.6, case 3). The runtime sends the followup as soon as
-// its speculation ends, so it usually arrives while its LVI request is still
-// in the pipeline: it is parked with the execution, and a successful
-// validation commits it in the intent-write round instead of arming an
-// intent; any other ending of the pipeline drops it.
+// cache's versions of the items f reads against the primary (a blind write
+// is pinned at the primary's version, not compared), then either (6a) sets
+// up a write intent with a timer and replies success, or (6b) runs the
+// backup copy of the function against the primary and replies with the
+// result plus fresh values for the near-user cache. Write followups apply
+// speculative writes and release locks; if a followup never arrives, the
+// intent timer triggers deterministic re-execution (§3.4). Late followups
+// lose the intent race and are discarded (§3.6, case 3). The runtime sends
+// the followup as soon as its speculation ends, so it usually arrives while
+// its LVI request is still in the pipeline: it is parked with the execution,
+// and a successful validation commits it in the intent-write round instead
+// of arming an intent; any other ending of the pipeline drops it.
 //
 // Every execution of a function at the primary — the backup, the
 // re-execution, and a direct request — runs through one funnel,
@@ -215,6 +216,8 @@ class LviServer {
   // the server's tables are callback gauges there, read at snapshot time:
   // size.lvi_replies, size.direct_replies, size.applied (idempotency keys),
   // size.executions (write intents) and size.parked (early followups).
+  // blind_repinned counts the blind writes whose validated reply carried
+  // the primary's version because the cache's differed.
   obs::MetricsScope counters() const { return metrics_; }
   uint64_t validations_succeeded() const { return metrics_.Get("validate_success"); }
   uint64_t validations_failed() const { return metrics_.Get("validate_fail"); }
@@ -419,6 +422,9 @@ class LviServer {
   // Fresh copies of `keys` from the primary, sorted and deduplicated; keys
   // the primary does not hold are skipped.
   std::vector<FreshItem> FreshItems(std::vector<Key> keys) const;
+  // A validated writer's reply items: each blind write whose cached version
+  // differs from its pinned one, at the pinned version and with no value.
+  static std::vector<FreshItem> Repinned(const LviRequest& request, const Pins& pins);
 
   // Completion funnel: caches the reply (idempotency) under the request's
   // origin and answers the freshest in-flight respond slot for the exec, if

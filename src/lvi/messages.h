@@ -4,9 +4,11 @@
 // set (from f^rw) with the cache's version per item; the response reports
 // validation success, or — on failure — the backup execution's result plus
 // fresh copies of every stale or written item so the near-user cache can be
-// repaired (§3.2). The write followup ships the speculative writes after the
-// client has already been answered. The cache push carries every committed
-// write from the primary to the near-user caches that hold the key.
+// repaired (§3.2). Validation compares the items f reads; a blind write (a
+// key f writes but never reads) is pinned at the primary's version instead.
+// The write followup ships the speculative writes after the client has
+// already been answered. The cache push carries every committed write from
+// the primary to the near-user caches that hold the key.
 
 #ifndef RADICAL_SRC_LVI_MESSAGES_H_
 #define RADICAL_SRC_LVI_MESSAGES_H_
@@ -55,6 +57,11 @@ struct LviItem {
   Key key;
   Version cached_version = kMissingVersion;  // -1 when absent from the cache.
   LockMode mode = LockMode::kRead;
+  // A key f writes but never reads (mode kWrite). Its value cannot change
+  // f's result or its writes, so validation does not compare its version:
+  // the write lands at the primary's version + 1, whatever the cache held.
+  // On the wire it is the mode byte's third value, so it costs no byte.
+  bool blind = false;
   // Session high-water mark for this key: the highest version the session
   // has observed (read or written), 0 when sessionless or never observed.
   // Validation marks the item stale when the primary sits below it (a
@@ -91,11 +98,13 @@ struct FreshItem {
 struct LviResponse {
   ExecutionId exec_id = 0;
   bool validated = false;
-  // Validation failure only: the backup execution's result and fresh copies
-  // of stale/written items for cache repair. (On success the runtime needs
-  // nothing extra: validation proved its cached versions match the primary,
-  // so it installs its speculative writes at cached_version + 1 — exactly
-  // the version the primary will assign when the followup lands.)
+  // Validation failure: the backup execution's result and fresh copies of
+  // stale/written items for cache repair. Validation success: the blind
+  // writes whose cached version differs from the primary's, each with the
+  // primary's pinned version and no value. The runtime installs every
+  // speculative write at its base version + 1 — the cached version, or the
+  // pinned one for these — exactly the version the primary assigns when the
+  // followup lands.
   Value backup_result;
   std::vector<FreshItem> fresh_items;
   // Overload verdict. When != kOk the response carries no result; the

@@ -243,26 +243,30 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
   request.deadline = state->deadline;
   request.ack = AckFor(*state);
   // Speculation is pointless only when a key the function *reads* is absent
-  // from the cache (validation is then guaranteed to fail, §3.2). A missing
-  // blind-write key is normal — functions create keys (new posts, bookings,
-  // votes) — and carries -1 that matches the primary's "absent" on the
-  // validate step.
+  // from the cache (validation is then guaranteed to fail, §3.2). A key it
+  // writes but never reads is a blind write: validation skips its version,
+  // and a validated reply repins it when the cache's differs (OnLviResponse).
+  // A missing one is normal — functions create keys (new posts, bookings,
+  // votes).
   bool read_missing = false;
   for (const Key& key : rw.AllKeysSorted()) {
     const Version version = cache_.VersionOf(key);
-    if (version == kMissingVersion && rw.reads.count(key) > 0) {
+    const bool read = rw.reads.count(key) > 0;
+    if (version == kMissingVersion && read) {
       read_missing = true;
     }
-    request.items.push_back(LviItem{key, version, rw.ModeFor(key)});
-    if (rw.ModeFor(key) == LockMode::kWrite) {
+    const LockMode mode = rw.ModeFor(key);
+    request.items.push_back(LviItem{key, version, mode, mode == LockMode::kWrite && !read});
+    if (mode == LockMode::kWrite) {
       state->write_keys.push_back(key);
       state->write_base_versions.push_back(version);
     }
   }
   // Session admission check (read-your-writes / monotonic reads): an item
-  // the cache holds *below* the session's high-water mark means speculating
-  // would preview state the session has already seen past. Upgrade to a
-  // validated read — the LVI request still goes out (validation fails
+  // the function reads that the cache holds *below* the session's
+  // high-water mark means speculating would preview state the session has
+  // already seen past (a blind write reads nothing, so it cannot). Upgrade
+  // to a validated read — the LVI request still goes out (validation fails
   // against the fresher primary and the backup execution answers with
   // current state), but no speculation runs and no stale preview fires. The
   // floor also travels on the wire so validation can assert the primary
@@ -275,7 +279,7 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
       if (it != state->session->floor.end()) {
         item.session_floor = it->second;
       }
-      if (item.cached_version < item.session_floor) {
+      if (!item.blind && item.cached_version < item.session_floor) {
         session_stale = true;
       }
     }
@@ -630,7 +634,19 @@ void Runtime::OnLviResponse(const std::shared_ptr<RequestState>& state, LviRespo
   if (!state->response.validated) {
     state->phase.Move(RequestPhase::kCommitting);
     CompleteFailed(state);
-  } else if (state->speculation == Speculation::kRunning) {
+    return;
+  }
+  // Blind writes the primary holds at another version than the cache: the
+  // speculation installs them at the pinned version + 1, where the primary
+  // applies them.
+  for (const FreshItem& repinned : state->response.fresh_items) {
+    const auto pos =
+        std::lower_bound(state->write_keys.begin(), state->write_keys.end(), repinned.key);
+    assert(pos != state->write_keys.end() && *pos == repinned.key);
+    state->write_base_versions[static_cast<size_t>(pos - state->write_keys.begin())] =
+        repinned.version;
+  }
+  if (state->speculation == Speculation::kRunning) {
     state->phase.Move(RequestPhase::kAwaitSpec);
   } else {
     state->phase.Move(RequestPhase::kCommitting);
@@ -722,9 +738,10 @@ void Runtime::CompleteValidated(const std::shared_ptr<RequestState>& state) {
 
 void Runtime::CommitSpeculation(const std::shared_ptr<RequestState>& state, Value result) {
   const std::vector<BufferedWrite> writes = state->buffer->Writes();
-  // Install the speculative writes into the cache at validated version + 1
-  // — the exact version the primary will assign when the followup applies —
-  // and bump the version along with the update (§3.1).
+  // Install the speculative writes into the cache at validated (or, for a
+  // repinned blind write, pinned) version + 1 — the exact version the
+  // primary will assign when the followup applies — and bump the version
+  // along with the update (§3.1).
   for (const BufferedWrite& write : writes) {
     const auto pos =
         std::lower_bound(state->write_keys.begin(), state->write_keys.end(), write.key);

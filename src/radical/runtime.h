@@ -169,7 +169,8 @@ class Runtime {
                                  // request message (fabric + server shed
                                  // against it) and bounds client retries.
     net::Endpoint server_ep;     // The server channel this request uses.
-    // Cached version per write key (sorted), for post-success installs.
+    // Base version per write key (sorted), for post-success installs: the
+    // cached one, or the primary's for a blind write the reply repinned.
     std::vector<Key> write_keys;
     std::vector<Version> write_base_versions;
     Sm<RequestPhase> phase{kRequestPhaseSpec, RequestPhase::kStarting};

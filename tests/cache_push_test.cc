@@ -38,6 +38,14 @@ class CachePushTest : public ProfiledTest {
         Compute(Millis(20)),
         Return(In("v")),
     }));
+    // Reads the key it overwrites: a stale cached copy fails validation (a
+    // blind write's cached version is never compared).
+    radical_->RegisterFunction(Fn("rmw_write", {"k", "v"}, {
+        Read("old", In("k")),
+        Write(In("k"), In("v")),
+        Compute(Millis(20)),
+        Return(In("v")),
+    }));
     radical_->Seed("k", Value("v0"));
     radical_->WarmCaches();
   }
@@ -92,8 +100,9 @@ PROFILE_TEST(CachePushTest, WriteReachesOtherCacheOneOneWayDelayLater) {
 }
 
 PROFILE_TEST(CachePushTest, BackupWritersPushLeavesWhenItsComputeEnds) {
-  // The primary moves on without telling the caches, so CA's write
-  // speculates on a stale version, fails validation, and runs as a backup.
+  // The primary moves on without telling the caches, so CA's
+  // read-modify-write speculates on a stale version, fails validation, and
+  // runs as a backup.
   radical_->primary().Put("k", Value("v-moved"), nullptr);
   std::optional<SimTime> pushed_at;
   net_.fabric().SetFilter([&](const net::SendContext& ctx) {
@@ -103,7 +112,7 @@ PROFILE_TEST(CachePushTest, BackupWritersPushLeavesWhenItsComputeEnds) {
     return true;
   });
   std::optional<Value> result;
-  radical_->Invoke(Region::kCA, "reg_write", {Value("k"), Value("v1")},
+  radical_->Invoke(Region::kCA, "rmw_write", {Value("k"), Value("v1")},
                    [&](Value v) { result = std::move(v); });
   while (radical_->server().validations_failed() == 0 && sim_.Step()) {
   }

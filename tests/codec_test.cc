@@ -1,12 +1,11 @@
 // Tests for the wire codec: primitive round trips, message round trips,
-// function-image round trips (including re-analysis and re-execution of a
-// decoded function), and robustness against truncation/corruption.
+// and robustness against truncation/corruption.
 
 #include <gtest/gtest.h>
 
 #include "src/analysis/analyzer.h"
-#include "src/apps/apps.h"
 #include "src/common/rng.h"
+#include "src/func/builder.h"
 #include "src/lvi/codec.h"
 #include "src/lvi/lvi_server.h"
 
@@ -128,6 +127,51 @@ TEST(WireCodecTest, LviRequestRoundTrip) {
   EXPECT_EQ(decoded->items[1].key, "post:p1");
   EXPECT_EQ(decoded->items[1].cached_version, kMissingVersion);
   EXPECT_EQ(decoded->items[1].mode, LockMode::kWrite);
+}
+
+TEST(WireCodecTest, ItemModeByteCarriesReadReadWriteAndBlindWrite) {
+  LviRequest request = SampleRequest();
+  request.items[1].blind = true;  // post:p1, written and never read.
+  const WireBuffer buffer = EncodeLviRequest(request);
+  const Result<LviRequest> decoded = DecodeLviRequest(buffer);
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  ASSERT_EQ(decoded->items.size(), 3u);
+  EXPECT_EQ(decoded->items[0].mode, LockMode::kRead);
+  EXPECT_FALSE(decoded->items[0].blind);
+  EXPECT_EQ(decoded->items[1].mode, LockMode::kWrite);
+  EXPECT_TRUE(decoded->items[1].blind);
+  EXPECT_EQ(decoded->items[2].mode, LockMode::kWrite);
+  EXPECT_FALSE(decoded->items[2].blind);
+  // The mark is a value of the mode byte: it costs nothing.
+  EXPECT_EQ(buffer.size(), EncodeLviRequest(SampleRequest()).size());
+}
+
+TEST(WireCodecTest, UnknownItemModeByteRejected) {
+  LviRequest request;
+  request.exec_id = 7;
+  request.function = "f";
+  request.items = {{"k", 3, LockMode::kRead}};
+  const WireBuffer read = EncodeLviRequest(request);
+  request.items[0].mode = LockMode::kWrite;
+  request.items[0].blind = true;
+  const WireBuffer blind = EncodeLviRequest(request);
+  // The two encodings differ in the mode byte alone.
+  ASSERT_EQ(read.size(), blind.size());
+  size_t at = 0;
+  while (at < read.size() && read[at] == blind[at]) {
+    ++at;
+  }
+  ASSERT_LT(at, read.size());
+  EXPECT_EQ(read[at], 0);
+  EXPECT_EQ(blind[at], 2);
+  for (const uint8_t mode : {uint8_t{3}, uint8_t{0x80}, uint8_t{0xff}}) {
+    WireBuffer corrupted = read;
+    corrupted[at] = mode;
+    const Result<LviRequest> decoded = DecodeLviRequest(corrupted);
+    ASSERT_FALSE(decoded.ok()) << int{mode};
+    EXPECT_NE(decoded.message().find("invalid item mode"), std::string::npos)
+        << decoded.message();
+  }
 }
 
 TEST(WireCodecTest, LviResponseRoundTrip) {
@@ -352,7 +396,6 @@ TEST(WireCodecTest, MessageTypeConfusionRejected) {
   const WireBuffer request_bytes = EncodeLviRequest(SampleRequest());
   EXPECT_FALSE(DecodeLviResponse(request_bytes).ok());
   EXPECT_FALSE(DecodeWriteFollowup(request_bytes).ok());
-  EXPECT_FALSE(DecodeFunction(request_bytes).ok());
   EXPECT_FALSE(DecodeDirectRequest(request_bytes).ok());
   EXPECT_FALSE(DecodeDirectResponse(request_bytes).ok());
   EXPECT_FALSE(DecodeCachePush(request_bytes).ok());
@@ -381,50 +424,6 @@ TEST(WireCodecTest, RandomCorruptionNeverCrashes) {
   }
 }
 
-// --- Function images ----------------------------------------------------------------
-
-TEST(WireCodecTest, FunctionRoundTripPreservesBehaviour) {
-  // Every evaluation function survives encode -> decode with identical
-  // pretty-printed structure, analysis result, and execution behaviour.
-  Analyzer analyzer(&HostRegistry::Standard());
-  Interpreter interp(&HostRegistry::Standard());
-  for (const AppSpec& app : AllApps()) {
-    for (const FunctionSpec& fn : app.functions) {
-      const WireBuffer buffer = EncodeFunction(fn.def);
-      const Result<FunctionDef> decoded = DecodeFunction(buffer);
-      ASSERT_TRUE(decoded.ok()) << fn.def.name << ": " << decoded.message();
-      EXPECT_EQ(FunctionToString(*decoded), FunctionToString(fn.def)) << fn.def.name;
-      const AnalyzedFunction a1 = analyzer.Analyze(fn.def);
-      const AnalyzedFunction a2 = analyzer.Analyze(*decoded);
-      EXPECT_EQ(a1.analyzable, a2.analyzable);
-      EXPECT_EQ(a1.has_dependent_reads, a2.has_dependent_reads);
-      EXPECT_EQ(a1.derived_stmt_count, a2.derived_stmt_count);
-    }
-  }
-}
-
-TEST(WireCodecTest, DecodedFunctionExecutesIdentically) {
-  const AppSpec app = MakeSocialApp();
-  const FunctionDef& original = app.Find("social_follow")->def;
-  const Result<FunctionDef> decoded = DecodeFunction(EncodeFunction(original));
-  ASSERT_TRUE(decoded.ok());
-  Interpreter interp(&HostRegistry::Standard());
-  VersionedStore s1;
-  VersionedStore s2;
-  for (VersionedStore* s : {&s1, &s2}) {
-    s->Seed("following:u1", Value(ValueList{Value("u9")}));
-    s->Seed("followers:u2", Value(ValueList{}));
-  }
-  const std::vector<Value> inputs = {Value("u1"), Value("u2")};
-  const ExecResult r1 = interp.Execute(original, inputs, &s1);
-  const ExecResult r2 = interp.Execute(*decoded, inputs, &s2);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1.return_value, r2.return_value);
-  EXPECT_EQ(r1.elapsed, r2.elapsed);
-  EXPECT_EQ(s1.Peek("following:u1")->value, s2.Peek("following:u1")->value);
-}
-
 TEST(WireCodecTest, WireSizesAreModest) {
   // The LVI protocol's bandwidth claim (§5.7): requests are key names plus
   // versions — a few hundred bytes, not kilobytes.
@@ -447,14 +446,10 @@ TEST(WireCodecTest, FullProtocolExchangeThroughTheCodec) {
   Analyzer analyzer(&HostRegistry::Standard());
   Interpreter interp(&HostRegistry::Standard());
   FunctionRegistry registry(&analyzer);
-  // Register the function from its decoded wire image (function shipping).
-  const FunctionDef original = Fn("set_k", {"v"}, {
+  registry.Register(Fn("set_k", {"v"}, {
       Write(C("k"), In("v")),
       Return(In("v")),
-  });
-  const Result<FunctionDef> shipped = DecodeFunction(EncodeFunction(original));
-  ASSERT_TRUE(shipped.ok());
-  registry.Register(*shipped);
+  }));
   LocalLockService locks(&sim);
   LviServer server(&sim, &store, &registry, &interp, &locks);
 

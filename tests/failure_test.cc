@@ -39,6 +39,14 @@ class FailureTest : public ProfiledTest {
         Compute(Millis(25)),
         Return(In("v")),
     }));
+    // Reads the key it overwrites: a stale cached copy fails validation (a
+    // blind write's cached version is never compared).
+    radical_->RegisterFunction(Fn("rmw_write", {"k", "v"}, {
+        Read("old", In("k")),
+        Write(In("k"), In("v")),
+        Compute(Millis(25)),
+        Return(In("v")),
+    }));
     radical_->Seed("k", Value("v0"));
     radical_->WarmCaches();
   }
@@ -454,11 +462,12 @@ PROFILE_TEST(FailureTest, RecoverReArmsAllPendingIntentTimers) {
 // client's retry, or the re-armed intent — and its write lands exactly once.
 
 PROFILE_TEST(FailureTest, BackupCutOffBeforeItsWriteRunsOnceOnRetry) {
-  // The primary moves on without telling the caches, so CA's write
-  // speculates on a stale version, fails validation, and runs as a backup.
+  // The primary moves on without telling the caches, so CA's
+  // read-modify-write speculates on a stale version, fails validation, and
+  // runs as a backup.
   radical_->primary().Put("k", Value("v-moved"), nullptr);  // Version 2.
   Value result;
-  radical_->Invoke(Region::kCA, "reg_write", {Value("k"), Value("v1")},
+  radical_->Invoke(Region::kCA, "rmw_write", {Value("k"), Value("v1")},
                    [&](Value v) { result = std::move(v); });
   RunIntoCompute([&] { return radical_->server().validations_failed() > 0; });
   radical_->server().Crash();

@@ -103,6 +103,40 @@ TEST_F(LviServerTest, ValidationFailureRunsBackupAndRepairs) {
   EXPECT_TRUE(server_->idle());
 }
 
+TEST_F(LviServerTest, BlindWriteIsPinnedNotComparedAndReadWriteIsCompared) {
+  store_.Seed("k", Value("v0"));
+  store_.Put("k", Value("moved"), nullptr);  // Version 2; the cache claims 1.
+  std::optional<LviResponse> blind;
+  const LviRequest blind_request =
+      MakeRequest("reg_set", {Value("k"), Value("v1")}, {{"k", 1, LockMode::kWrite, true}});
+  server_->HandleLviRequest(blind_request, [&](LviResponse r) { blind = std::move(r); });
+  sim_.RunFor(Millis(50));
+  ASSERT_TRUE(blind.has_value());
+  EXPECT_TRUE(blind->validated);
+  ASSERT_EQ(blind->fresh_items.size(), 1u);
+  EXPECT_EQ(blind->fresh_items[0].key, "k");
+  EXPECT_EQ(blind->fresh_items[0].version, 2);
+  WriteFollowup followup;
+  followup.exec_id = blind_request.exec_id;
+  followup.writes = {{"k", Value("v1")}};
+  server_->HandleFollowup(followup);
+  sim_.Run();
+  EXPECT_EQ(store_.VersionOf("k"), 3);  // Applied at the pinned version + 1.
+  EXPECT_EQ(server_->validations_failed(), 0u);
+
+  // The same write marked read-write, with the same stale version, fails.
+  std::optional<LviResponse> read_write;
+  server_->HandleLviRequest(
+      MakeRequest("reg_set", {Value("k"), Value("v2")}, {{"k", 1, LockMode::kWrite}}),
+      [&](LviResponse r) { read_write = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(read_write.has_value());
+  EXPECT_FALSE(read_write->validated);
+  EXPECT_EQ(server_->validations_failed(), 1u);
+  EXPECT_EQ(store_.VersionOf("k"), 4);  // The backup wrote it.
+  EXPECT_TRUE(server_->idle());
+}
+
 TEST_F(LviServerTest, MissingItemSentinelValidatesOnlyIfAbsent) {
   // Cache says -1, primary has nothing: versions match, validation succeeds.
   std::optional<LviResponse> r1;
@@ -854,6 +888,44 @@ TEST_F(RetryIntentHitTest, ReplayAfterAcknowledgementReusesThePendingIntent) {
   EXPECT_EQ(server_->reexecutions(), 1u);
   EXPECT_EQ(store_.Peek("k")->value, Value("v1"));
   EXPECT_EQ(store_.VersionOf("k"), 2);  // Applied exactly once.
+  EXPECT_TRUE(server_->idle());
+}
+
+TEST_F(RetryIntentHitTest, ReplayOfABlindWriterRepinsFromTheIntentsRecord) {
+  store_.Seed("k", Value("v0"));  // Version 1; the writer's cache lacks k.
+  store_.Seed("other", Value("o"));
+  LviRequest request = AckingRequest("reg_set", {Value("k"), Value("v1")},
+                                     {{"k", kMissingVersion, LockMode::kWrite, true}});
+  LviRequest retry = request;
+  retry.ack = Ack{};
+  std::optional<LviResponse> first;
+  server_->HandleLviRequest(std::move(request), [&](LviResponse r) { first = std::move(r); });
+  sim_.RunFor(Millis(50));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->validated);
+  ASSERT_EQ(first->fresh_items.size(), 1u);
+  EXPECT_EQ(first->fresh_items[0].key, "k");
+  EXPECT_EQ(first->fresh_items[0].version, 1);
+  EXPECT_EQ(server_->counters().Get("blind_repinned"), 1u);
+  server_->HandleLviRequest(AckingRequest("reg_get", {Value("other")},
+                                          {{"other", 1, LockMode::kRead}}),
+                            [](LviResponse) {});
+  sim_.RunFor(Millis(50));
+
+  std::optional<LviResponse> replayed;
+  server_->HandleLviRequest(retry, [&](LviResponse r) { replayed = std::move(r); });
+  sim_.RunFor(Millis(50));
+  EXPECT_EQ(server_->counters().Get("retry_intent_hit"), 1u);
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_TRUE(replayed->validated);
+  ASSERT_EQ(replayed->fresh_items.size(), 1u);
+  EXPECT_EQ(replayed->fresh_items[0].key, "k");
+  EXPECT_EQ(replayed->fresh_items[0].version, 1);
+  EXPECT_EQ(server_->counters().Get("blind_repinned"), 1u);  // One execution.
+
+  sim_.Run();  // The intent's timer re-executes the write at the pin.
+  EXPECT_EQ(server_->reexecutions(), 1u);
+  EXPECT_EQ(store_.VersionOf("k"), 2);
   EXPECT_TRUE(server_->idle());
 }
 

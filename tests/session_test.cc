@@ -152,6 +152,44 @@ TEST_F(SessionTest, ReadYourWritesSurvivesFailoverToColderCache) {
   EXPECT_EQ(session.unacked(), 0u);
 }
 
+// A blind write reads nothing, so a cache copy below the session's floor
+// cannot show the session an older state: after failing over to a colder
+// cache, the session's overwrite of its own key speculates and validates.
+TEST_F(SessionTest, BlindWriteBelowTheFloorStillSpeculates) {
+  DropCachePushesTo(Region::kIE);
+  Session session = radical_->OpenSession(Region::kCA);
+  std::optional<Value> written;
+  session.Submit(Request{"reg_write", {Value("k"), Value("v1")}}, [&](Outcome outcome) {
+    if (!outcome.preview()) {
+      written = outcome.result;
+    }
+  });
+  sim_.Run();
+  ASSERT_EQ(written, Value("v1"));
+  ASSERT_EQ(session.FloorOf("k"), 2);
+
+  radical_->CrashRuntime(Region::kCA);
+  ASSERT_EQ(session.region(), Region::kIE);
+  ASSERT_EQ(radical_->runtime(Region::kIE).cache().VersionOf("k"), 1);  // Below the floor.
+
+  std::vector<Outcome> outcomes;
+  session.Submit(Request{"reg_write", {Value("k"), Value("v2")}},
+                 [&](Outcome outcome) { outcomes.push_back(outcome); });
+  sim_.Run();
+
+  ASSERT_EQ(outcomes.size(), 2u);  // The speculation's preview, then its final.
+  EXPECT_EQ(outcomes[0].status, RequestStatus::kPreview);
+  EXPECT_EQ(outcomes[1].status, RequestStatus::kOk);  // Confirmed, not aborted.
+  EXPECT_EQ(outcomes[1].result, Value("v2"));
+  EXPECT_EQ(session.stale_upgrades(), 0u);
+  EXPECT_EQ(Counters(Region::kIE).Get("session_stale_upgrade"), 0u);
+  EXPECT_EQ(Counters(Region::kIE).Get("speculations"), 1u);
+  EXPECT_EQ(radical_->server().validations_failed(), 0u);
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 3);
+  EXPECT_EQ(radical_->runtime(Region::kIE).cache().VersionOf("k"), 3);
+  EXPECT_EQ(session.FloorOf("k"), 3);
+}
+
 // Monotonic reads across failover: once the session has observed version N at
 // one PoP, a re-bind to a PoP whose cache is older than N must not preview or
 // answer with the older state.
