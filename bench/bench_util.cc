@@ -96,7 +96,7 @@ ExperimentResult RunApp(const AppSpec& app, DeployKind kind, const RunOptions& r
   }
   if (radical != nullptr) {
     result.validation_success_rate = radical->server().ValidationSuccessRate();
-    result.backup_execs = radical->server().validations_failed();
+    result.backup_execs = radical->server().backup_executions();
     result.reexecutions = radical->server().reexecutions();
     result.primary_reruns = radical->server().counters().Get("primary_reruns");
     if (radical->local_locks() != nullptr) {
@@ -105,7 +105,14 @@ ExperimentResult RunApp(const AppSpec& app, DeployKind kind, const RunOptions& r
     result.lvi_requests = radical->server().counters().Get("lvi_requests");
     uint64_t speculations = 0;
     for (const Region region : options.regions) {
-      speculations += radical->runtime(region).counters().Get("speculations");
+      const obs::MetricsScope counters = radical->runtime(region).counters();
+      speculations += counters.Get("speculations");
+      result.snapshot_reruns += counters.Get("snapshot_reruns");
+      const uint64_t requests = counters.Get("requests");
+      result.per_region_validation_fail_pct[region] =
+          requests == 0 ? 0.0
+                        : 100.0 * static_cast<double>(counters.Get("invalidated_speculative")) /
+                              static_cast<double>(requests);
     }
     result.speculations = speculations;
     result.wan_bytes = net.wan_bytes_sent();
@@ -178,19 +185,35 @@ std::string BenchReport::ToJson() const {
       WriteSummary(&w, summary);
     }
     w.EndObject();
+    if (!result.per_region_validation_fail_pct.empty()) {
+      // Radical runs only: the share of each region's requests whose
+      // validation failed (Fig 5's tail at the far PoPs).
+      w.Key("per_region_validation_fail_pct");
+      w.BeginObject();
+      for (const auto& [region, pct] : result.per_region_validation_fail_pct) {
+        w.Key(RegionName(region));
+        w.Double(pct, 3);
+      }
+      w.EndObject();
+    }
     w.Key("protocol");
     w.BeginObject();
     w.Key("validation_success_rate");
     w.Double(result.validation_success_rate, 6);
-    // Per-app abort rate: validations that succeeded, and backup executions
-    // (one per failed validation) per request; zeros for non-Radical runs.
+    // Per-app abort rate: validations that succeeded, and the two answers to
+    // a failed one per request — a writer's backup execution at the primary,
+    // a read-only request's rerun at its PoP; zeros for non-Radical runs.
+    const auto per_request = [&result](uint64_t count) {
+      return result.total_requests == 0
+                 ? 0.0
+                 : static_cast<double>(count) / static_cast<double>(result.total_requests);
+    };
     w.Key("validation_ok_pct");
     w.Double(100.0 * result.validation_success_rate, 3);
     w.Key("backup_execs_per_req");
-    w.Double(result.total_requests == 0 ? 0.0
-                                        : static_cast<double>(result.backup_execs) /
-                                              static_cast<double>(result.total_requests),
-             6);
+    w.Double(per_request(result.backup_execs), 6);
+    w.Key("snapshot_reruns_per_req");
+    w.Double(per_request(result.snapshot_reruns), 6);
     w.Key("reexecutions");
     w.Uint(result.reexecutions);
     w.Key("primary_reruns");

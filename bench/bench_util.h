@@ -35,8 +35,16 @@ struct ExperimentResult {
   uint64_t total_requests = 0;
   // Radical-only protocol statistics (zeros otherwise).
   double validation_success_rate = 0.0;
-  // Failed validations, each answered by a backup execution at the primary.
+  // Failed validations of writers, each answered by a backup execution at
+  // the primary.
   uint64_t backup_execs = 0;
+  // Failed validations of read-only requests, each answered with the
+  // primary's snapshot and rerun at the PoP (those that went on to the
+  // direct path included).
+  uint64_t snapshot_reruns = 0;
+  // Per region, the percentage of its requests whose validation failed
+  // (either answer above).
+  std::map<Region, double> per_region_validation_fail_pct;
   uint64_t reexecutions = 0;
   // Runs at the primary whose locks did not cover the keys they touched,
   // each rerun under the locks of what it touched.

@@ -76,7 +76,7 @@ void BM_VersionedStorePut(benchmark::State& state) {
 }
 BENCHMARK(BM_VersionedStorePut);
 
-void BM_VersionedStoreBatchVersions(benchmark::State& state) {
+void BM_VersionedStoreBatchGet(benchmark::State& state) {
   VersionedStore store;
   std::vector<Key> keys;
   for (int i = 0; i < state.range(0); ++i) {
@@ -87,10 +87,10 @@ void BM_VersionedStoreBatchVersions(benchmark::State& state) {
   for (auto _ : state) {
     (void)_;
     SimDuration lat = 0;
-    benchmark::DoNotOptimize(store.BatchVersions(keys, &lat));
+    benchmark::DoNotOptimize(store.BatchGet(keys, &lat));
   }
 }
-BENCHMARK(BM_VersionedStoreBatchVersions)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_VersionedStoreBatchGet)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_LockTableUncontended(benchmark::State& state) {
   Simulator sim;

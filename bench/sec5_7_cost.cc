@@ -78,10 +78,8 @@ void PrintMeasuredOverheads() {
   PrintTableRow({"validation success rate %",
                  FormatDouble(100.0 * radical.validation_success_rate, 1)},
                 widths);
-  PrintTableRow({"second executions (backup+replay)",
-                 std::to_string(radical.lvi_requests -
-                                static_cast<uint64_t>(radical.validation_success_rate *
-                                                      static_cast<double>(radical.lvi_requests)))},
+  PrintTableRow({"second executions (backup+rerun)",
+                 std::to_string(radical.backup_execs + radical.snapshot_reruns)},
                 widths);
   PrintTableRow({"WAN bytes per request",
                  std::to_string(radical.wan_bytes / std::max<uint64_t>(1,

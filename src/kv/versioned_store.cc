@@ -35,14 +35,15 @@ Version VersionedStore::VersionOf(const Key& key) const {
   return it == items_.end() ? kMissingVersion : it->second.version;
 }
 
-std::vector<Version> VersionedStore::BatchVersions(const std::vector<Key>& keys,
-                                                   SimDuration* latency) const {
+std::vector<Item> VersionedStore::BatchGet(const std::vector<Key>& keys,
+                                           SimDuration* latency) const {
   // One batched read round regardless of key count (DynamoDB BatchGetItem).
   Account(latency, options_.read_latency);
-  std::vector<Version> out;
+  std::vector<Item> out;
   out.reserve(keys.size());
   for (const Key& k : keys) {
-    out.push_back(VersionOf(k));
+    const auto it = items_.find(k);
+    out.push_back(it == items_.end() ? Item{Value(), kMissingVersion} : it->second);
   }
   return out;
 }

@@ -48,9 +48,11 @@ class VersionedStore : public Storage {
   // and accounts latency itself).
   Version VersionOf(const Key& key) const;
 
-  // Batched version lookup used by the validate step: one round to storage
-  // regardless of key count. `latency` receives the batch cost.
-  std::vector<Version> BatchVersions(const std::vector<Key>& keys, SimDuration* latency) const;
+  // Batched read used by the validate step: the value and version of each
+  // key, in `keys` order, an absent key as a unit value at kMissingVersion.
+  // One round to storage regardless of key count; `latency` receives its
+  // cost.
+  std::vector<Item> BatchGet(const std::vector<Key>& keys, SimDuration* latency) const;
 
   // Zero-latency peek (for tests and cache refresh payload assembly).
   std::optional<Item> Peek(const Key& key) const;

@@ -173,6 +173,12 @@ constexpr uint8_t kModeRead = 0;
 constexpr uint8_t kModeReadWrite = 1;
 constexpr uint8_t kModeBlindWrite = 2;
 
+// An LVI response's validation byte. A snapshot reply is a failed
+// validation answered with the primary's snapshot instead of a backup.
+constexpr uint8_t kBackupReply = 0;
+constexpr uint8_t kValidatedReply = 1;
+constexpr uint8_t kSnapshotReply = 2;
+
 // Envelope prologue: the version byte precedes every message tag.
 void WriteEnvelope(WireWriter& w, uint8_t msg_tag) {
   w.WriteByte(kWireFormatVersion);
@@ -387,7 +393,8 @@ void EncodeLviResponseTo(const LviResponse& response, WireBuffer* out) {
   WireWriter w(out);
   WriteEnvelope(w, kMsgLviResponse);
   w.WriteVarint(response.exec_id);
-  w.WriteByte(response.validated ? 1 : 0);
+  w.WriteByte(response.validated ? kValidatedReply
+                                 : response.snapshot ? kSnapshotReply : kBackupReply);
   w.WriteValue(response.backup_result);
   w.WriteVarint(response.fresh_items.size());
   for (const FreshItem& item : response.fresh_items) {
@@ -409,7 +416,12 @@ Result<LviResponse> DecodeLviResponse(const WireBuffer& buffer) {
   }
   LviResponse response;
   response.exec_id = r.ReadVarint();
-  response.validated = r.ReadByte() == 1;
+  const uint8_t verdict = r.ReadByte();
+  if (verdict > kSnapshotReply) {
+    return Status::Error("invalid validation byte in LVI response");
+  }
+  response.validated = verdict == kValidatedReply;
+  response.snapshot = verdict == kSnapshotReply;
   response.backup_result = r.ReadValue();
   const uint64_t count = r.ReadVarint();
   for (uint64_t i = 0; i < count && r.ok(); ++i) {

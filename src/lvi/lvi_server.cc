@@ -452,19 +452,21 @@ void LviServer::Validate(LviRequest request) {
   if (request.session_id != 0) {
     metrics_.Increment("session_requests");
   }
-  // (5) One BatchVersions round reads the primary's versions of the
-  // request's items; versions[i] is items[i]'s.
+  // (5) One batch read round gets the primary's value and version of each
+  // of the request's items, under their locks; primary[i] is items[i]'s.
+  // Validation compares the versions; a failed read-only request is
+  // answered with the values.
   std::vector<Key> keys;
   keys.reserve(request.items.size());
   for (const LviItem& item : request.items) {
     keys.push_back(item.key);
   }
   SimDuration read_latency = 0;
-  std::vector<Version> versions = store_->BatchVersions(keys, &read_latency);
+  std::vector<Item> primary_items = store_->BatchGet(keys, &read_latency);
   const uint64_t epoch = epoch_;
   const SimTime validate_start = sim_->Now();
   sim_->Schedule(read_latency, [this, epoch, validate_start, request = std::move(request),
-                                versions = std::move(versions)]() mutable {
+                                primary_items = std::move(primary_items)]() mutable {
     if (!StillAlive(epoch)) {
       metrics_.Increment("stale_epoch_dropped");
       return;
@@ -476,7 +478,7 @@ void LviServer::Validate(LviRequest request) {
     Pins pins;
     for (size_t i = 0; i < request.items.size(); ++i) {
       const LviItem& item = request.items[i];
-      const Version primary = versions[i];
+      const Version primary = primary_items[i].version;
       if (item.mode == LockMode::kWrite) {
         pins.keys.push_back(item.key);
         pins.versions.push_back(primary);
@@ -499,7 +501,7 @@ void LviServer::Validate(LviRequest request) {
     }
     EmitSpan("server.validate", request.exec_id, validate_start);
     if (!stale.empty()) {
-      OnValidationFailure(std::move(request), stale);
+      OnValidationFailure(std::move(request), stale, std::move(primary_items));
       return;
     }
     metrics_.Increment("validate_success");
@@ -577,13 +579,37 @@ void LviServer::CommitIntent(LviRequest request, Pins pins) {
   RespondLvi(created->second.request, std::move(response));
 }
 
-void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices) {
+void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices,
+                                    std::vector<Item> primary_items) {
   metrics_.Increment("validate_fail");
   BumpShard(HomeShard(request), "validate_fail");
   // The speculation an early followup carries did not validate.
   DropParked(request.exec_id);
-  // (6b) Run the backup copy of the function against the primary, under the
-  // locks already held; (7b) its reply carries the result and repairs.
+  if (std::none_of(request.items.begin(), request.items.end(),
+                   [](const LviItem& item) { return item.mode == LockMode::kWrite; })) {
+    // (6b) A read-only request: the batch read is its read point, as for a
+    // validated one, so the read locks release now and (7b) the reply
+    // carries that snapshot; the runtime reruns f on it. f is
+    // deterministic, so its result is fixed here.
+    const ExecutionId exec_id = request.exec_id;
+    locks_->ReleaseAll(exec_id);
+    LviResponse response;
+    response.exec_id = exec_id;
+    response.snapshot = true;
+    response.fresh_items.reserve(request.items.size());
+    for (size_t i = 0; i < request.items.size(); ++i) {
+      response.fresh_items.push_back(FreshItem{std::move(request.items[i].key),
+                                               std::move(primary_items[i].value),
+                                               primary_items[i].version});
+    }
+    RespondLvi(request, std::move(response));
+    return;
+  }
+  // (6b) Run the backup copy of the writer against the primary, under the
+  // locks already held: its writes need them through its compute, and
+  // must not hold them across a WAN round trip. (7b) Its reply carries the
+  // result and repairs.
+  metrics_.Increment("backup_exec");
   PrimaryRun run(PrimaryRun::kBackup, request.exec_id, OriginOf(request),
                  registry_->Find(request.function), std::move(request.inputs));
   assert(run.fn != nullptr && "function not registered at the near-storage location");
@@ -798,8 +824,9 @@ void LviServer::HandleDirect(DirectRequest request, DirectRespondFn respond) {
   }
   // Fallback of an execution whose LVI attempt failed validation: the backup
   // execution already ran; adapt its cached reply instead of re-executing.
+  // A snapshot reply ran nothing: a read-only function runs fresh below.
   const LviResponse* lvi_hit = lvi_replies_.Find(exec_id);
-  if (lvi_hit != nullptr && !lvi_hit->validated) {
+  if (lvi_hit != nullptr && !lvi_hit->validated && !lvi_hit->snapshot) {
     metrics_.Increment("direct_from_lvi_cache");
     DirectResponse response;
     response.exec_id = exec_id;

@@ -1,12 +1,15 @@
 // LviServer: the near-storage server handling LVI requests (§3.2, Figure 3).
 //
 // One server runs alongside the primary copy of the data. For each LVI
-// request it (4) acquires a read/write lock per item, (5) validates the
-// cache's versions of the items f reads against the primary (a blind write
-// is pinned at the primary's version, not compared), then either (6a) sets
-// up a write intent with a timer and replies success, or (6b) runs the
-// backup copy of the function against the primary and replies with the
-// result plus fresh values for the near-user cache. Write followups apply
+// request it (4) acquires a read/write lock per item, (5) reads the
+// primary's value and version of every item in one batch and validates the
+// cache's versions of the items f reads (a blind write is pinned at the
+// primary's version, not compared), then either (6a) sets up a write intent
+// with a timer and replies success, or (6b) fails it: a read-only request
+// releases its read locks and is answered with the primary's snapshot of
+// its items, on which the runtime reruns f; a writer runs the backup copy
+// of the function against the primary and replies with the result plus
+// fresh values for the near-user cache. Write followups apply
 // speculative writes and release locks; if a followup never arrives, the
 // intent timer triggers deterministic re-execution (§3.4). Late followups
 // lose the intent race and are discarded (§3.6, case 3). The runtime sends
@@ -15,7 +18,7 @@
 // and a successful validation commits it in the intent-write round instead
 // of arming an intent; any other ending of the pipeline drops it.
 //
-// Every execution of a function at the primary — the backup, the
+// Every execution of a function at the primary — a writer's backup, the
 // re-execution, and a direct request — runs through one funnel,
 // RunAtPrimary, with one timing model: after the invoke overhead the
 // function reads the primary under the locks it holds (the read point) and
@@ -221,6 +224,9 @@ class LviServer {
   obs::MetricsScope counters() const { return metrics_; }
   uint64_t validations_succeeded() const { return metrics_.Get("validate_success"); }
   uint64_t validations_failed() const { return metrics_.Get("validate_fail"); }
+  // The failed validations of writers, each answered by a backup execution
+  // here; a read-only one is answered with a snapshot instead.
+  uint64_t backup_executions() const { return metrics_.Get("backup_exec"); }
   uint64_t reexecutions() const { return metrics_.Get("reexecute"); }
   uint64_t late_followups_discarded() const { return metrics_.Get("followup_late"); }
   double ValidationSuccessRate() const {
@@ -334,11 +340,15 @@ class LviServer {
   bool StillAlive(uint64_t epoch) const { return alive_ && epoch == epoch_; }
 
   // (5) + (6a) for a request whose locks were just granted: it is shed if
-  // its deadline has passed; else one BatchVersions round reads the
-  // primary's versions of its items, and a valid writer then writes its
+  // its deadline has passed; else one BatchGet round reads the primary's
+  // value and version of each item, and a valid writer then writes its
   // intent in one more round.
   void Validate(LviRequest request);
-  void OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices);
+  // (6b): a read-only request releases its read locks and is answered with
+  // `primary_items`, the batch read (its snapshot); a writer runs as a
+  // backup at the primary.
+  void OnValidationFailure(LviRequest request, const std::vector<size_t>& stale_indices,
+                           std::vector<Item> primary_items);
   // Tail of the success path, once the intent write's latency has elapsed:
   // commit a parked followup's writes in that write and release the locks,
   // or else create the intent record (idempotently) and arm its timer; then
@@ -365,8 +375,8 @@ class LviServer {
   // direct request of the same execution.
   void ResolveIntentByReExecution(ExecutionId exec_id);
 
-  // One execution of a function at the primary: a backup after a failed
-  // validation, a deterministic re-execution, or a direct execution.
+  // One execution of a function at the primary: a writer's backup after a
+  // failed validation, a deterministic re-execution, or a direct execution.
   struct PrimaryRun {
     enum Kind { kBackup, kReExecution, kDirect };
     PrimaryRun(Kind run_kind, ExecutionId id, Origin run_origin, const AnalyzedFunction* function,

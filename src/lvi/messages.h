@@ -4,8 +4,11 @@
 // set (from f^rw) with the cache's version per item; the response reports
 // validation success, or — on failure — the backup execution's result plus
 // fresh copies of every stale or written item so the near-user cache can be
-// repaired (§3.2). Validation compares the items f reads; a blind write (a
-// key f writes but never reads) is pinned at the primary's version instead.
+// repaired (§3.2). A read-only request that fails validation gets no backup:
+// its response is the primary's snapshot of its items, read at the lock
+// grant, and the runtime reruns f on it. Validation compares the items f
+// reads; a blind write (a key f writes but never reads) is pinned at the
+// primary's version instead.
 // The write followup ships the speculative writes after the client has
 // already been answered. The cache push carries every committed write from
 // the primary to the near-user caches that hold the key.
@@ -98,9 +101,15 @@ struct FreshItem {
 struct LviResponse {
   ExecutionId exec_id = 0;
   bool validated = false;
-  // Validation failure: the backup execution's result and fresh copies of
-  // stale/written items for cache repair. Validation success: the blind
-  // writes whose cached version differs from the primary's, each with the
+  // Validation failure of a read-only request: `fresh_items` is the
+  // primary's snapshot of every request item, read under the read locks at
+  // their grant (an absent key at kMissingVersion with a unit value), and
+  // no backup ran. The runtime reruns f on the snapshot. On the wire it is
+  // the validation byte's third value, so it costs no byte.
+  bool snapshot = false;
+  // A writer's validation failure: the backup execution's result and fresh
+  // copies of stale/written items for cache repair. Validation success: the
+  // blind writes whose cached version differs from the primary's, each with the
   // primary's pinned version and no value. The runtime installs every
   // speculative write at its base version + 1 — the cached version, or the
   // pinned one for these — exactly the version the primary assigns when the

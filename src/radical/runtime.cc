@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "src/common/logging.h"
 #include "src/lvi/codec.h"
@@ -331,7 +332,7 @@ void Runtime::StartLvi(std::shared_ptr<RequestState> state, RwSet rw) {
   state->trace.speculated = true;
   metrics_.Increment("speculations");
   sim_->Schedule(exec.elapsed, [this, state, result = exec.return_value] {
-    if (DeadRequest(*state)) {
+    if (DeadRequest(*state) || state->speculation == Speculation::kDropped) {
       return;
     }
     state->speculation = Speculation::kFinished;
@@ -631,6 +632,10 @@ void Runtime::OnLviResponse(const std::shared_ptr<RequestState>& state, LviRespo
   }
   state->trace.validated = response.validated;
   state->response = std::move(response);
+  if (state->response.snapshot) {
+    RerunOnSnapshot(state);
+    return;
+  }
   if (!state->response.validated) {
     state->phase.Move(RequestPhase::kCommitting);
     CompleteFailed(state);
@@ -659,9 +664,7 @@ void Runtime::OnDirectResponse(const std::shared_ptr<RequestState>& state,
   if (!AcceptResponse(state, AttemptPath::kDirect, response.status, response.retry_after)) {
     return;
   }
-  for (const FreshItem& item : response.fresh_items) {
-    cache_.Install(item.key, item.value, item.version);
-  }
+  RepairCache(response.fresh_items);
   AdvanceSessionFloor(state, response.fresh_items);
   Reply(state, response.result);
 }
@@ -708,6 +711,16 @@ void Runtime::AdvanceSessionFloor(const std::shared_ptr<RequestState>& state,
   for (const FreshItem& item : items) {
     Version& slot = state->session->floor[item.key];
     slot = std::max(slot, item.version);
+  }
+}
+
+void Runtime::RepairCache(const std::vector<FreshItem>& items) {
+  // A push may have brought a newer copy while the reply was on its way;
+  // the reply never moves an item back.
+  for (const FreshItem& item : items) {
+    if (item.version > cache_.VersionOf(item.key)) {
+      cache_.Install(item.key, item.value, item.version);
+    }
   }
 }
 
@@ -834,9 +847,7 @@ void Runtime::CompleteFailed(const std::shared_ptr<RequestState>& state) {
   if (state->buffer != nullptr) {
     state->buffer->Discard();
   }
-  for (const FreshItem& item : state->response.fresh_items) {
-    cache_.Install(item.key, item.value, item.version);
-  }
+  RepairCache(state->response.fresh_items);
   AdvanceSessionFloor(state, state->response.fresh_items);
   if (state->session != nullptr) {
     // Items that *did* match the primary were observed at their cached
@@ -855,6 +866,89 @@ void Runtime::CompleteFailed(const std::shared_ptr<RequestState>& state) {
       return;
     }
     Reply(state, state->response.backup_result);
+  });
+}
+
+namespace {
+
+// A read-only view of an LVI snapshot reply's items (sorted by key): a Get
+// serves the primary's copy at no latency, since the reply already carries
+// it; a key outside the snapshot reads as absent and a Put is dropped. The
+// caller checks the run's ExecResult for either before using its result.
+class SnapshotView : public Storage {
+ public:
+  explicit SnapshotView(const std::vector<FreshItem>& items) : items_(items) {}
+
+  std::optional<Item> Get(const Key& key, SimDuration* /*latency*/) override {
+    const FreshItem* item = Find(key);
+    if (item == nullptr || item->version == kMissingVersion) {
+      return std::nullopt;
+    }
+    return Item{item->value, item->version};
+  }
+  void Put(const Key& /*key*/, const Value& /*value*/, SimDuration* /*latency*/) override {}
+
+  // True when the run wrote nothing and read only keys of the snapshot.
+  bool Covers(const ExecResult& exec) const {
+    return exec.writes.empty() &&
+           std::all_of(exec.reads.begin(), exec.reads.end(),
+                       [this](const Key& key) { return Find(key) != nullptr; });
+  }
+
+ private:
+  const FreshItem* Find(const Key& key) const {
+    const auto pos = std::lower_bound(
+        items_.begin(), items_.end(), key,
+        [](const FreshItem& item, const Key& k) { return item.key < k; });
+    return pos != items_.end() && pos->key == key ? &*pos : nullptr;
+  }
+
+  const std::vector<FreshItem>& items_;
+};
+
+}  // namespace
+
+void Runtime::RerunOnSnapshot(const std::shared_ptr<RequestState>& state) {
+  if (snapshot_reruns_ == nullptr) {
+    snapshot_reruns_ = metrics_.counter("snapshot_reruns");
+    rerun_outside_snapshot_ = metrics_.counter("rerun_outside_snapshot");
+  }
+  snapshot_reruns_->Increment();
+  metrics_.Increment("invalidated_speculative");
+  // The speculation read a stale cache: drop it, and its buffer, whether or
+  // not it has ended.
+  if (state->buffer != nullptr) {
+    state->buffer->Discard();
+    state->buffer.reset();
+  }
+  state->speculation = Speculation::kDropped;
+  // (8b) The snapshot repairs the cache while (9b) f reruns on it. The
+  // rerun reads the snapshot, not the cache: a push that lands meanwhile
+  // must not mix a newer copy of one key into the snapshot of the others.
+  const std::vector<FreshItem>& snapshot = state->response.fresh_items;
+  RepairCache(snapshot);
+  SnapshotView view(snapshot);
+  const AnalyzedFunction* fn = registry_->Find(state->function);
+  const ExecEnv env{state->exec_id, externals_};
+  ExecResult exec = interpreter_->Execute(fn->original, state->inputs, &view,
+                                          config_.server.exec_limits, &env);
+  if (!view.Covers(exec)) {
+    // On the primary's values f reads a key f^rw did not predict (a
+    // dependent read's index changed), or writes: the snapshot cannot
+    // answer it, and the primary can.
+    rerun_outside_snapshot_->Increment();
+    InvokeDirect(state);
+    return;
+  }
+  assert(exec.ok() && "rerun on the snapshot failed");
+  state->phase.Move(RequestPhase::kCommitting);
+  AdvanceSessionFloor(state, snapshot);
+  state->trace.rerun = true;
+  sim_->Schedule(exec.elapsed, [this, state, result = std::move(exec.return_value)]() mutable {
+    if (DeadRequest(*state)) {
+      return;
+    }
+    Reply(state, std::move(result));
   });
 }
 

@@ -6,8 +6,10 @@
 // request — with the cache's version per item — to the near-storage
 // location. The client is answered when both the speculative execution and
 // the LVI response have arrived: with the speculative result if validation
-// succeeded, or with the backup execution's result if it failed (in which
-// case the response's fresh items repair the cache). The write followup
+// succeeded. If it failed, the response's fresh items repair the cache, and
+// the client gets the backup execution's result (a writer) or the result of
+// rerunning f on the primary's snapshot the response carries (a read-only
+// function; no backup runs). The write followup
 // ships the buffered writes as soon as the speculation ends — usually ahead
 // of the LVI response, so the server can commit them at validation.
 //
@@ -145,8 +147,9 @@ class Runtime {
   }
 
  private:
-  // Whether a speculative run of f over the cache was started and finished.
-  enum class Speculation : uint8_t { kNone, kRunning, kFinished };
+  // Whether a speculative run of f over the cache was started and finished,
+  // or dropped by a snapshot reply that proved it stale (its end is ignored).
+  enum class Speculation : uint8_t { kNone, kRunning, kFinished, kDropped };
 
   struct RequestState {
     ExecutionId exec_id = 0;
@@ -205,6 +208,9 @@ class Runtime {
   // Raises the session's high-water mark to each fresh (key, version).
   static void AdvanceSessionFloor(const std::shared_ptr<RequestState>& state,
                                   const std::vector<FreshItem>& items);
+  // Installs each fresh item the cache does not hold at that version or a
+  // newer one.
+  void RepairCache(const std::vector<FreshItem>& items);
   // Fires Outcome{kPreview} with the speculative result if the request asked
   // for one and the final is still unknown (kLvi or kDirect).
   void MaybeDeliverPreview(const std::shared_ptr<RequestState>& state);
@@ -271,6 +277,11 @@ class Runtime {
   // cache and replies with the backup result.
   void CompleteValidated(const std::shared_ptr<RequestState>& state);
   void CompleteFailed(const std::shared_ptr<RequestState>& state);
+  // A read-only request's failed validation, answered with the primary's
+  // snapshot: drops the speculation, repairs the cache, and reruns f on the
+  // snapshot, replying after its compute; a rerun that reads outside the
+  // snapshot (or writes) goes direct instead.
+  void RerunOnSnapshot(const std::shared_ptr<RequestState>& state);
   // Installs speculative writes into the cache and ships the followup,
   // unless it already left.
   void CommitSpeculation(const std::shared_ptr<RequestState>& state, Value result);
@@ -317,6 +328,9 @@ class Runtime {
   // registers no push instruments.
   obs::Counter* push_applied_ = nullptr;
   obs::Counter* push_ignored_ = nullptr;
+  // Resolved on the first snapshot reply, likewise.
+  obs::Counter* snapshot_reruns_ = nullptr;
+  obs::Counter* rerun_outside_snapshot_ = nullptr;
   ExternalServiceRegistry* externals_;
   TraceCollector* tracer_ = nullptr;
   obs::SpanCollector* spans_ = nullptr;

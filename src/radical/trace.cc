@@ -61,6 +61,9 @@ void AppendSpans(const RequestTrace& trace, obs::SpanCollector* spans) {
     AddClientSpan(spans, trace, "lvi_stall", trace.spec_finished, trace.response_received);
   }
   AddClientSpan(spans, trace, "completion", trace.ResponseAnchor(), trace.replied);
+  if (trace.rerun) {
+    AddClientSpan(spans, trace, "rerun", trace.response_received, trace.replied);
+  }
   // One span per transmission, retries included.
   for (const RequestAttempt& attempt : trace.attempts) {
     const SimTime end = attempt.resolved != 0 ? attempt.resolved : attempt.sent;

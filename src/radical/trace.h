@@ -83,6 +83,9 @@ struct RequestTrace {
   bool speculated = false;
   bool validated = false;
   bool direct = false;  // Unanalyzable/f^rw-failure fallback path.
+  // Answered by rerunning f at the PoP on the primary's snapshot (a failed
+  // read-only validation): the compute runs from the response to the reply.
+  bool rerun = false;
   // Retry machinery (RetryPolicy): attempts beyond the first, across the
   // LVI and direct paths, plus whether the request exhausted its LVI budget
   // and degraded to InvokeDirect.
@@ -158,7 +161,8 @@ struct RequestTrace {
     return std::max<SimDuration>(0, response_received - spec_finished);
   }
   // (5) Everything after the response (local completion, cache installs; on
-  // the failure path this is just the reply since the backup already ran).
+  // a writer's failure path this is just the reply since the backup already
+  // ran; on a read-only one it is the rerun on the snapshot).
   SimDuration Completion() const { return replied - ResponseAnchor(); }
   SimDuration Total() const { return replied - invoked; }
 };

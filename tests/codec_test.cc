@@ -188,6 +188,54 @@ TEST(WireCodecTest, LviResponseRoundTrip) {
   EXPECT_EQ(decoded->fresh_items[0].version, 3);
 }
 
+TEST(WireCodecTest, SnapshotReplyRoundTripsOnTheValidationByte) {
+  LviResponse snapshot;
+  snapshot.exec_id = 56;
+  snapshot.snapshot = true;
+  snapshot.fresh_items = {{"absent", Value(), kMissingVersion}, {"k", Value("v"), 2}};
+  WireScratch scratch;
+  const size_t size = scratch.SizeOf(snapshot);
+  const Result<LviResponse> decoded = DecodeLviResponse(scratch.buffer());
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  EXPECT_FALSE(decoded->validated);
+  EXPECT_TRUE(decoded->snapshot);
+  EXPECT_EQ(decoded->backup_result, Value());
+  ASSERT_EQ(decoded->fresh_items.size(), 2u);
+  EXPECT_EQ(decoded->fresh_items[0].key, "absent");
+  EXPECT_EQ(decoded->fresh_items[0].version, kMissingVersion);
+  EXPECT_EQ(decoded->fresh_items[1].value, Value("v"));
+  // The marker is the validation byte's third value: it costs no byte over
+  // the same items in a backup reply, and a backup reply decodes unmarked.
+  LviResponse backup = snapshot;
+  backup.snapshot = false;
+  EXPECT_EQ(scratch.SizeOf(backup), size);
+  const Result<LviResponse> unmarked = DecodeLviResponse(scratch.buffer());
+  ASSERT_TRUE(unmarked.ok()) << unmarked.message();
+  EXPECT_FALSE(unmarked->snapshot);
+  EXPECT_FALSE(unmarked->validated);
+  // A validated reply is never a snapshot.
+  LviResponse validated;
+  validated.validated = true;
+  const Result<LviResponse> ok = DecodeLviResponse(EncodeLviResponse(validated));
+  ASSERT_TRUE(ok.ok()) << ok.message();
+  EXPECT_TRUE(ok->validated);
+  EXPECT_FALSE(ok->snapshot);
+}
+
+TEST(WireCodecTest, UnknownValidationByteRejected) {
+  LviResponse response;
+  response.exec_id = 5;  // One varint byte: the validation byte is at offset 3.
+  WireBuffer encoded = EncodeLviResponse(response);
+  for (const uint8_t verdict : {uint8_t{3}, uint8_t{0x80}, uint8_t{0xff}}) {
+    WireBuffer corrupted = encoded;
+    corrupted[3] = verdict;
+    const Result<LviResponse> decoded = DecodeLviResponse(corrupted);
+    ASSERT_FALSE(decoded.ok()) << int{verdict};
+    EXPECT_NE(decoded.message().find("invalid validation byte"), std::string::npos)
+        << decoded.message();
+  }
+}
+
 TEST(WireCodecTest, FollowupRoundTrip) {
   WriteFollowup followup;
   followup.exec_id = 77;

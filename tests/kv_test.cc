@@ -40,14 +40,16 @@ TEST(VersionedStoreTest, LatencyAccounting) {
   EXPECT_EQ(lat, Millis(8));
 }
 
-TEST(VersionedStoreTest, BatchVersionsSingleRound) {
+TEST(VersionedStoreTest, BatchGetSingleRound) {
   VersionedStore store;
   store.Seed("a", Value("x"));
   store.Seed("b", Value("y"));
   SimDuration lat = 0;
-  const std::vector<Version> versions = store.BatchVersions({"a", "b", "missing"}, &lat);
-  EXPECT_EQ(versions, (std::vector<Version>{1, 1, kMissingVersion}));
+  const std::vector<Item> items = store.BatchGet({"a", "b", "missing"}, &lat);
+  EXPECT_EQ(items, (std::vector<Item>{{Value("x"), 1}, {Value("y"), 1},
+                                      {Value(), kMissingVersion}}));
   EXPECT_EQ(lat, store.options().read_latency);  // One batch, one read cost.
+  EXPECT_EQ(store.reads(), 0u);  // Validation reads are not function reads.
 }
 
 TEST(VersionedStoreTest, ApplyValidatedWriteSetsExactVersion) {

@@ -11,6 +11,7 @@
 #include "src/check/linearizability.h"
 #include "src/func/builder.h"
 #include "src/lvi/lvi_server.h"
+#include "src/obs/span.h"
 
 namespace radical {
 namespace {
@@ -87,18 +88,80 @@ TEST_F(LviServerTest, ReadOnlyValidationSuccessReleasesLocksImmediately) {
 }
 
 TEST_F(LviServerTest, ValidationFailureRunsBackupAndRepairs) {
+  // A writer's stale read: the backup runs at the primary. (A read-only
+  // request gets its snapshot instead, see the next test.)
+  registry_.Register(Fn("rmw_set", {"k", "v"}, {
+      Read("old", In("k")),
+      Write(In("k"), In("v")),
+      Return(V("old")),
+  }));
   store_.Seed("k", Value("fresh"));  // Version 1; cache claims version 0.
   std::optional<LviResponse> response;
-  server_->HandleLviRequest(MakeRequest("reg_get", {Value("k")},
-                                        {{"k", 0, LockMode::kRead}}),
+  server_->HandleLviRequest(MakeRequest("rmw_set", {Value("k"), Value("new")},
+                                        {{"k", 0, LockMode::kWrite}}),
                             [&](LviResponse r) { response = std::move(r); });
   sim_.Run();
   ASSERT_TRUE(response.has_value());
   EXPECT_FALSE(response->validated);
+  EXPECT_FALSE(response->snapshot);
   EXPECT_EQ(response->backup_result, Value("fresh"));
   ASSERT_EQ(response->fresh_items.size(), 1u);
   EXPECT_EQ(response->fresh_items[0].key, "k");
-  EXPECT_EQ(response->fresh_items[0].version, 1);
+  EXPECT_EQ(response->fresh_items[0].value, Value("new"));
+  EXPECT_EQ(response->fresh_items[0].version, 2);
+  EXPECT_EQ(server_->validations_failed(), 1u);
+  EXPECT_EQ(server_->backup_executions(), 1u);
+  EXPECT_TRUE(server_->idle());
+}
+
+TEST_F(LviServerTest, StaleReadOnlyRequestIsAnsweredWithItsSnapshot) {
+  registry_.Register(Fn("pair_get", {"a", "b"}, {
+      Read("x", In("a")),
+      Read("y", In("b")),
+      Return(Append(Append(C(Value(ValueList{})), V("x")), V("y"))),
+  }));
+  obs::SpanCollector spans;
+  server_->set_span_collector(&spans);
+  store_.Seed("k", Value("fresh"));  // Version 1; cache claims version 0.
+  // "gone" is absent at the primary and in the cache: it validates, and the
+  // snapshot says it is absent.
+  const LviRequest request = MakeRequest("pair_get", {Value("k"), Value("gone")},
+                                         {{"gone", kMissingVersion, LockMode::kRead},
+                                          {"k", 0, LockMode::kRead}});
+  std::optional<LviResponse> response;
+  bool locks_held_at_reply = true;
+  server_->HandleLviRequest(request, [&](LviResponse r) {
+    response = std::move(r);
+    locks_held_at_reply = locks_.table().IsReadHeldBy("k", request.exec_id);
+  });
+  sim_.Run();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_FALSE(response->validated);
+  EXPECT_TRUE(response->snapshot);
+  EXPECT_EQ(response->backup_result, Value());  // No backup ran.
+  ASSERT_EQ(response->fresh_items.size(), 2u);
+  EXPECT_EQ(response->fresh_items[0].key, "gone");
+  EXPECT_EQ(response->fresh_items[0].value, Value());
+  EXPECT_EQ(response->fresh_items[0].version, kMissingVersion);
+  EXPECT_EQ(response->fresh_items[1].key, "k");
+  EXPECT_EQ(response->fresh_items[1].value, Value("fresh"));
+  EXPECT_EQ(response->fresh_items[1].version, 1);
+  EXPECT_FALSE(locks_held_at_reply);
+  EXPECT_EQ(server_->validations_failed(), 1u);
+  EXPECT_EQ(server_->backup_executions(), 0u);
+  EXPECT_EQ(store_.reads(), 0u);  // Nothing ran at the primary.
+  for (const obs::Span& span : spans.spans()) {
+    EXPECT_NE(span.name, "server.backup_exec");
+  }
+  // A retry replays the same snapshot.
+  std::optional<LviResponse> replay;
+  server_->HandleLviRequest(request, [&](LviResponse r) { replay = std::move(r); });
+  sim_.Run();
+  ASSERT_TRUE(replay.has_value());
+  EXPECT_TRUE(replay->snapshot);
+  ASSERT_EQ(replay->fresh_items.size(), 2u);
+  EXPECT_EQ(replay->fresh_items[1].value, Value("fresh"));
+  EXPECT_EQ(server_->counters().Get("duplicate_replayed"), 1u);
   EXPECT_EQ(server_->validations_failed(), 1u);
   EXPECT_TRUE(server_->idle());
 }
@@ -628,15 +691,17 @@ TEST_F(LviServerTest, DirectRequestDuringReExecutionWaitsForIt) {
 
 // --- Lock timing of executions at the primary ----------------------------------
 
-TEST_F(LviServerTest, WriterQueuedBehindReadOnlyBackupIsGrantedBeforeTheBackupComputeEnds) {
+TEST_F(LviServerTest, WriterQueuedBehindAStaleReaderIsGrantedAtTheReadersSnapshotRead) {
   registry_.Register(Fn("slow_get", {"k"}, {
       Read("out", In("k")),
       Compute(Millis(200)),
       Return(V("out")),
   }));
+  obs::SpanCollector spans;
+  server_->set_span_collector(&spans);
   store_.Seed("k", Value("v0"));  // Version 1.
-  // The reader's cache is stale (version 0): validation fails and its backup
-  // runs under the read lock.
+  // The reader's cache is stale (version 0): validation fails, and the
+  // validation read is its snapshot.
   LviRequest reader = MakeRequest("slow_get", {Value("k")}, {{"k", 0, LockMode::kRead}});
   const ExecutionId reader_id = reader.exec_id;
   std::optional<LviResponse> reader_reply;
@@ -666,19 +731,33 @@ TEST_F(LviServerTest, WriterQueuedBehindReadOnlyBackupIsGrantedBeforeTheBackupCo
   sim_.Run();
   ASSERT_TRUE(reader_reply.has_value());
   ASSERT_TRUE(writer_reply.has_value());
-  // The backup released its read lock at its read point, so the writer
-  // validated, and was answered, long before the backup's compute ended.
+  // The reader released its read lock at its snapshot read, one read
+  // latency after its grant, with its reply: the writer was granted then,
+  // not after the reader's 200 ms compute, which no longer runs here.
+  SimTime reader_granted = 0;
+  SimTime writer_granted = 0;
+  for (const obs::Span& span : spans.spans()) {
+    EXPECT_NE(span.name, "server.backup_exec");
+    if (span.name == "server.lock_wait") {
+      (span.lane == reader_id ? reader_granted : writer_granted) = span.start + span.duration;
+    }
+  }
+  EXPECT_EQ(reader_at, reader_granted + store_.options().read_latency);
+  EXPECT_EQ(writer_granted, reader_at);
   EXPECT_TRUE(writer_reply->validated);
-  EXPECT_LT(writer_at, reader_at - Millis(150));
-  // The backup returns the snapshot it read: the pre-writer value.
+  // The snapshot is the pre-writer value.
   EXPECT_FALSE(reader_reply->validated);
-  EXPECT_EQ(reader_reply->backup_result, Value("v0"));
+  EXPECT_TRUE(reader_reply->snapshot);
   ASSERT_EQ(reader_reply->fresh_items.size(), 1u);
+  EXPECT_EQ(reader_reply->fresh_items[0].value, Value("v0"));
   EXPECT_EQ(reader_reply->fresh_items[0].version, 1);
   EXPECT_EQ(store_.Peek("k")->value, Value("v1"));
   EXPECT_EQ(store_.VersionOf("k"), 2);
+  // The reader's result is f on that snapshot, fixed at the read point: the
+  // runtime answers it one compute later.
+  const SimTime reader_result_at = reader_at + Millis(200);
   const std::vector<HistoryOp> history = {
-      {false, "k", reader_reply->backup_result, 0, reader_at},
+      {false, "k", reader_reply->fresh_items[0].value, 0, reader_result_at},
       {true, "k", Value("v1"), writer_invoke, writer_at},
   };
   EXPECT_TRUE(CheckRegisterHistory(history, Value("v0")).linearizable);
@@ -719,15 +798,17 @@ TEST_F(LviServerTest, WritersBackupHoldsItsLocksAndPushesUntilItsComputeEnds) {
 }
 
 TEST_F(LviServerTest, BackupsWritingAKeyTheyOnlyReadLockedLoseNoUpdate) {
-  // flag_incr(k) increments k only while "mode" is on. Both callers' caches
-  // still see mode off, so each predicted a read of k and read-locked it;
-  // the primary has mode on, so both fresh runs write k.
-  registry_.Register(Fn("flag_incr", {"k"}, {
+  // flag_incr(k, who) increments k only while "mode" is on, and always
+  // records its caller: a writer, so a failed validation runs its backup.
+  // Both callers' caches still see mode off, so each predicted a read of k
+  // and read-locked it; the primary has mode on, so both fresh runs write k.
+  registry_.Register(Fn("flag_incr", {"k", "who"}, {
       Read("m", C("mode")),
       Read("n", In("k")),
       If(Eq(V("m"), C("on")), {
           Write(In("k"), Add(V("n"), C(int64_t{1}))),
       }),
+      Write(In("who"), C("ran")),
       Compute(Millis(100)),
       Return(V("n")),
   }));
@@ -735,8 +816,10 @@ TEST_F(LviServerTest, BackupsWritingAKeyTheyOnlyReadLockedLoseNoUpdate) {
   store_.Seed("k", Value(int64_t{0}));    // Version 1.
   std::vector<LviResponse> replies;
   for (int i = 0; i < 2; ++i) {
-    server_->HandleLviRequest(MakeRequest("flag_incr", {Value("k")},
-                                          {{"k", 1, LockMode::kRead},
+    const Key who = "caller" + std::to_string(i);
+    server_->HandleLviRequest(MakeRequest("flag_incr", {Value("k"), Value(who)},
+                                          {{who, kMissingVersion, LockMode::kWrite, true},
+                                           {"k", 1, LockMode::kRead},
                                            {"mode", 0, LockMode::kRead}}),
                               [&](LviResponse r) { replies.push_back(std::move(r)); });
     sim_.RunFor(Millis(5));  // The second backup reads within the first one's compute.

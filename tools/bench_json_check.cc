@@ -557,9 +557,9 @@ void CheckBenchReport(const JsonValue& root, const std::string& path) {
     const JsonValue* protocol = Require(exp, where, "protocol", JsonValue::Type::kObject);
     if (protocol != nullptr) {
       for (const char* field : {"validation_success_rate", "validation_ok_pct",
-                                "backup_execs_per_req", "reexecutions", "primary_reruns",
-                                "lock_waits", "speculations", "wan_bytes",
-                                "lvi_requests"}) {
+                                "backup_execs_per_req", "snapshot_reruns_per_req",
+                                "reexecutions", "primary_reruns", "lock_waits",
+                                "speculations", "wan_bytes", "lvi_requests"}) {
         Require(*protocol, where + ".protocol", field, JsonValue::Type::kNumber);
       }
       const JsonValue* ok_pct = protocol->Find("validation_ok_pct");
@@ -567,9 +567,25 @@ void CheckBenchReport(const JsonValue& root, const std::string& path) {
           (ok_pct->number < 0.0 || ok_pct->number > 100.0)) {
         Report(where + ".protocol", "validation_ok_pct outside [0, 100]");
       }
-      const JsonValue* backups = protocol->Find("backup_execs_per_req");
-      if (backups != nullptr && backups->is(JsonValue::Type::kNumber) && backups->number < 0.0) {
-        Report(where + ".protocol", "backup_execs_per_req is negative");
+      // The two answers to a failed validation: a backup at the primary, a
+      // rerun at the PoP.
+      for (const char* field : {"backup_execs_per_req", "snapshot_reruns_per_req"}) {
+        const JsonValue* per_req = protocol->Find(field);
+        if (per_req != nullptr && per_req->is(JsonValue::Type::kNumber) && per_req->number < 0.0) {
+          Report(where + ".protocol", std::string(field) + " is negative");
+        }
+      }
+    }
+    // Optional (Radical runs): each region's share of failed validations.
+    if (const JsonValue* fail_pct = exp.Find("per_region_validation_fail_pct")) {
+      if (!fail_pct->is(JsonValue::Type::kObject)) {
+        Report(where, "per_region_validation_fail_pct is not an object");
+      } else {
+        for (const auto& [region, pct] : fail_pct->object) {
+          if (!pct.is(JsonValue::Type::kNumber) || pct.number < 0.0 || pct.number > 100.0) {
+            Report(where, "per_region_validation_fail_pct." + region + " outside [0, 100]");
+          }
+        }
       }
     }
     const JsonValue* simulator = Require(exp, where, "simulator", JsonValue::Type::kObject);

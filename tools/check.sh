@@ -25,7 +25,9 @@
 # CHECK_BENCH_SMOKE=1 tools/check.sh  additionally runs the benches briefly
 # (RADICAL_BENCH_SMOKE=1 shrinks the load inside bench_util) and validates
 # the machine-readable BENCH_radical.json and Chrome trace-event exports
-# against their schemas with tools/bench_json_check.
+# against their schemas with tools/bench_json_check, and requires Fig 5's
+# per-region rows: every app's Radical run exports each region's share of
+# failed validations beside its per-region p50 and p99.
 #
 # CHECK_REPLICATED=1 tools/check.sh  additionally runs
 # bench/sec5_6_replication in smoke mode — which includes the serial vs
@@ -95,6 +97,17 @@ if [ "${CHECK_BENCH_SMOKE:-0}" = "1" ]; then
   RADICAL_BENCH_SMOKE=1 RADICAL_BENCH_JSON="$SMOKE_DIR/BENCH_radical.json" \
     "$BUILD_DIR/bench/fig4_end_to_end" > "$SMOKE_DIR/fig4_end_to_end.out"
   "$BUILD_DIR/tools/bench_json_check" "$SMOKE_DIR/BENCH_radical.json"
+  echo "== bench smoke: fig5_regional (per-region rows) =="
+  RADICAL_BENCH_SMOKE=1 RADICAL_BENCH_JSON="$SMOKE_DIR/BENCH_fig5.json" \
+    "$BUILD_DIR/bench/fig5_regional" > "$SMOKE_DIR/fig5_regional.out"
+  "$BUILD_DIR/tools/bench_json_check" "$SMOKE_DIR/BENCH_fig5.json"
+  runs="$(grep -o '/radical"' "$SMOKE_DIR/BENCH_fig5.json" | wc -l)"
+  rows="$(grep -o '"per_region_validation_fail_pct"' "$SMOKE_DIR/BENCH_fig5.json" | wc -l)"
+  if [ "$runs" -eq 0 ] || [ "$rows" -ne "$runs" ]; then
+    echo "check.sh: fig5_regional exported per-region validation rows for $rows of $runs" \
+      "Radical runs" >&2
+    exit 1
+  fi
   echo "== bench smoke: latency_breakdown (trace-event schema) =="
   RADICAL_BENCH_SMOKE=1 RADICAL_TRACE_JSON="$SMOKE_DIR/trace.json" \
     "$BUILD_DIR/bench/latency_breakdown" > "$SMOKE_DIR/latency_breakdown.out"
