@@ -1,13 +1,9 @@
-// Ablation: the two design decisions the LVI protocol's latency story rests
-// on (§1, §3.2):
+// Ablation: the design decision the LVI protocol's latency story rests on
+// (§1, §3.2): speculative execution. Without it, the function runs only
+// after the LVI response validates, so coordination and execution
+// serialize.
 //
-//   1. Speculative execution — without it, the function runs only after the
-//      LVI response validates, so coordination and execution serialize.
-//   2. The single-request commit (locks + write intents) — without it, the
-//      runtime must ship its writes and await an ack before answering the
-//      client, paying a second round trip on every write.
-//
-// A third row drops every cache push: the paper's pull-only cache, which
+// A second row drops every cache push: the paper's pull-only cache, which
 // only failed validations repair. Its validation success rate is the
 // paper's; the full row shows what pushing committed writes buys.
 //
@@ -32,15 +28,11 @@ void Run() {
   RunOptions no_spec = base;
   no_spec.config.speculation_enabled = false;
 
-  RunOptions two_rtt = base;
-  two_rtt.config.single_request_commit = false;
-
   RunOptions pull_only = base;
   pull_only.pull_only_cache = true;
 
   const ExperimentResult full = RunApp(app, DeployKind::kRadical, base);
   const ExperimentResult spec_off = RunApp(app, DeployKind::kRadical, no_spec);
-  const ExperimentResult two_rtt_result = RunApp(app, DeployKind::kRadical, two_rtt);
   const ExperimentResult pull_only_result = RunApp(app, DeployKind::kRadical, pull_only);
   const ExperimentResult baseline = RunApp(app, DeployKind::kBaseline, base);
 
@@ -53,34 +45,14 @@ void Run() {
   };
   row("Radical (full)", full, true);
   row("no speculation", spec_off, true);
-  row("two-RTT commit (no intents)", two_rtt_result, true);
   row("pull-only cache (paper)", pull_only_result, true);
   row("primary-DC baseline", baseline, false);
   PrintRule(widths);
   std::printf(
       "\nShapes: without speculation the median collapses toward (and past) the\n"
-      "baseline — overlap is where the win comes from. The two-RTT commit mostly\n"
-      "hurts the write functions' tail (writes are ~1%% of this mix), which is\n"
-      "exactly why the write-intent mechanism targets them. The pull-only cache\n"
+      "baseline — overlap is where the win comes from. The pull-only cache\n"
       "repairs a stale copy only after a failed validation and its backup\n"
       "execution, so it validates less often and pays a longer tail.\n");
-
-  // Per-write-function view of the two-RTT ablation.
-  std::printf("\nWrite functions under the two-RTT commit:\n");
-  const std::vector<int> widths2 = {18, 12, 12, 14};
-  PrintTableHeader({"function", "full p50", "2-RTT p50", "added ms"}, widths2);
-  for (const FunctionSpec& fn : app.functions) {
-    if (!fn.writes) {
-      continue;
-    }
-    const Summary& f = full.per_function.at(fn.def.name);
-    const Summary& t = two_rtt_result.per_function.at(fn.def.name);
-    if (f.count == 0 || t.count == 0) {
-      continue;
-    }
-    PrintTableRow({fn.def.name, Ms(f.p50_ms), Ms(t.p50_ms), Ms(t.p50_ms - f.p50_ms)}, widths2);
-  }
-  PrintRule(widths2);
 }
 
 }  // namespace

@@ -78,10 +78,13 @@ ThroughputPoint MeasurePreviewCurve(const AppSpec& app, uint64_t seed) {
   auto stats = std::make_shared<PreviewStats>();
 
   // One closed-loop session per deployment location: the next request leaves
-  // when the previous final lands (previews never advance the loop).
+  // when the previous final lands (previews never advance the loop). Each
+  // loop holds itself; they are cleared after the run, which frees them.
+  std::vector<std::shared_ptr<std::function<void(uint64_t)>>> loops;
   for (const Region region : DeploymentRegions()) {
     auto session = std::make_shared<Session>(radical.OpenSession(region));
     auto submit_next = std::make_shared<std::function<void(uint64_t)>>();
+    loops.push_back(submit_next);
     *submit_next = [&, session, submit_next, stats](uint64_t remaining) {
       if (remaining == 0) {
         return;
@@ -121,6 +124,9 @@ ThroughputPoint MeasurePreviewCurve(const AppSpec& app, uint64_t seed) {
     (*submit_next)(per_session);
   }
   sim.Run();
+  for (const auto& loop : loops) {
+    *loop = nullptr;
+  }
 
   Check(stats->finals == stats->issued,
         "preview_vs_final: every request must resolve to exactly one final");
@@ -197,8 +203,10 @@ ThroughputPoint MeasureFailoverCurve(uint64_t seed) {
     });
   }
 
-  // One closed-loop session reader per non-primary location.
+  // One closed-loop session reader per non-primary location. Each loop holds
+  // itself; they are cleared after the run, which frees them.
   std::vector<std::shared_ptr<Session>> sessions;
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (const Region region : DeploymentRegions()) {
     if (region == kPrimaryRegion) {
       continue;
@@ -207,6 +215,7 @@ ThroughputPoint MeasureFailoverCurve(uint64_t seed) {
     sessions.push_back(session);
     auto last_seen = std::make_shared<int64_t>(-1);
     auto read_loop = std::make_shared<std::function<void()>>();
+    loops.push_back(read_loop);
     *read_loop = [&, session, last_seen, read_loop] {
       if (sim.Now() >= window) {
         return;
@@ -245,6 +254,9 @@ ThroughputPoint MeasureFailoverCurve(uint64_t seed) {
   sim.Schedule(window / 2, [&] { radical.CrashRuntime(Region::kCA); });
   sim.Schedule(window, [&] { radical.RecoverRuntime(Region::kCA); });
   sim.Run();
+  for (const auto& loop : loops) {
+    *loop = nullptr;
+  }
 
   for (const auto& session : sessions) {
     stats->failovers += session->failovers();

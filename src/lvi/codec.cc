@@ -446,6 +446,11 @@ void EncodeWriteFollowupTo(const WriteFollowup& followup, WireBuffer* out) {
     w.WriteString(write.key);
     w.WriteValue(write.value);
   }
+  // f's result: an optional trailing group, absent for the unit value, so a
+  // followup of a function that returns nothing keeps its old bytes.
+  if (!followup.result.is_unit()) {
+    w.WriteValue(followup.result);
+  }
 }
 
 WireBuffer EncodeWriteFollowup(const WriteFollowup& followup) {
@@ -467,6 +472,9 @@ Result<WriteFollowup> DecodeWriteFollowup(const WireBuffer& buffer) {
     write.key = r.ReadString();
     write.value = r.ReadValue();
     followup.writes.push_back(std::move(write));
+  }
+  if (r.ok() && !r.AtEnd()) {
+    followup.result = r.ReadValue();
   }
   if (!r.AtEnd()) {
     return Status::Error(r.ok() ? "trailing bytes in followup" : r.error());

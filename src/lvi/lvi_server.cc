@@ -561,9 +561,9 @@ void LviServer::CommitIntent(LviRequest request, Pins pins) {
     // The followup is already here: this round's write is its writes, not
     // an intent. They land at the validated versions, the locks release,
     // and no timer is armed.
-    const std::vector<BufferedWrite> writes = std::move(parked->second);
+    const WriteFollowup followup = std::move(parked->second);
     parked_.erase(parked);
-    ApplyFollowup(request, writes, pins, nullptr);
+    ApplyFollowup(request, followup, pins, nullptr);
     locks_->ReleaseAll(exec_id);
     RespondLvi(request, std::move(response));
     return;
@@ -620,21 +620,16 @@ void LviServer::OnValidationFailure(LviRequest request, const std::vector<size_t
   RunAtPrimary(std::move(run));
 }
 
-void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
+void LviServer::HandleFollowup(WriteFollowup followup) {
   if (!alive_) {
-    // The followup went nowhere: nack deterministically so a two-RTT sender
-    // retransmits instead of hanging (the one-RTT sender passes no ack; the
-    // intent timer covers it).
+    // The followup went nowhere; the intent timer, re-armed by Recover(),
+    // covers it.
     metrics_.Increment("dropped_while_down");
-    metrics_.Increment("followup_nack_down");
-    if (ack) {
-      sim_->Schedule(0, [ack = std::move(ack)] { ack(false); });
-    }
     return;
   }
   metrics_.Increment("followups_received");
   const auto known = executions_.find(followup.exec_id);
-  if (!ack && known == executions_.end() && inflight_lvi_.count(followup.exec_id) == 0) {
+  if (known == executions_.end() && inflight_lvi_.count(followup.exec_id) == 0) {
     // No intent to apply against and no pipeline to park under (the intent
     // already resolved, or the request was lost or rejected): discard at the
     // door, without taking a service slot.
@@ -650,20 +645,16 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
     shard = router_.ShardOf(followup.writes.front().key);
   }
   const uint64_t epoch = epoch_;
-  sim_->Schedule(AdmissionDelay(shard),
-                 [this, epoch, followup = std::move(followup), ack = std::move(ack)]() mutable {
+  sim_->Schedule(AdmissionDelay(shard), [this, epoch, followup = std::move(followup)]() mutable {
     if (!StillAlive(epoch)) {
       metrics_.Increment("stale_epoch_dropped");
-      if (ack) {
-        ack(false);  // Connection reset mid-processing: tell the sender.
-      }
       return;
     }
     const ExecutionId exec_id = followup.exec_id;
     const ExecState* state = ClaimIntent(exec_id, IntentPhase::kApplying);
     if (state == nullptr) {
-      if (!ack && executions_.count(exec_id) == 0 && inflight_lvi_.count(exec_id) > 0 &&
-          parked_.emplace(exec_id, std::move(followup.writes)).second) {
+      if (executions_.count(exec_id) == 0 && inflight_lvi_.count(exec_id) > 0 &&
+          parked_.emplace(exec_id, std::move(followup)).second) {
         // Sent when the speculation ended, it overtook its validation: wait
         // with the execution for the pipeline's verdict (CommitIntent).
         metrics_.Increment("followup_parked");
@@ -672,43 +663,40 @@ void LviServer::HandleFollowup(WriteFollowup followup, AckFn ack) {
       // The intent was already handled (re-execution beat us, or this is a
       // duplicate), or no pipeline of this execution is running to park it
       // under: discard (§3.6, "validation succeeds but the followup is
-      // late"). The writes are durable either way: ack success.
+      // late").
       metrics_.Increment("followup_late");
-      if (ack) {
-        ack(true);
-      }
       return;
     }
     // The followup won the race.
     SimDuration apply_latency = 0;
-    ApplyFollowup(state->request, followup.writes, state->pins, &apply_latency);
-    sim_->Schedule(apply_latency, [this, epoch, exec_id, ack = std::move(ack)] {
+    ApplyFollowup(state->request, followup, state->pins, &apply_latency);
+    sim_->Schedule(apply_latency, [this, epoch, exec_id] {
       if (!StillAlive(epoch)) {
         // The writes are durable; the record stays applying and recovery
-        // releases its locks. Nack so a two-RTT sender retransmits and learns
-        // of the success from the late-followup path.
+        // releases its locks.
         metrics_.Increment("stale_epoch_dropped");
-        if (ack) {
-          ack(false);
-        }
         return;
       }
       // (10) Release the locks and retire the intent.
       RetireIntent(exec_id);
-      if (ack) {
-        ack(true);
-      }
     });
   });
 }
 
-void LviServer::ApplyFollowup(const LviRequest& request, const std::vector<BufferedWrite>& writes,
+void LviServer::ApplyFollowup(const LviRequest& request, const WriteFollowup& followup,
                               const Pins& pins, SimDuration* latency) {
   metrics_.Increment("followup_applied");
   BumpShard(HomeShard(request), "followup_applied");
   // (9) Apply the updates under the versions pinned at validation; the
-  // write locks guarantee nothing moved underneath.
-  Commit(request.exec_id, OriginOf(request), writes, pins, latency);
+  // write locks guarantee nothing moved underneath. The request's outcome
+  // is filed as a direct reply: a failover replay carries its id on the
+  // direct path, and must find f's result here rather than run f again.
+  const Origin origin = OriginOf(request);
+  DirectResponse reply;
+  reply.exec_id = request.exec_id;
+  reply.result = followup.result;
+  reply.fresh_items = Commit(request.exec_id, origin, followup.writes, pins, latency);
+  direct_replies_.Put(origin, request.exec_id, std::move(reply));
 }
 
 LviServer::ExecState* LviServer::ClaimIntent(ExecutionId exec_id, IntentPhase winner) {

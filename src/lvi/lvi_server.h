@@ -139,12 +139,6 @@ class LviServer {
  public:
   using RespondFn = std::function<void(LviResponse)>;
   using DirectRespondFn = std::function<void(DirectResponse)>;
-  // Followup acknowledgement (two-RTT ablation): `applied` is true when the
-  // followup's writes are durable at the primary (directly, or already via
-  // re-execution when the followup lost the intent race), false when the
-  // server was down and the followup went nowhere — the deterministic
-  // failure signal that lets the sender retransmit instead of hanging.
-  using AckFn = std::function<void(bool applied)>;
   // Cache push (see CachePush): receives each execution's written items the
   // moment they are durable at the primary.
   using PushFn = std::function<void(CachePush push)>;
@@ -174,17 +168,16 @@ class LviServer {
   // ("at_most_once_refused").
   void HandleLviRequest(LviRequest request, RespondFn respond);
 
-  // Handles a write followup. No response is sent (the client's answer
-  // comes with the LVI response); the optional `ack` exists for the
-  // two-round-trip ablation, firing once the writes are applied (or the
-  // followup is discarded as late: ack(true), the intent already made the
-  // writes durable). A followup arriving while the server is down acks false
-  // so the sender can retransmit. A followup without `ack` that finds its
-  // execution's LVI pipeline still running and no intent yet is parked
-  // ("followup_parked") until that pipeline ends: a successful validation
-  // commits it; a failed one, a shed, a crash or any LVI response before
-  // that drops it ("followup_dropped_invalid").
-  void HandleFollowup(WriteFollowup followup, AckFn ack = {});
+  // Handles a write followup. Nothing is sent back: the client's answer
+  // comes with the LVI response, and the write intent covers a lost or late
+  // followup. A followup that finds its execution's LVI pipeline still
+  // running and no intent yet is parked ("followup_parked") until that
+  // pipeline ends: a successful validation commits it; a failed one, a
+  // shed, a crash or any LVI response before that drops it
+  // ("followup_dropped_invalid"). Applied writes file the followup's result
+  // as the execution's direct reply, so a failover replay of the request
+  // replays it ("duplicate_replayed") instead of running f again.
+  void HandleFollowup(WriteFollowup followup);
 
   // Executes a function directly in the near-storage location: the fallback
   // for unanalyzable functions, and the primary-datacenter baseline's path.
@@ -358,10 +351,11 @@ class LviServer {
   // key in the replicated configuration.
   SimDuration IntentWriteLatency() const;
   // The apply half of a followup, shared by one that found its armed intent
-  // and one parked until its validation: commits `writes` at the versions
-  // `pins` holds (adding the write cost to `latency`, if given).
-  void ApplyFollowup(const LviRequest& request, const std::vector<BufferedWrite>& writes,
-                     const Pins& pins, SimDuration* latency);
+  // and one parked until its validation: commits its writes at the versions
+  // `pins` holds (adding the write cost to `latency`, if given) and files
+  // its result and written items as the execution's direct reply.
+  void ApplyFollowup(const LviRequest& request, const WriteFollowup& followup, const Pins& pins,
+                     SimDuration* latency);
   // Drops `exec_id`'s parked followup, if any, unapplied.
   void DropParked(ExecutionId exec_id);
   // The race between the followup and re-execution: moves `exec_id`'s
@@ -474,7 +468,7 @@ class LviServer {
   // Followups that arrived before their execution's validation, by exec:
   // the writes wait here until the pipeline validates (and commits them) or
   // ends otherwise (and drops them). Volatile — cleared on Crash().
-  std::unordered_map<ExecutionId, std::vector<BufferedWrite>> parked_;
+  std::unordered_map<ExecutionId, WriteFollowup> parked_;
   // In-flight respond slots: a retried request lands here while the original
   // attempt's pipeline is still running, so exactly one reply fires (through
   // the freshest callback) when it completes. Volatile — cleared on Crash().

@@ -123,9 +123,15 @@ struct LviResponse {
   SimDuration retry_after = 0;
 };
 
+// The speculation's writes, sent once and never acknowledged: the write
+// intent makes sure they reach the primary even if this message is lost
+// (§3.4). It also carries f's result, which the server keeps with the
+// writes so that a failover replay of the request is answered with it
+// rather than running f again.
 struct WriteFollowup {
   ExecutionId exec_id = 0;
   std::vector<BufferedWrite> writes;
+  Value result;
 };
 
 // Fallback path for functions the analyzer could not handle: the request is

@@ -33,10 +33,7 @@ struct RetryPolicy {
   // Attempts on the LVI path (1 = no retry). Exhausting them degrades the
   // request to InvokeDirect, which keeps retrying with capped backoff until
   // the server answers — every Invoke eventually calls done once the
-  // near-storage location is reachable again. The same budget bounds the
-  // two-RTT ablation's followup transmissions; exhausting those answers the
-  // client at once, since the write intent already guarantees the writes
-  // reach the primary via deterministic re-execution.
+  // near-storage location is reachable again.
   int max_lvi_attempts = 4;
 };
 
@@ -55,14 +52,10 @@ struct RadicalConfig {
   LviServerOptions server;  // Its exec_limits bind every execution.
   RetryPolicy retry;
 
-  // --- Ablation switches (bench/ablation_design) ----------------------------
-  // Off: the function runs only after the LVI response validates, i.e. no
-  // overlap between coordination and execution.
+  // Ablation switch (bench/ablation_design). Off: the function runs only
+  // after the LVI response validates, i.e. no overlap between coordination
+  // and execution.
   bool speculation_enabled = true;
-  // Off: the runtime ships its writes and waits for the server's ack before
-  // answering the client — the "second round trip" the write-intent
-  // mechanism exists to avoid (§1).
-  bool single_request_commit = true;
 };
 
 }  // namespace radical

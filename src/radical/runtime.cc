@@ -111,16 +111,13 @@ RequestPhase PhaseOf(AttemptPath path) {
       return RequestPhase::kLvi;
     case AttemptPath::kDirect:
       return RequestPhase::kDirect;
-    case AttemptPath::kFollowup:
-      return RequestPhase::kAwaitingAck;
   }
   return RequestPhase::kDone;
 }
 
 // From kCommitting on the outcome is fixed and only its delivery remains.
 bool Settled(const Sm<RequestPhase>& phase) {
-  return phase.Is(RequestPhase::kCommitting) || phase.Is(RequestPhase::kAwaitingAck) ||
-         phase.Is(RequestPhase::kDone);
+  return phase.Is(RequestPhase::kCommitting) || phase.Is(RequestPhase::kDone);
 }
 
 }  // namespace
@@ -360,22 +357,22 @@ void Runtime::SendEarlyFollowup(const std::shared_ptr<RequestState>& state) {
   // the fault state lets the send through: followup_sent then means the
   // server may hold it.
   const bool attempt_in_flight = !state->retry.enabled || state->timer != kInvalidEventId;
-  if (!config_.single_request_commit || !attempt_in_flight ||
-      !self_.CanReach(state->server_ep)) {
+  if (!attempt_in_flight || !self_.CanReach(state->server_ep)) {
     return;
   }
   std::vector<BufferedWrite> writes = state->buffer->Writes();
   if (!writes.empty()) {
-    SendFollowup(state, std::move(writes));
+    SendFollowup(state, std::move(writes), state->spec_result);
   }
 }
 
 void Runtime::SendFollowup(const std::shared_ptr<RequestState>& state,
-                           std::vector<BufferedWrite> writes) {
+                           std::vector<BufferedWrite> writes, Value result) {
   state->followup_sent = true;
   WriteFollowup followup;
   followup.exec_id = state->exec_id;
   followup.writes = std::move(writes);
+  followup.result = std::move(result);
   const size_t followup_size = wire_scratch_.SizeOf(followup);
   self_.Send(state->server_ep, net::MessageKind::kWriteFollowup, followup_size,
              [this, followup = std::move(followup)]() mutable {
@@ -460,16 +457,13 @@ void Runtime::SendAttempt(const std::shared_ptr<RequestState>& state, AttemptPat
   if (!state->phase.Is(PhaseOf(path)) || DeadRequest(*state)) {
     return;
   }
-  if (DeadlinePassed(*state, path)) {
+  if (DeadlinePassed(*state)) {
     CompleteRejected(state, RequestStatus::kDeadlineExceeded, 0);
     return;
   }
   const int attempt = ++state->attempts[static_cast<int>(path)];
   if (attempt > 1) {
     metrics_.Increment("retries");
-    if (path == AttemptPath::kFollowup) {
-      metrics_.Increment("followup_retransmits");
-    }
     ++state->trace.retries;
   }
   // Fail fast when the deterministic fault state (partition, isolation)
@@ -522,14 +516,6 @@ void Runtime::Transmit(const std::shared_ptr<RequestState>& state, AttemptPath p
         });
       }, state->deadline);
       return;
-    case AttemptPath::kFollowup:
-      self_.Send(server, net::MessageKind::kWriteFollowup, state->followup_size, [this, state] {
-        server_->HandleFollowup(state->followup, [this, state](bool applied) {
-          state->server_ep.Send(self_, net::MessageKind::kGeneric, 64,
-                                [this, state, applied] { OnFollowupAck(state, applied); });
-        });
-      });
-      return;
   }
 }
 
@@ -537,63 +523,50 @@ void Runtime::OnAttemptTimeout(const std::shared_ptr<RequestState>& state, Attem
   if (!state->phase.Is(PhaseOf(path)) || DeadRequest(*state)) {
     return;
   }
-  if (path != AttemptPath::kFollowup) {
-    metrics_.Increment("timeouts");
-  }
+  metrics_.Increment("timeouts");
   ResolveAttempt(state, path, "timeout");
-  if (DeadlinePassed(*state, path)) {
+  if (DeadlinePassed(*state)) {
     CompleteRejected(state, RequestStatus::kDeadlineExceeded, 0);
     return;
   }
   if (AttemptsExhausted(*state, path)) {
-    ExhaustAttempts(state, path);
+    ExhaustLviAttempts(state);
     return;
   }
   SendAttempt(state, path);
 }
 
-bool Runtime::DeadlinePassed(const RequestState& state, AttemptPath path) const {
-  return path != AttemptPath::kFollowup && state.deadline != 0 && sim_->Now() >= state.deadline;
+bool Runtime::DeadlinePassed(const RequestState& state) const {
+  return state.deadline != 0 && sim_->Now() >= state.deadline;
 }
 
 bool Runtime::AttemptsExhausted(const RequestState& state, AttemptPath path) const {
-  return path != AttemptPath::kDirect &&
+  return path == AttemptPath::kLvi &&
          state.attempts[static_cast<int>(path)] >= state.retry.max_lvi_attempts;
 }
 
-void Runtime::ExhaustAttempts(const std::shared_ptr<RequestState>& state, AttemptPath path) {
-  if (path == AttemptPath::kLvi && state->followup_sent) {
+void Runtime::ExhaustLviAttempts(const std::shared_ptr<RequestState>& state) {
+  if (state->followup_sent) {
     // The early followup may have committed at a validation whose reply was
     // lost: only an LVI reply says whether the speculation stands, and a
     // direct run would execute the function a second time. The LVI path
     // takes the direct path's place instead: a fresh backoff schedule that
     // never runs out.
     metrics_.Increment("lvi_retry_after_followup");
-    state->attempts[static_cast<int>(path)] = 0;
-    SendAttempt(state, path);
+    state->attempts[static_cast<int>(AttemptPath::kLvi)] = 0;
+    SendAttempt(state, AttemptPath::kLvi);
     return;
   }
-  if (path == AttemptPath::kLvi) {
-    // Degrade to the direct path, which retries without bound. Discard the
-    // speculation — the direct response is authoritative and never commits
-    // through a followup.
-    metrics_.Increment("fallback_direct");
-    state->trace.fallback_direct = true;
-    if (state->buffer != nullptr) {
-      state->buffer->Discard();
-      state->buffer.reset();
-    }
-    InvokeDirect(state);
-    return;
+  // Degrade to the direct path, which retries without bound. Discard the
+  // speculation — the direct response is authoritative and never commits
+  // through a followup.
+  metrics_.Increment("fallback_direct");
+  state->trace.fallback_direct = true;
+  if (state->buffer != nullptr) {
+    state->buffer->Discard();
+    state->buffer.reset();
   }
-  // The followup's attempts ran out. The write intent already guarantees the
-  // writes reach the primary (deterministic re-execution, §3.4), so answer
-  // the client rather than hang — the ablation's second round trip degrades
-  // to the one-RTT guarantee under failure.
-  assert(path == AttemptPath::kFollowup);
-  metrics_.Increment("followup_give_up");
-  ResolveAttempt(state, path, "gave_up");
-  Reply(state, std::move(state->pending_result));
+  InvokeDirect(state);
 }
 
 bool Runtime::AcceptResponse(const std::shared_ptr<RequestState>& state, AttemptPath path,
@@ -671,7 +644,7 @@ void Runtime::OnDirectResponse(const std::shared_ptr<RequestState>& state,
 
 void Runtime::OnBackpressure(const std::shared_ptr<RequestState>& state, AttemptPath path,
                              SimDuration retry_after) {
-  if (DeadlinePassed(*state, path)) {
+  if (DeadlinePassed(*state)) {
     CompleteRejected(state, RequestStatus::kDeadlineExceeded, retry_after);
     return;
   }
@@ -789,55 +762,17 @@ void Runtime::CommitSpeculation(const std::shared_ptr<RequestState>& state, Valu
       Reply(state, std::move(result));
       return;
     }
-    if (config_.single_request_commit) {
-      // (7a) Reply. Unless it left when the speculation ended, (8a) ship the
-      // followup now — the write intent guarantees the updates reach the
-      // primary even if this message is lost. A retried request sends it
-      // again: the early one may have trailed a lost attempt and been
-      // discarded with no pipeline to join, leaving the answered attempt's
-      // intent to the intent timer. A duplicate is discarded.
-      Reply(state, std::move(result));
-      if (!state->followup_sent || state->trace.retries > 0) {
-        SendFollowup(state, std::move(writes));
-      }
-      return;
+    // (7a) Reply. Unless it left when the speculation ended, (8a) ship the
+    // followup now — the write intent guarantees the updates reach the
+    // primary even if this message is lost. A retried request sends it
+    // again: the early one may have trailed a lost attempt and been
+    // discarded with no pipeline to join, leaving the answered attempt's
+    // intent to the intent timer. A duplicate is discarded.
+    Reply(state, result);
+    if (!state->followup_sent || state->trace.retries > 0) {
+      SendFollowup(state, std::move(writes), std::move(result));
     }
-    WriteFollowup followup;
-    followup.exec_id = state->exec_id;
-    followup.writes = std::move(writes);
-    // Two-round-trip ablation: wait for the server to apply the writes
-    // before answering — what the LVI protocol exists to avoid. The followup
-    // is kept for retransmission: a lost followup (or ack) no longer hangs
-    // the client, and a nack from a down server retransmits immediately on
-    // the backoff schedule.
-    metrics_.Increment("two_rtt_commits");
-    state->followup = std::move(followup);
-    state->followup_size = wire_scratch_.SizeOf(state->followup);
-    state->pending_result = std::move(result);
-    state->phase.Move(RequestPhase::kAwaitingAck);
-    SendAttempt(state, AttemptPath::kFollowup);
   });
-}
-
-void Runtime::OnFollowupAck(const std::shared_ptr<RequestState>& state, bool applied) {
-  if (!state->phase.Is(RequestPhase::kAwaitingAck) || DeadRequest(*state)) {
-    return;
-  }
-  CancelTimeout(state);
-  if (!applied) {
-    // Deterministic failure (the server was down): retransmit now instead
-    // of waiting out the timer, unless the attempts are spent.
-    metrics_.Increment("followup_nacks");
-    ResolveAttempt(state, AttemptPath::kFollowup, "nack");
-    if (!state->retry.enabled || AttemptsExhausted(*state, AttemptPath::kFollowup)) {
-      ExhaustAttempts(state, AttemptPath::kFollowup);
-      return;
-    }
-    SendAttempt(state, AttemptPath::kFollowup);
-    return;
-  }
-  ResolveAttempt(state, AttemptPath::kFollowup, "ack");
-  Reply(state, std::move(state->pending_result));
 }
 
 void Runtime::CompleteFailed(const std::shared_ptr<RequestState>& state) {

@@ -55,7 +55,6 @@ enum class RequestPhase : uint32_t {
   kAwaitSpec,     // Validated response in; waiting for the speculation to end.
   kDirect,        // Direct attempts in flight (chosen, or LVI attempts ran out).
   kCommitting,    // Outcome fixed: installing writes or repairing the cache.
-  kAwaitingAck,   // Two-RTT ablation: the result waits for the followup's ack.
   kDone,          // The client has its final outcome. Terminal.
 };
 
@@ -69,8 +68,7 @@ inline constexpr SmStateSpec kRequestPhaseSpec[] = {
                 SmMask(RequestPhase::kDirect) | SmMask(RequestPhase::kDone)},
     {"await_spec", SmMask(RequestPhase::kCommitting) | SmMask(RequestPhase::kDone)},
     {"direct", SmMask(RequestPhase::kDone)},
-    {"committing", SmMask(RequestPhase::kAwaitingAck) | SmMask(RequestPhase::kDone)},
-    {"awaiting_ack", SmMask(RequestPhase::kDone)},
+    {"committing", SmMask(RequestPhase::kDone)},
     {"done", 0},
 };
 
@@ -190,12 +188,9 @@ class Runtime {
     size_t lvi_request_size = 0;
     DirectRequest direct_request;
     size_t direct_request_size = 0;
-    WriteFollowup followup;  // Two-RTT ablation only.
-    size_t followup_size = 0;
-    // One-RTT: the followup is on its way (at most one is sent per request).
+    // The followup is on its way (at most one is sent per request).
     bool followup_sent = false;
-    Value pending_result;    // Two-RTT: the result held back until the ack.
-    int attempts[3] = {};    // Per AttemptPath.
+    int attempts[2] = {};    // Per AttemptPath.
     EventId timer = kInvalidEventId;           // Current attempt's timeout.
     EventId deadline_event = kInvalidEventId;  // Deadline watchdog (if any).
   };
@@ -222,28 +217,27 @@ class Runtime {
 
   // --- Attempts, timeouts and retries (RetryPolicy) ------------------------
   // One attempt on `path`: transmit (unless the server is deterministically
-  // unreachable — fail fast) and arm the attempt's timeout. The three paths
-  // share the schedule and differ only in what running out of attempts does
-  // (ExhaustAttempts).
+  // unreachable — fail fast) and arm the attempt's timeout. The two paths
+  // share the schedule; only the LVI path runs out of attempts
+  // (ExhaustLviAttempts).
   void SendAttempt(const std::shared_ptr<RequestState>& state, AttemptPath path);
   void OnAttemptTimeout(const std::shared_ptr<RequestState>& state, AttemptPath path);
   // Puts the path's message on the wire and routes the server's answer back
   // to its handler. The legs ride the fabric: the WAN path plus the intra-DC
   // hop to the server's EC2 instance, carried as the server endpoint's
-  // extra_hop_delay (Table 2's lat_nu<->ns is the sum of both). LVI and
-  // direct messages carry the request's deadline, so the fabric drops one
-  // that would land past it; followups never do (writes must reach the
-  // primary regardless of the client's patience).
+  // extra_hop_delay (Table 2's lat_nu<->ns is the sum of both). Both
+  // messages carry the request's deadline, so the fabric drops one that
+  // would land past it.
   void Transmit(const std::shared_ptr<RequestState>& state, AttemptPath path);
-  // True when an attempt on `path` would be past the request's deadline.
-  // Followups carry no deadline, so only LVI and direct attempts miss one.
-  bool DeadlinePassed(const RequestState& state, AttemptPath path) const;
+  // True when an attempt would be past the request's deadline.
+  bool DeadlinePassed(const RequestState& state) const;
   // True when `path` has used its attempts: max_lvi_attempts for the LVI
-  // path and the followup; the direct path is the terminal fallback and
-  // never runs out, so every Invoke answers once the server is back.
+  // path; the direct path is the terminal fallback and never runs out, so
+  // every Invoke answers once the server is back.
   bool AttemptsExhausted(const RequestState& state, AttemptPath path) const;
-  // LVI: degrade to direct. Followup: give up and reply.
-  void ExhaustAttempts(const std::shared_ptr<RequestState>& state, AttemptPath path);
+  // The LVI path ran out: keep retrying it if the followup may have
+  // committed, else degrade to direct.
+  void ExhaustLviAttempts(const std::shared_ptr<RequestState>& state);
   // The shared front half of the LVI and direct response handlers: drops a
   // response the request no longer waits for and turns backpressure into a
   // retry or a rejection. True when the caller owns an ok response.
@@ -251,7 +245,6 @@ class Runtime {
                       ResponseStatus status, SimDuration retry_after);
   void OnLviResponse(const std::shared_ptr<RequestState>& state, LviResponse response);
   void OnDirectResponse(const std::shared_ptr<RequestState>& state, DirectResponse response);
-  void OnFollowupAck(const std::shared_ptr<RequestState>& state, bool applied);
   // --- Overload control ----------------------------------------------------
   // Reaction to an explicit backpressure reply (kOverloaded / kShed) on the
   // LVI or direct path: retry after max(server hint, backoff) while attempts
@@ -282,15 +275,16 @@ class Runtime {
   // snapshot, replying after its compute; a rerun that reads outside the
   // snapshot (or writes) goes direct instead.
   void RerunOnSnapshot(const std::shared_ptr<RequestState>& state);
-  // Installs speculative writes into the cache and ships the followup,
-  // unless it already left.
+  // Installs speculative writes into the cache, replies, and ships the
+  // followup, unless it already left.
   void CommitSpeculation(const std::shared_ptr<RequestState>& state, Value result);
-  // One-RTT: sends the speculation's writes the moment it ends in kLvi, ahead
-  // of the LVI response.
+  // Sends the speculation's writes the moment it ends in kLvi, ahead of the
+  // LVI response.
   void SendEarlyFollowup(const std::shared_ptr<RequestState>& state);
-  // Puts the one-RTT followup on the wire and marks it sent.
+  // Puts the followup (f's writes and result) on the wire, unacknowledged,
+  // and marks it sent.
   void SendFollowup(const std::shared_ptr<RequestState>& state,
-                    std::vector<BufferedWrite> writes);
+                    std::vector<BufferedWrite> writes, Value result);
   void Reply(const std::shared_ptr<RequestState>& state, Value result);
   // Single exit point for every completion (ok or not): moves the phase to
   // kDone, then counters, trace, spans and the client's callback.

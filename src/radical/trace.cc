@@ -10,8 +10,6 @@ const char* AttemptPathName(AttemptPath path) {
       return "lvi";
     case AttemptPath::kDirect:
       return "direct";
-    case AttemptPath::kFollowup:
-      return "followup";
   }
   return "?";
 }

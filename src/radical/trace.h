@@ -8,10 +8,10 @@
 // benches (bench/latency_breakdown) and tests can attribute where time goes
 // — the same analysis Figure 6's discussion performs.
 //
-// Each network attempt (every LVI try, direct try, and followup
-// transmission, including retries) is additionally recorded as a
-// RequestAttempt, and AppendSpans() turns a completed trace into
-// client-track spans for the Chrome trace-event export (src/obs/span.h).
+// Each network attempt (every LVI try and direct try, including retries) is
+// additionally recorded as a RequestAttempt, and AppendSpans() turns a
+// completed trace into client-track spans for the Chrome trace-event export
+// (src/obs/span.h).
 
 #ifndef RADICAL_SRC_RADICAL_TRACE_H_
 #define RADICAL_SRC_RADICAL_TRACE_H_
@@ -29,7 +29,7 @@
 namespace radical {
 
 // Which protocol leg a network attempt belongs to.
-enum class AttemptPath { kLvi, kDirect, kFollowup };
+enum class AttemptPath { kLvi, kDirect };
 
 // Cap on RequestAttempt records stored per trace. A request stuck behind a
 // long partition retries its direct path indefinitely; without a cap its
@@ -46,10 +46,10 @@ struct RequestAttempt {
   AttemptPath path = AttemptPath::kLvi;
   int number = 1;         // 1-based attempt number within its path.
   SimTime sent = 0;       // When the attempt left the runtime.
-  SimTime resolved = 0;   // When it came back (response/ack/timeout); 0 =
+  SimTime resolved = 0;   // When it came back (response/timeout); 0 =
                           // superseded without an own resolution event.
-  std::string outcome;    // "response", "timeout", "ack", "nack", "gave_up",
-                          // "fast_fail", ... (empty while open).
+  std::string outcome;    // "response", "timeout", "fast_fail", "rejected",
+                          // "shed" (empty while open).
 };
 
 struct RequestTrace {
@@ -93,10 +93,9 @@ struct RequestTrace {
   bool fallback_direct = false;
 
   // Every transmission, in send order (first LVI try, its retries, a direct
-  // fallback, followup (re)transmissions, ...), capped at
-  // kMaxStoredAttempts records; attempts_total always counts every
-  // transmission and attempts_dropped the records the cap evicted, so
-  // attempts.size() + attempts_dropped == attempts_total.
+  // fallback, ...), capped at kMaxStoredAttempts records; attempts_total
+  // always counts every transmission and attempts_dropped the records the
+  // cap evicted, so attempts.size() + attempts_dropped == attempts_total.
   std::vector<RequestAttempt> attempts;
   uint64_t attempts_total = 0;
   uint64_t attempts_dropped = 0;

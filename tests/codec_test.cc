@@ -245,6 +245,33 @@ TEST(WireCodecTest, FollowupRoundTrip) {
   EXPECT_EQ(decoded->exec_id, 77u);
   ASSERT_EQ(decoded->writes.size(), 2u);
   EXPECT_EQ(decoded->writes[1].value, Value(static_cast<int64_t>(2)));
+  EXPECT_TRUE(decoded->result.is_unit());
+}
+
+TEST(WireCodecTest, FollowupCarriesItsResultInATrailingGroup) {
+  WriteFollowup followup;
+  followup.exec_id = 77;
+  followup.writes = {{"k", Value("v1")}};
+  // version + tag + exec id + write count, then the write: key (length + 1
+  // byte), value (tag + length + 2 bytes). A unit result adds nothing.
+  const size_t without_result = 1 + 1 + 1 + 1 + (1 + 1) + (1 + 1 + 2);
+  WireScratch scratch;
+  EXPECT_EQ(scratch.SizeOf(followup), without_result);
+  followup.result = Value(int64_t{300});
+  // The result: tag + 2-byte zigzag varint.
+  EXPECT_EQ(scratch.SizeOf(followup), without_result + 1 + 2);
+  EXPECT_EQ(scratch.buffer(), EncodeWriteFollowup(followup));
+  const Result<WriteFollowup> decoded = DecodeWriteFollowup(scratch.buffer());
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  EXPECT_EQ(decoded->exec_id, 77u);
+  ASSERT_EQ(decoded->writes.size(), 1u);
+  EXPECT_EQ(decoded->writes[0].key, "k");
+  EXPECT_EQ(decoded->writes[0].value, Value("v1"));
+  EXPECT_EQ(decoded->result, Value(int64_t{300}));
+  // A truncated result is an error, not a unit result.
+  WireBuffer truncated = scratch.buffer();
+  truncated.pop_back();
+  EXPECT_FALSE(DecodeWriteFollowup(truncated).ok());
 }
 
 TEST(WireCodecTest, DirectRequestRoundTrip) {

