@@ -25,7 +25,7 @@
 #include "src/kv/versioned_store.h"
 #include "src/check/linearizability.h"
 #include "src/lvi/codec.h"
-#include "src/lvi/lock_table.h"
+#include "src/lvi/lock_service.h"
 #include "src/net/network.h"
 #include "src/sim/region.h"
 #include "src/sim/simulator.h"
@@ -93,14 +93,15 @@ void BM_VersionedStoreBatchGet(benchmark::State& state) {
 BENCHMARK(BM_VersionedStoreBatchGet)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_LockTableUncontended(benchmark::State& state) {
+  // The singleton server's table, behind the in-memory lock service.
   Simulator sim;
-  LockTable table(&sim);
+  LocalLockService locks(&sim);
   ExecutionId exec = 1;
   for (auto _ : state) {
     (void)_;
-    table.AcquireAll(exec, {"a", "b", "c"},
+    locks.AcquireAll(exec, {"a", "b", "c"},
                      {LockMode::kRead, LockMode::kWrite, LockMode::kRead}, [] {});
-    table.ReleaseAll(exec);
+    locks.ReleaseAll(exec);
     ++exec;
     if (exec % 256 == 0) {
       sim.Run();  // Drain zero-delay grant events.

@@ -7,80 +7,117 @@
 
 namespace radical {
 
-LocalLockService::LocalLockService(Simulator* sim, int shards) : router_(shards) {
+LocalLockService::LocalLockService(Simulator* sim, int shards)
+    : sim_(sim), router_(shards), tables_(static_cast<size_t>(shards)) {
   assert(shards >= 1);
-  tables_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    tables_.push_back(std::make_unique<LockTable>(sim));
-  }
 }
 
 void LocalLockService::AcquireAll(ExecutionId exec, std::vector<Key> keys,
                                   std::vector<LockMode> modes, std::function<void()> granted) {
   assert(std::is_sorted(keys.begin(), keys.end()) && "keys must be sorted");
+  const auto it = pending_.find(exec);
+  if (it != pending_.end()) {
+    // A retried acquisition while the original is still in progress (its
+    // pipeline died with a server crash; the locks survived on disk, the
+    // continuation did not): keep the original's progress, its place in
+    // every wait queue, and steer the grant to the retry's continuation.
+    it->second.granted = std::move(granted);
+    return;
+  }
   // Partition the sorted key set into per-shard groups, preserving key order
-  // within each group: the acquisition order is (shard, key) — one total
-  // order followed by every acquirer, hence deadlock-free.
+  // within each group: the acquisition order is (shard, key).
   std::vector<ShardGroup> by_shard(static_cast<size_t>(router_.shards()));
   for (size_t i = 0; i < keys.size(); ++i) {
     ShardGroup& group = by_shard[static_cast<size_t>(router_.ShardOf(keys[i]))];
     group.keys.push_back(std::move(keys[i]));
     group.modes.push_back(modes[i]);
   }
-  auto groups = std::make_shared<std::vector<ShardGroup>>();
+  Pending& acq = pending_[exec];
+  acq.id = ++next_pending_id_;
   for (int s = 0; s < router_.shards(); ++s) {
     if (!by_shard[static_cast<size_t>(s)].keys.empty()) {
       by_shard[static_cast<size_t>(s)].shard = s;
-      groups->push_back(std::move(by_shard[static_cast<size_t>(s)]));
+      acq.groups.push_back(std::move(by_shard[static_cast<size_t>(s)]));
     }
   }
-  if (groups->empty()) {
-    // An item-less acquisition still goes through shard 0's table, which
-    // defers the grant by a zero-delay event: `granted` never runs inside
-    // this call.
-    groups->push_back(ShardGroup{});
+  if (acq.groups.empty()) {
+    // An item-less acquisition is an empty run in shard 0's table, so its
+    // grant is a zero-delay event too: `granted` never runs inside this call.
+    acq.groups.push_back(ShardGroup{});
   }
-  AcquireGroup(exec, std::move(groups), 0,
-               std::make_shared<std::function<void()>>(std::move(granted)));
+  acq.granted = std::move(granted);
+  AcquireGroup(exec, acq);
 }
 
-void LocalLockService::AcquireGroup(ExecutionId exec,
-                                    std::shared_ptr<std::vector<ShardGroup>> groups, size_t index,
-                                    std::shared_ptr<std::function<void()>> granted) {
-  if (index >= groups->size()) {
-    (*granted)();
-    return;
+void LocalLockService::AcquireGroup(ExecutionId exec, Pending& acq) {
+  const ShardGroup& group = acq.groups[acq.next];
+  // Keys `exec` already holds (a retry after a crash) count as granted; the
+  // table grants free keys and queues the rest in one step.
+  acq.ungranted = table(group.shard).Acquire(exec, group.keys, group.modes, nullptr);
+  if (acq.ungranted == 0) {
+    ScheduleHandOff(exec, acq);
   }
-  ShardGroup& group = (*groups)[index];
-  // A retried acquisition merges into the original inside the shard's table
-  // (the new continuation replaces the queued one), exactly as with the
-  // single table — the chain then resumes from wherever the retry reaches.
-  table(group.shard).AcquireAll(exec, group.keys, group.modes,
-                                [this, exec, groups = std::move(groups), index,
-                                 granted = std::move(granted)]() mutable {
-                                  AcquireGroup(exec, std::move(groups), index + 1,
-                                               std::move(granted));
-                                });
+}
+
+void LocalLockService::ScheduleHandOff(ExecutionId exec, const Pending& acq) {
+  // Zero-delay event: callers never re-enter the service from inside it.
+  sim_->Schedule(0, [this, exec, id = acq.id] {
+    const auto it = pending_.find(exec);
+    if (it == pending_.end() || it->second.id != id) {
+      return;  // Released before the hand-off.
+    }
+    Pending& current = it->second;
+    if (++current.next < current.groups.size()) {
+      AcquireGroup(exec, current);
+      return;
+    }
+    const std::function<void()> granted = std::move(current.granted);
+    pending_.erase(it);
+    granted();
+  });
+}
+
+void LocalLockService::OnGrants(const std::vector<LockTable::Grant>& grants) {
+  for (const LockTable::Grant& grant : grants) {
+    const auto it = pending_.find(grant.exec);
+    assert(it != pending_.end() && it->second.ungranted > 0 && "grant to a waiter not pending");
+    if (--it->second.ungranted == 0) {
+      ScheduleHandOff(grant.exec, it->second);
+    }
+  }
 }
 
 void LocalLockService::ReleaseAll(ExecutionId exec) {
-  for (auto& table : tables_) {
-    table->ReleaseAll(exec);
+  std::vector<LockTable::Grant> grants;
+  const auto it = pending_.find(exec);
+  if (it != pending_.end()) {
+    // Only the group in flight can have queued waits; drop them, which may
+    // unblock the waiters behind them.
+    const Pending& acq = it->second;
+    if (acq.ungranted > 0) {
+      const ShardGroup& group = acq.groups[acq.next];
+      table(group.shard).CancelWaits(exec, group.keys, &grants);
+    }
+    pending_.erase(it);
   }
+  for (LockTable& table : tables_) {
+    table.Release(exec, &grants);
+  }
+  OnGrants(grants);
 }
 
 uint64_t LocalLockService::total_acquisitions() const {
   uint64_t n = 0;
-  for (const auto& table : tables_) {
-    n += table->acquisitions();
+  for (const LockTable& table : tables_) {
+    n += table.acquisitions();
   }
   return n;
 }
 
 uint64_t LocalLockService::total_waits() const {
   uint64_t n = 0;
-  for (const auto& table : tables_) {
-    n += table->waits();
+  for (const LockTable& table : tables_) {
+    n += table.waits();
   }
   return n;
 }

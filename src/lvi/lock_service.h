@@ -7,12 +7,9 @@
 //    singleton server is one table. With `shards` > 1 there is one LockTable
 //    per key-range shard (ShardRouter): acquisition partitions the request's
 //    sorted key set into per-shard groups and takes the groups strictly in
-//    ascending shard index; within a shard, keys are taken in lexicographic
-//    order. Every acquirer therefore follows the same total order
-//    (shard, key), so the resource-ordering deadlock-freedom argument of the
-//    single table carries over unchanged. Group hand-off rides on the
-//    tables' zero-delay grant events, so sharding adds no virtual time to an
-//    uncontended acquire.
+//    ascending shard index, each as one atomic run in its shard's table.
+//    Group hand-off rides on zero-delay grant events, so sharding adds no
+//    virtual time to an uncontended acquire.
 //  - ReplicatedLockService (§5.6): the highly available variant stores locks
 //    in a 3-node etcd (Raft) cluster across availability zones. The paper
 //    commits each lock on its own, in series (~2.3 ms per lock, so ~2.3·L ms
@@ -21,12 +18,14 @@
 //    command, so a request pays one commit (~2.3 ms) per lock group it
 //    touches, whatever its lock count. With `shards` > 1 it runs one
 //    independent Raft group per key-range shard (multi-Raft): requests are
-//    re-ordered into the same (shard, key) total order the in-memory service
-//    uses and the groups are taken in ascending order, one run at a time.
-//    Within a group a run applies atomically in log order, so a group's
-//    waits follow its log and cross-group waits follow the group order:
-//    deadlock freedom carries over, while unrelated shards commit in
-//    parallel.
+//    re-ordered into the same (shard, key) order the in-memory service uses
+//    and the groups are taken in ascending order, one run at a time, while
+//    unrelated shards commit in parallel.
+//
+// Both services apply the same LockTable rule, and in both a group's runs
+// apply atomically in one order (a table's calls, or a Raft group's log)
+// while each execution takes its groups in ascending order. That is the
+// deadlock-freedom argument (docs/linearizability.md).
 
 #ifndef RADICAL_SRC_LVI_LOCK_SERVICE_H_
 #define RADICAL_SRC_LVI_LOCK_SERVICE_H_
@@ -37,11 +36,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/lvi/lock_table.h"
+#include "src/lvi/lock_state_machine.h"
 #include "src/lvi/shard_router.h"
 #include "src/obs/metrics.h"
 #include "src/raft/cluster.h"
-#include "src/raft/lock_state_machine.h"
 
 namespace radical {
 
@@ -50,11 +48,15 @@ class LockService {
   virtual ~LockService() = default;
 
   // Acquires locks on all `keys` (sorted lexicographically) with matching
-  // `modes`; `granted` fires once every lock is held.
+  // `modes`; `granted` fires once every lock is held, never inside this
+  // call. Keys `exec` already holds count as granted, and a second call
+  // while the first is still in progress merges into it (the new `granted`
+  // replaces the old one): a retried LVI request whose original attempt
+  // died with a server crash finds its locks, or its place in the queues.
   virtual void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
                           std::function<void()> granted) = 0;
 
-  // Releases everything `exec` holds.
+  // Releases everything `exec` holds and abandons its acquisition.
   virtual void ReleaseAll(ExecutionId exec) = 0;
 };
 
@@ -70,25 +72,41 @@ class LocalLockService : public LockService {
 
   int shards() const { return router_.shards(); }
   const ShardRouter& router() const { return router_; }
-  LockTable& table(int shard = 0) { return *tables_[static_cast<size_t>(shard)]; }
+  LockTable& table(int shard = 0) { return tables_[static_cast<size_t>(shard)]; }
 
   // Aggregate statistics across shards.
   uint64_t total_acquisitions() const;
   uint64_t total_waits() const;
 
  private:
-  // Acquires `exec`'s group on `groups[index]`, then chains to index + 1;
-  // fires `granted` after the last group.
   struct ShardGroup {
     int shard = 0;
     std::vector<Key> keys;
     std::vector<LockMode> modes;
   };
-  void AcquireGroup(ExecutionId exec, std::shared_ptr<std::vector<ShardGroup>> groups,
-                    size_t index, std::shared_ptr<std::function<void()>> granted);
+  // One execution's acquisition: its groups in ascending shard order, the
+  // one in flight, and how many keys of that group's run still wait.
+  struct Pending {
+    uint64_t id = 0;  // Tells a stale hand-off event from this acquisition's.
+    std::vector<ShardGroup> groups;
+    size_t next = 0;
+    size_t ungranted = 0;
+    std::function<void()> granted;
+  };
 
+  // Applies `acq`'s run on `groups[next]`; schedules the hand-off once all
+  // of it is held.
+  void AcquireGroup(ExecutionId exec, Pending& acq);
+  // A zero-delay event moves `acq` to its next group, or fires `granted`
+  // after the last one, unless `exec` released meanwhile.
+  void ScheduleHandOff(ExecutionId exec, const Pending& acq);
+  void OnGrants(const std::vector<LockTable::Grant>& grants);
+
+  Simulator* sim_;
   ShardRouter router_;
-  std::vector<std::unique_ptr<LockTable>> tables_;
+  std::vector<LockTable> tables_;
+  std::unordered_map<ExecutionId, Pending> pending_;
+  uint64_t next_pending_id_ = 0;
 };
 
 // Locks behind Raft (etcd-like) groups. Owns the groups and their per-node

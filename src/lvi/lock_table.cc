@@ -5,64 +5,39 @@
 
 namespace radical {
 
-LockTable::LockTable(Simulator* sim) : sim_(sim) {}
-
-void LockTable::AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                           std::function<void()> granted) {
+size_t LockTable::Acquire(ExecutionId exec, const std::vector<Key>& keys,
+                          const std::vector<LockMode>& modes, std::vector<Grant>* grants) {
   assert(keys.size() == modes.size());
-  assert(std::is_sorted(keys.begin(), keys.end()));
-  const auto pit = pending_.find(exec);
-  if (pit != pending_.end()) {
-    // A retried acquisition while the original is still queued: keep the
-    // original's progress (its position in every wait queue), just steer the
-    // grant to the retry's continuation.
-    ++reacquire_merges_;
-    pit->second.granted = std::move(granted);
-    return;
-  }
   ++acquisitions_;
-  Acquisition acq{std::move(keys), std::move(modes), 0, std::move(granted)};
-  pending_.emplace(exec, std::move(acq));
-  Advance(exec);
-}
-
-void LockTable::Advance(ExecutionId exec) {
-  const auto it = pending_.find(exec);
-  if (it == pending_.end()) {
-    return;
-  }
-  Acquisition& acq = it->second;
-  while (acq.next < acq.keys.size()) {
-    const Key& key = acq.keys[acq.next];
-    const LockMode mode = acq.modes[acq.next];
-    KeyLock& lock = locks_[key];
-    // Already held (write subsumes read in the rw-set, so re-requests only
-    // happen if a caller passes duplicate keys; treat as held).
+  size_t queued = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    KeyLock& lock = locks_[keys[i]];
     if (lock.writer == exec || lock.readers.count(exec) > 0) {
-      ++acq.next;
+      continue;  // Already held.
+    }
+    const bool grantable =
+        modes[i] == LockMode::kWrite
+            ? lock.Free() && lock.queue.empty()
+            // Readers share, but queue behind a waiting writer (fairness).
+            : lock.writer == 0 && lock.queue.empty();
+    if (grantable) {
+      Hold(exec, modes[i], keys[i], lock, grants);
       continue;
     }
-    const bool grantable = mode == LockMode::kWrite
-                               ? lock.Free() && lock.queue.empty()
-                               : lock.writer == 0 && lock.queue.empty();
-    if (!grantable) {
-      ++waits_;
-      lock.queue.push_back(Waiter{exec, mode});
-      return;  // Parked; DrainQueue resumes us on release.
+    ++queued;
+    if (std::none_of(lock.queue.begin(), lock.queue.end(),
+                     [exec](const Waiter& w) { return w.exec == exec; })) {
+      lock.queue.push_back(Waiter{exec, modes[i]});
     }
-    Hold(exec, mode, key, lock);
-    ++acq.next;
   }
-  // All keys held.
-  std::function<void()> granted = std::move(acq.granted);
-  pending_.erase(it);
-  if (granted) {
-    // Zero-delay event: callers never re-enter the table from inside it.
-    sim_->Schedule(0, std::move(granted));
+  if (queued > 0) {
+    ++waits_;
   }
+  return queued;
 }
 
-void LockTable::Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock) {
+void LockTable::Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock,
+                     std::vector<Grant>* grants) {
   if (mode == LockMode::kWrite) {
     assert(lock.Free());
     lock.writer = exec;
@@ -71,83 +46,78 @@ void LockTable::Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& l
     lock.readers.insert(exec);
   }
   held_[exec].insert(key);
+  if (grants != nullptr) {
+    grants->push_back(Grant{exec, key});
+  }
 }
 
-void LockTable::ReleaseAll(ExecutionId exec) {
-  // Cancel queued waits (robustness; the LVI protocol never releases while
-  // still acquiring, but failure handling may).
-  const auto pit = pending_.find(exec);
-  if (pit != pending_.end()) {
-    for (const Key& key : pit->second.keys) {
-      const auto lit = locks_.find(key);
-      if (lit == locks_.end()) {
-        continue;
-      }
-      auto& queue = lit->second.queue;
-      queue.erase(std::remove_if(queue.begin(), queue.end(),
-                                 [exec](const Waiter& w) { return w.exec == exec; }),
-                  queue.end());
-    }
-    pending_.erase(pit);
-  }
+void LockTable::Release(ExecutionId exec, std::vector<Grant>* grants) {
   const auto hit = held_.find(exec);
   if (hit == held_.end()) {
     return;
   }
-  const std::set<Key> keys = hit->second;
+  const std::set<Key> keys = std::move(hit->second);
   held_.erase(hit);
   for (const Key& key : keys) {
-    const auto lit = locks_.find(key);
-    if (lit == locks_.end()) {
+    const auto it = locks_.find(key);
+    if (it == locks_.end()) {
       continue;
     }
-    KeyLock& lock = lit->second;
-    if (lock.writer == exec) {
-      lock.writer = 0;
+    if (it->second.writer == exec) {
+      it->second.writer = 0;
     }
-    lock.readers.erase(exec);
-    DrainQueue(key);
-    const auto lit2 = locks_.find(key);
-    if (lit2 != locks_.end() && lit2->second.Free() && lit2->second.queue.empty()) {
-      locks_.erase(lit2);
+    it->second.readers.erase(exec);
+    DrainQueue(it, grants);
+  }
+}
+
+void LockTable::CancelWaits(ExecutionId exec, const std::vector<Key>& keys,
+                            std::vector<Grant>* grants) {
+  for (const Key& key : keys) {
+    const auto it = locks_.find(key);
+    if (it == locks_.end()) {
+      continue;
+    }
+    auto& queue = it->second.queue;
+    const auto gone = std::remove_if(queue.begin(), queue.end(),
+                                     [exec](const Waiter& w) { return w.exec == exec; });
+    if (gone != queue.end()) {
+      queue.erase(gone, queue.end());
+      // The waiters behind a cancelled writer may be compatible now.
+      DrainQueue(it, grants);
     }
   }
 }
 
-void LockTable::DrainQueue(const Key& key) {
-  // Waiters resumed here continue their own sequential acquisitions; the
-  // loop re-reads the lock each round because Advance may mutate locks_.
-  for (;;) {
-    const auto lit = locks_.find(key);
-    if (lit == locks_.end() || lit->second.queue.empty()) {
-      return;
-    }
-    KeyLock& lock = lit->second;
+void LockTable::DrainQueue(std::map<Key, KeyLock>::iterator it, std::vector<Grant>* grants) {
+  KeyLock& lock = it->second;
+  while (!lock.queue.empty()) {
     const Waiter head = lock.queue.front();
-    if (head.mode == LockMode::kWrite) {
-      if (!lock.Free()) {
-        return;
-      }
-      lock.queue.pop_front();
-      Hold(head.exec, head.mode, key, lock);
-      const auto pit = pending_.find(head.exec);
-      if (pit != pending_.end()) {
-        ++pit->second.next;
-        Advance(head.exec);
-      }
-      return;  // A granted writer excludes everything behind it.
-    }
-    if (lock.writer != 0) {
-      return;
+    if (head.mode == LockMode::kWrite ? !lock.Free() : lock.writer != 0) {
+      break;
     }
     lock.queue.pop_front();
-    Hold(head.exec, head.mode, key, lock);
-    const auto pit = pending_.find(head.exec);
-    if (pit != pending_.end()) {
-      ++pit->second.next;
-      Advance(head.exec);
+    Hold(head.exec, head.mode, it->first, lock, grants);
+    if (head.mode == LockMode::kWrite) {
+      break;  // A writer excludes everything behind it.
     }
     // Consecutive readers are granted together: loop.
+  }
+  if (lock.Free() && lock.queue.empty()) {
+    locks_.erase(it);
+  }
+}
+
+void LockTable::Restore(std::map<Key, KeyLock> locks) {
+  locks_ = std::move(locks);
+  held_.clear();
+  for (const auto& [key, lock] : locks_) {
+    if (lock.writer != 0) {
+      held_[lock.writer].insert(key);
+    }
+    for (const ExecutionId reader : lock.readers) {
+      held_[reader].insert(key);
+    }
   }
 }
 
@@ -169,6 +139,11 @@ size_t LockTable::WaitingCount(const Key& key) const {
 size_t LockTable::HeldKeyCount(ExecutionId exec) const {
   const auto it = held_.find(exec);
   return it == held_.end() ? 0 : it->second.size();
+}
+
+size_t LockTable::TotalHeldKeys() const {
+  return static_cast<size_t>(std::count_if(
+      locks_.begin(), locks_.end(), [](const auto& entry) { return !entry.second.Free(); }));
 }
 
 }  // namespace radical

@@ -1,68 +1,40 @@
-// LockTable: the singleton LVI server's in-memory read/write lock table.
+// LockTable: the per-key read/write lock rule of the LVI server, the one
+// table both lock planes apply.
 //
 // Each LVI request acquires a read or write lock per item in its read/write
-// set (§3.6). Locks are acquired in lexicographic key order, strictly one
-// after another (resource ordering — provably deadlock-free), with FIFO wait
-// queues per key: readers share, writers exclude, and a new reader queues
-// behind a waiting writer so writers cannot starve.
+// set (§3.6): readers share, writers exclude, and each key has a FIFO wait
+// queue in which a new reader queues behind a waiting writer, so writers
+// cannot starve. An acquire run (one execution's keys in one table) applies
+// atomically: free keys are granted and contended keys queue, in one step.
 //
-// The table is in-memory (the paper persists it to disk for durability; the
-// replicated variant in lock_service.h moves it into Raft). Grant
-// continuations are scheduled as zero-delay simulator events, never run
-// re-entrantly inside Acquire/Release.
+// The table is a pure transition function with no clock: every operation
+// appends the grants it makes to a caller-supplied vector. LocalLockService
+// (src/lvi/lock_service.h) keeps one per key-range shard and turns grants
+// into zero-delay simulator events; every Raft replica keeps one inside its
+// LockStateMachine (src/lvi/lock_state_machine.h) and applies committed
+// commands to it.
 
 #ifndef RADICAL_SRC_LVI_LOCK_TABLE_H_
 #define RADICAL_SRC_LVI_LOCK_TABLE_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "src/analysis/rw_set.h"
-#include "src/sim/simulator.h"
 
 namespace radical {
 
 class LockTable {
  public:
-  explicit LockTable(Simulator* sim);
+  // `exec` now holds the lock on `key`.
+  struct Grant {
+    ExecutionId exec;
+    Key key;
+  };
 
-  LockTable(const LockTable&) = delete;
-  LockTable& operator=(const LockTable&) = delete;
-
-  // Acquires a lock on every key (sorted lexicographically; asserted) with
-  // the matching mode; `granted` fires once all are held. Keys are taken
-  // strictly in order — the acquisition blocks on the first contended key.
-  //
-  // Idempotent per execution: keys `exec` already holds are counted as
-  // granted, and a second AcquireAll while the first is still queued merges
-  // into it (the new `granted` replaces the old one). Both cases arise when
-  // a client retries an LVI request whose original attempt died with a
-  // server crash — the locks survived on disk, the continuation did not.
-  void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  std::function<void()> granted);
-
-  // Releases every lock held by `exec` and cancels any of its queued waits;
-  // unblocked waiters continue their acquisition sequences.
-  void ReleaseAll(ExecutionId exec);
-
-  // --- Introspection ------------------------------------------------------
-  bool IsWriteHeldBy(const Key& key, ExecutionId exec) const;
-  bool IsReadHeldBy(const Key& key, ExecutionId exec) const;
-  size_t WaitingCount(const Key& key) const;
-  size_t HeldKeyCount(ExecutionId exec) const;
-  size_t active_lock_count() const { return locks_.size(); }
-
-  // --- Stats ---------------------------------------------------------------
-  uint64_t acquisitions() const { return acquisitions_; }
-  uint64_t waits() const { return waits_; }  // Acquisitions that queued.
-  // AcquireAll calls that merged into an already-queued acquisition.
-  uint64_t reacquire_merges() const { return reacquire_merges_; }
-
- private:
   struct Waiter {
     ExecutionId exec;
     LockMode mode;
@@ -76,26 +48,50 @@ class LockTable {
     bool Free() const { return writer == 0 && readers.empty(); }
   };
 
-  struct Acquisition {
-    std::vector<Key> keys;
-    std::vector<LockMode> modes;
-    size_t next = 0;  // Index of the next key to take.
-    std::function<void()> granted;
-  };
+  // Applies the run `keys` (with parallel `modes`) for `exec` atomically and
+  // returns how many of its keys are left queued. Keys `exec` already holds
+  // or waits on are skipped, so a duplicate run is idempotent and grants
+  // nothing. `grants` may be null when the caller needs only the count.
+  size_t Acquire(ExecutionId exec, const std::vector<Key>& keys,
+                 const std::vector<LockMode>& modes, std::vector<Grant>* grants);
 
-  // Advances `exec`'s acquisition: takes every immediately available key,
-  // queues on the first contended one, fires `granted` when done.
-  void Advance(ExecutionId exec);
-  void Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock);
-  void DrainQueue(const Key& key);
+  // Releases every lock `exec` holds and grants the waiters that become
+  // compatible. `exec`'s own queued waits stay in place.
+  void Release(ExecutionId exec, std::vector<Grant>* grants);
 
-  Simulator* sim_;
+  // Drops `exec`'s queued waits on `keys` and grants the waiters behind them
+  // that become compatible.
+  void CancelWaits(ExecutionId exec, const std::vector<Key>& keys, std::vector<Grant>* grants);
+
+  // --- State (snapshots) -------------------------------------------------
+  const std::map<Key, KeyLock>& locks() const { return locks_; }
+  // Replaces the whole table; grants nothing.
+  void Restore(std::map<Key, KeyLock> locks);
+
+  // --- Introspection ------------------------------------------------------
+  bool IsWriteHeldBy(const Key& key, ExecutionId exec) const;
+  bool IsReadHeldBy(const Key& key, ExecutionId exec) const;
+  size_t WaitingCount(const Key& key) const;
+  size_t HeldKeyCount(ExecutionId exec) const;
+  // Keys held by anyone at all — zero once every execution has released.
+  size_t TotalHeldKeys() const;
+  size_t active_lock_count() const { return locks_.size(); }
+
+  // --- Stats ---------------------------------------------------------------
+  uint64_t acquisitions() const { return acquisitions_; }
+  uint64_t waits() const { return waits_; }  // Acquire runs that queued.
+
+ private:
+  void Hold(ExecutionId exec, LockMode mode, const Key& key, KeyLock& lock,
+            std::vector<Grant>* grants);
+  // Grants queued waiters on `key` while compatible; erases the entry once
+  // nobody holds or waits on it.
+  void DrainQueue(std::map<Key, KeyLock>::iterator it, std::vector<Grant>* grants);
+
   std::map<Key, KeyLock> locks_;
   std::map<ExecutionId, std::set<Key>> held_;
-  std::map<ExecutionId, Acquisition> pending_;
   uint64_t acquisitions_ = 0;
   uint64_t waits_ = 0;
-  uint64_t reacquire_merges_ = 0;
 };
 
 }  // namespace radical

@@ -7,7 +7,6 @@
 
 #include "src/common/stats.h"
 #include "src/raft/cluster.h"
-#include "src/raft/lock_state_machine.h"
 
 namespace radical {
 namespace {
@@ -549,38 +548,6 @@ TEST(RaftSnapshotTest, LaggardCatchesUpViaInstallSnapshot) {
   EXPECT_GE(cluster.node(laggard)->log().snapshot_index(), 6u);
 }
 
-TEST(LockStateMachineSnapshotTest, RoundTripPreservesLocksAndQueues) {
-  LockStateMachine sm;
-  sm.Apply(1, LockStateMachine::EncodeAcquire(10, {"alpha"}, {LockMode::kWrite}));
-  sm.Apply(2, LockStateMachine::EncodeAcquire(11, {"beta"}, {LockMode::kRead}));
-  sm.Apply(3, LockStateMachine::EncodeAcquire(12, {"beta"}, {LockMode::kRead}));
-  sm.Apply(4, LockStateMachine::EncodeAcquire(13, {"beta"}, {LockMode::kWrite}));  // Queued.
-  sm.Apply(5, LockStateMachine::EncodeAcquire(14, {"beta"}, {LockMode::kRead}));   // Behind writer.
-  const std::string snapshot = sm.EncodeSnapshot();
-
-  LockStateMachine restored;
-  restored.RestoreSnapshot(snapshot);
-  EXPECT_TRUE(restored.IsWriteHeldBy("alpha", 10));
-  EXPECT_TRUE(restored.IsReadHeldBy("beta", 11));
-  EXPECT_TRUE(restored.IsReadHeldBy("beta", 12));
-  EXPECT_EQ(restored.WaitingCount("beta"), 2u);
-  EXPECT_EQ(restored.last_applied(), 5u);
-  // Queue order and modes survive: releasing the readers grants the writer.
-  EXPECT_TRUE(restored.Apply(6, LockStateMachine::EncodeRelease(11)).empty());
-  const std::vector<LockStateMachine::Grant> grants =
-      restored.Apply(7, LockStateMachine::EncodeRelease(12));
-  ASSERT_EQ(grants.size(), 1u);
-  EXPECT_EQ(grants[0].exec, 13u);
-  EXPECT_EQ(grants[0].key, "beta");
-  EXPECT_TRUE(restored.IsWriteHeldBy("beta", 13));
-}
-
-TEST(LockStateMachineSnapshotTest, GarbageSnapshotYieldsEmptyMachine) {
-  LockStateMachine sm;
-  sm.RestoreSnapshot("not a snapshot at all");
-  EXPECT_EQ(sm.HeldKeyCount(1), 0u);
-}
-
 // --- RaftLog unit tests ---------------------------------------------------------
 
 TEST(RaftLogTest, AppendAndTerms) {
@@ -674,85 +641,6 @@ TEST(RaftLogTest, EntriesAfterRespectsBatch) {
   EXPECT_EQ(log.EntriesAfter(0, 4).size(), 4u);
   EXPECT_EQ(log.EntriesAfter(8).size(), 2u);
   EXPECT_EQ(log.EntriesAfter(10).size(), 0u);
-}
-
-// --- LockStateMachine unit tests ---------------------------------------------------
-
-TEST(LockStateMachineTest, AcquireReleaseCycle) {
-  LockStateMachine sm;
-  std::vector<LockStateMachine::Grant> grants =
-      sm.Apply(1, LockStateMachine::EncodeAcquire(10, {"k"}, {LockMode::kWrite}));
-  EXPECT_TRUE(sm.IsWriteHeldBy("k", 10));
-  ASSERT_EQ(grants.size(), 1u);
-  EXPECT_EQ(grants[0].exec, 10u);
-  EXPECT_TRUE(sm.Apply(2, LockStateMachine::EncodeAcquire(11, {"k"}, {LockMode::kWrite})).empty());
-  EXPECT_EQ(sm.WaitingCount("k"), 1u);  // Queued.
-  grants = sm.Apply(3, LockStateMachine::EncodeRelease(10));
-  ASSERT_EQ(grants.size(), 1u);
-  EXPECT_EQ(grants[0].exec, 11u);
-  EXPECT_EQ(grants[0].key, "k");
-  EXPECT_TRUE(sm.IsWriteHeldBy("k", 11));
-}
-
-TEST(LockStateMachineTest, ReadersShareWritersQueue) {
-  LockStateMachine sm;
-  sm.Apply(1, LockStateMachine::EncodeAcquire(1, {"k"}, {LockMode::kRead}));
-  sm.Apply(2, LockStateMachine::EncodeAcquire(2, {"k"}, {LockMode::kRead}));
-  EXPECT_TRUE(sm.IsReadHeldBy("k", 1));
-  EXPECT_TRUE(sm.IsReadHeldBy("k", 2));
-  sm.Apply(3, LockStateMachine::EncodeAcquire(3, {"k"}, {LockMode::kWrite}));
-  EXPECT_EQ(sm.WaitingCount("k"), 1u);
-  sm.Apply(4, LockStateMachine::EncodeRelease(1));
-  EXPECT_EQ(sm.WaitingCount("k"), 1u);  // Still one reader left.
-  sm.Apply(5, LockStateMachine::EncodeRelease(2));
-  EXPECT_TRUE(sm.IsWriteHeldBy("k", 3));
-}
-
-TEST(LockStateMachineTest, RunAppliesAtomicallyGrantingFreeKeysAndQueuingTheRest) {
-  LockStateMachine sm;
-  sm.Apply(1, LockStateMachine::EncodeAcquire(1, {"b"}, {LockMode::kWrite}));
-  // One command, three keys: the free ones are granted in key order at this
-  // index, the held one queues.
-  std::vector<LockStateMachine::Grant> grants = sm.Apply(
-      2, LockStateMachine::EncodeAcquire(
-             2, {"a", "b", "c"}, {LockMode::kWrite, LockMode::kRead, LockMode::kWrite}));
-  ASSERT_EQ(grants.size(), 2u);
-  EXPECT_EQ(grants[0].key, "a");
-  EXPECT_EQ(grants[1].key, "c");
-  EXPECT_EQ(sm.HeldKeyCount(2), 2u);
-  EXPECT_EQ(sm.WaitingCount("b"), 1u);
-  grants = sm.Apply(3, LockStateMachine::EncodeRelease(1));
-  ASSERT_EQ(grants.size(), 1u);
-  EXPECT_EQ(grants[0].exec, 2u);
-  EXPECT_TRUE(sm.IsReadHeldBy("b", 2));
-  EXPECT_EQ(sm.HeldKeyCount(2), 3u);
-}
-
-TEST(LockStateMachineTest, AcquireWireFormatIsARunOfModeKeyPairs) {
-  EXPECT_EQ(LockStateMachine::EncodeAcquire(7, {"a", "b"}, {LockMode::kWrite, LockMode::kRead}),
-            "batch 7 2 w a r b");
-  // A one-key run is as long as the paper's one-lock-per-commit command
-  // ("acquire 7 w key"), so single-lock commits cost the same bytes.
-  EXPECT_EQ(LockStateMachine::EncodeAcquire(7, {"key"}, {LockMode::kWrite}).size(),
-            std::string("acquire 7 w key").size());
-}
-
-TEST(LockStateMachineTest, DuplicateCommandsIdempotent) {
-  LockStateMachine sm;
-  const std::string acquire = LockStateMachine::EncodeAcquire(1, {"k"}, {LockMode::kWrite});
-  EXPECT_EQ(sm.Apply(1, acquire).size(), 1u);
-  EXPECT_TRUE(sm.Apply(2, acquire).empty());  // Duplicate: grants nothing, holds once.
-  EXPECT_EQ(sm.HeldKeyCount(1), 1u);
-  sm.Apply(3, LockStateMachine::EncodeRelease(1));
-  sm.Apply(4, LockStateMachine::EncodeRelease(1));  // Idempotent.
-  EXPECT_EQ(sm.HeldKeyCount(1), 0u);
-}
-
-TEST(LockStateMachineTest, UnknownCommandsIgnored) {
-  LockStateMachine sm;
-  sm.Apply(1, "garbage");
-  sm.Apply(2, "");
-  EXPECT_EQ(sm.last_applied(), 2u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 # sharded, sharded_batched, sessions) and the replicated-deployment tests run at
 # shards = 1 and 4, so no mode reruns the suite under an environment
 # variable. An always-on source check fails when anything under src/ calls
-# getenv: a deployment's shape comes only from its RadicalConfig.
+# getenv: a deployment's shape comes only from its RadicalConfig. Another
+# fails when anything under src/raft/ includes src/lvi/ or src/analysis/:
+# the consensus layer knows nothing of the locks it replicates.
 #
 # CHECK_SANITIZE=1 tools/check.sh  builds with AddressSanitizer +
 # UndefinedBehaviorSanitizer (in its own build directory, default
@@ -84,6 +86,11 @@ fi
 
 if grep -rn getenv "$SOURCE_DIR/src"; then
   echo "check.sh: src/ must not read the environment (getenv above)" >&2
+  exit 1
+fi
+
+if grep -rnE '#include "src/(lvi|analysis)/' "$SOURCE_DIR/src/raft"; then
+  echo "check.sh: src/raft/ must not include src/lvi/ or src/analysis/ (above)" >&2
   exit 1
 fi
 
