@@ -99,9 +99,7 @@ ExperimentResult RunApp(const AppSpec& app, DeployKind kind, const RunOptions& r
     result.backup_execs = radical->server().backup_executions();
     result.reexecutions = radical->server().reexecutions();
     result.primary_reruns = radical->server().counters().Get("primary_reruns");
-    if (radical->local_locks() != nullptr) {
-      result.lock_waits = radical->local_locks()->total_waits();
-    }
+    result.lock_waits = radical->locks().total_waits();
     result.lvi_requests = radical->server().counters().Get("lvi_requests");
     uint64_t speculations = 0;
     for (const Region region : options.regions) {

@@ -95,7 +95,7 @@ BENCHMARK(BM_VersionedStoreBatchGet)->Arg(4)->Arg(16)->Arg(64);
 void BM_LockTableUncontended(benchmark::State& state) {
   // The singleton server's table, behind the in-memory lock service.
   Simulator sim;
-  LocalLockService locks(&sim);
+  LockService locks(&sim);
   ExecutionId exec = 1;
   for (auto _ : state) {
     (void)_;

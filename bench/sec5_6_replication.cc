@@ -2,8 +2,8 @@
 // etcd-style Raft cluster across availability zones. The paper's
 // implementation acquires the locks in series, one commit each, so an LVI
 // request with L locks pays roughly (idempotency-key write) + 2.3*L ms extra;
-// it leaves batching as future work. The deployed ReplicatedLockService
-// batches: one commit per lock group a request touches.
+// it leaves batching as future work. The deployed LockService batches: one
+// commit per lock group a request touches.
 //
 // Reproduces: (a) the per-lock acquisition latency through Raft (~2.3 ms),
 // by chaining single-key acquisitions as the paper's implementation does,
@@ -31,7 +31,7 @@ namespace {
 // seed, so at L = 1, where they issue the same command, they agree exactly.
 double MeasureAcquire(int num_locks, bool serial) {
   Simulator sim(600 + static_cast<uint64_t>(num_locks));
-  ReplicatedLockService service(&sim, 3);
+  LockService service(&sim, 3);
   if (!service.Bootstrap()) {
     return -1;
   }
@@ -89,20 +89,13 @@ double MeasureServerSide(int num_locks, bool replicated) {
   body.push_back(Return(In("id")));
   registry.Register(Fn("writer", {"id"}, std::move(body)));
 
-  std::unique_ptr<LocalLockService> local;
-  std::unique_ptr<ReplicatedLockService> repl;
-  LockService* locks = nullptr;
+  LockService locks(&sim, replicated ? 3 : 0);
   if (replicated) {
-    repl = std::make_unique<ReplicatedLockService>(&sim, 3);
-    repl->Bootstrap();
+    locks.Bootstrap();
     sim.RunFor(Millis(200));
-    locks = repl.get();
-  } else {
-    local = std::make_unique<LocalLockService>(&sim);
-    locks = local.get();
   }
   LviServerOptions options;
-  LviServer server(&sim, &store, &registry, &interp, locks, options, replicated);
+  LviServer server(&sim, &store, &registry, &interp, &locks, options);
 
   LatencySampler samples;
   for (int round = 0; round < 50; ++round) {
@@ -139,7 +132,7 @@ double MeasureServerSide(int num_locks, bool replicated) {
 
 // AppendEntries messages sent per committed entry, summed over the
 // service's lock groups (a group's commits are its highest commit index).
-double AppendsPerCommit(Simulator& sim, ReplicatedLockService& service) {
+double AppendsPerCommit(Simulator& sim, LockService& service) {
   uint64_t appends = 0;
   uint64_t commits = 0;
   for (int g = 0; g < service.shards(); ++g) {
@@ -170,7 +163,7 @@ ThroughputPoint MeasureShardThroughput(int groups) {
   Simulator sim(900 + static_cast<uint64_t>(groups));
   RaftOptions raft;
   raft.proposal_capacity_rps = 1200;
-  ReplicatedLockService service(&sim, 3, raft, LocalMeshOptions{}, groups);
+  LockService service(&sim, 3, raft, LocalMeshOptions{}, groups);
   ThroughputPoint point;
   point.shards = groups;
   point.raft_groups = groups;
@@ -325,7 +318,7 @@ ThroughputPoint MeasureFailover(int groups) {
   for (int g = 0; g < groups; ++g) {
     const SimDuration at = Seconds(2) + static_cast<SimDuration>(g) * Millis(700);
     sim.Schedule(at, [&, g] {
-      RaftCluster& cluster = radical.replicated_locks()->cluster(g);
+      RaftCluster& cluster = radical.locks().cluster(g);
       const NodeId leader = cluster.LeaderId();
       if (leader < 0) {
         return;
@@ -349,9 +342,9 @@ ThroughputPoint MeasureFailover(int groups) {
   point.p99_ms = latencies.PercentileMs(99);
   point.leader_kills = kills;
   point.replies_pct = 100.0 * static_cast<double>(history.size()) / total_ops;
-  point.compensating_releases = radical.replicated_locks()->compensating_releases();
-  point.raft_nodes = radical.replicated_locks()->cluster().size();
-  point.appends_per_commit = AppendsPerCommit(sim, *radical.replicated_locks());
+  point.compensating_releases = radical.locks().compensating_releases();
+  point.raft_nodes = radical.locks().cluster().size();
+  point.appends_per_commit = AppendsPerCommit(sim, radical.locks());
   const LinearizabilityResult check = CheckHistory(history, initials);
   point.linearizable = check.linearizable;
   if (!check.linearizable) {

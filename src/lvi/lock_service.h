@@ -1,31 +1,33 @@
 // LockService: where the LVI server keeps its locks.
 //
-// Two implementations:
+// The key space is split into key-range shards (ShardRouter), one lock group
+// each, and a group is one of two kinds:
 //
-//  - LocalLockService (§4): the server's in-memory lock tables, persisted to
-//    an EBS volume; acquisition costs no extra round trips. The paper's
-//    singleton server is one table. With `shards` > 1 there is one LockTable
-//    per key-range shard (ShardRouter): acquisition partitions the request's
-//    sorted key set into per-shard groups and takes the groups strictly in
-//    ascending shard index, each as one atomic run in its shard's table.
-//    Group hand-off rides on zero-delay grant events, so sharding adds no
-//    virtual time to an uncontended acquire.
-//  - ReplicatedLockService (§5.6): the highly available variant stores locks
-//    in a 3-node etcd (Raft) cluster across availability zones. The paper
-//    commits each lock on its own, in series (~2.3 ms per lock, so ~2.3·L ms
-//    for L locks), and leaves batching as future work. This service batches:
-//    an execution's keys in one group go to that group as one acquire
-//    command, so a request pays one commit (~2.3 ms) per lock group it
-//    touches, whatever its lock count. With `shards` > 1 it runs one
-//    independent Raft group per key-range shard (multi-Raft): requests are
-//    re-ordered into the same (shard, key) order the in-memory service uses
-//    and the groups are taken in ascending order, one run at a time, while
-//    unrelated shards commit in parallel.
+//  - local (§4): the server's in-memory LockTable, persisted to an EBS
+//    volume. A run applies to the table in the call that submits it, so its
+//    "log" commits at once and acquisition costs no extra round trips. The
+//    paper's singleton server is one local group.
+//  - Raft (§5.6): the highly available variant stores locks in a 3-node etcd
+//    (Raft) cluster across availability zones; each node applies committed
+//    runs to its own LockStateMachine. The paper commits each lock on its
+//    own, in series (~2.3 ms per lock), and leaves batching as future work.
+//    Here a run is one command, so a request pays one commit per group it
+//    touches, whatever its lock count, and unrelated groups commit in
+//    parallel (multi-Raft).
 //
-// Both services apply the same LockTable rule, and in both a group's runs
-// apply atomically in one order (a table's calls, or a Raft group's log)
-// while each execution takes its groups in ascending order. That is the
-// deadlock-freedom argument (docs/linearizability.md).
+// One chain serves both kinds. An acquisition re-orders its keys into
+// (shard, key) order and takes its groups in ascending order, one run (its
+// keys in one group) at a time; a run that is fully held hands off to the
+// next in a zero-delay event, and `granted` fires from the event after the
+// last. Every group's runs apply atomically in one order (a table's calls,
+// or a Raft group's log). That is the deadlock-freedom argument
+// (docs/linearizability.md).
+//
+// Only Raft groups lose and duplicate commands, so only they carry recovery:
+// a timed-out acquire is resubmitted, a release is retried until it commits,
+// a grant that lands after its execution released is freed by a
+// compensating release, and an acquisition made while the same execution's
+// releases are in flight waits for them to commit.
 
 #ifndef RADICAL_SRC_LVI_LOCK_SERVICE_H_
 #define RADICAL_SRC_LVI_LOCK_SERVICE_H_
@@ -45,114 +47,68 @@ namespace radical {
 
 class LockService {
  public:
-  virtual ~LockService() = default;
+  // `node_count` 0 keeps every group local; otherwise each group is a Raft
+  // cluster that wide (3 in the paper's deployment, one node per
+  // availability zone). `shards` is the number of groups, keyed by
+  // ShardRouter.
+  explicit LockService(Simulator* sim, int node_count = 0, RaftOptions raft_options = {},
+                       LocalMeshOptions mesh_options = {}, int shards = 1);
+  ~LockService();
 
-  // Acquires locks on all `keys` (sorted lexicographically) with matching
-  // `modes`; `granted` fires once every lock is held, never inside this
-  // call. Keys `exec` already holds count as granted, and a second call
-  // while the first is still in progress merges into it (the new `granted`
-  // replaces the old one): a retried LVI request whose original attempt
-  // died with a server crash finds its locks, or its place in the queues.
-  virtual void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                          std::function<void()> granted) = 0;
+  LockService(const LockService&) = delete;
+  LockService& operator=(const LockService&) = delete;
 
-  // Releases everything `exec` holds and abandons its acquisition.
-  virtual void ReleaseAll(ExecutionId exec) = 0;
-};
-
-// In-memory lock tables, one per key-range shard (one for the paper's
-// singleton server).
-class LocalLockService : public LockService {
- public:
-  explicit LocalLockService(Simulator* sim, int shards = 1);
-
-  void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  std::function<void()> granted) override;
-  void ReleaseAll(ExecutionId exec) override;
-
-  int shards() const { return router_.shards(); }
-  const ShardRouter& router() const { return router_; }
-  LockTable& table(int shard = 0) { return tables_[static_cast<size_t>(shard)]; }
-
-  // Aggregate statistics across shards.
-  uint64_t total_acquisitions() const;
-  uint64_t total_waits() const;
-
- private:
-  struct ShardGroup {
-    int shard = 0;
-    std::vector<Key> keys;
-    std::vector<LockMode> modes;
-  };
-  // One execution's acquisition: its groups in ascending shard order, the
-  // one in flight, and how many keys of that group's run still wait.
-  struct Pending {
-    uint64_t id = 0;  // Tells a stale hand-off event from this acquisition's.
-    std::vector<ShardGroup> groups;
-    size_t next = 0;
-    size_t ungranted = 0;
-    std::function<void()> granted;
-  };
-
-  // Applies `acq`'s run on `groups[next]`; schedules the hand-off once all
-  // of it is held.
-  void AcquireGroup(ExecutionId exec, Pending& acq);
-  // A zero-delay event moves `acq` to its next group, or fires `granted`
-  // after the last one, unless `exec` released meanwhile.
-  void ScheduleHandOff(ExecutionId exec, const Pending& acq);
-  void OnGrants(const std::vector<LockTable::Grant>& grants);
-
-  Simulator* sim_;
-  ShardRouter router_;
-  std::vector<LockTable> tables_;
-  std::unordered_map<ExecutionId, Pending> pending_;
-  uint64_t next_pending_id_ = 0;
-};
-
-// Locks behind Raft (etcd-like) groups. Owns the groups and their per-node
-// lock state machines, and acts on each committed log entry's grants once:
-// the first replica to apply an index reports them, and every later apply of
-// that index (followers, a restarted replica replaying its log) is ignored.
-class ReplicatedLockService : public LockService {
- public:
-  // `node_count` is 3 in the paper's deployment (one per availability zone).
-  // `shards` > 1 partitions the key space across that many independent Raft
-  // groups (each `node_count` wide) keyed by ShardRouter.
-  ReplicatedLockService(Simulator* sim, int node_count, RaftOptions raft_options = {},
-                        LocalMeshOptions mesh_options = {}, int shards = 1);
-  ~ReplicatedLockService() override;
-
-  // Elects the initial leader of every group; call once before issuing
+  // Elects the initial leader of every Raft group; call once before issuing
   // acquisitions. Returns false if any group failed to elect
   // (misconfiguration).
   bool Bootstrap();
 
+  // Acquires locks on all `keys` (sorted lexicographically) with matching
+  // `modes`; `granted` fires once every lock is held, never inside this
+  // call, and not at all if `exec` releases first. Keys `exec` already holds
+  // count as granted, and a second call while the first is still in
+  // progress merges into it (the new `granted` replaces the old one): a
+  // retried LVI request whose original attempt died with a server crash
+  // finds its locks, or its place in the queues.
   void AcquireAll(ExecutionId exec, std::vector<Key> keys, std::vector<LockMode> modes,
-                  std::function<void()> granted) override;
-  void ReleaseAll(ExecutionId exec) override;
+                  std::function<void()> granted);
 
+  // Releases everything `exec` holds and abandons its acquisition. A local
+  // group drops the waits of the run in flight first, then releases; a Raft
+  // group commits a release that leaves them, and a grant that lands after
+  // it is compensated. An execution with nothing held or in flight costs
+  // nothing.
+  void ReleaseAll(ExecutionId exec);
+
+  bool replicated() const { return groups_.front().raft != nullptr; }
   int shards() const { return router_.shards(); }
   const ShardRouter& router() const { return router_; }
-  RaftCluster& cluster(int shard = 0) { return *groups_[static_cast<size_t>(shard)].cluster; }
-  // The group leader's view of the lock state (tests).
+  // A local group's table.
+  LockTable& table(int shard = 0) { return groups_[static_cast<size_t>(shard)].table; }
+  // A Raft group's cluster, and its leader's view of the lock state (tests).
+  RaftCluster& cluster(int shard = 0) { return *groups_[static_cast<size_t>(shard)].raft->cluster; }
   const LockStateMachine* LeaderState(int shard = 0) const;
 
-  // Liveness counters, summed over the groups. Each group keeps its own in
-  // the simulator's MetricsRegistry under its RaftCluster's metric scope
+  // Local tables' statistics, summed over the groups.
+  uint64_t total_acquisitions() const;
+  uint64_t total_waits() const;
+
+  // Raft liveness counters, summed over the groups. Each group keeps its own
+  // in the simulator's MetricsRegistry under its RaftCluster's metric scope
   // ("raft", or "raft.shard<g>" with several groups).
   // Acquire proposals that timed out (e.g. a leaderless spell outlasting the
   // submit deadline) and were resubmitted instead of stalling forever.
-  uint64_t acquire_resubmits() const { return Sum(&LockGroup::acquire_resubmits); }
+  uint64_t acquire_resubmits() const { return Sum(&RaftGroup::acquire_resubmits); }
   // Release proposals that timed out and were retried until committed
   // (dropping one would leak the lock in the replicated table).
-  uint64_t release_retries() const { return Sum(&LockGroup::release_retries); }
+  uint64_t release_retries() const { return Sum(&RaftGroup::release_retries); }
   // Releases submitted for a stray grant: one that committed after its
   // execution released (it was queued on the key, or a resubmitted acquire
   // landed late in the log).
-  uint64_t compensating_releases() const { return Sum(&LockGroup::compensating_releases); }
+  uint64_t compensating_releases() const { return Sum(&RaftGroup::compensating_releases); }
   // Acquisitions that waited for the same execution's releases in flight to
   // commit before starting.
-  uint64_t acquires_after_release() const { return Sum(&LockGroup::acquires_after_release); }
+  uint64_t acquires_after_release() const { return Sum(&RaftGroup::acquires_after_release); }
 
   // No acquisition, holding or release in flight: the service keeps no
   // per-execution state (tests).
@@ -161,8 +117,10 @@ class ReplicatedLockService : public LockService {
   }
 
  private:
-  struct LockGroup {
-    std::vector<std::unique_ptr<LockStateMachine>> machines;  // One per node.
+  // A Raft group: the cluster, one lock state machine per node, and its
+  // recovery counters.
+  struct RaftGroup {
+    std::vector<std::unique_ptr<LockStateMachine>> machines;
     std::unique_ptr<RaftCluster> cluster;
     // Highest log index whose grants the service has acted on.
     LogIndex applied = 0;
@@ -171,45 +129,58 @@ class ReplicatedLockService : public LockService {
     obs::Counter* compensating_releases = nullptr;
     obs::Counter* acquires_after_release = nullptr;
   };
+  // One shard's locks: `table` in a local group; a Raft group (`raft` set)
+  // keeps them in its machines.
+  struct LockGroup {
+    LockTable table;
+    std::unique_ptr<RaftGroup> raft;
+  };
 
-  struct PendingAcquire {
-    // Keys re-ordered into (shard, key) order; `shard_of` is parallel.
+  // One execution's keys in one group.
+  struct Run {
+    int shard = 0;
     std::vector<Key> keys;
     std::vector<LockMode> modes;
-    std::vector<int> shard_of;
-    // First key of the run in flight through Raft (see RunEnd).
-    size_t next = 0;
+  };
+  struct PendingAcquire {
+    uint64_t id = 0;  // Tells a stale hand-off event from this acquisition's.
+    std::vector<Run> runs;  // In ascending shard order.
+    size_t next = 0;        // The run in flight; runs.size() once all are held.
     std::function<void()> granted;
   };
 
-  void BuildGroup(int g, int node_count, const RaftOptions& raft_options,
-                  const LocalMeshOptions& mesh_options);
-  // End of the run starting at `acq.next`: the contiguous same-shard keys.
-  size_t RunEnd(const PendingAcquire& acq) const;
-  // Moves `acq.next` past the runs `exec` already holds; true once every
-  // key is held.
-  bool Advance(ExecutionId exec, PendingAcquire& acq) const;
-  // Submits `exec`'s run at `next` as one command; continues on grant.
-  void SubmitNext(ExecutionId exec);
+  void BuildRaftGroup(int g, int node_count, const LocalMeshOptions& mesh_options);
+  // Moves `acq.next` past the runs `exec` already holds.
+  void Advance(ExecutionId exec, PendingAcquire& acq) const;
+  // Submits `acq`'s run in flight: a local group applies it at once, a Raft
+  // group proposes it as one command.
+  void SubmitNext(ExecutionId exec, const PendingAcquire& acq);
+  // After `delay`, submits acquisition `id`'s next run, or fires its
+  // `granted` after the last, unless `exec` released meanwhile.
+  void ScheduleHandOff(ExecutionId exec, uint64_t id, SimDuration delay = 0);
   // An acquire proposal timed out; resubmit once the dust settles.
   void OnAcquireSubmitFailed(ExecutionId exec, int shard);
+  void OnGrants(int shard, const std::vector<LockTable::Grant>& grants);
   void OnGrant(int shard, ExecutionId exec, const Key& key);
-  // Submits (and retries until committed) `exec`'s release in `shard`.
+  // Releases `exec` in `shard`: at once in a local group; a Raft group
+  // submits (and retries until committed) a release command.
+  void Release(ExecutionId exec, int shard);
   void SubmitRelease(ExecutionId exec, int shard);
   // Starts `exec`'s parked acquisition, if any, once no release of it is in
   // flight.
   void ResumeAfterRelease(ExecutionId exec);
-  uint64_t Sum(obs::Counter* LockGroup::*counter) const;
+  uint64_t Sum(obs::Counter* RaftGroup::*counter) const;
 
   Simulator* sim_;
   RaftOptions raft_options_;
   ShardRouter router_;
   std::vector<LockGroup> groups_;
   std::unordered_map<ExecutionId, PendingAcquire> pending_;
+  uint64_t next_acquire_id_ = 0;
   // Keys each execution holds, from the grants acted on; erased at
   // ReleaseAll.
   std::unordered_map<ExecutionId, std::set<Key>> held_;
-  // Shards with a release submitted but not yet committed, per exec.
+  // Raft groups with a release submitted but not yet committed, per exec.
   std::unordered_map<ExecutionId, std::set<int>> releasing_;
   // Acquisitions made while the exec's releases were in flight, each as the
   // AcquireAll call to make once they commit. RaftCluster resubmits a release

@@ -3,10 +3,10 @@
 // When the LVI server is replicated for high availability, its locks move
 // into an etcd-like store: every acquire/release is a command committed
 // through Raft, and each replica applies it to its own LockTable — the same
-// table the in-memory service keeps per shard. Apply returns the grants a
-// command made: at apply time, or when a release unblocks queued waiters.
-// Every replica computes the same grants for the same log index, so the
-// service acts on one replica's.
+// table a local lock group applies runs to at once. Apply returns the grants
+// a command made: at apply time, or when a release unblocks queued waiters.
+// Every replica computes the same grants for the same log index, so
+// LockService acts on the first replica's.
 //
 // An acquire command carries a run of (mode, key) pairs: all of one
 // execution's keys in this lock group, taken in one commit. The paper's

@@ -8,11 +8,11 @@
 // atomically: free keys are granted and contended keys queue, in one step.
 //
 // The table is a pure transition function with no clock: every operation
-// appends the grants it makes to a caller-supplied vector. LocalLockService
-// (src/lvi/lock_service.h) keeps one per key-range shard and turns grants
-// into zero-delay simulator events; every Raft replica keeps one inside its
-// LockStateMachine (src/lvi/lock_state_machine.h) and applies committed
-// commands to it.
+// appends the grants it makes to a caller-supplied vector. A local lock group
+// of LockService (src/lvi/lock_service.h) is one table, which applies each
+// run as it is submitted; every node of a Raft lock group keeps one inside
+// its LockStateMachine (src/lvi/lock_state_machine.h) and applies committed
+// runs to it. Either way LockService acts on the grants.
 
 #ifndef RADICAL_SRC_LVI_LOCK_TABLE_H_
 #define RADICAL_SRC_LVI_LOCK_TABLE_H_

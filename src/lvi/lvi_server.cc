@@ -81,14 +81,13 @@ const char* ResponseStatusName(ResponseStatus status) {
 
 LviServer::LviServer(Simulator* sim, VersionedStore* store, const FunctionRegistry* registry,
                      const Interpreter* interpreter, LockService* locks, LviServerOptions options,
-                     bool replicated, ExternalServiceRegistry* externals)
+                     ExternalServiceRegistry* externals)
     : sim_(sim),
       store_(store),
       registry_(registry),
       interpreter_(interpreter),
       locks_(locks),
       options_(options),
-      replicated_(replicated),
       externals_(externals),
       router_(options.shards),
       metrics_(&sim->metrics(), sim->metrics().UniqueScopeName("lvi_server")),
@@ -534,7 +533,7 @@ void LviServer::Validate(LviRequest request) {
 }
 
 SimDuration LviServer::IntentWriteLatency() const {
-  return store_->options().write_latency + (replicated_ ? kIdempotencyWrite : 0);
+  return store_->options().write_latency + (locks_->replicated() ? kIdempotencyWrite : 0);
 }
 
 void LviServer::CommitIntent(LviRequest request, Pins pins) {
@@ -996,7 +995,7 @@ std::vector<FreshItem> LviServer::Commit(ExecutionId exec_id, Origin origin,
   }
   // The idempotency key (replicated deployments, §5.6) is recorded with the
   // writes: at most one execution of a request applies any.
-  if (replicated_ && !applied_.Put(origin, exec_id, true)) {
+  if (locks_->replicated() && !applied_.Put(origin, exec_id, true)) {
     metrics_.Increment("at_most_once_refused");
     return {};
   }

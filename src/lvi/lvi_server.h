@@ -31,9 +31,9 @@
 // Scaling (beyond the paper's singleton t3.2xlarge): the hot path shards.
 // With `shards = N`, the lock table, serving capacity and metrics split into
 // N independent key-range shards (ShardRouter hash-range partitions; the
-// deployment pairs the server with a LocalLockService built on the same
-// router). Each request has a home shard — the shard of its first item —
-// which owns its admission slot and its per-shard counters. Every shard
+// deployment pairs the server with a LockService of N lock groups built on
+// the same router). Each request has a home shard — the shard of its first
+// item — which owns its admission slot and its per-shard counters. Every shard
 // validates each request on its own the moment its locks are granted, as the
 // paper's singleton does: the singleton is the same code with one shard.
 //
@@ -143,17 +143,16 @@ class LviServer {
   // moment they are durable at the primary.
   using PushFn = std::function<void(CachePush push)>;
 
-  // All pointers must outlive the server. `locks` is either a
-  // LocalLockService (§4; built with the same shard count as
-  // `options.shards`) or a ReplicatedLockService (§5.6); pass
-  // `replicated=true` with the latter to enable idempotency-key accounting
-  // and at-most-once enforcement.
+  // All pointers must outlive the server. `locks` has one lock group per
+  // shard of `options.shards`: local groups (§4), or Raft groups (§5.6),
+  // which also turn on idempotency-key accounting and at-most-once
+  // enforcement.
   // `externals` (optional) provides the external services functions may
   // call (§3.5); backup executions and deterministic re-executions reuse
   // the original execution id so services deduplicate.
   LviServer(Simulator* sim, VersionedStore* store, const FunctionRegistry* registry,
             const Interpreter* interpreter, LockService* locks, LviServerOptions options = {},
-            bool replicated = false, ExternalServiceRegistry* externals = nullptr);
+            ExternalServiceRegistry* externals = nullptr);
 
   LviServer(const LviServer&) = delete;
   LviServer& operator=(const LviServer&) = delete;
@@ -447,7 +446,6 @@ class LviServer {
   const Interpreter* interpreter_;
   LockService* locks_;
   LviServerOptions options_;
-  bool replicated_;
   ExternalServiceRegistry* externals_;
   bool alive_ = true;
   uint64_t epoch_ = 0;

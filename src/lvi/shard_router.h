@@ -1,6 +1,6 @@
 // ShardRouter: the key -> shard map shared by every component that shards
-// the LVI hot path (lock tables, admission queues, per-shard server
-// channels, replicated lock groups).
+// the LVI hot path (lock groups, local or Raft; admission queues; per-shard
+// server channels).
 //
 // Keys are routed by range-partitioning a *hashed* keyspace, the way
 // DynamoDB assigns items to partitions: a 64-bit point is derived from the
@@ -12,9 +12,9 @@
 // unrelated shards (tests/shard_test.cc pins this refinement invariant).
 //
 // Deadlock-freedom under sharding: lock acquisition orders keys by
-// (ShardOf(key), key) — see LocalLockService — which is a total order, so
-// the classic resource-ordering argument carries over unchanged from the
-// single-table server.
+// (ShardOf(key), key) — see LockService — which is a total order, so the
+// classic resource-ordering argument carries over unchanged from the
+// single-table server, for local and Raft lock groups alike.
 
 #ifndef RADICAL_SRC_LVI_SHARD_ROUTER_H_
 #define RADICAL_SRC_LVI_SHARD_ROUTER_H_

@@ -27,23 +27,16 @@ RadicalDeployment::RadicalDeployment(Simulator* sim, Network* network, RadicalCo
       interpreter_(&HostRegistry::Standard()),
       registry_(&analyzer_),
       primary_(config_.primary_store) {
-  LockService* locks = nullptr;
-  if (replicated_locks > 0) {
-    // Multi-Raft: one Raft lock group per key-range shard, so the server's
-    // hot path and the lock groups share one ShardRouter partition.
-    replicated_locks_ = std::make_unique<ReplicatedLockService>(
-        sim, replicated_locks, RaftOptions{}, LocalMeshOptions{}, config_.server.shards);
-    const bool elected = replicated_locks_->Bootstrap();
-    assert(elected && "replicated lock service failed to elect a leader");
-    (void)elected;
-    locks = replicated_locks_.get();
-  } else {
-    local_locks_ = std::make_unique<LocalLockService>(sim, config_.server.shards);
-    locks = local_locks_.get();
-  }
-  server_ = std::make_unique<LviServer>(sim, &primary_, &registry_, &interpreter_, locks,
-                                        config_.server,
-                                        /*replicated=*/replicated_locks > 0, &externals_);
+  // One lock group per key-range shard, so the server's hot path and the
+  // lock groups share one ShardRouter partition: local groups, or Raft
+  // groups `replicated_locks` nodes wide (multi-Raft).
+  locks_ = std::make_unique<LockService>(sim, replicated_locks, RaftOptions{}, LocalMeshOptions{},
+                                         config_.server.shards);
+  const bool elected = locks_->Bootstrap();
+  assert(elected && "replicated lock service failed to elect a leader");
+  (void)elected;
+  server_ = std::make_unique<LviServer>(sim, &primary_, &registry_, &interpreter_, locks_.get(),
+                                        config_.server, &externals_);
   // One shared server address on the fabric; every runtime's LVI traffic
   // converges on it, so per-link stats show the real fan-in. A sharded
   // server gets one channel per shard — runtimes route each request onto
@@ -140,10 +133,9 @@ PrimaryBaselineDeployment::PrimaryBaselineDeployment(Simulator* sim, Network* ne
       interpreter_(&HostRegistry::Standard()),
       registry_(&analyzer_),
       primary_(config_.primary_store) {
-  locks_ = std::make_unique<LocalLockService>(sim);
+  locks_ = std::make_unique<LockService>(sim);
   server_ = std::make_unique<LviServer>(sim, &primary_, &registry_, &interpreter_, locks_.get(),
-                                        config_.server, /*replicated=*/false,
-                                        &externals_);
+                                        config_.server, &externals_);
   obs::MetricsRegistry& reg = sim->metrics();
   primary_.RegisterMetrics(&reg, reg.UniqueScopeName("store.primary"));
 }

@@ -46,11 +46,14 @@ class AppService {
   virtual ExternalServiceRegistry& externals() = 0;
 };
 
+// The name perfbench/radical_perfbench.cc uses for the lock service.
+using ReplicatedLockService = LockService;
+
 class RadicalDeployment : public AppService {
  public:
-  // `replicated_locks > 0` switches the LVI server to the §5.6 configuration
-  // with that many Raft nodes holding the locks. The locks live in one Raft
-  // group per server shard: `config.server.shards > 1` runs that many
+  // The locks live in one lock group per server shard. `replicated_locks > 0`
+  // switches the LVI server to the §5.6 configuration, with that many Raft
+  // nodes in each group: `config.server.shards > 1` runs that many
   // independent groups (multi-Raft), one per key-range shard.
   RadicalDeployment(Simulator* sim, Network* network, RadicalConfig config,
                     std::vector<Region> regions, int replicated_locks = 0);
@@ -101,8 +104,11 @@ class RadicalDeployment : public AppService {
   FunctionRegistry& registry() { return registry_; }
   ExternalServiceRegistry& externals() override { return externals_; }
   const RadicalConfig& config() const { return config_; }
-  LocalLockService* local_locks() { return local_locks_.get(); }
-  ReplicatedLockService* replicated_locks() { return replicated_locks_.get(); }
+  LockService& locks() { return *locks_; }
+  // The lock service when its groups are local, or Raft; null otherwise.
+  // Kept for perfbench/radical_perfbench.cc, which still uses them.
+  LockService* local_locks() { return locks_->replicated() ? nullptr : locks_.get(); }
+  LockService* replicated_locks() { return locks_->replicated() ? locks_.get() : nullptr; }
 
  private:
   Simulator* sim_;
@@ -112,8 +118,7 @@ class RadicalDeployment : public AppService {
   FunctionRegistry registry_;
   ExternalServiceRegistry externals_;
   VersionedStore primary_;
-  std::unique_ptr<LocalLockService> local_locks_;
-  std::unique_ptr<ReplicatedLockService> replicated_locks_;
+  std::unique_ptr<LockService> locks_;
   std::unique_ptr<LviServer> server_;
   net::Endpoint server_endpoint_;
   net::Endpoint push_endpoint_;
@@ -146,7 +151,7 @@ class PrimaryBaselineDeployment : public AppService {
   FunctionRegistry registry_;
   ExternalServiceRegistry externals_;
   VersionedStore primary_;
-  std::unique_ptr<LocalLockService> locks_;
+  std::unique_ptr<LockService> locks_;
   std::unique_ptr<LviServer> server_;
   // Per client region, the ids still waiting for their response. The
   // smallest is each new request's acknowledgement, so the server keeps a

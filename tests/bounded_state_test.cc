@@ -44,7 +44,7 @@ Peaks RunAndSample(const AppSpec& app, int replicated_locks, uint64_t requests_p
     gauges.push_back(server + table);
   }
   if (replicated_locks > 0) {
-    const std::string raft = radical.replicated_locks()->cluster().metric_scope();
+    const std::string raft = radical.locks().cluster().metric_scope();
     for (int node = 0; node < replicated_locks; ++node) {
       gauges.push_back(raft + ".node" + std::to_string(node) + ".log_entries");
     }

@@ -525,7 +525,7 @@ TEST(WireCodecTest, FullProtocolExchangeThroughTheCodec) {
       Write(C("k"), In("v")),
       Return(In("v")),
   }));
-  LocalLockService locks(&sim);
+  LockService locks(&sim);
   LviServer server(&sim, &store, &registry, &interp, &locks);
 
   // Client side: build the request, push it through the codec.

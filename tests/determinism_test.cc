@@ -68,7 +68,7 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
 TEST(DeterminismTest, RaftElectionsAreSeedDeterministic) {
   auto elect = [](uint64_t seed) {
     Simulator sim(seed);
-    ReplicatedLockService service(&sim, 5);
+    LockService service(&sim, 5);
     const bool ok = service.Bootstrap();
     EXPECT_TRUE(ok);
     std::ostringstream out;

@@ -309,7 +309,7 @@ TEST_P(ReplicatedDeploymentTest, EndToEndWriteThroughRaftLocks) {
   EXPECT_EQ(radical.primary().VersionOf("k"), 2);
   // Locks lived in the Raft state machine and are released again.
   const LockStateMachine* locks =
-      radical.replicated_locks()->LeaderState(radical.replicated_locks()->router().ShardOf("k"));
+      radical.locks().LeaderState(radical.locks().router().ShardOf("k"));
   ASSERT_NE(locks, nullptr);
   EXPECT_EQ(locks->HeldKeyCount(0), 0u);
   // A cross-region read sees the write.

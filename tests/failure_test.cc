@@ -62,7 +62,7 @@ class FailureTest : public ProfiledTest {
 
   // Keys locked by anyone, across every shard's lock table.
   size_t HeldLocks() {
-    LocalLockService* locks = radical_->local_locks();
+    LockService* locks = &radical_->locks();
     size_t held = 0;
     for (int shard = 0; shard < locks->shards(); ++shard) {
       held += locks->table(shard).active_lock_count();

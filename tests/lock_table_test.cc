@@ -1,7 +1,8 @@
-// Tests for the one lock table, through the in-memory lock service (one
-// shard, then four) and through the Raft replicas' LockStateMachine: reader
-// sharing, writer exclusion, FIFO fairness, atomic acquire runs, snapshots
-// and deadlock freedom.
+// Tests for the one lock table and the one lock chain: through a single
+// local lock group, through four groups of either kind (local and Raft), and
+// through the Raft replicas' LockStateMachine: reader sharing, writer
+// exclusion, FIFO fairness, atomic acquire runs, retry merges, snapshots and
+// deadlock freedom.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,7 @@ namespace {
 class LockTableTest : public ::testing::Test {
  protected:
   Simulator sim_;
-  LocalLockService locks_{&sim_};
+  LockService locks_{&sim_};
 };
 
 TEST_F(LockTableTest, UncontendedAcquireGrantsImmediately) {
@@ -214,34 +215,72 @@ TEST_F(LockTableTest, NoDeadlockUnderOverlappingKeySets) {
   EXPECT_EQ(locks_.table().active_lock_count(), 0u);
 }
 
-TEST(ShardedLockTableTest, OverlappingRunsAcrossFourShardsInConflictingOrdersAllComplete) {
-  // The in-memory twin of the replicated four-group test: each key set is
-  // sorted lexicographically against a shard order that runs the other way,
-  // with overlaps in every shard and mixed modes. Runs go in ascending shard
-  // order and each applies atomically in its shard's table, so every grant
-  // fires and every table drains.
-  Simulator sim(311);
-  LocalLockService locks(&sim, /*shards=*/4);
-  // Two keys per shard, keys[2s] and keys[2s + 1] in shard s, named so that
-  // a higher shard's keys sort first.
-  std::vector<Key> keys;
-  for (int s = 0; s < locks.shards(); ++s) {
-    const std::string prefix(1, static_cast<char>('z' - s));
-    for (uint64_t n = 0, found = 0; found < 2; ++n) {
-      Key key = prefix + std::to_string(n);
-      if (locks.router().ShardOf(key) == s) {
-        keys.push_back(std::move(key));
-        ++found;
+// --- One chain over four groups of either kind ------------------------------
+
+// Parameter: the lock groups' Raft width; 0 keeps them local.
+class LockChainTest : public ::testing::TestWithParam<int> {
+ protected:
+  LockChainTest()
+      : sim_(311), service_(&sim_, GetParam(), RaftOptions{}, LocalMeshOptions{}, /*shards=*/4) {
+    bootstrapped_ = service_.Bootstrap();
+    sim_.RunFor(Millis(300));
+    // Two keys per group, keys_[2g] and keys_[2g + 1] in group g, named so
+    // that a higher group's keys sort first.
+    for (int g = 0; g < service_.shards(); ++g) {
+      const std::string prefix(1, static_cast<char>('z' - g));
+      for (uint64_t n = 0, found = 0; found < 2; ++n) {
+        Key key = prefix + std::to_string(n);
+        if (service_.router().ShardOf(key) == g) {
+          keys_.push_back(std::move(key));
+          ++found;
+        }
       }
     }
   }
+
+  // Group g's locks: a local group's table, or its Raft leader's.
+  const LockTable* State(int g) {
+    return GetParam() == 0 ? &service_.table(g) : service_.LeaderState(g);
+  }
+  // What group g has been asked to apply: a local table's acquire runs, or a
+  // Raft group's log length.
+  uint64_t Submitted(int g) {
+    return GetParam() == 0 ? service_.table(g).acquisitions()
+                           : service_.cluster(g).leader()->log().last_index();
+  }
+  std::vector<uint64_t> SubmittedToEachGroup() {
+    std::vector<uint64_t> submitted;
+    for (int g = 0; g < service_.shards(); ++g) {
+      submitted.push_back(Submitted(g));
+    }
+    return submitted;
+  }
+
+  Simulator sim_;
+  LockService service_;
+  bool bootstrapped_ = false;
+  std::vector<Key> keys_;
+};
+
+std::string KindName(const ::testing::TestParamInfo<int>& info) {
+  return info.param == 0 ? "local" : "raft";
+}
+
+TEST_P(LockChainTest, OverlappingRunsAcrossFourGroupsInConflictingOrdersAllComplete) {
+  // Concurrent multi-key acquisitions over four groups, each key set sorted
+  // lexicographically (the interface contract) against a group order that
+  // runs the other way, with overlaps in every group and mixed modes. Runs
+  // go in ascending group order and each applies atomically in its group
+  // (a table's calls, or a Raft group's log), so none deadlocks: all are
+  // granted, and once released the service and every group are empty.
+  ASSERT_TRUE(bootstrapped_);
   const std::vector<std::vector<size_t>> picks = {
       {0, 2, 4, 6}, {1, 3, 5, 7}, {0, 1, 2, 3, 4, 5, 6, 7}, {6, 7, 0, 1}, {2, 5, 7}, {4, 3, 0}};
   int granted = 0;
   for (size_t i = 0; i < picks.size(); ++i) {
     std::vector<Key> set;
     for (const size_t k : picks[i]) {
-      set.push_back(keys[k]);
+      set.push_back(keys_[k]);
     }
     std::sort(set.begin(), set.end());
     std::vector<LockMode> modes;
@@ -249,21 +288,133 @@ TEST(ShardedLockTableTest, OverlappingRunsAcrossFourShardsInConflictingOrdersAll
       modes.push_back((i + k) % 3 == 0 ? LockMode::kRead : LockMode::kWrite);
     }
     const ExecutionId exec = 500 + static_cast<ExecutionId>(i);
-    // Staggered by less than a hold, so the acquisitions interleave.
-    sim.Schedule(Micros(300) * static_cast<SimDuration>(i), [&, exec, set, modes] {
-      locks.AcquireAll(exec, set, modes, [&, exec] {
+    // Staggered by less than a hold (and than one commit), so the runs
+    // interleave.
+    sim_.Schedule(Micros(300) * static_cast<SimDuration>(i), [&, exec, set, modes] {
+      service_.AcquireAll(exec, set, modes, [&, exec] {
         ++granted;
-        sim.Schedule(Millis(3), [&locks, exec] { locks.ReleaseAll(exec); });
+        sim_.Schedule(Millis(3), [this, exec] { service_.ReleaseAll(exec); });
       });
     });
   }
-  sim.Run();
+  sim_.RunFor(Seconds(3));
   EXPECT_EQ(granted, static_cast<int>(picks.size()));
-  EXPECT_GT(locks.total_waits(), 0u);
-  for (int s = 0; s < locks.shards(); ++s) {
-    EXPECT_EQ(locks.table(s).active_lock_count(), 0u) << "shard " << s;
+  EXPECT_TRUE(service_.idle());
+  uint64_t waits = 0;
+  for (int g = 0; g < service_.shards(); ++g) {
+    const LockTable* state = State(g);
+    ASSERT_NE(state, nullptr) << "group " << g;
+    EXPECT_EQ(state->active_lock_count(), 0u) << "group " << g;
+    EXPECT_EQ(state->TotalHeldKeys(), 0u) << "group " << g;
+    waits += state->waits();
+  }
+  EXPECT_GT(waits, 0u);
+  EXPECT_EQ(service_.compensating_releases(), 0u);
+}
+
+TEST_P(LockChainTest, RetryMergesIntoTheAcquisitionInFlight) {
+  // A retried acquisition finds the original still waiting in its last
+  // group: it submits nothing, keeps the original's locks and queue place,
+  // and only the retry's continuation fires.
+  ASSERT_TRUE(bootstrapped_);
+  const Key& contended = keys_[7];  // In the last group.
+  bool holder = false;
+  service_.AcquireAll(1, {contended}, {LockMode::kWrite}, [&] { holder = true; });
+  sim_.RunFor(Millis(100));
+  ASSERT_TRUE(holder);
+  std::vector<Key> set = {keys_[0], keys_[2], keys_[4], contended};
+  std::sort(set.begin(), set.end());
+  const std::vector<LockMode> modes(set.size(), LockMode::kWrite);
+  int original = 0;
+  int retry = 0;
+  service_.AcquireAll(2, set, modes, [&] { ++original; });
+  sim_.RunFor(Millis(100));
+  EXPECT_TRUE(State(0)->IsWriteHeldBy(keys_[0], 2));
+  EXPECT_TRUE(State(2)->IsWriteHeldBy(keys_[4], 2));
+  EXPECT_EQ(State(3)->WaitingCount(contended), 1u);
+  const std::vector<uint64_t> before = SubmittedToEachGroup();
+  service_.AcquireAll(2, set, modes, [&] { ++retry; });
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(SubmittedToEachGroup(), before);
+  EXPECT_EQ(original + retry, 0);
+  EXPECT_EQ(State(3)->WaitingCount(contended), 1u);
+  service_.ReleaseAll(1);
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(original, 0);
+  EXPECT_EQ(retry, 1);
+  EXPECT_TRUE(State(3)->IsWriteHeldBy(contended, 2));
+  service_.ReleaseAll(2);
+  sim_.RunFor(Millis(100));
+  EXPECT_TRUE(service_.idle());
+  for (int g = 0; g < service_.shards(); ++g) {
+    EXPECT_EQ(State(g)->active_lock_count(), 0u) << "group " << g;
   }
 }
+
+TEST_P(LockChainTest, StaleHandOffAfterReleaseAndReacquireIsIgnored) {
+  // Execution 1 takes its first group, then releases and acquires again
+  // before its hand-off event to the second group runs. That event belongs
+  // to the abandoned acquisition: the second group gets one run from the new
+  // one, not a second copy.
+  ASSERT_TRUE(bootstrapped_);
+  const std::vector<Key> set = {keys_[2], keys_[0]};  // Groups 1 and 0, sorted.
+  ASSERT_TRUE(std::is_sorted(set.begin(), set.end()));
+  const std::vector<LockMode> modes(set.size(), LockMode::kWrite);
+  bool holder = false;
+  service_.AcquireAll(9, {keys_[2]}, {LockMode::kWrite}, [&] { holder = true; });
+  sim_.RunFor(Millis(100));
+  ASSERT_TRUE(holder);
+  const uint64_t before = Submitted(1);
+  int granted = 0;
+  service_.AcquireAll(1, set, modes, [&] { ++granted; });
+  service_.ReleaseAll(1);
+  service_.AcquireAll(1, set, modes, [&] { ++granted; });
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(Submitted(1) - before, 1u);
+  EXPECT_EQ(State(1)->WaitingCount(keys_[2]), 1u);
+  EXPECT_EQ(granted, 0);
+  service_.ReleaseAll(9);
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(granted, 1);
+  EXPECT_TRUE(State(1)->IsWriteHeldBy(keys_[2], 1));
+  service_.ReleaseAll(1);
+  sim_.RunFor(Millis(100));
+  EXPECT_TRUE(service_.idle());
+}
+
+TEST_P(LockChainTest, EmptyKeySetGrantsAfterReturningAndSubmitsNothing) {
+  ASSERT_TRUE(bootstrapped_);
+  const std::vector<uint64_t> before = SubmittedToEachGroup();
+  bool returned = false;
+  int granted = 0;
+  bool granted_after_return = false;
+  service_.AcquireAll(1, {}, {}, [&] {
+    ++granted;
+    granted_after_return = returned;
+  });
+  returned = true;
+  EXPECT_EQ(granted, 0);
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(granted, 1);
+  EXPECT_TRUE(granted_after_return);
+  service_.ReleaseAll(1);
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(SubmittedToEachGroup(), before);
+  EXPECT_TRUE(service_.idle());
+}
+
+TEST_P(LockChainTest, ReleaseOfAnUnknownExecutionSubmitsNothing) {
+  // Nothing held, nothing in flight: no group is asked to release (a Raft
+  // group would spend a commit on it).
+  ASSERT_TRUE(bootstrapped_);
+  const std::vector<uint64_t> before = SubmittedToEachGroup();
+  service_.ReleaseAll(42);
+  sim_.RunFor(Millis(100));
+  EXPECT_EQ(SubmittedToEachGroup(), before);
+  EXPECT_TRUE(service_.idle());
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, LockChainTest, ::testing::Values(0, 3), KindName);
 
 // --- LockStateMachine unit tests ---------------------------------------------------
 

@@ -68,7 +68,7 @@ class LviServerTest : public ::testing::Test {
   Analyzer analyzer_;
   Interpreter interp_;
   FunctionRegistry registry_;
-  LocalLockService locks_;
+  LockService locks_;
   LviServerOptions options_;
   std::unique_ptr<LviServer> server_;
 };
@@ -580,7 +580,7 @@ TEST_F(LviServerTest, RecoverResetsCapacityBusyPeriod) {
   // that no longer exists.
   LviServerOptions options;
   options.serving_capacity_rps = 10;  // 100 ms service time.
-  LocalLockService locks(&sim_);
+  LockService locks(&sim_);
   VersionedStore store;
   store.Seed("k", Value("v"));
   LviServer server(&sim_, &store, &registry_, &interp_, &locks, options);
@@ -814,28 +814,34 @@ TEST_F(LviServerTest, BackupsWritingAKeyTheyOnlyReadLockedLoseNoUpdate) {
 }
 
 TEST_F(LviServerTest, IdempotencyKeyLetsOneBackupApplyAcrossACrashAndAnAcknowledgedReply) {
-  LviServer server(&sim_, &store_, &registry_, &interp_, &locks_, options_, /*replicated=*/true);
+  // Idempotency keys come with the §5.6 deployment, whose locks live in Raft.
+  LockService locks(&sim_, 3);
+  ASSERT_TRUE(locks.Bootstrap());
+  LviServer server(&sim_, &store_, &registry_, &interp_, &locks, options_);
   store_.Seed("k", Value("v0"));  // Version 1; the writer's cache claims 0.
   store_.Seed("other", Value("o"));
   const LviRequest request = AckingRequest("reg_set", {Value("k"), Value("v1")},
                                            {{"k", 0, LockMode::kWrite}});
   server.HandleLviRequest(request, [](LviResponse) {});
-  // Crash between the backup's read point and its write: nothing applied.
-  sim_.RunFor(options_.process_delay + store_.options().read_latency +
-              options_.backup_invoke_overhead + Micros(500));
+  // The validation runs once the lock's Raft commit grants it, and fails.
+  const SimTime deadline = sim_.Now() + Seconds(1);
+  while (server.validations_failed() == 0 && sim_.Now() < deadline && sim_.Step()) {
+  }
   ASSERT_EQ(server.validations_failed(), 1u);
+  // Crash between the backup's read point and its write: nothing applied.
+  sim_.RunFor(options_.backup_invoke_overhead + Micros(500));
   server.Crash();
   EXPECT_EQ(store_.VersionOf("k"), 1);
-  EXPECT_TRUE(locks_.table().IsWriteHeldBy("k", request.exec_id));
+  EXPECT_TRUE(locks.LeaderState()->IsWriteHeldBy("k", request.exec_id));
   server.Recover();
   // The retry is granted the lock it holds and its backup applies once.
   std::optional<LviResponse> reply;
   server.HandleLviRequest(request, [&](LviResponse r) { reply = std::move(r); });
-  sim_.Run();
+  sim_.RunFor(Seconds(1));
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->backup_result, Value("v1"));
   EXPECT_EQ(store_.VersionOf("k"), 2);
-  EXPECT_FALSE(locks_.table().IsWriteHeldBy("k", request.exec_id));
+  EXPECT_FALSE(locks.LeaderState()->IsWriteHeldBy("k", request.exec_id));
   EXPECT_EQ(Kept(server, "lvi_replies"), 1);
   EXPECT_EQ(Kept(server, "applied"), 1);
   // The origin's next request acknowledges the writer: its reply and its
@@ -844,16 +850,16 @@ TEST_F(LviServerTest, IdempotencyKeyLetsOneBackupApplyAcrossACrashAndAnAcknowled
   server.HandleLviRequest(AckingRequest("reg_get", {Value("other")},
                                         {{"other", 1, LockMode::kRead}}),
                           [](LviResponse) {});
-  sim_.Run();
+  sim_.RunFor(Seconds(1));
   ASSERT_EQ(Kept(server, "lvi_replies"), 1);  // The reader's own reply.
   ASSERT_EQ(Kept(server, "applied"), 0);
   bool answered = false;
   server.HandleLviRequest(request, [&](LviResponse) { answered = true; });
-  sim_.Run();
+  sim_.RunFor(Seconds(1));
   EXPECT_FALSE(answered);
   EXPECT_EQ(server.counters().Get("at_most_once_refused"), 1u);
   EXPECT_EQ(store_.VersionOf("k"), 2);  // Still applied exactly once.
-  EXPECT_EQ(locks_.table().active_lock_count(), 0u);
+  EXPECT_EQ(locks.LeaderState()->active_lock_count(), 0u);
   EXPECT_TRUE(server.idle());
 }
 
@@ -863,10 +869,9 @@ TEST(LviServerReplicatedTest, UnanalyzableDirectExecutionLocksWhatItsFirstRunTou
   Analyzer analyzer(&HostRegistry::Standard());
   Interpreter interp(&HostRegistry::Standard());
   FunctionRegistry registry(&analyzer);
-  ReplicatedLockService locks(&sim, 3);
+  LockService locks(&sim, 3);
   ASSERT_TRUE(locks.Bootstrap());
-  LviServer server(&sim, &store, &registry, &interp, &locks, LviServerOptions{},
-                   /*replicated=*/true);
+  LviServer server(&sim, &store, &registry, &interp, &locks, LviServerOptions{});
   // The key comes out of a host the analyzer cannot see through (§3.3).
   registry.Register(Fn("opaque_set", {"u", "v"}, {
       Let("k", IntToStr(Host("expensive_digest", {In("u")}))),

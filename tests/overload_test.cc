@@ -353,7 +353,7 @@ TEST(OverloadServerTest, CapacityAboveTickRateClampsInsteadOfGoingUnlimited) {
   Analyzer analyzer(&HostRegistry::Standard());
   FunctionRegistry registry(&analyzer);
   Interpreter interp(&HostRegistry::Standard());
-  LocalLockService locks(&sim);
+  LockService locks(&sim);
   LviServerOptions options;
   options.serving_capacity_rps = 5'000'000;  // > 1 request per microsecond tick.
   options.admission_queue_limit = 1;

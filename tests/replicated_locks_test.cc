@@ -38,7 +38,7 @@ class ReplicatedLocksTest : public ::testing::Test {
   }
 
   Simulator sim_;
-  ReplicatedLockService service_;
+  LockService service_;
   bool bootstrapped_ = false;
 };
 
@@ -219,7 +219,7 @@ class BatchedLocksTest : public ::testing::Test {
   }
 
   Simulator sim_;
-  ReplicatedLockService service_;
+  LockService service_;
   bool bootstrapped_ = false;
 };
 
@@ -339,7 +339,7 @@ TEST_F(ReplicatedLocksTest, TimedOutReleaseRetriesUntilCommitted) {
 
 TEST(ShardedReplicatedLocksTest, AcquiresSpanIndependentGroups) {
   Simulator sim(303);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, /*shards=*/4);
+  LockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, /*shards=*/4);
   ASSERT_EQ(service.shards(), 4);
   ASSERT_TRUE(service.Bootstrap());
   sim.RunFor(Millis(100));
@@ -379,7 +379,7 @@ TEST(ShardedReplicatedLocksTest, ContentionResolvesInShardKeyOrder) {
   // deadlock: both re-order their (sorted) keys into the same (shard, key)
   // total order, so the resource-ordering argument holds across groups.
   Simulator sim(307);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, /*shards=*/4);
+  LockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, /*shards=*/4);
   ASSERT_TRUE(service.Bootstrap());
   sim.RunFor(Millis(100));
   const std::vector<Key> keys = {"a", "aa", "aaa", "b", "jaa", "k"};
@@ -399,71 +399,12 @@ TEST(ShardedReplicatedLocksTest, ContentionResolvesInShardKeyOrder) {
   EXPECT_EQ(granted, 2);
 }
 
-TEST(ShardedReplicatedLocksTest, OverlappingRunsAcrossFourGroupsInConflictingOrdersAllComplete) {
-  // Concurrent multi-key acquisitions over four groups, each key set sorted
-  // lexicographically (the interface contract) against a group order that
-  // runs the other way, with overlaps in every group and mixed modes. Runs
-  // go in ascending group order and each applies atomically in its group's
-  // log, so none deadlocks: all are granted, and once released the service
-  // and every group's table are empty.
-  Simulator sim(311);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, /*shards=*/4);
-  ASSERT_TRUE(service.Bootstrap());
-  sim.RunFor(Millis(300));
-  // Two keys per group, keys[2g] and keys[2g + 1] in group g, named so that
-  // a higher group's keys sort first.
-  std::vector<Key> keys;
-  for (int g = 0; g < service.shards(); ++g) {
-    const std::string prefix(1, static_cast<char>('z' - g));
-    for (uint64_t n = 0, found = 0; found < 2; ++n) {
-      Key key = prefix + std::to_string(n);
-      if (service.router().ShardOf(key) == g) {
-        keys.push_back(std::move(key));
-        ++found;
-      }
-    }
-  }
-  // Every execution's keys overlap the others' in several groups; each set
-  // is sorted, and its lexicographic order crosses the (group, key) order.
-  const std::vector<std::vector<size_t>> picks = {
-      {0, 2, 4, 6}, {1, 3, 5, 7}, {0, 1, 2, 3, 4, 5, 6, 7}, {6, 7, 0, 1}, {2, 5, 7}, {4, 3, 0}};
-  int granted = 0;
-  for (size_t i = 0; i < picks.size(); ++i) {
-    std::vector<Key> set;
-    for (const size_t k : picks[i]) {
-      set.push_back(keys[k]);
-    }
-    std::sort(set.begin(), set.end());
-    std::vector<LockMode> modes;
-    for (size_t k = 0; k < set.size(); ++k) {
-      modes.push_back((i + k) % 3 == 0 ? LockMode::kRead : LockMode::kWrite);
-    }
-    const ExecutionId exec = 500 + static_cast<ExecutionId>(i);
-    // Staggered by less than one commit, so the runs interleave in the logs.
-    sim.Schedule(Micros(300) * static_cast<SimDuration>(i), [&, exec, set, modes] {
-      service.AcquireAll(exec, set, modes, [&, exec] {
-        ++granted;
-        sim.Schedule(Millis(3), [&service, exec] { service.ReleaseAll(exec); });
-      });
-    });
-  }
-  sim.RunFor(Seconds(3));
-  EXPECT_EQ(granted, static_cast<int>(picks.size()));
-  EXPECT_TRUE(service.idle());
-  for (int g = 0; g < service.shards(); ++g) {
-    const LockStateMachine* state = service.LeaderState(g);
-    ASSERT_NE(state, nullptr) << "group " << g;
-    EXPECT_EQ(state->TotalHeldKeys(), 0u) << "group " << g;
-  }
-  EXPECT_EQ(service.compensating_releases(), 0u);
-}
-
 TEST(ShardedReplicatedLocksTest, AllReadAcquisitionCommitsOncePerGroup) {
   // Read locks take the same commit path as writes: one Raft entry in each
   // group holding some of the keys, carrying that group's run, and no entry
   // anywhere else.
   Simulator sim(313);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, /*shards=*/2);
+  LockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, /*shards=*/2);
   ASSERT_TRUE(service.Bootstrap());
   sim.RunFor(Millis(300));
   const std::vector<Key> keys = {"a", "aa", "b", "jaa", "k", "ra"};
@@ -500,7 +441,7 @@ class ReplicatedGrantBookkeepingTest : public ::testing::TestWithParam<int> {
  protected:
   // Two keys in every group, named after `exec`, sorted (the interface
   // contract).
-  static std::vector<Key> KeysInEveryGroup(const ReplicatedLockService& service,
+  static std::vector<Key> KeysInEveryGroup(const LockService& service,
                                            ExecutionId exec) {
     std::vector<Key> keys;
     uint64_t candidate = 0;
@@ -517,7 +458,7 @@ class ReplicatedGrantBookkeepingTest : public ::testing::TestWithParam<int> {
     return keys;
   }
 
-  static std::vector<LogIndex> LogLengths(ReplicatedLockService& service) {
+  static std::vector<LogIndex> LogLengths(LockService& service) {
     std::vector<LogIndex> lengths;
     for (int g = 0; g < service.shards(); ++g) {
       lengths.push_back(service.cluster(g).leader()->log().last_index());
@@ -532,7 +473,7 @@ TEST_P(ReplicatedGrantBookkeepingTest, EachCycleAppendsItsAcquiresAndOneReleaseP
   // plus one release, whichever replica applies last; afterwards the service
   // keeps nothing about the execution.
   Simulator sim(331);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, GetParam());
+  LockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, GetParam());
   ASSERT_TRUE(service.Bootstrap());
   sim.RunFor(Millis(300));
   const std::vector<LogIndex> before = LogLengths(service);
@@ -568,7 +509,7 @@ TEST_P(ReplicatedGrantBookkeepingTest, RestartReplayAppendsNothing) {
   // service acted on them already and must not answer the replay with
   // releases.
   Simulator sim(337);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, GetParam());
+  LockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, GetParam());
   ASSERT_TRUE(service.Bootstrap());
   sim.RunFor(Millis(300));
   const int executions = 8;
@@ -618,7 +559,7 @@ TEST_P(ReplicatedGrantBookkeepingTest, LateGrantToReleasedWaiterIsCompensatedOnc
   // it gets when execution 1 releases is stray. Exactly one compensating
   // release frees the key for the next writer.
   Simulator sim(347);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, GetParam());
+  LockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, GetParam());
   ASSERT_TRUE(service.Bootstrap());
   sim.RunFor(Millis(300));
   const Key key = "k";
@@ -669,7 +610,7 @@ TEST_P(ReplicatedGrantBookkeepingTest, ReacquireAfterALostTermReleaseKeepsTheFre
   // acquisition waits until the release has committed, so neither copy
   // lands behind it.
   Simulator sim(353);
-  ReplicatedLockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, GetParam());
+  LockService service(&sim, 3, RaftOptions{}, LocalMeshOptions{}, GetParam());
   ASSERT_TRUE(service.Bootstrap());
   sim.RunFor(Millis(300));
   const ExecutionId exec = 7;
@@ -745,11 +686,11 @@ TEST_P(ReplicatedFaultSweepTest, FaultSweepStaysLinearizable) {
   const std::vector<Key> kKeys = {"a", "aa", "aaa"};
   for (const Key& key : kKeys) radical.Seed(key, Value("v0"));
   radical.WarmCaches();
-  ASSERT_EQ(radical.replicated_locks()->shards(), groups);
+  ASSERT_EQ(radical.locks().shards(), groups);
   {
     std::set<int> key_groups;
     for (const Key& key : kKeys) {
-      key_groups.insert(radical.replicated_locks()->router().ShardOf(key));
+      key_groups.insert(radical.locks().router().ShardOf(key));
     }
     ASSERT_EQ(key_groups.size(), groups == 1 ? 1u : 3u);
   }
@@ -794,7 +735,7 @@ TEST_P(ReplicatedFaultSweepTest, FaultSweepStaysLinearizable) {
   std::vector<NodeId> crashed(static_cast<size_t>(groups), -1);
   for (int g = 0; g < groups; ++g) {
     sim.Schedule(Seconds(1) + g * Millis(900), [&radical, &crashed, g] {
-      RaftCluster& cluster = radical.replicated_locks()->cluster(g);
+      RaftCluster& cluster = radical.locks().cluster(g);
       const NodeId leader = cluster.LeaderId();
       if (leader < 0) return;
       cluster.CrashNode(leader);
@@ -802,7 +743,7 @@ TEST_P(ReplicatedFaultSweepTest, FaultSweepStaysLinearizable) {
     });
     sim.Schedule(Seconds(1) + g * Millis(900) + Millis(800), [&radical, &crashed, g] {
       const NodeId id = crashed[static_cast<size_t>(g)];
-      if (id >= 0) radical.replicated_locks()->cluster(g).RestartNode(id);
+      if (id >= 0) radical.locks().cluster(g).RestartNode(id);
     });
   }
   // Raft heartbeats run forever, so drive a bounded window instead of Run().
@@ -815,7 +756,7 @@ TEST_P(ReplicatedFaultSweepTest, FaultSweepStaysLinearizable) {
   EXPECT_TRUE(result.linearizable) << result.violation;
   // No leaked locks once the dust settles.
   for (int g = 0; g < groups; ++g) {
-    const LockStateMachine* state = radical.replicated_locks()->LeaderState(g);
+    const LockStateMachine* state = radical.locks().LeaderState(g);
     ASSERT_NE(state, nullptr) << "group " << g;
     EXPECT_EQ(state->TotalHeldKeys(), 0u) << "group " << g;
   }
@@ -850,7 +791,7 @@ TEST_P(ReplicatedCommitCountTest, MultiKeyReadCommitsOneAcquireAndOneReleasePerG
   body.push_back(Return(V("v0")));
   radical.RegisterFunction(Fn("search", {}, std::move(body)));
   radical.WarmCaches();
-  ReplicatedLockService& locks = *radical.replicated_locks();
+  LockService& locks = radical.locks();
   std::vector<int> keys_in_group(static_cast<size_t>(locks.shards()), 0);
   for (const Key& key : keys) {
     ++keys_in_group[static_cast<size_t>(locks.router().ShardOf(key))];
@@ -929,7 +870,7 @@ TEST(ReplicatedLogCompactionTest, RestartedFollowerCatchesUpThroughInstallSnapsh
   // Every deployed lock group compacts its log. A follower that was down
   // while the leader compacted past its log rejoins from the snapshot.
   Simulator sim(41);
-  ReplicatedLockService locks(&sim, 3);
+  LockService locks(&sim, 3);
   ASSERT_TRUE(locks.Bootstrap());
   RaftCluster& cluster = locks.cluster();
   sim.RunFor(Millis(100));
@@ -974,7 +915,7 @@ TEST(ShardedReplicatedDeploymentTest, ServerShardsSetTheLockGroupCount) {
   config.server.shards = 4;
   RadicalDeployment radical(&sim, &net, config, DeploymentRegions(),
                             /*replicated_locks=*/3);
-  EXPECT_EQ(radical.replicated_locks()->shards(), 4);
+  EXPECT_EQ(radical.locks().shards(), 4);
   EXPECT_EQ(radical.config().server.shards, 4);
 }
 

@@ -88,11 +88,11 @@ TEST(ShardRouterTest, PointIsFnv1aWithPinnedVectors) {
   EXPECT_EQ(ShardRouter::Point("foobar"), 0x85944171f73967e8ull);
 }
 
-// --- LocalLockService at N shards --------------------------------------------
+// --- Local lock groups at N shards -----------------------------------------
 
 TEST(ShardedLockServiceTest, CrossShardAcquireGrantsAndConflictWaits) {
   Simulator sim;
-  LocalLockService locks(&sim, 4);
+  LockService locks(&sim, 0, RaftOptions{}, LocalMeshOptions{}, 4);
 
   // A sorted key set spanning several shards.
   std::vector<Key> keys = TestKeys();
@@ -132,7 +132,7 @@ TEST(ShardedLockServiceTest, ItemlessAcquireGrantsAfterReturning) {
   // Like a LockTable, the service never runs `granted` inside AcquireAll —
   // an item-less request included — so callers never re-enter it.
   Simulator sim;
-  LocalLockService locks(&sim, 4);
+  LockService locks(&sim, 0, RaftOptions{}, LocalMeshOptions{}, 4);
   bool returned = false;
   bool granted_after_return = false;
   locks.AcquireAll(1, {}, {}, [&] { granted_after_return = returned; });
@@ -148,7 +148,7 @@ TEST(ShardedLockServiceTest, OppositeKeyOrdersDoNotDeadlock) {
   // event tick. The (shard, key) total order means one of them wins every
   // common lock and the other queues behind it — never a cycle.
   Simulator sim;
-  LocalLockService locks(&sim, 4);
+  LockService locks(&sim, 0, RaftOptions{}, LocalMeshOptions{}, 4);
   std::vector<Key> keys = TestKeys();
   keys.resize(8);
   std::sort(keys.begin(), keys.end());
